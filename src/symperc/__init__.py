@@ -9,7 +9,9 @@ from .exact import (
     BOND,
     SITE,
     CapExceeded,
+    ClusterSweep,
     JointOutcomePolynomial,
+    Observables,
     PartitionLaw,
     check_domination,
     check_partition_identity,
@@ -61,14 +63,14 @@ from .mc import (
 from .scenarios import (
     CValues,
     Scenario,
-    bunkbed_report,
+    bunkbed_scenario,
     discrete_derivative,
     group_theorem_battery,
     hypercube_c_values,
     hypercube_inequality_report,
-    layered_report,
+    layered_scenario,
     run_scenario,
-    z2_relation_report,
+    z2_scenario,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from . import exact, scenarios
-from .exact import CapExceeded, parse_law
+from .exact import CapExceeded
 from .graphs import GraphError
 from .groups import GroupError
 from .scenarios import (
@@ -213,10 +213,13 @@ def _parse_base(text: str):
     if ":" in text:
         builder, _, arg = text.partition(":")
         builder = builder.strip()
-        if builder in ("path", "cycle", "complete"):
-            return {"builder": builder, "n": int(arg)}
-        if builder == "hypercube":
-            return {"builder": builder, "d": int(arg)}
+        try:
+            if builder in ("path", "cycle", "complete"):
+                return {"builder": builder, "n": int(arg)}
+            if builder == "hypercube":
+                return {"builder": builder, "d": int(arg)}
+        except ValueError:
+            pass
     raise ScenarioFormatError(
         f"bad base spec {text!r}; use e.g. 'cycle:5' or a JSON object")
 
@@ -363,10 +366,9 @@ def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
 def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
            json_path, csv_path):
     """Square-lattice connection relations realized on a torus."""
-    report = scenarios.z2_relation_report(
-        size, _parse_p_list(p_list), mode, cap_bits, mc_n, seed,
-        float(level), threads)
-    return finish(report, json_path, csv_path)
+    sc = scenarios.z2_scenario(size, _parse_p_list(p_list), mode=mode,
+                               cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed)
+    return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
 @cli.command("bunkbed")
@@ -386,10 +388,10 @@ def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
 def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
                 threads, json_path, csv_path):
     """Compare the two layers of base x edge."""
-    report = scenarios.bunkbed_report(
-        _parse_base(base), _parse_p_list(p_list), mode, parse_law(law_text),
-        cap_bits, mc_n, seed, float(level), threads)
-    return finish(report, json_path, csv_path)
+    sc = scenarios.bunkbed_scenario(
+        _parse_base(base), _parse_p_list(p_list), law_text, mode=mode,
+        cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed)
+    return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
 @cli.command("layered")
@@ -412,9 +414,18 @@ def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
 def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
                 seed, level, threads, json_path, csv_path):
     """Residue-class layer comparison on the cylinder base x cycle(m)."""
-    report = scenarios.layered_report(
+    sc = scenarios.layered_scenario(
         _parse_base(base), m, choice, k, period, _parse_p_list(p_list),
-        mode, cap_bits, mc_n, seed, float(level), threads)
+        mode=mode, cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed)
+    return _finish_instance(sc, threads, level, json_path, csv_path)
+
+
+def _finish_instance(sc: scenarios.Scenario, threads, level, json_path,
+                     csv_path) -> int:
+    """Run a constructed scenario, which claims theorem instances, so a pair
+    failing its symmetry check is a precondition failure."""
+    report = scenarios.run_scenario(sc, threads=threads, level=float(level),
+                                    require_conditions=True)
     return finish(report, json_path, csv_path)
 
 
@@ -422,19 +433,12 @@ def _override(sc: scenarios.Scenario, p_list=None, cap_bits=None, mode=None,
               mc_n=None, mc_seed=None) -> scenarios.Scenario:
     from dataclasses import replace
 
-    from .rationals import parse_probability
-
     changes = {}
     if p_list:
-        changes["p_grid"] = tuple(parse_probability(p)
-                                  for p in _parse_p_list(p_list))
+        changes["p_grid"] = scenarios.parse_p_grid(_parse_p_list(p_list))
     if cap_bits is not None:
         changes["cap_bits"] = cap_bits
     if mode is not None:
-        if mode == "mc" and sc.law.kind != "bond":
-            raise ScenarioFormatError(
-                "mc mode samples bond percolation only; this scenario "
-                f"uses the {sc.law.kind} law")
         changes["mode"] = mode
     if mc_n is not None:
         changes["mc_n"] = mc_n

@@ -1,10 +1,12 @@
-"""Exact joint law of the cluster intersection sizes by full enumeration.
+"""Exact law of the origin's cluster by full enumeration.
 
-The engine sweeps every configuration once and stores, for each outcome
-(a, b) = (cluster size in v_plus, cluster size in v_minus), how many
-configurations with k open units produce it.  That polynomial-in-p
-representation is computed once per scenario and evaluated exactly (as
-Fractions) at as many parameters as needed.
+The engine sweeps every configuration once and bins it by the sizes of the
+origin's cluster C inside each observed vertex set, and by the number k of
+open units.  A pair's outcome (a, b) = (|C ∩ v_plus|, |C ∩ v_minus|) and a
+target's connection event are marginals of those bins, so one sweep per
+(graph, origin, law) serves every pair and target.  The polynomial-in-p
+representation is evaluated exactly (as Fractions) at as many parameters as
+needed.
 
 Configurations are bitmasks over the canonical unit order: edge k is bit k
 for the bond and random-cluster laws, vertex k is bit k for the site law.
@@ -174,7 +176,91 @@ class JointOutcomePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# configuration sweeps (pure integer bit twiddling)
+# the one sweep: cluster intersection sizes with every observed set
+
+
+@dataclass(frozen=True)
+class Observables:
+    """The vertex sets one sweep observes of the origin's cluster.
+
+    Each pair contributes its two sets and each connection target a
+    singleton; sets shared by several pairs are observed once.
+    """
+
+    origin: int
+    pairs: tuple[VertexSetPair, ...] = ()
+    targets: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if any(pair.origin != self.origin for pair in self.pairs):
+            raise ValueError("every observed pair must share the origin")
+
+    def masks(self) -> tuple[int, ...]:
+        sets = [_vertex_mask(side) for pair in self.pairs
+                for side in (pair.v_plus, pair.v_minus)]
+        sets += [1 << v for v in self.targets]
+        return tuple(dict.fromkeys(sets))
+
+
+@dataclass(frozen=True)
+class ClusterSweep:
+    """Exact counts of configurations by the origin cluster's intersection
+    sizes with each observed set and by open-unit number.
+
+    ``bins[(sizes, k)]`` counts the configurations with k open units and
+    ``sizes[i]`` = |C ∩ masks[i]|; for the random-cluster law the key also
+    ends in the number of partition cells.  Every pair's joint polynomial
+    and every target's connection counts are exact marginals.
+    """
+
+    units: int
+    law: PartitionLaw
+    origin: int
+    masks: tuple[int, ...]
+    bins: dict[tuple, int]
+
+    def total_configs(self) -> int:
+        return 1 << self.units
+
+    @property
+    def counts(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Count vectors by open-unit number, keyed by all the sizes."""
+        return self._marginal(lambda sizes: sizes)[0]
+
+    def _marginal(self, project):
+        """Count vectors, and random-cluster (k, cells) counts, by the
+        projected sizes."""
+        counts: dict[tuple, list[int]] = {}
+        components = {} if self.law.kind == "random_cluster" else None
+        for (sizes, *kc), cnt in self.bins.items():
+            key = project(sizes)
+            counts.setdefault(key, [0] * (self.units + 1))[kc[0]] += cnt
+            if components is not None:
+                sub = components.setdefault(key, {})
+                sub[tuple(kc)] = sub.get(tuple(kc), 0) + cnt
+        return ({key: tuple(vec) for key, vec in sorted(counts.items())},
+                components)
+
+    def joint(self, pair: VertexSetPair) -> JointOutcomePolynomial:
+        """The outcome polynomial of an observed pair."""
+        i = self.masks.index(_vertex_mask(pair.v_plus))
+        j = self.masks.index(_vertex_mask(pair.v_minus))
+        counts, components = self._marginal(lambda sizes: (sizes[i], sizes[j]))
+        return JointOutcomePolynomial(
+            units=self.units,
+            n_plus=len(pair.v_plus),
+            n_minus=len(pair.v_minus),
+            law=self.law,
+            counts=counts,
+            component_counts=components,
+        )
+
+    def connection(self, v: int) -> tuple[int, ...]:
+        """Counts, by open-unit number, of the configurations whose origin
+        cluster contains the observed target v."""
+        t = self.masks.index(1 << v)
+        counts, _ = self._marginal(lambda sizes: sizes[t])
+        return counts.get(1, (0,) * (self.units + 1))
 
 
 def _incidence(g: Graph) -> list[tuple[tuple[int, int], ...]]:
@@ -212,49 +298,36 @@ def _component_count_bond(inc, mask: int, n: int) -> int:
     return count
 
 
-def _cluster_mask_site(adjacency, open_mask: int, o: int) -> int:
-    """Component of o among open vertices; o assumed open."""
-    seen = 1 << o
-    stack = [o]
-    while stack:
-        x = stack.pop()
-        for w in adjacency[x]:
-            wbit = 1 << w
-            if open_mask & wbit and not seen & wbit:
-                seen |= wbit
-                stack.append(w)
-    return seen
+def _sweep(args) -> dict:
+    """Count configurations in [lo, hi) keyed by (sizes, k) or (sizes, k, c).
 
-
-def _sweep_bond(args) -> dict:
-    """Count configurations in [lo, hi) keyed by (a, b, k) or (a, b, k, c)."""
-    inc, n, o, plus_mask, minus_mask, lo, hi, want_components = args
-    counts: dict[tuple, int] = {}
-    for mask in range(lo, hi):
-        cluster = _cluster_mask_bond(inc, mask, o)
-        a = (cluster & plus_mask).bit_count()
-        b = (cluster & minus_mask).bit_count()
-        k = mask.bit_count()
-        if want_components:
-            key = (a, b, k, _component_count_bond(inc, mask, n))
-        else:
-            key = (a, b, k)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _sweep_site(args) -> dict:
-    adjacency, o, plus_mask, minus_mask, lo, hi = args
+    ``inc[x]`` pairs each neighbor w of x with the unit bit that must be
+    open to step to w: the joining edge's, or under the site law w's own,
+    where ``need`` keeps a closed origin a singleton cell.  ``sizes`` adds
+    up ``weights[v]`` over the cluster: one bit field per observed set, so
+    one small key holds every intersection size.
+    """
+    inc, n, o, weights, need, lo, hi, want_components = args
     obit = 1 << o
     counts: dict[tuple, int] = {}
     for mask in range(lo, hi):
-        if mask & obit:
-            cluster = _cluster_mask_site(adjacency, mask, o)
-            a = (cluster & plus_mask).bit_count()
-            b = (cluster & minus_mask).bit_count()
+        sizes = weights[o]
+        if mask & need == need:
+            seen = obit
+            stack = [o]
+            while stack:
+                x = stack.pop()
+                for w, bit in inc[x]:
+                    if mask & bit:
+                        wbit = 1 << w
+                        if not seen & wbit:
+                            seen |= wbit
+                            sizes += weights[w]
+                            stack.append(w)
+        if want_components:
+            key = (sizes, mask.bit_count(), _component_count_bond(inc, mask, n))
         else:
-            a, b = 1, 0
-        key = (a, b, mask.bit_count())
+            key = (sizes, mask.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -273,7 +346,7 @@ def _chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
 
 
-def _run_sweeps(fn, jobs, threads: int) -> dict:
+def _run_sweeps(jobs, threads: int) -> dict:
     """Run sweep jobs over disjoint mask ranges and merge by addition.
 
     The merge is commutative integer addition, so the result is identical to
@@ -282,9 +355,9 @@ def _run_sweeps(fn, jobs, threads: int) -> dict:
     merged: dict[tuple, int] = {}
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, jobs))
+            results = list(pool.map(_sweep, jobs))
     else:
-        results = [fn(job) for job in jobs]
+        results = [_sweep(job) for job in jobs]
     for part in results:
         for key, cnt in part.items():
             merged[key] = merged.get(key, 0) + cnt
@@ -293,81 +366,68 @@ def _run_sweeps(fn, jobs, threads: int) -> dict:
 
 def enumerate_joint(
     g: Graph,
-    pair: VertexSetPair,
+    pair: VertexSetPair | Observables,
     law: PartitionLaw = BOND,
     cap_bits: int = DEFAULT_CAP_BITS,
     chunks: int = 1,
     threads: int = 1,
-) -> JointOutcomePolynomial:
+) -> JointOutcomePolynomial | ClusterSweep:
     """Sweep all configurations and collect the exact outcome counts.
 
     Independent of p: the counts are binned by the number of open units, so
-    one sweep serves every parameter value.
+    one sweep serves every parameter value.  Given a pair, returns its
+    :class:`JointOutcomePolynomial`; given :class:`Observables`, returns the
+    :class:`ClusterSweep` that every observed pair and target projects from.
     """
+    observed = pair if isinstance(pair, Observables) else Observables(
+        pair.origin, (pair,))
     if law.kind == "site":
-        units = g.n_vertices
+        units, need = g.n_vertices, 1 << observed.origin
+        inc = [tuple((w, 1 << w) for w in nbrs) for nbrs in g.adjacency]
     else:
-        units = g.n_edges
+        units, need, inc = g.n_edges, 0, _incidence(g)
     if units > cap_bits:
         raise CapExceeded(units, cap_bits)
 
-    plus_mask = _vertex_mask(pair.v_plus)
-    minus_mask = _vertex_mask(pair.v_minus)
+    masks = observed.masks()
+    width = g.n_vertices.bit_length()  # a field holds any size 0..n
+    weights = [sum(1 << (i * width) for i, m in enumerate(masks) if m >> v & 1)
+               for v in range(g.n_vertices)]
     if threads > 1 and chunks == 1:
         chunks = threads * 4  # merge is addition, so any chunking is exact
     ranges = _chunk_ranges(1 << units, chunks)
 
-    if law.kind == "site":
-        jobs = [(list(g.adjacency), pair.origin, plus_mask, minus_mask, lo, hi)
-                for lo, hi in ranges]
-        raw = _run_sweeps(_sweep_site, jobs, threads)
-    else:
-        want_components = law.kind == "random_cluster"
-        inc = _incidence(g)
-        jobs = [(inc, g.n_vertices, pair.origin, plus_mask, minus_mask,
-                 lo, hi, want_components) for lo, hi in ranges]
-        raw = _run_sweeps(_sweep_bond, jobs, threads)
+    jobs = [(inc, g.n_vertices, observed.origin, weights, need, lo, hi,
+             law.kind == "random_cluster") for lo, hi in ranges]
+    raw = _run_sweeps(jobs, threads)
 
-    counts: dict[tuple[int, int], list[int]] = {}
-    component_counts: dict[tuple[int, int], dict[tuple[int, int], int]] | None = None
-    if law.kind == "random_cluster":
-        component_counts = {}
-        for (a, b, k, c), cnt in raw.items():
-            vec = counts.setdefault((a, b), [0] * (units + 1))
-            vec[k] += cnt
-            component_counts.setdefault((a, b), {})
-            key = (k, c)
-            sub = component_counts[(a, b)]
-            sub[key] = sub.get(key, 0) + cnt
-    else:
-        for (a, b, k), cnt in raw.items():
-            vec = counts.setdefault((a, b), [0] * (units + 1))
-            vec[k] += cnt
-
-    poly = JointOutcomePolynomial(
+    field = (1 << width) - 1
+    sweep = ClusterSweep(
         units=units,
-        n_plus=len(pair.v_plus),
-        n_minus=len(pair.v_minus),
         law=law,
-        counts={key: tuple(vec) for key, vec in sorted(counts.items())},
-        component_counts=component_counts,
+        origin=observed.origin,
+        masks=masks,
+        bins={(tuple(packed >> (i * width) & field for i in range(len(masks))),
+               *kc): cnt for (packed, *kc), cnt in raw.items()},
     )
-    _check_count_conservation(poly)
-    return poly
+    _check_count_conservation(sweep)
+    return sweep if observed is pair else sweep.joint(pair)
 
 
-def _check_count_conservation(poly: JointOutcomePolynomial) -> None:
-    # Every configuration lands in exactly one outcome bin.
-    for k in range(poly.units + 1):
-        total = sum(vec[k] for vec in poly.counts.values())
-        if total != comb(poly.units, k):
+def _check_count_conservation(sweep: ClusterSweep) -> None:
+    # Every configuration lands in exactly one bin.
+    counts = sweep.counts
+    for k in range(sweep.units + 1):
+        total = sum(vec[k] for vec in counts.values())
+        if total != comb(sweep.units, k):
             raise RuntimeError(
                 f"count conservation broken at k={k}: {total} != "
-                f"{comb(poly.units, k)}"
+                f"{comb(sweep.units, k)}"
             )
-    for (a, b), vec in poly.counts.items():
-        if sum(vec) > 0 and a < 1:
-            raise RuntimeError("outcome with empty origin cluster observed")
+    # The cluster holds the origin, so it meets every set containing it.
+    holding = [i for i, m in enumerate(sweep.masks) if m >> sweep.origin & 1]
+    if any(sizes[i] < 1 for sizes in counts for i in holding):
+        raise RuntimeError("outcome with empty origin cluster observed")
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +583,11 @@ def connection_counts(g: Graph, o: int,
                       cap_bits: int = DEFAULT_CAP_BITS,
                       ) -> dict[int, tuple[int, ...]]:
     """Per-target counts of configurations (by open-edge number) in which the
-    target sits in the origin's cluster.  One sweep serves all targets."""
-    units = g.n_edges
-    if units > cap_bits:
-        raise CapExceeded(units, cap_bits)
-    if targets is None:
-        targets = list(range(g.n_vertices))
-    inc = _incidence(g)
-    tvec = {v: [0] * (units + 1) for v in targets}
-    tmasks = [(v, 1 << v) for v in targets]
-    for mask in range(1 << units):
-        cluster = _cluster_mask_bond(inc, mask, o)
-        k = mask.bit_count()
-        for v, vbit in tmasks:
-            if cluster & vbit:
-                tvec[v][k] += 1
-    return {v: tuple(vec) for v, vec in tvec.items()}
+    target sits in the origin's cluster, projected from one sweep that
+    observes every target."""
+    targets = tuple(range(g.n_vertices) if targets is None else targets)
+    sweep = enumerate_joint(g, Observables(o, targets=targets), BOND, cap_bits)
+    return {v: sweep.connection(v) for v in targets}
 
 
 def eval_counts(vec: Sequence[int], units: int, p) -> Fraction:

@@ -35,6 +35,10 @@ MAX_INFORMATIVE_HALF_WIDTH = 0.25
 
 _ALLOWED_LEVELS = (0.95, 0.99)
 
+# Samples per scheduled chunk.  The layout only affects batching; results
+# are a function of the seed and the sample count alone.
+DEFAULT_CHUNK_SIZE = 1 << 14
+
 
 def _mix64(z: int) -> int:
     z &= _MASK64
@@ -55,18 +59,6 @@ def open_threshold(p: Fraction) -> int:
     if not 0 < p < 1:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     return (p.numerator << 64) // p.denominator
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus the chunk layout used to schedule sampling.
-
-    The layout only affects batching; results are a function of the seed and
-    the sample count alone.
-    """
-
-    seed: int
-    chunk_size: int = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -160,20 +152,6 @@ def sample_cluster(g: Graph, o: int, p, seed: int,
     return tuple(v for v in range(g.n_vertices) if mask >> v & 1)
 
 
-def eager_cluster_mask(g: Graph, o: int, p, seed: int,
-                       sample_index: int) -> int:
-    """Test oracle: draw the full configuration first, then extract the
-    cluster with the exact engine's traversal."""
-    from .exact import _cluster_mask_bond, _incidence
-
-    threshold = open_threshold(p)
-    mask = 0
-    for eidx in range(g.n_edges):
-        if unit_word(seed, sample_index, eidx) < threshold:
-            mask |= 1 << eidx
-    return _cluster_mask_bond(_incidence(g), mask, o)
-
-
 def _sample_chunk(args) -> dict:
     inc, seed, threshold, o, plus_mask, minus_mask, lo, hi = args
     counts: dict[tuple[int, int], int] = {}
@@ -199,7 +177,7 @@ def estimate_joint(g: Graph, pair: VertexSetPair, p, n: int, seed: int,
     inc = _incidence_indexed(g)
     plus_mask = sum(1 << v for v in pair.v_plus)
     minus_mask = sum(1 << v for v in pair.v_minus)
-    size = chunk_size or SeedSpec(seed).chunk_size
+    size = chunk_size or DEFAULT_CHUNK_SIZE
     jobs = [(inc, seed, threshold, pair.origin, plus_mask, minus_mask,
              lo, min(lo + size, n)) for lo in range(0, n, size)]
     if threads > 1 and len(jobs) > 1:
@@ -214,26 +192,36 @@ def estimate_joint(g: Graph, pair: VertexSetPair, p, n: int, seed: int,
     return EmpiricalJoint(n_samples=n, counts=counts)
 
 
-def estimate_connection(g: Graph, o: int, v: int, p, n: int, seed: int,
-                        level: float = 0.95) -> McEstimate:
+def estimate_connection(g: Graph, o: int, v, p, n: int, seed: int,
+                        level: float = 0.95):
     """Wilson-interval estimate of the probability that v joins the
-    origin's cluster."""
+    origin's cluster.
+
+    ``v`` may also be a sequence of targets: one pass over the n samples
+    then records hits for all of them and returns one estimate per target.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     _z_value(level)
-    if v == o:
-        return McEstimate(n, 1.0, 0.0, level, 1.0, 1.0)
-    threshold = open_threshold(p)
-    inc = _incidence_indexed(g)
-    vbit = 1 << v
-    hits = 0
-    for i in range(n):
-        if _sample_cluster_mask(inc, seed, i, threshold, o) & vbit:
-            hits += 1
+    targets = (v,) if isinstance(v, int) else tuple(v)
+    hits = dict.fromkeys(targets, 0)
+    if any(t != o for t in targets):
+        threshold = open_threshold(p)
+        inc = _incidence_indexed(g)
+        for i in range(n):
+            cluster = _sample_cluster_mask(inc, seed, i, threshold, o)
+            for t in hits:
+                hits[t] += cluster >> t & 1
+    estimates = tuple(McEstimate(n, 1.0, 0.0, level, 1.0, 1.0) if t == o
+                      else _proportion(hits[t], n, level) for t in targets)
+    return estimates[0] if isinstance(v, int) else estimates
+
+
+def _proportion(hits: int, n: int, level: float) -> McEstimate:
+    """Wilson-interval estimate of a Bernoulli proportion."""
     lo, hi = wilson_interval(hits, n, level)
     phat = hits / n
-    stderr = math.sqrt(phat * (1 - phat) / n)
-    return McEstimate(n, phat, stderr, level, lo, hi)
+    return McEstimate(n, phat, math.sqrt(phat * (1 - phat) / n), level, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +249,7 @@ def empirical_probability(emp: EmpiricalJoint, predicate,
                           level: float = 0.95) -> McEstimate:
     """Wilson estimate of P(predicate(a, b)) from the binned samples."""
     hits = sum(cnt for key, cnt in emp.counts.items() if predicate(*key))
-    lo, hi = wilson_interval(hits, emp.n_samples, level)
-    phat = hits / emp.n_samples
-    stderr = math.sqrt(phat * (1 - phat) / emp.n_samples)
-    return McEstimate(emp.n_samples, phat, stderr, level, lo, hi)
+    return _proportion(hits, emp.n_samples, level)
 
 
 @dataclass(frozen=True)

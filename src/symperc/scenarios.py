@@ -1,6 +1,10 @@
-"""Scenario harnesses: assemble a graph, the two vertex sets and a symmetry
-group, run the condition check, then drive the exact or Monte Carlo pipeline
-and evaluate the scenario-specific inequalities.
+"""Scenario pipeline: a scenario names a graph, the vertex sets compared on
+it and their symmetry generators.  ``run_scenario`` checks the symmetry
+conditions of every compared pair, makes one exact sweep that observes all
+of them (or samples them by Monte Carlo) and evaluates the checks.  The
+bunkbed, layered and z2 harnesses are constructors of scenarios; the
+hypercube harness reads its connection probabilities and its instance pairs
+off one sweep as well.
 
 Reports are plain JSON-ready dicts sharing one envelope, with every exact
 quantity as a "num/den" string and every Monte Carlo quantity as an estimate
@@ -12,17 +16,17 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
 from . import exact, graphs, groups, mc
 from .exact import BOND, PartitionLaw, parse_law
 from .graphs import Graph, build_graph
-from .groups import Perm, PermGroup, VertexSetPair
+from .groups import Perm, VertexSetPair
 from .rationals import format_fraction, parse_probability
 
-SCHEMA = "symperc-report/1"
+SCHEMA = "symperc-report/2"
 
 PASS = "pass"
 VIOLATION = "violation"
@@ -55,23 +59,79 @@ def worst_verdict(verdicts) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scenario documents
+# scenarios
+
+
+@dataclass(frozen=True)
+class Relation:
+    """A named pair compared on a scenario's graph under its own generators.
+
+    Exact result rows also report the connection probabilities of the
+    targets ``c_far`` and ``c_near`` and the slack 1 + c_far - 2 c_near.
+    """
+
+    name: str
+    statement: str
+    v_plus: tuple
+    v_minus: tuple
+    generators: tuple
+    c_far: object = None
+    c_near: object = None
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One graph and origin with the pairs compared on it.
+
+    A scenario document compares ``v_plus`` with ``v_minus`` under
+    ``generators``; a constructor may list ``relations`` instead, each a
+    pair with its own generators.  ``kind`` names the report and ``echo``
+    fills its scenario block, to which the p-grid is added (a document
+    echoes its own fields).
+    """
+
     name: str
     graph_spec: dict
     v_plus: tuple
     v_minus: tuple
     origin: object
     generators: tuple
-    law: PartitionLaw
-    p_grid: tuple[Fraction, ...]
-    mode: str
-    mc_n: int
-    mc_seed: int
-    cap_bits: int
+    law: PartitionLaw = BOND
+    p_grid: tuple[Fraction, ...] = (Fraction(1, 2),)
+    mode: str = "exact"
+    mc_n: int = 100_000
+    mc_seed: int = 0
+    cap_bits: int = exact.DEFAULT_CAP_BITS
+    kind: str = "scenario"
+    echo: dict | None = None
+    relations: tuple[Relation, ...] = ()
+
+    def __post_init__(self):
+        if self.mode not in ("exact", "mc"):
+            raise ScenarioFormatError(
+                f"mode must be 'exact' or 'mc', got {self.mode!r}")
+        if self.mode == "mc" and self.law.kind != "bond":
+            raise ScenarioFormatError(
+                "mc mode samples bond percolation only; this scenario uses "
+                f"the {self.law.kind} law")
+        if not self.p_grid:
+            raise ScenarioFormatError("p_grid must not be empty")
+        if self.mc_n < 1:
+            raise ScenarioFormatError(
+                f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
+
+
+def _parsed(what: str, parse, value):
+    """``parse(value)``, with a failure reported as malformed input."""
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"bad {what} {value!r}: {exc}") from None
+
+
+def parse_p_grid(values) -> tuple[Fraction, ...]:
+    """Parse percolation parameters; each must lie strictly inside (0, 1)."""
+    return tuple(_parsed("p", parse_probability, p) for p in values)
 
 
 def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
@@ -82,16 +142,9 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         origin = doc["origin"]
     except (KeyError, TypeError) as exc:
         raise ScenarioFormatError(f"scenario misses required field: {exc}") from None
-    mode = doc.get("mode", "exact")
-    if mode not in ("exact", "mc"):
-        raise ScenarioFormatError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    law = parse_law(doc.get("law", "bond"))
-    if mode == "mc" and law.kind != "bond":
-        raise ScenarioFormatError("mc mode samples bond percolation only")
-    p_grid = tuple(parse_probability(p) for p in doc.get("p_grid", ["1/2"]))
-    if not p_grid:
-        raise ScenarioFormatError("p_grid must not be empty")
     mc_doc = doc.get("mc", {})
+    if not isinstance(mc_doc, Mapping):
+        raise ScenarioFormatError(f"mc must be an object, got {mc_doc!r}")
     return Scenario(
         name=doc.get("name", name),
         graph_spec=graph_spec,
@@ -99,12 +152,13 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         v_minus=v_minus,
         origin=origin,
         generators=tuple(doc.get("generators", [])),
-        law=law,
-        p_grid=p_grid,
-        mode=mode,
-        mc_n=int(mc_doc.get("n", 100_000)),
-        mc_seed=int(mc_doc.get("seed", 0)),
-        cap_bits=int(doc.get("cap_bits", exact.DEFAULT_CAP_BITS)),
+        law=_parsed("law", parse_law, doc.get("law", "bond")),
+        p_grid=parse_p_grid(doc.get("p_grid", ["1/2"])),
+        mode=doc.get("mode", "exact"),
+        mc_n=_parsed("mc n", int, mc_doc.get("n", 100_000)),
+        mc_seed=_parsed("mc seed", int, mc_doc.get("seed", 0)),
+        cap_bits=_parsed("cap_bits", int,
+                         doc.get("cap_bits", exact.DEFAULT_CAP_BITS)),
     )
 
 
@@ -119,17 +173,22 @@ def resolve_vertex(g: Graph, item) -> int:
     raise ScenarioFormatError(f"bad vertex reference: {item!r}")
 
 
-def _materialize(sc: Scenario) -> tuple[Graph, VertexSetPair, PermGroup]:
-    g = build_graph(sc.graph_spec)
-    pair = groups.make_pair(
-        g,
-        [resolve_vertex(g, v) for v in sc.v_plus],
-        [resolve_vertex(g, v) for v in sc.v_minus],
-        resolve_vertex(g, sc.origin),
-    )
-    gens = [build_generator_spec(g, spec) for spec in sc.generators]
-    grp = groups.generate_group(gens, n_points=g.n_vertices)
-    return g, pair, grp
+def _compared_pairs(sc: Scenario, g: Graph):
+    """(relation, pair, symmetry report) for each pair the scenario compares."""
+    origin = resolve_vertex(g, sc.origin)
+    out = []
+    for rel in sc.relations or (
+            Relation("", "", sc.v_plus, sc.v_minus, sc.generators),):
+        pair = groups.make_pair(
+            g,
+            [resolve_vertex(g, v) for v in rel.v_plus],
+            [resolve_vertex(g, v) for v in rel.v_minus],
+            origin,
+        )
+        gens = [build_generator_spec(g, spec) for spec in rel.generators]
+        grp = groups.generate_group(gens, n_points=g.n_vertices)
+        out.append((rel, pair, groups.check_symmetry_conditions(g, grp, pair)))
+    return out
 
 
 def build_generator_spec(g: Graph, spec) -> Perm:
@@ -147,7 +206,7 @@ def build_generator_spec(g: Graph, spec) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# pipeline pieces shared by every report
+# the pipeline
 
 
 def exact_p_results(
@@ -238,37 +297,74 @@ def _envelope(kind: str, scenario_echo: dict, mode: str, verdict: str,
 
 def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
                  require_conditions: bool = False) -> dict:
-    """Full pipeline for one scenario document.
+    """Full pipeline for one scenario.
 
-    ``require_conditions`` aborts after a failed symmetry check (used by the
-    report subcommands that claim a theorem instance); otherwise the pipeline
-    continues and the report simply records that no instance is claimed.
+    Exact mode makes one sweep that observes every compared pair and every
+    connection target; each pair's joint law and each target's connection
+    counts are projections of it.  ``require_conditions`` skips a pair whose
+    symmetry check fails (used by the reports that claim a theorem
+    instance); otherwise the pair is evaluated and its report records that
+    no instance is claimed.
     """
     started = time.perf_counter()
-    g, pair, grp = _materialize(sc)
-    conditions = groups.check_symmetry_conditions(g, grp, pair)
-    echo = scenario_echo(sc)
-    if require_conditions and not conditions.ok:
-        return _envelope("scenario", echo, sc.mode, PRECONDITION_FAILED,
-                         started, conditions=conditions.to_json_dict(),
-                         results=[])
-    if sc.mode == "exact":
-        poly = exact.enumerate_joint(g, pair, sc.law, cap_bits=sc.cap_bits,
-                                     threads=threads)
-        results, verdict = exact_p_results(poly, sc.p_grid, conditions.ok)
-        extra = {
-            "config_count": poly.total_configs(),
-            "polynomial": poly.to_json_dict(),
-        }
+    g = build_graph(sc.graph_spec)
+    compared = _compared_pairs(sc, g)
+    live = [(rel, pair) for rel, pair, conditions in compared
+            if conditions.ok or not require_conditions]
+    if sc.mode == "exact" and live:
+        targets = tuple(resolve_vertex(g, t) for rel, _ in live
+                        for t in (rel.c_far, rel.c_near) if t is not None)
+        observed = exact.Observables(live[0][1].origin,
+                                     tuple(pair for _, pair in live), targets)
+        sweep = exact.enumerate_joint(g, observed, sc.law,
+                                      cap_bits=sc.cap_bits, threads=threads)
+    blocks = []
+    for rel, pair, conditions in compared:
+        block = {"conditions": conditions.to_json_dict()}
+        if require_conditions and not conditions.ok:
+            block.update(results=[], verdict=PRECONDITION_FAILED)
+        elif sc.mode == "exact":
+            poly = sweep.joint(pair)
+            results, verdict = exact_p_results(poly, sc.p_grid, conditions.ok)
+            if rel.c_far is not None:
+                _add_relation_slack(results, sc.p_grid, sweep, g, rel)
+            block.update(theorem_instance=conditions.ok, results=results,
+                         verdict=verdict, config_count=poly.total_configs(),
+                         polynomial=poly.to_json_dict())
+        else:
+            results, verdict = mc_p_results(g, pair, sc.p_grid, sc.mc_n,
+                                            sc.mc_seed, level, threads)
+            block.update(theorem_instance=conditions.ok, results=results,
+                         verdict=verdict)
+        blocks.append(block)
+
+    verdict = worst_verdict(block["verdict"] for block in blocks)
+    extra = {"law": sc.law.to_json_dict()}
+    if sc.mode == "mc":
+        extra["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed, "level": level}
+    echo = scenario_echo(sc) if sc.echo is None else {
+        **sc.echo, "p_grid": [format_fraction(p) for p in sc.p_grid]}
+    if sc.relations:
+        extra["relations"] = [
+            {"name": rel.name, "statement": rel.statement,
+             "v_plus": list(rel.v_plus), "v_minus": list(rel.v_minus),
+             **block}
+            for (rel, _, _), block in zip(compared, blocks)]
     else:
-        results, verdict = mc_p_results(g, pair, sc.p_grid, sc.mc_n,
-                                        sc.mc_seed, level, threads)
-        extra = {"mc": {"n": sc.mc_n, "seed": sc.mc_seed, "level": level}}
-    return _envelope("scenario", echo, sc.mode, verdict, started,
-                     conditions=conditions.to_json_dict(),
-                     theorem_instance=conditions.ok,
-                     law=sc.law.to_json_dict(),
-                     results=results, **extra)
+        del blocks[0]["verdict"]
+        extra.update(blocks[0])
+    return _envelope(sc.kind, echo, sc.mode, verdict, started, **extra)
+
+
+def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
+    c_far_vec = sweep.connection(resolve_vertex(g, rel.c_far))
+    c_near_vec = sweep.connection(resolve_vertex(g, rel.c_near))
+    for row, p in zip(results, p_grid):
+        c_far = exact.eval_counts(c_far_vec, sweep.units, p)
+        c_near = exact.eval_counts(c_near_vec, sweep.units, p)
+        row["c_far"] = format_fraction(c_far)
+        row["c_near"] = format_fraction(c_near)
+        row["relation_slack"] = format_fraction(1 + c_far - 2 * c_near)
 
 
 def scenario_echo(sc: Scenario) -> dict:
@@ -287,48 +383,32 @@ def scenario_echo(sc: Scenario) -> dict:
 
 def check_symmetry_report(sc: Scenario) -> dict:
     started = time.perf_counter()
-    g, pair, grp = _materialize(sc)
-    conditions = groups.check_symmetry_conditions(g, grp, pair)
+    g = build_graph(sc.graph_spec)
+    conditions = _compared_pairs(sc, g)[0][2]
     verdict = PASS if conditions.ok else PRECONDITION_FAILED
     return _envelope("check-symmetry", scenario_echo(sc), sc.mode, verdict,
                      started, conditions=conditions.to_json_dict())
 
 
+_IDENTITY_FIELDS = ("p", "identity_residuals", "identity_zero", "ratio_lhs",
+                    "ratio_rhs", "ratio_equal")
+
+
 def verify_identity_report(sc: Scenario, threads: int = 1) -> dict:
     """Exact identity residuals and the ratio identity; the symmetry
     conditions are a precondition here, not an optional extra."""
-    started = time.perf_counter()
-    g, pair, grp = _materialize(sc)
-    conditions = groups.check_symmetry_conditions(g, grp, pair)
-    echo = scenario_echo(sc)
-    if not conditions.ok:
-        return _envelope("verify-identity", echo, "exact",
-                         PRECONDITION_FAILED, started,
-                         conditions=conditions.to_json_dict(), results=[])
-    poly = exact.enumerate_joint(g, pair, sc.law, cap_bits=sc.cap_bits,
-                                 threads=threads)
+    report = run_scenario(replace(sc, mode="exact"), threads=threads,
+                          require_conditions=True)
     results = []
-    verdicts = []
-    for p in sc.p_grid:
-        pmf = exact.eval_joint(poly, p)
-        residuals = exact.check_partition_identity(pmf)
-        lhs, rhs = exact.check_ratio_identity(pmf)
-        ok = all(r == 0 for r in residuals.values()) and lhs == rhs
-        verdicts.append(PASS if ok else VIOLATION)
-        results.append({
-            "p": format_fraction(p),
-            "identity_residuals": {k: format_fraction(v)
-                                   for k, v in residuals.items()},
-            "ratio_lhs": format_fraction(lhs),
-            "ratio_rhs": format_fraction(rhs),
-            "exact_zero": ok,
-            "verdict": verdicts[-1],
-        })
-    return _envelope("verify-identity", echo, "exact",
-                     worst_verdict(verdicts), started,
-                     conditions=conditions.to_json_dict(),
-                     law=sc.law.to_json_dict(),
-                     config_count=poly.total_configs(), results=results)
+    for row in report["results"]:
+        ok = row["identity_zero"] and row["ratio_equal"]
+        results.append({**{key: row[key] for key in _IDENTITY_FIELDS},
+                        "exact_zero": ok, "verdict": PASS if ok else VIOLATION})
+    report["kind"] = "verify-identity"
+    report["results"] = results
+    if report["verdict"] != PRECONDITION_FAILED:
+        report["verdict"] = worst_verdict(row["verdict"] for row in results)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -391,64 +471,42 @@ def base_generator_perms(base_spec: Mapping, base: Graph) -> list[Perm]:
     return []
 
 
-# ---------------------------------------------------------------------------
-# scenario harness: bunkbed
-
-
-def bunkbed_report(
-    base_spec: Mapping,
-    p_grid: Sequence,
-    mode: str = "exact",
-    law: PartitionLaw = BOND,
-    cap_bits: int = exact.DEFAULT_CAP_BITS,
-    mc_n: int = 100_000,
-    mc_seed: int = 0,
-    level: float = 0.95,
-    threads: int = 1,
-) -> dict:
-    """Two stacked copies of the base: compare the origin's layer with the
-    other layer.  Full pipeline (symmetry check, domination, expectations,
-    identity residuals); halts with a diagnostic when the base symmetries do
-    not act transitively."""
-    started = time.perf_counter()
-    base = build_graph(base_spec)
-    g = graphs.bunkbed_graph(base)
-    v_plus = [i * 2 for i in range(base.n_vertices)]
-    v_minus = [i * 2 + 1 for i in range(base.n_vertices)]
-    pair = groups.make_pair(g, v_plus, v_minus, origin=0)
-    gens = [groups.lift_first_factor(p, 2)
+def _lifted_base_perms(base_spec: Mapping, base: Graph) -> list[dict]:
+    """The base symmetries as generator specs of a product with the base as
+    its first factor."""
+    return [{"name": "base_perm", "perm": list(p)}
             for p in base_generator_perms(base_spec, base)]
-    gens.append(groups.layer_swap(g))
-    grp = groups.generate_group(gens, n_points=g.n_vertices)
-    conditions = groups.check_symmetry_conditions(g, grp, pair)
-    p_grid = [parse_probability(p) for p in p_grid]
-    echo = {
-        "name": "bunkbed",
-        "base": dict(base_spec),
-        "v_plus": "base x {0}",
-        "v_minus": "base x {1}",
-        "origin": 0,
-        "p_grid": [format_fraction(p) for p in p_grid],
-    }
-    if not conditions.ok:
-        return _envelope("bunkbed", echo, mode, PRECONDITION_FAILED, started,
-                         conditions=conditions.to_json_dict(), results=[])
-    if mode == "exact":
-        poly = exact.enumerate_joint(g, pair, law, cap_bits=cap_bits,
-                                     threads=threads)
-        results, verdict = exact_p_results(poly, p_grid, True)
-        extra = {"config_count": poly.total_configs()}
-    else:
-        results, verdict = mc_p_results(g, pair, p_grid, mc_n, mc_seed,
-                                        level, threads)
-        extra = {"mc": {"n": mc_n, "seed": mc_seed, "level": level}}
-    return _envelope("bunkbed", echo, mode, verdict, started,
-                     conditions=conditions.to_json_dict(),
-                     law=law.to_json_dict(), results=results, **extra)
 
 
 # ---------------------------------------------------------------------------
-# scenario harness: layered graphs realized on cylinders
+# scenario constructors: bunkbed, layered, z2
+
+
+# Each constructor takes the p-grid and passes ``settings`` (mode, mc_n,
+# mc_seed, cap_bits) on to the Scenario.
+
+
+def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
+                     law="bond", **settings) -> Scenario:
+    """Two stacked copies of the base: compare the origin's layer with the
+    other layer under the lifted base symmetries and the layer swap."""
+    base = build_graph(base_spec)
+    layers = range(0, 2 * base.n_vertices, 2)
+    return Scenario(
+        name="bunkbed",
+        graph_spec={"builder": "bunkbed", "base": dict(base_spec)},
+        v_plus=tuple(layers),
+        v_minus=tuple(v + 1 for v in layers),
+        origin=0,
+        generators=tuple(_lifted_base_perms(base_spec, base)
+                         + [{"name": "layer_swap"}]),
+        law=_parsed("law", parse_law, law),
+        p_grid=parse_p_grid(p_grid),
+        kind="bunkbed",
+        echo={"name": "bunkbed", "base": dict(base_spec),
+              "v_plus": "base x {0}", "v_minus": "base x {1}", "origin": 0},
+        **settings,
+    )
 
 
 def _layer_classes(m: int, choice: str, k: int, period: int | None,
@@ -482,20 +540,9 @@ def _layer_classes(m: int, choice: str, k: int, period: int | None,
     raise ScenarioError(f"choice must be one of a, b, c; got {choice!r}")
 
 
-def layered_report(
-    base_spec: Mapping,
-    m: int,
-    choice: str,
-    k: int,
-    period: int | None = None,
-    p_grid: Sequence = ("1/2",),
-    mode: str = "exact",
-    cap_bits: int = exact.DEFAULT_CAP_BITS,
-    mc_n: int = 100_000,
-    mc_seed: int = 0,
-    level: float = 0.95,
-    threads: int = 1,
-) -> dict:
+def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
+                     period: int | None = None, p_grid: Sequence = ("1/2",),
+                     **settings) -> Scenario:
     """Residue-class layer comparison on the cylinder base x cycle(m).
 
     choice a compares layer 0 with layer k, choice b compares the residue
@@ -503,165 +550,71 @@ def layered_report(
     Rotations by the pattern period and the reflection through k/2 provide
     the symmetries on the cycle coordinate.
     """
-    started = time.perf_counter()
     base = build_graph(base_spec)
-    g = graphs.cylinder_graph(base, m)
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
-    v_plus = [b * m + l for b in range(base.n_vertices) for l in plus_layers]
-    v_minus = [b * m + l for b in range(base.n_vertices) for l in minus_layers]
-    pair = groups.make_pair(g, v_plus, v_minus, origin=0)
-
-    gens = [groups.lift_first_factor(p, m)
-            for p in base_generator_perms(base_spec, base)]
-    axis = len(g.labels[0]) - 1
-    gens.append(groups.axis_reflection(g, axis, center2=k))
+    axis = len(base.labels[0])  # the cycle coordinate of the cylinder
+    gens = _lifted_base_perms(base_spec, base)
+    gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
     if choice in ("b", "c"):
-        gens.append(groups.axis_rotation(g, axis, step=period))
-    grp = groups.generate_group(gens, n_points=g.n_vertices)
-    conditions = groups.check_symmetry_conditions(g, grp, pair)
-    p_grid = [parse_probability(p) for p in p_grid]
-    echo = {
-        "name": "layered",
-        "base": dict(base_spec),
-        "m": m,
-        "choice": choice,
-        "k": k,
-        "period": period,
-        "plus_layers": plus_layers,
-        "minus_layers": minus_layers,
-        "p_grid": [format_fraction(p) for p in p_grid],
-    }
-    if not conditions.ok:
-        return _envelope("layered", echo, mode, PRECONDITION_FAILED, started,
-                         conditions=conditions.to_json_dict(), results=[])
-    if mode == "exact":
-        poly = exact.enumerate_joint(g, pair, BOND, cap_bits=cap_bits,
-                                     threads=threads)
-        results, verdict = exact_p_results(poly, p_grid, True)
-        extra = {"config_count": poly.total_configs()}
-    else:
-        results, verdict = mc_p_results(g, pair, p_grid, mc_n, mc_seed,
-                                        level, threads)
-        extra = {"mc": {"n": mc_n, "seed": mc_seed, "level": level}}
-    return _envelope("layered", echo, mode, verdict, started,
-                     conditions=conditions.to_json_dict(),
-                     law=BOND.to_json_dict(), results=results, **extra)
-
-
-# ---------------------------------------------------------------------------
-# scenario harness: square-lattice relations on tori
-
-
-def _z2_relations(g: Graph, size: int) -> list[dict]:
-    diag = groups.swap_axes(g, 0, 1)
-    refl_x1 = groups.axis_reflection(g, 0, center2=1)
-    refl_x2 = groups.axis_reflection(g, 0, center2=2)
-    # reflection across the diagonal through (1, 0): (x, y) -> (y + 1, x - 1)
-    diag_shifted = groups.compose(
-        groups.axis_rotation(g, 0, 1),
-        groups.compose(groups.axis_rotation(g, 1, -1), diag),
+        gens.append({"name": "axis_rotation", "axis": axis, "step": period})
+    return Scenario(
+        name="layered",
+        graph_spec={"builder": "cylinder", "base": dict(base_spec), "m": m},
+        v_plus=tuple(b * m + l for b in range(base.n_vertices)
+                     for l in plus_layers),
+        v_minus=tuple(b * m + l for b in range(base.n_vertices)
+                      for l in minus_layers),
+        origin=0,
+        generators=tuple(gens),
+        p_grid=parse_p_grid(p_grid),
+        kind="layered",
+        echo={"name": "layered", "base": dict(base_spec), "m": m,
+              "choice": choice, "k": k, "period": period,
+              "plus_layers": plus_layers, "minus_layers": minus_layers},
+        **settings,
     )
-    return [
-        {
-            "name": "relation-1",
-            "statement": "1 + c(1,1) >= 2 c(1,0)",
-            "v_plus": [(0, 0), (1, 1)],
-            "v_minus": [(1, 0), (0, 1)],
-            "gens": [diag, refl_x1],
-            "c_plus": (1, 1),
-            "c_minus": (1, 0),
-        },
-        {
-            "name": "relation-2",
-            "statement": "1 + c(2,0) >= 2 c(1,1)",
-            "v_plus": [(0, 0), (2, 0)],
-            "v_minus": [(1, 1), (1, size - 1)],
-            "gens": [refl_x2, diag_shifted],
-            "c_plus": (2, 0),
-            "c_minus": (1, 1),
-        },
-    ]
 
 
-def z2_relation_report(
-    size: int,
-    p_grid: Sequence = ("1/2",),
-    mode: str = "exact",
-    cap_bits: int = exact.DEFAULT_CAP_BITS,
-    mc_n: int = 100_000,
-    mc_seed: int = 0,
-    level: float = 0.95,
-    threads: int = 1,
-) -> dict:
+def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
+                **settings) -> Scenario:
     """Connection-probability relations of the square lattice, realized on
     the size x size torus.  Results are torus statements; growing the torus
     provides evidence toward, not proof of, the planar statement."""
-    started = time.perf_counter()
     if size < 3:
         raise ScenarioError(f"torus size must be >= 3, got {size}")
-    g = graphs.torus_graph(size, size)
-    p_grid = [parse_probability(p) for p in p_grid]
-    relations = []
-    verdicts = []
-    for rel in _z2_relations(g, size):
-        pair = groups.make_pair(
-            g,
-            [g.index_of(lab) for lab in rel["v_plus"]],
-            [g.index_of(lab) for lab in rel["v_minus"]],
-            origin=g.index_of((0, 0)),
-        )
-        grp = groups.generate_group(rel["gens"], n_points=g.n_vertices)
-        conditions = groups.check_symmetry_conditions(g, grp, pair)
-        entry = {
-            "name": rel["name"],
-            "statement": rel["statement"],
-            "v_plus": [list(lab) for lab in rel["v_plus"]],
-            "v_minus": [list(lab) for lab in rel["v_minus"]],
-            "conditions": conditions.to_json_dict(),
-        }
-        if not conditions.ok:
-            entry["verdict"] = PRECONDITION_FAILED
-            entry["results"] = []
-            verdicts.append(PRECONDITION_FAILED)
-            relations.append(entry)
-            continue
-        if mode == "exact":
-            poly = exact.enumerate_joint(g, pair, BOND, cap_bits=cap_bits,
-                                         threads=threads)
-            results, verdict = exact_p_results(poly, p_grid, True)
-            targets = {
-                "c_plus": g.index_of(rel["c_plus"]),
-                "c_minus": g.index_of(rel["c_minus"]),
-            }
-            counts = exact.connection_counts(
-                g, pair.origin, list(targets.values()), cap_bits)
-            for row, p in zip(results, p_grid):
-                c_far = exact.eval_counts(counts[targets["c_plus"]],
-                                          g.n_edges, p)
-                c_near = exact.eval_counts(counts[targets["c_minus"]],
-                                           g.n_edges, p)
-                row["c_far"] = format_fraction(c_far)
-                row["c_near"] = format_fraction(c_near)
-                row["relation_slack"] = format_fraction(1 + c_far - 2 * c_near)
-            entry["config_count"] = poly.total_configs()
-        else:
-            results, verdict = mc_p_results(g, pair, p_grid, mc_n, mc_seed,
-                                            level, threads)
-        entry["results"] = results
-        entry["verdict"] = verdict
-        verdicts.append(verdict)
-        relations.append(entry)
-    echo = {
-        "name": "z2-on-torus",
-        "size": size,
-        "p_grid": [format_fraction(p) for p in p_grid],
-        "note": "finite-torus instance; planar claims are not implied",
-    }
-    extra = {}
-    if mode == "mc":
-        extra["mc"] = {"n": mc_n, "seed": mc_seed, "level": level}
-    return _envelope("z2", echo, mode, worst_verdict(verdicts), started,
-                     relations=relations, **extra)
+    diag = {"name": "swap_axes", "a": 0, "b": 1}
+    # reflection across the diagonal through (1, 0): (x, y) -> (y + 1, x - 1)
+    diag_shifted = {"name": "compose", "of": [
+        {"name": "axis_rotation", "axis": 0, "step": 1},
+        {"name": "axis_rotation", "axis": 1, "step": -1},
+        diag,
+    ]}
+    relations = (
+        Relation("relation-1", "1 + c(1,1) >= 2 c(1,0)",
+                 v_plus=([0, 0], [1, 1]), v_minus=([1, 0], [0, 1]),
+                 generators=(diag, {"name": "axis_reflection", "axis": 0,
+                                    "center2": 1}),
+                 c_far=[1, 1], c_near=[1, 0]),
+        Relation("relation-2", "1 + c(2,0) >= 2 c(1,1)",
+                 v_plus=([0, 0], [2, 0]), v_minus=([1, 1], [1, size - 1]),
+                 generators=({"name": "axis_reflection", "axis": 0,
+                              "center2": 2}, diag_shifted),
+                 c_far=[2, 0], c_near=[1, 1]),
+    )
+    return Scenario(
+        name="z2-on-torus",
+        graph_spec={"builder": "torus", "n": size, "m": size},
+        v_plus=(),
+        v_minus=(),
+        origin=[0, 0],
+        generators=(),
+        p_grid=parse_p_grid(p_grid),
+        kind="z2",
+        echo={"name": "z2-on-torus", "size": size, "note":
+              "finite-torus instance; planar claims are not implied"},
+        relations=relations,
+        **settings,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -682,20 +635,24 @@ class CValues:
             raise ValueError("need one value per distance 0..d")
 
 
-def _hypercube_distance_counts(d: int, cap_bits: int):
-    """One sweep of the hypercube: per-distance count vectors plus the
-    exact invariance check across all representatives of each distance."""
-    g = graphs.hypercube_graph(d)
-    counts = exact.connection_counts(g, 0, None, cap_bits)
+def _hypercube_sweep(g: Graph, pairs, cap_bits: int, threads: int = 1):
+    """One sweep of the cube observing every vertex and the given pairs.
+
+    Returns the sweep, one connection-count vector per distance from the
+    origin, and whether every vertex at a distance has the same vector
+    (coordinate permutations fix the origin, so it must)."""
+    sweep = exact.enumerate_joint(
+        g, exact.Observables(0, tuple(pairs), tuple(range(g.n_vertices))),
+        BOND, cap_bits=cap_bits, threads=threads)
     dist = graphs.distances_from(g, 0)
     by_distance: dict[int, list] = {}
     for v in range(g.n_vertices):
-        by_distance.setdefault(dist[v], []).append(counts[v])
+        by_distance.setdefault(dist[v], []).append(sweep.connection(v))
     invariant = all(
         all(vec == vecs[0] for vec in vecs) for vecs in by_distance.values()
     )
     reps = {i: vecs[0] for i, vecs in by_distance.items()}
-    return g, reps, invariant
+    return sweep, reps, invariant
 
 
 def hypercube_c_values(
@@ -713,8 +670,9 @@ def hypercube_c_values(
     the same value (coordinate permutations fix the origin, so the value can
     only depend on the distance)."""
     p = parse_probability(p)
+    g = graphs.hypercube_graph(d)
     if mode == "exact":
-        g, reps, invariant = _hypercube_distance_counts(d, cap_bits)
+        _, reps, invariant = _hypercube_sweep(g, (), cap_bits)
         if not invariant:
             raise RuntimeError("connection counts differ within a distance class")
         values = tuple(exact.eval_counts(reps[i], g.n_edges, p)
@@ -722,12 +680,9 @@ def hypercube_c_values(
         if values[0] != 1:
             raise RuntimeError("origin connection probability must be 1")
         return CValues(d=d, p=p, mode="exact", values=values)
-    g = graphs.hypercube_graph(d)
-    ests = []
-    for i in range(d + 1):
-        rep = g.index_of((1,) * i + (0,) * (d - i))
-        ests.append(mc.estimate_connection(g, 0, rep, p, mc_n, mc_seed, level))
-    return CValues(d=d, p=p, mode="mc", values=tuple(ests))
+    reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
+    ests = mc.estimate_connection(g, 0, reps, p, mc_n, mc_seed, level)
+    return CValues(d=d, p=p, mode="mc", values=ests)
 
 
 def discrete_derivative(values: Sequence, k: int, l: int):
@@ -785,6 +740,13 @@ def _hypercube_parity_sets(g: Graph, d: int, k: int, l: int):
     return out
 
 
+def _hypercube_instances(g: Graph, d: int):
+    """(k, l, construction, pair, generators) for every instance."""
+    return [(k, l, name, groups.make_pair(g, v_plus, v_minus, origin=0), gens)
+            for k in range(1, d + 1) for l in range(d - k + 1)
+            for name, v_plus, v_minus, gens in _hypercube_parity_sets(g, d, k, l)]
+
+
 def hypercube_inequality_report(
     d: int,
     p_grid: Sequence = ("1/2",),
@@ -801,29 +763,38 @@ def hypercube_inequality_report(
     Exact mode also rebuilds each inequality as an expectation gap of an
     explicit symmetric set pair and checks that the gap equals the c-value
     combination exactly (and that the symmetry conditions hold for it).
+    The c-values and every instance pair come from one sweep.
     """
     started = time.perf_counter()
-    p_grid = [parse_probability(p) for p in p_grid]
+    p_grid = parse_p_grid(p_grid)
+    if mode == "mc" and mc_n < 1:
+        raise ScenarioFormatError(f"need n >= 1 Monte Carlo samples, got {mc_n}")
     echo = {"name": "hypercube", "d": d,
             "p_grid": [format_fraction(p) for p in p_grid]}
     results = []
     verdicts = []
     invariance = None
     if mode == "exact":
-        g, reps, invariance = _hypercube_distance_counts(d, cap_bits)
+        g = graphs.hypercube_graph(d)
+        instances = _hypercube_instances(g, d) if cross_check else []
+        sweep, reps, invariance = _hypercube_sweep(
+            g, [inst[3] for inst in instances], cap_bits, threads)
         if not invariance:
             verdicts.append(VIOLATION)
-        instance_cache: dict[tuple[int, int], list] = {}
+        polys = []  # the symmetry checks wait for the sweep's cap check
+        for k, l, name, pair, gens in instances:
+            grp = groups.generate_group(gens, n_points=g.n_vertices)
+            conditions = groups.check_symmetry_conditions(g, grp, pair)
+            polys.append((k, l, name, conditions, sweep.joint(pair)))
         for p in p_grid:
             c = [exact.eval_counts(reps[i], g.n_edges, p) for i in range(d + 1)]
-            entry = _exact_hypercube_entry(g, d, p, c, instance_cache,
-                                           cross_check, cap_bits, threads)
+            entry = _exact_hypercube_entry(d, p, c, polys, cross_check)
             verdicts.append(entry["verdict"])
             results.append(entry)
     else:
         for p in p_grid:
             cv = hypercube_c_values(d, p, "mc", cap_bits, mc_n, mc_seed, level)
-            entry = _mc_hypercube_entry(d, p, cv.values, level)
+            entry = _mc_hypercube_entry(d, p, cv.values, level, mc_seed)
             verdicts.append(entry["verdict"])
             results.append(entry)
     extra = {}
@@ -835,8 +806,7 @@ def hypercube_inequality_report(
                      started, results=results, **extra)
 
 
-def _exact_hypercube_entry(g, d, p, c, instance_cache, cross_check,
-                           cap_bits, threads) -> dict:
+def _exact_hypercube_entry(d, p, c, polys, cross_check) -> dict:
     rows = []
     ok = True
     for k in range(d + 1):
@@ -870,65 +840,49 @@ def _exact_hypercube_entry(g, d, p, c, instance_cache, cross_check,
         "derivatives": derivatives,
     }
     if cross_check:
-        instances, inst_ok = _hypercube_instances(g, d, p, c, instance_cache,
-                                                  cap_bits, threads)
+        instances, inst_ok = _check_hypercube_instances(p, c, polys)
         entry["instances"] = instances
         ok = ok and inst_ok
     entry["verdict"] = PASS if ok else VIOLATION
     return entry
 
 
-def _hypercube_instances(g, d, p, c, cache, cap_bits, threads):
+def _check_hypercube_instances(p, c, polys):
     """Check each inequality as a genuine symmetric-set expectation gap."""
     instances = []
     all_ok = True
-    for k in range(1, d + 1):
-        for l in range(d - k + 1):
-            key = (k, l)
-            if key not in cache:
-                built = []
-                for name, v_plus, v_minus, gens in _hypercube_parity_sets(
-                        g, d, k, l):
-                    pair = groups.make_pair(g, v_plus, v_minus, origin=0)
-                    grp = groups.generate_group(gens, n_points=g.n_vertices)
-                    conditions = groups.check_symmetry_conditions(g, grp, pair)
-                    poly = exact.enumerate_joint(g, pair, BOND,
-                                                 cap_bits=cap_bits,
-                                                 threads=threads)
-                    built.append((name, conditions, poly))
-                cache[key] = built
-            for name, conditions, poly in cache[key]:
-                pmf = exact.eval_joint(poly, p)
-                e_plus, e_minus = exact.expected_sizes(pmf)
-                gap = e_plus - e_minus
-                dom = exact.check_domination(pmf)
-                if name == "double_sum":
-                    predicted = sum(
-                        (-1) ** i * comb(k, i) * comb(l, j) * c[i + j]
-                        for i in range(k + 1) for j in range(l + 1))
-                elif name == "alternating_block":
-                    predicted = sum(
-                        (-1) ** i * comb(k, i) * (c[i] - c[i + l])
-                        for i in range(k + 1))
-                else:
-                    predicted = sum(
-                        (-1) ** i * comb(k, i) * (c[i] + c[i + l])
-                        for i in range(k + 1))
-                inst_ok = (conditions.ok and gap == predicted and gap >= 0
-                           and dom.passes)
-                all_ok = all_ok and inst_ok
-                instances.append({
-                    "k": k, "l": l, "construction": name,
-                    "conditions_ok": conditions.ok,
-                    "expectation_gap": format_fraction(gap),
-                    "predicted_gap": format_fraction(predicted),
-                    "margins_pass": dom.passes,
-                    "pass": inst_ok,
-                })
+    for k, l, name, conditions, poly in polys:
+        pmf = exact.eval_joint(poly, p)
+        e_plus, e_minus = exact.expected_sizes(pmf)
+        gap = e_plus - e_minus
+        dom = exact.check_domination(pmf)
+        if name == "double_sum":
+            predicted = sum(
+                (-1) ** i * comb(k, i) * comb(l, j) * c[i + j]
+                for i in range(k + 1) for j in range(l + 1))
+        elif name == "alternating_block":
+            predicted = sum(
+                (-1) ** i * comb(k, i) * (c[i] - c[i + l])
+                for i in range(k + 1))
+        else:
+            predicted = sum(
+                (-1) ** i * comb(k, i) * (c[i] + c[i + l])
+                for i in range(k + 1))
+        inst_ok = (conditions.ok and gap == predicted and gap >= 0
+                   and dom.passes)
+        all_ok = all_ok and inst_ok
+        instances.append({
+            "k": k, "l": l, "construction": name,
+            "conditions_ok": conditions.ok,
+            "expectation_gap": format_fraction(gap),
+            "predicted_gap": format_fraction(predicted),
+            "margins_pass": dom.passes,
+            "pass": inst_ok,
+        })
     return instances, all_ok
 
 
-def _mc_hypercube_entry(d, p, estimates, level) -> dict:
+def _mc_hypercube_entry(d, p, estimates, level, seed) -> dict:
     """Monte Carlo inequality rows with conservatively propagated errors."""
     from statistics import NormalDist
 
@@ -973,7 +927,7 @@ def _mc_hypercube_entry(d, p, estimates, level) -> dict:
             })
     return {
         "p": format_fraction(p),
-        "c_values": [e.to_json_dict(f"c_{i}", 0) for i, e in
+        "c_values": [e.to_json_dict(f"c_{i}", seed) for i, e in
                      enumerate(estimates)],
         "rows": rows,
         "verdict": _MC_VERDICT[overall],

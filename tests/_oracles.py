@@ -101,6 +101,20 @@ def bond_connection(n, edges, o, v, p):
     return prob
 
 
+def eager_cluster_mask(g, o, p, seed, sample_index):
+    """Monte Carlo oracle: draw the full configuration first, then extract
+    the cluster with the exact engine's traversal."""
+    from symperc.exact import _cluster_mask_bond, _incidence
+    from symperc.mc import open_threshold, unit_word
+
+    threshold = open_threshold(p)
+    mask = 0
+    for eidx in range(g.n_edges):
+        if unit_word(seed, sample_index, eidx) < threshold:
+            mask |= 1 << eidx
+    return _cluster_mask_bond(_incidence(g), mask, o)
+
+
 def expectations(pmf):
     e_plus = sum((w * a for (a, _), w in pmf.items()), Fraction(0))
     e_minus = sum((w * b for (_, b), w in pmf.items()), Fraction(0))

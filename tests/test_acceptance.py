@@ -28,7 +28,7 @@ from symperc.graphs import (
 )
 from symperc.groups import make_pair
 
-from _oracles import bond_joint_pmf
+from _oracles import bond_joint_pmf, eager_cluster_mask
 
 HALF = F(1, 2)
 GRID3 = (F(1, 4), HALF, F(3, 4))
@@ -78,7 +78,8 @@ def test_criterion_2_hypercube_inequalities():
 
 def test_criterion_3_z2_relation_on_torus():
     started = time.perf_counter()
-    report = scenarios.z2_relation_report(3, GRID3, mode="exact")
+    report = scenarios.run_scenario(
+        scenarios.z2_scenario(3, GRID3, mode="exact"), require_conditions=True)
     elapsed = time.perf_counter() - started
     rel1 = report["relations"][0]
     ok = report["verdict"] == "pass" and rel1["conditions"]["ok"]
@@ -155,9 +156,9 @@ def test_criterion_6_mc_exact_consistency():
 
 def test_criterion_7_layered_cycle():
     started = time.perf_counter()
-    report = scenarios.layered_report(
+    report = scenarios.run_scenario(scenarios.layered_scenario(
         {"builder": "path", "n": 1}, m=8, choice="b", k=1, period=2,
-        p_grid=GRID3, mode="exact")
+        p_grid=GRID3, mode="exact"), require_conditions=True)
     elapsed = time.perf_counter() - started
     ok = report["verdict"] == "pass" and report["conditions"]["ok"]
     for row in report["results"]:
@@ -209,7 +210,7 @@ def test_criterion_8_property_suites():
     thr = mc.open_threshold(HALF)
     for i in range(300):
         ok = ok and mc._sample_cluster_mask(inc, 13, i, thr, 0) == \
-            mc.eager_cluster_mask(g5, 0, HALF, 13, i)
+            eager_cluster_mask(g5, 0, HALF, 13, i)
 
     # monotonicity of increasing events on the p grid
     gq = bunkbed_graph(path_graph(2))

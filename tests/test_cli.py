@@ -1,7 +1,11 @@
 import csv
 import json
 
+import pytest
+
+from symperc import mc
 from symperc.cli import main, to_stable_json
+from symperc.scenarios import builtin_scenarios
 
 
 def test_hypercube_exact_exit_zero(tmp_path):
@@ -11,7 +15,7 @@ def test_hypercube_exact_exit_zero(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdict"] == "pass"
-    assert report["schema"] == "symperc-report/1"
+    assert report["schema"] == "symperc-report/2"
 
 
 def test_json_reports_round_trip_byte_identically(tmp_path):
@@ -106,3 +110,43 @@ def test_csv_exact_columns(tmp_path):
     lookup = {row[2]: row[3] for row in body}
     assert lookup["expected_plus"] == "25/16"
     assert lookup["expected_minus"] == "1"
+
+
+def _scenario_file(tmp_path, **changes):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**builtin_scenarios()["bunkbed-path2"],
+                                **changes}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bunkbed", "--base", "cycle:3", "--p", "0"],
+    ["z2", "--size", "3", "--p", "2"],
+    ["bunkbed", "--base", "cycle:3", "--law", "percolation"],
+    ["mc", "--scenario", "builtin:bunkbed-path2", "--n", "0"],
+    ["enumerate", "--scenario", {"p_grid": ["2"]}],
+    ["mc", "--scenario", {"mc": {"n": "many"}}],
+])
+def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
+    argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
+            for a in argv]
+    assert main(argv) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_hypercube_mc_one_pass_per_p_with_the_real_seed(tmp_path,
+                                                         monkeypatch):
+    passes = []
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return estimate_connection(*args, **kwargs)
+
+    estimate_connection = mc.estimate_connection
+    monkeypatch.setattr(mc, "estimate_connection", counting)
+    out = tmp_path / "hc.json"
+    assert main(["hypercube", "--d", "2", "--mode", "mc", "--n", "2000",
+                 "--seed", "17", "--p", "1/3,1/2", "--json", str(out)]) in (0, 2)
+    assert len(passes) == 2
+    for entry in json.loads(out.read_text())["results"]:
+        assert [c["seed"] for c in entry["c_values"]] == [17, 17, 17]

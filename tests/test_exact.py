@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symperc import exact, groups
 from symperc.exact import (
@@ -9,11 +11,13 @@ from symperc.exact import (
     SITE,
     CapExceeded,
     JointOutcomePolynomial,
+    Observables,
     check_domination,
     check_partition_identity,
     check_ratio_identity,
     connection_probability,
     enumerate_joint,
+    eval_counts,
     eval_joint,
     expected_sizes,
     random_cluster_law,
@@ -21,6 +25,7 @@ from symperc.exact import (
 from symperc.graphs import (
     bunkbed_graph,
     cycle_graph,
+    explicit_graph,
     hypercube_graph,
     path_graph,
     relabel_graph,
@@ -270,3 +275,57 @@ def test_polynomial_json_round_trip():
         poly = enumerate_joint(g, pair, law)
         assert JointOutcomePolynomial.from_json_dict(
             poly.to_json_dict()) == poly
+
+
+@st.composite
+def observed_graphs(draw):
+    """A connected graph of at most 10 edges, an origin, one to three pairs
+    holding it, and connection targets."""
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)))):
+        if u != v and len(edges) < 10:
+            edges.add((min(u, v), max(u, v)))
+    g = explicit_graph(n, sorted(edges))
+    o = draw(st.integers(0, n - 1))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pairs.append(make_pair(
+            g, [v for v in range(n) if side[v] == 1 or v == o],
+            [v for v in range(n) if side[v] == 2 and v != o], o))
+    targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return g, o, pairs, targets
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(observed_graphs(), st.sampled_from([F(1, 3), HALF, F(3, 5)]))
+def test_one_sweep_projects_every_pair_and_target(case, p):
+    g, o, pairs, targets = case
+    n, edges = g.n_vertices, g.edges
+    q = F(3, 2)
+    oracles = {
+        BOND: lambda plus, minus: bond_joint_pmf(n, edges, plus, minus, o, p),
+        SITE: lambda plus, minus: site_joint_pmf(n, edges, plus, minus, o, p),
+        random_cluster_law(q): lambda plus, minus: rc_joint_pmf(
+            n, edges, plus, minus, o, p, q),
+    }
+    for law, oracle in oracles.items():
+        sweep = enumerate_joint(g, Observables(o, tuple(pairs), tuple(targets)),
+                                law)
+        for pair in pairs:
+            assert eval_joint(sweep.joint(pair), p) == oracle(pair.v_plus,
+                                                              pair.v_minus)
+        for t in targets:
+            # configuration counts: bond and random-cluster share the edge
+            # product measure, the site law weighs open vertices
+            got = eval_counts(sweep.connection(t), sweep.units, p)
+            if t == o:
+                want = 1
+            elif law == SITE:
+                want = sum(w for (_, b), w in site_joint_pmf(
+                    n, edges, [o], [t], o, p).items() if b)
+            else:
+                want = bond_connection(n, edges, o, t, p)
+            assert got == want

@@ -11,7 +11,6 @@ from symperc.mc import (
     INCONCLUSIVE,
     VIOLATION,
     EmpiricalJoint,
-    eager_cluster_mask,
     estimate_connection,
     estimate_joint,
     mc_domination_verdict,
@@ -20,6 +19,8 @@ from symperc.mc import (
     unit_word,
     wilson_interval,
 )
+
+from _oracles import eager_cluster_mask
 
 HALF = F(1, 2)
 

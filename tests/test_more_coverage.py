@@ -82,25 +82,27 @@ def test_hypercube_report_d1():
 
 def test_bunkbed_over_swap_transitive_bases():
     # complete graphs and hypercubes both carry swapping automorphisms
-    rep = scenarios.bunkbed_report({"builder": "complete", "n": 4}, ["1/2"])
+    rep = scenarios.run_scenario(scenarios.bunkbed_scenario(
+        {"builder": "complete", "n": 4}, ["1/2"]), require_conditions=True)
     assert rep["verdict"] == "pass"
-    rep = scenarios.bunkbed_report({"builder": "hypercube", "d": 2}, ["1/2"])
+    rep = scenarios.run_scenario(scenarios.bunkbed_scenario(
+        {"builder": "hypercube", "d": 2}, ["1/2"]), require_conditions=True)
     assert rep["verdict"] == "pass"
     assert rep["conditions"]["swap_transitive"]
 
 
 def test_layered_choice_c_with_k_above_period():
-    rep = scenarios.layered_report({"builder": "path", "n": 1}, m=8,
-                                   choice="c", k=3, period=2,
-                                   p_grid=["1/2"])
+    rep = scenarios.run_scenario(scenarios.layered_scenario(
+        {"builder": "path", "n": 1}, m=8, choice="c", k=3, period=2,
+        p_grid=["1/2"]), require_conditions=True)
     assert rep["verdict"] == "pass"
     assert rep["scenario"]["plus_layers"] == [0, 3, 4, 7]
     assert rep["scenario"]["minus_layers"] == [1, 2, 5, 6]
 
 
 def test_z2_mc_mode_runs_consistent():
-    rep = scenarios.z2_relation_report(5, ["1/2"], mode="mc", mc_n=20_000,
-                                       mc_seed=9)
+    rep = scenarios.run_scenario(scenarios.z2_scenario(
+        5, ["1/2"], mode="mc", mc_n=20_000, mc_seed=9), require_conditions=True)
     assert rep["verdict"] in ("pass", "inconclusive")
     for rel in rep["relations"]:
         assert rel["conditions"]["ok"]

@@ -11,22 +11,27 @@ from symperc.scenarios import (
     CValues,
     ScenarioError,
     ScenarioFormatError,
-    bunkbed_report,
     builtin_scenarios,
+    bunkbed_scenario,
     discrete_derivative,
     group_theorem_battery,
     hypercube_c_values,
     hypercube_inequality_report,
-    layered_report,
+    layered_scenario,
     load_scenario,
     parse_scenario,
     run_scenario,
-    z2_relation_report,
+    z2_scenario,
 )
 
 from _oracles import bond_connection
 
 HALF = F(1, 2)
+
+
+def instance_report(sc):
+    """Run a constructed scenario as its CLI subcommand does."""
+    return run_scenario(sc, require_conditions=True)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +121,7 @@ def test_hypercube_cap():
 
 
 def test_z2_relations_exact_n3():
-    rep = z2_relation_report(3, ["1/4", "1/2", "3/4"])
+    rep = instance_report(z2_scenario(3, ["1/4", "1/2", "3/4"]))
     assert rep["verdict"] == PASS
     assert len(rep["relations"]) == 2
     for rel in rep["relations"]:
@@ -132,7 +137,7 @@ def test_z2_relations_exact_n3():
 
 def test_z2_size_validation():
     with pytest.raises(ScenarioError):
-        z2_relation_report(2, ["1/2"])
+        z2_scenario(2, ["1/2"])
 
 
 def test_z2_parallel_lines_scenario():
@@ -140,8 +145,8 @@ def test_z2_parallel_lines_scenario():
     # layered harness with a cyclic base (cycle(3) x cycle(3) is the torus)
     rep = run_scenario(load_scenario("builtin:z2-n3-lines"))
     assert rep["theorem_instance"] and rep["verdict"] == PASS
-    layered = layered_report({"builder": "cycle", "n": 3}, m=3, choice="a",
-                             k=1, p_grid=["1/2"])
+    layered = instance_report(layered_scenario(
+        {"builder": "cycle", "n": 3}, m=3, choice="a", k=1, p_grid=["1/2"]))
     assert layered["verdict"] == PASS
     assert layered["results"][0]["expected_plus"] == \
         rep["results"][0]["expected_plus"]
@@ -152,7 +157,8 @@ def test_z2_parallel_lines_scenario():
 
 
 def test_bunkbed_path2_report():
-    rep = bunkbed_report({"builder": "path", "n": 2}, ["1/2"])
+    rep = instance_report(bunkbed_scenario({"builder": "path", "n": 2},
+                                           ["1/2"]))
     assert rep["verdict"] == PASS
     row = rep["results"][0]
     assert row["expected_plus"] == "25/16"
@@ -160,7 +166,8 @@ def test_bunkbed_path2_report():
 
 
 def test_bunkbed_cycle5_full_pipeline():
-    rep = bunkbed_report({"builder": "cycle", "n": 5}, ["1/2"])
+    rep = instance_report(bunkbed_scenario({"builder": "cycle", "n": 5},
+                                           ["1/2"]))
     assert rep["verdict"] == PASS
     assert rep["config_count"] == 2 ** 15
     row = rep["results"][0]
@@ -169,7 +176,8 @@ def test_bunkbed_cycle5_full_pipeline():
 
 
 def test_bunkbed_path3_halts_on_symmetry_failure():
-    rep = bunkbed_report({"builder": "path", "n": 3}, ["1/2"])
+    rep = instance_report(bunkbed_scenario({"builder": "path", "n": 3},
+                                           ["1/2"]))
     assert rep["verdict"] == PRECONDITION_FAILED
     assert not rep["conditions"]["transitive"]
     assert rep["results"] == []
@@ -180,8 +188,9 @@ def test_bunkbed_path3_halts_on_symmetry_failure():
 
 
 def test_layered_single_vertex_m8_choice_b():
-    rep = layered_report({"builder": "path", "n": 1}, m=8, choice="b", k=1,
-                         period=2, p_grid=["1/4", "1/2", "3/4"])
+    rep = instance_report(layered_scenario(
+        {"builder": "path", "n": 1}, m=8, choice="b", k=1, period=2,
+        p_grid=["1/4", "1/2", "3/4"]))
     assert rep["verdict"] == PASS
     assert rep["config_count"] == 2 ** 8
     assert rep["scenario"]["plus_layers"] == [0, 2, 4, 6]
@@ -191,16 +200,17 @@ def test_layered_single_vertex_m8_choice_b():
 
 
 def test_layered_single_vertex_m6_choice_a():
-    rep = layered_report({"builder": "path", "n": 1}, m=6, choice="a", k=3,
-                         p_grid=["1/2"])
+    rep = instance_report(layered_scenario(
+        {"builder": "path", "n": 1}, m=6, choice="a", k=3, p_grid=["1/2"]))
     assert rep["verdict"] == PASS
     assert rep["scenario"]["plus_layers"] == [0]
     assert rep["scenario"]["minus_layers"] == [3]
 
 
 def test_layered_choice_c():
-    rep = layered_report({"builder": "path", "n": 1}, m=8, choice="c", k=1,
-                         period=2, p_grid=["1/2"])
+    rep = instance_report(layered_scenario(
+        {"builder": "path", "n": 1}, m=8, choice="c", k=1, period=2,
+        p_grid=["1/2"]))
     assert rep["verdict"] == PASS
     assert rep["scenario"]["plus_layers"] == [0, 1, 4, 5]
     assert rep["scenario"]["minus_layers"] == [2, 3, 6, 7]
@@ -208,8 +218,9 @@ def test_layered_choice_c():
 
 def test_layered_vertex_transitive_base():
     # two-vertex base: the cylinder is a prism over the 4-cycle (12 edges)
-    rep = layered_report({"builder": "path", "n": 2}, m=4, choice="b", k=1,
-                         period=2, p_grid=["1/2"])
+    rep = instance_report(layered_scenario(
+        {"builder": "path", "n": 2}, m=4, choice="b", k=1, period=2,
+        p_grid=["1/2"]))
     assert rep["verdict"] == PASS
     assert rep["config_count"] == 2 ** 12
 
@@ -217,15 +228,15 @@ def test_layered_vertex_transitive_base():
 def test_layered_precondition_errors():
     base = {"builder": "path", "n": 1}
     with pytest.raises(ScenarioError):
-        layered_report(base, m=8, choice="b", k=1, period=3)  # 3 does not divide 8
+        layered_scenario(base, m=8, choice="b", k=1, period=3)  # 3 does not divide 8
     with pytest.raises(ScenarioError):
-        layered_report(base, m=8, choice="b", k=2, period=2)  # k >= n
+        layered_scenario(base, m=8, choice="b", k=2, period=2)  # k >= n
     with pytest.raises(ScenarioError):
-        layered_report(base, m=6, choice="a", k=4)  # k > m/2
+        layered_scenario(base, m=6, choice="a", k=4)  # k > m/2
     with pytest.raises(ScenarioError):
-        layered_report(base, m=8, choice="c", k=2, period=2)  # k == n
+        layered_scenario(base, m=8, choice="c", k=2, period=2)  # k == n
     with pytest.raises(ScenarioError):
-        layered_report(base, m=6, choice="c", k=1, period=2)  # 2n does not divide m
+        layered_scenario(base, m=6, choice="c", k=1, period=2)  # 2n does not divide m
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +338,47 @@ def test_group_theorem_battery(name, order):
 def test_group_battery_unknown_name():
     with pytest.raises(ScenarioFormatError):
         group_theorem_battery("mystery-group")
+
+
+# ---------------------------------------------------------------------------
+# one sweep per report, deterministic reports
+
+
+@pytest.mark.parametrize("argv", [
+    ["z2", "--size", "3", "--p", "1/4,1/2"],
+    ["hypercube", "--d", "3", "--p", "1/4,1/2"],
+])
+def test_report_makes_one_sweep(argv, monkeypatch):
+    from symperc.cli import main
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_sweeps(*args)
+
+    run_sweeps = exact._run_sweeps
+    monkeypatch.setattr(exact, "_run_sweeps", counting)
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def _without_elapsed(report):
+    import json
+
+    report.pop("elapsed_seconds")
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda name=name: run_scenario(load_scenario(f"builtin:{name}"))
+      for name in builtin_scenarios()],
+    lambda: instance_report(bunkbed_scenario({"builder": "cycle", "n": 3},
+                                             ["1/3", "1/2"], law="site")),
+    lambda: instance_report(layered_scenario(
+        {"builder": "path", "n": 1}, m=8, choice="b", k=1, period=2)),
+    lambda: instance_report(z2_scenario(3, ["1/2"])),
+    lambda: hypercube_inequality_report(3, ["1/3", "1/2"]),
+], ids=[*builtin_scenarios(), "bunkbed", "layered", "z2", "hypercube"])
+def test_reports_are_deterministic(make):
+    assert _without_elapsed(make()) == _without_elapsed(make())
