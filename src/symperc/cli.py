@@ -126,44 +126,51 @@ def csv_rows(report: dict) -> list[list]:
 
 
 def print_human(report: dict) -> None:
+    # Pass the current sys.stdout: click.echo's default stream cache would
+    # keep every redirected stdout, and all its text, alive.
+    click.echo("\n".join(_human_lines(report)), file=sys.stdout)
+
+
+def _human_lines(report: dict) -> list[str]:
     name = _scenario_name(report)
-    click.echo(f"{report.get('kind', 'report')}: {name}  "
-               f"mode={report.get('mode', '?')}  verdict={report['verdict']}")
+    lines = [f"{report.get('kind', 'report')}: {name}  "
+             f"mode={report.get('mode', '?')}  verdict={report['verdict']}"]
     cond = report.get("conditions")
     if cond:
-        click.echo(
+        lines.append(
             "  conditions: set-preserving={set_preserving} "
             "transitive={transitive} "
             "stabilizer-symmetric={stabilizer_symmetric} "
             "swap-transitive={swap_transitive} "
             "group-order={group_order}".format(**cond))
         for note in cond.get("notes", []):
-            click.echo(f"    note: {note}")
+            lines.append(f"    note: {note}")
     if "config_count" in report:
-        click.echo(f"  configurations: {report['config_count']}")
+        lines.append(f"  configurations: {report['config_count']}")
     if "mc" in report:
-        click.echo("  mc: n={n} seed={seed} level={level}".format(
+        lines.append("  mc: n={n} seed={seed} level={level}".format(
             **report["mc"]))
     for res in report.get("results", []):
-        _print_result(res, indent="  ")
+        lines.append(_result_line(res, indent="  "))
     for rel in report.get("relations", []):
-        click.echo(f"  {rel['name']}: {rel['statement']}  "
-                   f"verdict={rel['verdict']}")
+        lines.append(f"  {rel['name']}: {rel['statement']}  "
+                     f"verdict={rel['verdict']}")
         for res in rel.get("results", []):
-            _print_result(res, indent="    ")
+            lines.append(_result_line(res, indent="    "))
     if "double_counting_trials" in report:
-        click.echo(
+        lines.append(
             "  orbit-product pairs checked: {}  failures: {}".format(
                 report["orbit_product_pairs"],
                 report["orbit_product_failures"]))
-        click.echo(
+        lines.append(
             "  double-counting trials: {}  failures: {}".format(
                 report["double_counting_trials"],
                 report["double_counting_failures"]))
-    click.echo(f"  elapsed: {report.get('elapsed_seconds', 0):.3f}s")
+    lines.append(f"  elapsed: {report.get('elapsed_seconds', 0):.3f}s")
+    return lines
 
 
-def _print_result(res: dict, indent: str) -> None:
+def _result_line(res: dict, indent: str) -> str:
     p = res.get("p", "?")
     bits = [f"p={p}"]
     for key in ("expected_plus", "expected_minus"):
@@ -187,7 +194,7 @@ def _print_result(res: dict, indent: str) -> None:
         bits.append(f"slack={res['relation_slack']}")
     if "verdict" in res:
         bits.append(f"verdict={res['verdict']}")
-    click.echo(indent + "  ".join(bits))
+    return indent + "  ".join(bits)
 
 
 def finish(report: dict, json_path: str | None, csv_path: str | None) -> int:
@@ -234,7 +241,8 @@ n_opt = click.option("--n", "mc_n", type=int, default=100_000,
                      help="Monte Carlo sample count")
 seed_opt = click.option("--seed", type=int, default=0)
 threads_opt = click.option("--threads", type=int, default=1,
-                           help="worker cap for chunked sweeps/sampling")
+                           help="worker cap for Monte Carlo sampling "
+                                "(exact mode ignores it)")
 json_opt = click.option("--json", "json_path", type=click.Path(), default=None)
 csv_opt = click.option("--csv", "csv_path", type=click.Path(), default=None)
 cap_opt = click.option("--cap", "cap_bits", type=int,
@@ -313,7 +321,7 @@ def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads, json_path,
     """Check the reweighting identity and the ratio identity exactly."""
     sc = scenarios.load_scenario(scenario_ref)
     sc = _override(sc, p_list=p_list, cap_bits=cap_bits, mode="exact")
-    report = scenarios.verify_identity_report(sc, threads=threads)
+    report = scenarios.verify_identity_report(sc)
     return finish(report, json_path, csv_path)
 
 
@@ -346,8 +354,7 @@ def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
                   json_path, csv_path):
     """Connection-probability inequalities on the d-dimensional hypercube."""
     report = scenarios.hypercube_inequality_report(
-        d, _parse_p_list(p_list), mode, cap_bits, mc_n, seed, float(level),
-        threads)
+        d, _parse_p_list(p_list), mode, cap_bits, mc_n, seed, float(level))
     return finish(report, json_path, csv_path)
 
 
@@ -453,16 +460,16 @@ def main(argv=None) -> int:
         result = cli.main(args=argv, standalone_mode=False)
         return int(result) if result is not None else 0
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        click.echo(f"usage error: {exc.format_message()}", file=sys.stderr)
         return USAGE_ERROR
     except click.ClickException as exc:
         exc.show()
         return USAGE_ERROR
     except ScenarioFormatError as exc:
-        click.echo(f"scenario error: {exc}", err=True)
+        click.echo(f"scenario error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ScenarioError, CapExceeded, GraphError, GroupError) as exc:
-        click.echo(f"precondition failure: {exc}", err=True)
+        click.echo(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_CODES[PRECONDITION_FAILED]
 
 

@@ -1,23 +1,49 @@
-"""Exact law of the origin's cluster by full enumeration.
+"""Exact law of the origin's cluster, summed over the cluster itself.
 
-The engine sweeps every configuration once and bins it by the sizes of the
-origin's cluster C inside each observed vertex set, and by the number k of
-open units.  A pair's outcome (a, b) = (|C ∩ v_plus|, |C ∩ v_minus|) and a
-target's connection event are marginals of those bins, so one sweep per
-(graph, origin, law) serves every pair and target.  The polynomial-in-p
-representation is evaluated exactly (as Fractions) at as many parameters as
-needed.
+Every observable here is a function of the origin's cluster S: a pair's
+outcome (a, b) = (|S ∩ v_plus|, |S ∩ v_minus|) and each target's
+connection event.  So the engine never visits the 2^units configurations;
+it visits the connected sets S ∋ o and counts, for each, the
+configurations whose origin cluster is S, by the number k of open units:
 
-Configurations are bitmasks over the canonical unit order: edge k is bit k
-for the bond and random-cluster laws, vertex k is bit k for the site law.
-Everything in this module is exact: counts are Python integers,
-probabilities are Fractions, and identity checks mean exact zero.
+* bond: C_S(x)·(1+x)^F, where C_S counts the connected spanning subgraphs
+  of G[S] by edge number and F is the number of edges with no endpoint in
+  S (the cut is closed).  C_S follows from splitting every edge set of
+  G[S] by the origin's component U:
+  C_S = (1+x)^e(S) − Σ C_U·(1+x)^e(S∖U) over connected U, o ∈ U ⊊ S;
+* site: x^|S|·(1+x)^(n−|S|−|∂S|), plus (1+x)^(n−1) for a closed origin;
+* random cluster: y·C_S(x)·Z_{V∖S}(x, y), with y counting partition
+  cells and Z_T the edge sets of G[T] by open edges and cells,
+  Z_T = Σ y·C_U·Z_{T∖U} over connected U ∋ min T inside T (the
+  vertex-exponential random-cluster evaluation of Björklund, Husfeldt,
+  Kaski and Koivisto).
+
+Two rules keep sparse graphs from costing more than a brute-force sweep: a
+vertex v ≠ o with one neighbour in S forces its edge open, so
+C_S = x·C_{S∖v}, and sub-clusters are enumerated as connected sets, never
+as all subsets.  Each S adds its polynomial to the bin of its intersection
+sizes, so one run per (graph, origin, law) serves every pair and target;
+the bins are integer-identical to those of the brute-force sweep, which
+the tests keep as their oracle.  The polynomial-in-p representation is
+evaluated exactly (as Fractions) at as many parameters as needed.
+
+Polynomials are Python integers with one coefficient per field of
+units+2 bits (Kronecker substitution).  No coefficient exceeds 2^units, so
+products, sums and the subtraction above never carry across fields.
+numpy is deliberately not used: importing it roughly doubles a bare
+interpreter's resident memory and costs more start-up time than a small
+exact run takes, and its fixed-width integers would need overflow guards
+that big integers do not.
+
+Units follow the canonical order: edge k for the bond and random-cluster
+laws, vertex k for the site law.  Everything in this module is exact:
+counts are Python integers, probabilities are Fractions, and identity
+checks mean exact zero.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -25,8 +51,6 @@ from math import comb
 from .graphs import Graph
 from .groups import VertexSetPair
 from .rationals import format_fraction, parse_fraction
-
-EdgeConfig = int  # bitmask; bit k = unit k open
 
 DEFAULT_CAP_BITS = 26
 
@@ -176,12 +200,12 @@ class JointOutcomePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the one sweep: cluster intersection sizes with every observed set
+# the one exact run: cluster intersection sizes with every observed set
 
 
 @dataclass(frozen=True)
 class Observables:
-    """The vertex sets one sweep observes of the origin's cluster.
+    """The vertex sets one exact run observes of the origin's cluster.
 
     Each pair contributes its two sets and each connection target a
     singleton; sets shared by several pairs are observed once.
@@ -263,75 +287,6 @@ class ClusterSweep:
         return counts.get(1, (0,) * (self.units + 1))
 
 
-def _incidence(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    """Per-vertex list of (neighbor, edge bit) pairs."""
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
-    for idx, (u, v) in enumerate(g.edges):
-        bit = 1 << idx
-        inc[u].append((v, bit))
-        inc[v].append((u, bit))
-    return [tuple(x) for x in inc]
-
-
-def _cluster_mask_bond(inc, mask: int, o: int) -> int:
-    """Vertex bitmask of the origin's component in the open subgraph."""
-    seen = 1 << o
-    stack = [o]
-    while stack:
-        x = stack.pop()
-        for w, ebit in inc[x]:
-            if mask & ebit:
-                wbit = 1 << w
-                if not seen & wbit:
-                    seen |= wbit
-                    stack.append(w)
-    return seen
-
-
-def _component_count_bond(inc, mask: int, n: int) -> int:
-    unseen = (1 << n) - 1
-    count = 0
-    while unseen:
-        v = (unseen & -unseen).bit_length() - 1
-        unseen &= ~_cluster_mask_bond(inc, mask, v)
-        count += 1
-    return count
-
-
-def _sweep(args) -> dict:
-    """Count configurations in [lo, hi) keyed by (sizes, k) or (sizes, k, c).
-
-    ``inc[x]`` pairs each neighbor w of x with the unit bit that must be
-    open to step to w: the joining edge's, or under the site law w's own,
-    where ``need`` keeps a closed origin a singleton cell.  ``sizes`` adds
-    up ``weights[v]`` over the cluster: one bit field per observed set, so
-    one small key holds every intersection size.
-    """
-    inc, n, o, weights, need, lo, hi, want_components = args
-    obit = 1 << o
-    counts: dict[tuple, int] = {}
-    for mask in range(lo, hi):
-        sizes = weights[o]
-        if mask & need == need:
-            seen = obit
-            stack = [o]
-            while stack:
-                x = stack.pop()
-                for w, bit in inc[x]:
-                    if mask & bit:
-                        wbit = 1 << w
-                        if not seen & wbit:
-                            seen |= wbit
-                            sizes += weights[w]
-                            stack.append(w)
-        if want_components:
-            key = (sizes, mask.bit_count(), _component_count_bond(inc, mask, n))
-        else:
-            key = (sizes, mask.bit_count())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _vertex_mask(vertices) -> int:
     mask = 0
     for v in vertices:
@@ -339,29 +294,188 @@ def _vertex_mask(vertices) -> int:
     return mask
 
 
-def _chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
-    chunks = max(1, min(chunks, total))
-    step = total // chunks
-    bounds = [i * step for i in range(chunks)] + [total]
-    return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
+def _connected_sets(nbr, root: int, allowed: int) -> list[int]:
+    """Every S with root ∈ S ⊆ allowed that induces a connected subgraph.
 
-
-def _run_sweeps(jobs, threads: int) -> dict:
-    """Run sweep jobs over disjoint mask ranges and merge by addition.
-
-    The merge is commutative integer addition, so the result is identical to
-    the single-range sweep no matter how the ranges are scheduled.
+    Branches on the lowest frontier vertex, which either joins S or leaves
+    ``allowed`` for the rest of that branch, so each set is found once.
     """
-    merged: dict[tuple, int] = {}
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep, jobs))
+    found = []
+    stack = [(1 << root, nbr[root] & allowed, allowed)]
+    while stack:
+        s, frontier, allowed = stack.pop()
+        if not frontier:
+            found.append(s)
+            continue
+        low = frontier & -frontier
+        stack.append((s, frontier ^ low, allowed ^ low))
+        s |= low
+        stack.append((s, (frontier | nbr[low.bit_length() - 1]) & allowed & ~s,
+                      allowed))
+    return found
+
+
+def _component(nbr, start: int, within: int) -> int:
+    """The component of G[within] holding the vertex bit ``start``."""
+    comp = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & within & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
+def _spanning_polys(nbr, root: int, allowed: int, bits: int,
+                    powers: list[int], census: list[int]
+                    ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """For every connected S with root ∈ S ⊆ allowed: C_S(x), packed, which
+    counts the connected spanning subgraphs of G[S] by edge number; and
+    e(S) with the sum of ``census[v]`` over S.
+
+    Splitting the edge sets of G[S] by the root's component U gives
+    (1+x)^e(S) = Σ C_U (1+x)^e(S∖U) over the connected U ∋ root inside S,
+    so C_S is (1+x)^e(S) less the terms with U ⊊ S.  A vertex v ≠ root
+    with one neighbour in S short-cuts this: its edge must be open, so
+    C_S = x C_{S∖v}.
+    """
+    polys: dict[int, int] = {}
+    extent: dict[int, tuple[int, int]] = {}
+    rbit = 1 << root
+    for s in sorted(_connected_sets(nbr, root, allowed), key=int.bit_count):
+        degrees = total = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            d = (nbr[v] & s).bit_count()
+            if d == 1 and low != rbit:
+                polys[s] = polys[s ^ low] << bits
+                inner, rest_total = extent[s ^ low]
+                extent[s] = (inner + 1, rest_total + census[v])
+                break
+            degrees += d
+            total += census[v]
+        else:
+            inner = degrees >> 1
+            poly = powers[inner]
+            # t counts the edges of G[S] with an endpoint in U
+            start = nbr[root] & s
+            stack = [(rbit, start, s, start.bit_count())]
+            while stack:
+                u, frontier, allow, t = stack.pop()
+                if frontier:
+                    low = frontier & -frontier
+                    stack.append((u, frontier ^ low, allow ^ low, t))
+                    nv = nbr[low.bit_length() - 1]
+                    t += (nv & s & ~u).bit_count()
+                    u |= low
+                    stack.append((u, (frontier | nv) & allow & ~u, allow, t))
+                elif u != s:
+                    poly -= polys[u] * powers[inner - t]
+            polys[s] = poly
+            extent[s] = (inner, total)
+    return polys, extent
+
+
+def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
+                         weights: list[int], bits: int) -> dict[int, int]:
+    """Packed count polynomials of the configurations, summed by the packed
+    intersection sizes of the origin's cluster S.
+
+    A coefficient sits in a field of ``bits`` bits at index k (open units),
+    plus (units+1)·c under the random-cluster law (c partition cells).  No
+    count exceeds 2^units < 2^bits, so sums, products and the subtractions
+    of :func:`_spanning_polys` never carry across fields.
+    """
+    n, m = g.n_vertices, g.n_edges
+    nbr = [_vertex_mask(nb) for nb in g.adjacency]
+    everything = (1 << n) - 1
+    powers = [1]  # (1 + x)^e
+    for _ in range(n if law.kind == "site" else m):
+        powers.append(powers[-1] + (powers[-1] << bits))
+    rows: dict[int, int] = {}
+
+    def add(sizes: int, poly: int) -> None:
+        rows[sizes] = rows.get(sizes, 0) + poly
+
+    if law.kind == "site":
+        # S open, its outer boundary closed, every other vertex free; a
+        # closed origin is a singleton cell whatever the others do
+        add(weights[origin], powers[n - 1])
+        for s in _connected_sets(nbr, origin, everything):
+            sizes = around = 0
+            rest = s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                sizes += weights[v]
+                around |= nbr[v]
+            size = s.bit_count()
+            free = n - size - (around & ~s).bit_count()
+            add(sizes, powers[free] << (bits * size))
+        return rows
+
+    # the census of S packs its sizes and, above them, its degree sum
+    shift = sum(weights).bit_length()
+    sizes_field = (1 << shift) - 1
+    census = [w + (len(nb) << shift) for w, nb in zip(weights, g.adjacency)]
+    if law.kind == "bond":
+        polys, extent = _spanning_polys(nbr, origin, everything, bits, powers,
+                                        census)
     else:
-        results = [_sweep(job) for job in jobs]
-    for part in results:
-        for key, cnt in part.items():
-            merged[key] = merged.get(key, 0) + cnt
-    return merged
+        polys, extent = {}, {}
+        for r in range(n):  # every connected set, rooted at its lowest vertex
+            rooted = _spanning_polys(nbr, r, everything >> r << r, bits,
+                                     powers, census)
+            polys.update(rooted[0])
+            extent.update(rooted[1])
+        ystride = bits * (m + 1)
+        memo: dict[int, int] = {}
+
+        def partition_poly(t: int) -> int:
+            """Z_T(x, y): the edge sets of G[T] by open edges and cells,
+            the product over the components of G[T]."""
+            z = 1
+            while t:
+                low = t & -t
+                if nbr[low.bit_length() - 1] & t:
+                    comp = _component(nbr, low, t)
+                    z *= connected_partition_poly(comp)
+                else:  # an isolated vertex: one cell, a factor y
+                    comp = low
+                    z <<= ystride
+                t ^= comp
+            return z
+
+        def connected_partition_poly(t: int) -> int:
+            """Z_T for a connected T, split by the cell U of T's lowest
+            vertex; memoized, so it is kept for connected sets only."""
+            z = memo.get(t)
+            if z is None:
+                z = 0
+                for u in _connected_sets(nbr, (t & -t).bit_length() - 1, t):
+                    z += polys[u] * partition_poly(t ^ u)
+                z = memo[t] = z << ystride
+            return z
+
+    obit = 1 << origin
+    for s, (inner, total) in extent.items():
+        if not s & obit:
+            continue
+        poly = polys[s]
+        sizes = total & sizes_field
+        if law.kind == "bond":
+            # the cut is closed; the F edges away from S are free
+            touching = (total >> shift) - inner
+            add(sizes, poly * powers[m - touching])
+        else:
+            # S is one cell; the rest of the graph splits as it likes
+            add(sizes, (poly * partition_poly(everything ^ s)) << ystride)
+    return rows
 
 
 def enumerate_joint(
@@ -369,23 +483,17 @@ def enumerate_joint(
     pair: VertexSetPair | Observables,
     law: PartitionLaw = BOND,
     cap_bits: int = DEFAULT_CAP_BITS,
-    chunks: int = 1,
-    threads: int = 1,
 ) -> JointOutcomePolynomial | ClusterSweep:
-    """Sweep all configurations and collect the exact outcome counts.
+    """Count all configurations exactly by the origin's cluster.
 
     Independent of p: the counts are binned by the number of open units, so
-    one sweep serves every parameter value.  Given a pair, returns its
+    one run serves every parameter value.  Given a pair, returns its
     :class:`JointOutcomePolynomial`; given :class:`Observables`, returns the
     :class:`ClusterSweep` that every observed pair and target projects from.
     """
     observed = pair if isinstance(pair, Observables) else Observables(
         pair.origin, (pair,))
-    if law.kind == "site":
-        units, need = g.n_vertices, 1 << observed.origin
-        inc = [tuple((w, 1 << w) for w in nbrs) for nbrs in g.adjacency]
-    else:
-        units, need, inc = g.n_edges, 0, _incidence(g)
+    units = g.n_vertices if law.kind == "site" else g.n_edges
     if units > cap_bits:
         raise CapExceeded(units, cap_bits)
 
@@ -393,23 +501,26 @@ def enumerate_joint(
     width = g.n_vertices.bit_length()  # a field holds any size 0..n
     weights = [sum(1 << (i * width) for i, m in enumerate(masks) if m >> v & 1)
                for v in range(g.n_vertices)]
-    if threads > 1 and chunks == 1:
-        chunks = threads * 4  # merge is addition, so any chunking is exact
-    ranges = _chunk_ranges(1 << units, chunks)
+    bits = units + 2
+    rows = _origin_cluster_rows(g, law, observed.origin, weights, bits)
 
-    jobs = [(inc, g.n_vertices, observed.origin, weights, need, lo, hi,
-             law.kind == "random_cluster") for lo, hi in ranges]
-    raw = _run_sweeps(jobs, threads)
-
-    field = (1 << width) - 1
-    sweep = ClusterSweep(
-        units=units,
-        law=law,
-        origin=observed.origin,
-        masks=masks,
-        bins={(tuple(packed >> (i * width) & field for i in range(len(masks))),
-               *kc): cnt for (packed, *kc), cnt in raw.items()},
-    )
+    field, coefficient = (1 << width) - 1, (1 << bits) - 1
+    by_cells = law.kind == "random_cluster"
+    bins: dict[tuple, int] = {}
+    for packed, poly in rows.items():
+        sizes = tuple(packed >> (i * width) & field for i in range(len(masks)))
+        index = 0
+        while poly:
+            cnt = poly & coefficient
+            if cnt and by_cells:
+                cells, k = divmod(index, units + 1)
+                bins[(sizes, k, cells)] = cnt
+            elif cnt:
+                bins[(sizes, index)] = cnt
+            poly >>= bits
+            index += 1
+    sweep = ClusterSweep(units=units, law=law, origin=observed.origin,
+                         masks=masks, bins=bins)
     _check_count_conservation(sweep)
     return sweep if observed is pair else sweep.joint(pair)
 
@@ -583,7 +694,7 @@ def connection_counts(g: Graph, o: int,
                       cap_bits: int = DEFAULT_CAP_BITS,
                       ) -> dict[int, tuple[int, ...]]:
     """Per-target counts of configurations (by open-edge number) in which the
-    target sits in the origin's cluster, projected from one sweep that
+    target sits in the origin's cluster, projected from one run that
     observes every target."""
     targets = tuple(range(g.n_vertices) if targets is None else targets)
     sweep = enumerate_joint(g, Observables(o, targets=targets), BOND, cap_bits)

@@ -1,10 +1,10 @@
 """Scenario pipeline: a scenario names a graph, the vertex sets compared on
 it and their symmetry generators.  ``run_scenario`` checks the symmetry
-conditions of every compared pair, makes one exact sweep that observes all
+conditions of every compared pair, makes one exact run that observes all
 of them (or samples them by Monte Carlo) and evaluates the checks.  The
 bunkbed, layered and z2 harnesses are constructors of scenarios; the
 hypercube harness reads its connection probabilities and its instance pairs
-off one sweep as well.
+off one run as well.
 
 Reports are plain JSON-ready dicts sharing one envelope, with every exact
 quantity as a "num/den" string and every Monte Carlo quantity as an estimate
@@ -131,6 +131,8 @@ def _parsed(what: str, parse, value):
 
 def parse_p_grid(values) -> tuple[Fraction, ...]:
     """Parse percolation parameters; each must lie strictly inside (0, 1)."""
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioFormatError(f"p_grid must be a list, got {values!r}")
     return tuple(_parsed("p", parse_probability, p) for p in values)
 
 
@@ -299,7 +301,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
                  require_conditions: bool = False) -> dict:
     """Full pipeline for one scenario.
 
-    Exact mode makes one sweep that observes every compared pair and every
+    Exact mode makes one exact run that observes every compared pair and every
     connection target; each pair's joint law and each target's connection
     counts are projections of it.  ``require_conditions`` skips a pair whose
     symmetry check fails (used by the reports that claim a theorem
@@ -317,7 +319,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
         observed = exact.Observables(live[0][1].origin,
                                      tuple(pair for _, pair in live), targets)
         sweep = exact.enumerate_joint(g, observed, sc.law,
-                                      cap_bits=sc.cap_bits, threads=threads)
+                                      cap_bits=sc.cap_bits)
     blocks = []
     for rel, pair, conditions in compared:
         block = {"conditions": conditions.to_json_dict()}
@@ -394,11 +396,10 @@ _IDENTITY_FIELDS = ("p", "identity_residuals", "identity_zero", "ratio_lhs",
                     "ratio_rhs", "ratio_equal")
 
 
-def verify_identity_report(sc: Scenario, threads: int = 1) -> dict:
+def verify_identity_report(sc: Scenario) -> dict:
     """Exact identity residuals and the ratio identity; the symmetry
     conditions are a precondition here, not an optional extra."""
-    report = run_scenario(replace(sc, mode="exact"), threads=threads,
-                          require_conditions=True)
+    report = run_scenario(replace(sc, mode="exact"), require_conditions=True)
     results = []
     for row in report["results"]:
         ok = row["identity_zero"] and row["ratio_equal"]
@@ -635,15 +636,15 @@ class CValues:
             raise ValueError("need one value per distance 0..d")
 
 
-def _hypercube_sweep(g: Graph, pairs, cap_bits: int, threads: int = 1):
-    """One sweep of the cube observing every vertex and the given pairs.
+def _hypercube_sweep(g: Graph, pairs, cap_bits: int):
+    """One exact run on the cube observing every vertex and the given pairs.
 
     Returns the sweep, one connection-count vector per distance from the
     origin, and whether every vertex at a distance has the same vector
     (coordinate permutations fix the origin, so it must)."""
     sweep = exact.enumerate_joint(
         g, exact.Observables(0, tuple(pairs), tuple(range(g.n_vertices))),
-        BOND, cap_bits=cap_bits, threads=threads)
+        BOND, cap_bits=cap_bits)
     dist = graphs.distances_from(g, 0)
     by_distance: dict[int, list] = {}
     for v in range(g.n_vertices):
@@ -755,7 +756,6 @@ def hypercube_inequality_report(
     mc_n: int = 100_000,
     mc_seed: int = 0,
     level: float = 0.95,
-    threads: int = 1,
     cross_check: bool = True,
 ) -> dict:
     """All inequality families on the d-cube for every k + l <= d.
@@ -778,7 +778,7 @@ def hypercube_inequality_report(
         g = graphs.hypercube_graph(d)
         instances = _hypercube_instances(g, d) if cross_check else []
         sweep, reps, invariance = _hypercube_sweep(
-            g, [inst[3] for inst in instances], cap_bits, threads)
+            g, [inst[3] for inst in instances], cap_bits)
         if not invariance:
             verdicts.append(VIOLATION)
         polys = []  # the symmetry checks wait for the sweep's cap check

@@ -1,11 +1,14 @@
 """Independent brute-force oracles for the exact engine.
 
-Deliberately a different algorithm family from the package: configurations
-come from itertools.product instead of bitmask arithmetic, connectivity from
-union-find instead of BFS.  Expected values in the tests were computed with
-these oracles and then frozen as literals.
+Deliberately a different algorithm family from the package: the pmf
+oracles draw configurations from itertools.product and find connectivity
+with union-find; the bitmask sweep (``brute_force_bins``) grows the
+origin's cluster in every one of the 2^units configurations, where the
+package sums over the clusters themselves.  Expected values in the tests
+were computed with these oracles and then frozen as literals.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -103,8 +106,7 @@ def bond_connection(n, edges, o, v, p):
 
 def eager_cluster_mask(g, o, p, seed, sample_index):
     """Monte Carlo oracle: draw the full configuration first, then extract
-    the cluster with the exact engine's traversal."""
-    from symperc.exact import _cluster_mask_bond, _incidence
+    the cluster with the brute-force sweep's traversal."""
     from symperc.mc import open_threshold, unit_word
 
     threshold = open_threshold(p)
@@ -113,6 +115,115 @@ def eager_cluster_mask(g, o, p, seed, sample_index):
         if unit_word(seed, sample_index, eidx) < threshold:
             mask |= 1 << eidx
     return _cluster_mask_bond(_incidence(g), mask, o)
+
+
+# ---------------------------------------------------------------------------
+# the brute-force bitmask sweep: every configuration, one cluster growth each
+
+
+def _incidence(g):
+    """Per-vertex list of (neighbor, edge bit) pairs."""
+    inc = [[] for _ in range(g.n_vertices)]
+    for idx, (u, v) in enumerate(g.edges):
+        bit = 1 << idx
+        inc[u].append((v, bit))
+        inc[v].append((u, bit))
+    return [tuple(x) for x in inc]
+
+
+def _cluster_mask_bond(inc, mask, o):
+    """Vertex bitmask of the origin's component in the open subgraph."""
+    seen = 1 << o
+    stack = [o]
+    while stack:
+        x = stack.pop()
+        for w, ebit in inc[x]:
+            if mask & ebit:
+                wbit = 1 << w
+                if not seen & wbit:
+                    seen |= wbit
+                    stack.append(w)
+    return seen
+
+
+def _sweep(args):
+    """Count configurations in [lo, hi) keyed by (sizes, k) or (sizes, k, c).
+
+    ``inc[x]`` pairs each neighbor w of x with the unit bit that must be
+    open to step to w: the joining edge's, or under the site law w's own,
+    where ``need`` keeps a closed origin a singleton cell.  ``sizes`` adds
+    up ``weights[v]`` over the cluster, one bit field per observed set.
+    """
+    inc, n, o, weights, need, lo, hi, want_components = args
+    obit = 1 << o
+    counts = {}
+    for mask in range(lo, hi):
+        sizes = weights[o]
+        if mask & need == need:
+            seen = obit
+            stack = [o]
+            while stack:
+                x = stack.pop()
+                for w, bit in inc[x]:
+                    if mask & bit:
+                        wbit = 1 << w
+                        if not seen & wbit:
+                            seen |= wbit
+                            sizes += weights[w]
+                            stack.append(w)
+        key = (sizes, mask.bit_count())
+        if want_components:
+            unseen, cells = (1 << n) - 1, 0
+            while unseen:
+                v = (unseen & -unseen).bit_length() - 1
+                unseen &= ~_cluster_mask_bond(inc, mask, v)
+                cells += 1
+            key += (cells,)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _chunk_ranges(total, chunks):
+    chunks = max(1, min(chunks, total))
+    step = total // chunks
+    bounds = [i * step for i in range(chunks)] + [total]
+    return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
+
+
+def _run_sweeps(jobs, threads):
+    """Run sweep jobs over disjoint mask ranges and merge by addition, which
+    is commutative, so any schedule gives the single-range result."""
+    merged = {}
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_sweep, jobs))
+    else:
+        results = [_sweep(job) for job in jobs]
+    for part in results:
+        for key, cnt in part.items():
+            merged[key] = merged.get(key, 0) + cnt
+    return merged
+
+
+def brute_force_bins(g, observed, law, chunks=1, threads=1):
+    """``ClusterSweep.bins`` of ``enumerate_joint(g, observed, law)``, by
+    sweeping all 2^units configuration masks in ``chunks`` ranges."""
+    if law.kind == "site":
+        units, need = g.n_vertices, 1 << observed.origin
+        inc = [tuple((w, 1 << w) for w in nbrs) for nbrs in g.adjacency]
+    else:
+        units, need, inc = g.n_edges, 0, _incidence(g)
+    masks = observed.masks()
+    width = g.n_vertices.bit_length()
+    weights = [sum(1 << (i * width) for i, m in enumerate(masks) if m >> v & 1)
+               for v in range(g.n_vertices)]
+    jobs = [(inc, g.n_vertices, observed.origin, weights, need, lo, hi,
+             law.kind == "random_cluster")
+            for lo, hi in _chunk_ranges(1 << units, chunks)]
+    field = (1 << width) - 1
+    raw = _run_sweeps(jobs, threads)
+    return {(tuple(packed >> (i * width) & field for i in range(len(masks))),
+             *kc): cnt for (packed, *kc), cnt in raw.items()}
 
 
 def expectations(pmf):

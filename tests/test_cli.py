@@ -126,12 +126,36 @@ def _scenario_file(tmp_path, **changes):
     ["mc", "--scenario", "builtin:bunkbed-path2", "--n", "0"],
     ["enumerate", "--scenario", {"p_grid": ["2"]}],
     ["mc", "--scenario", {"mc": {"n": "many"}}],
+    ["enumerate", "--scenario", {"p_grid": 0.5}],
+    ["enumerate", "--scenario", {"p_grid": "1/3"}],
 ])
 def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
+    doc = next((a for a in argv if isinstance(a, dict)), {})
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
             for a in argv]
     assert main(argv) == 4
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if not isinstance(doc.get("p_grid", []), list):
+        assert "p_grid must be a list" in err
+
+
+def test_main_keeps_no_redirected_stream_alive():
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["check-symmetry", "--scenario",
+                     "builtin:bunkbed-cycle3"]) == 0
+        assert main(["bunkbed", "--base", "cycle:3", "--p", "0"]) == 4
+    assert out.getvalue() and err.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_hypercube_mc_one_pass_per_p_with_the_real_seed(tmp_path,

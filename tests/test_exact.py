@@ -23,6 +23,7 @@ from symperc.exact import (
     random_cluster_law,
 )
 from symperc.graphs import (
+    build_graph,
     bunkbed_graph,
     cycle_graph,
     explicit_graph,
@@ -35,6 +36,7 @@ from symperc.groups import make_pair
 
 from _oracles import (
     bond_connection,
+    brute_force_bins,
     bond_joint_pmf,
     expectations,
     rc_joint_pmf,
@@ -232,11 +234,14 @@ def test_monotone_in_p():
 
 
 def test_chunked_and_parallel_sweeps_identical():
+    # the brute-force oracle's chunk-merge, which the engine is checked by
     g = bunkbed_graph(cycle_graph(3))
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
-    single = enumerate_joint(g, pair)
-    assert enumerate_joint(g, pair, chunks=5) == single
-    assert enumerate_joint(g, pair, chunks=4, threads=2) == single
+    observed = Observables(0, (pair,))
+    single = brute_force_bins(g, observed, BOND)
+    assert brute_force_bins(g, observed, BOND, chunks=5) == single
+    assert brute_force_bins(g, observed, BOND, chunks=4, threads=2) == single
+    assert enumerate_joint(g, observed).bins == single
 
 
 def test_cap_exceeded():
@@ -329,3 +334,85 @@ def test_one_sweep_projects_every_pair_and_target(case, p):
             else:
                 want = bond_connection(n, edges, o, t, p)
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the subset DP against the brute-force sweep
+
+LAWS = (BOND, SITE, random_cluster_law(F(3, 2)))
+
+
+@st.composite
+def small_graphs(draw):
+    """A connected graph of at most 12 edges (a tree, a star or a drawn
+    graph), an origin, a pair holding it and connection targets."""
+    shape = draw(st.sampled_from(["tree", "star", "graph"]))
+    n = draw(st.integers(1, 13 if shape != "graph" else 8))
+    if shape == "star":
+        edges = {(0, v) for v in range(1, n)}
+    else:
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if shape == "graph":
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)))):
+            if u != v and len(edges) < 12:
+                edges.add((min(u, v), max(u, v)))
+    g = explicit_graph(n, sorted(edges))
+    o = draw(st.integers(0, n - 1))
+    side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pair = make_pair(g, [v for v in range(n) if side[v] == 1 or v == o],
+                     [v for v in range(n) if side[v] == 2 and v != o], o)
+    targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return g, Observables(o, (pair,), tuple(targets))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_subset_dp_bins_equal_brute_force(case):
+    g, observed = case
+    for law in LAWS:
+        assert (enumerate_joint(g, observed, law).bins
+                == brute_force_bins(g, observed, law))
+
+
+def _builtin_cases():
+    from symperc import scenarios
+
+    for name, doc in sorted(scenarios.builtin_scenarios().items()):
+        sc = scenarios.parse_scenario(doc, name)
+        g = build_graph(sc.graph_spec)
+        pair = make_pair(
+            g, [scenarios.resolve_vertex(g, v) for v in sc.v_plus],
+            [scenarios.resolve_vertex(g, v) for v in sc.v_minus],
+            scenarios.resolve_vertex(g, sc.origin))
+        # the 2^18-configuration tori are swept under their own law only
+        for law in LAWS if g.n_edges <= 12 else (sc.law,):
+            yield pytest.param(g, pair, law, id=f"{name}-{law.kind}")
+    for d in (1, 2, 3):
+        g = hypercube_graph(d)
+        for law in LAWS:
+            yield pytest.param(g, make_pair(g, [0], [], 0), law,
+                               id=f"hypercube{d}-{law.kind}")
+
+
+@pytest.mark.parametrize("g, pair, law", _builtin_cases())
+def test_subset_dp_bins_equal_brute_force_on_builtins(g, pair, law):
+    observed = Observables(pair.origin, (pair,), tuple(range(g.n_vertices)))
+    assert (enumerate_joint(g, observed, law, cap_bits=32).bins
+            == brute_force_bins(g, observed, law))
+
+
+def test_star_counts_follow_the_closed_form():
+    # K_{1,16} from its centre: j open edges <-> the cluster is the centre
+    # and j leaves, in C(16, j) configurations, with the other 16 - j
+    # leaves isolated cells (the empty v_minus reads 0).  Every cluster is
+    # a tree, so the pendant rule decides every C_S.
+    leaves = 16
+    g = explicit_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    observed = Observables(0, (make_pair(g, range(leaves + 1), [], 0),))
+    bond = enumerate_joint(g, observed, BOND)
+    assert bond.bins == {((1 + j, 0), j): comb(leaves, j)
+                         for j in range(leaves + 1)}
+    rc = enumerate_joint(g, observed, random_cluster_law(3))
+    assert rc.bins == {((1 + j, 0), j, 1 + leaves - j): comb(leaves, j)
+                       for j in range(leaves + 1)}

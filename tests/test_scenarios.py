@@ -355,10 +355,10 @@ def test_report_makes_one_sweep(argv, monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return run_sweeps(*args)
+        return cluster_rows(*args)
 
-    run_sweeps = exact._run_sweeps
-    monkeypatch.setattr(exact, "_run_sweeps", counting)
+    cluster_rows = exact._origin_cluster_rows
+    monkeypatch.setattr(exact, "_origin_cluster_rows", counting)
     assert main(argv) == 0
     assert len(calls) == 1
 
