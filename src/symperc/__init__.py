@@ -25,7 +25,6 @@ from .exact import (
 from .graphs import (
     Graph,
     GraphError,
-    boundary,
     build_graph,
     bunkbed_graph,
     cartesian_product,
@@ -54,6 +53,7 @@ from .groups import (
 )
 from .mc import (
     EmpiricalJoint,
+    EmpiricalSweep,
     McEstimate,
     estimate_connection,
     estimate_joint,

@@ -354,7 +354,8 @@ def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
                   json_path, csv_path):
     """Connection-probability inequalities on the d-dimensional hypercube."""
     report = scenarios.hypercube_inequality_report(
-        d, _parse_p_list(p_list), mode, cap_bits, mc_n, seed, float(level))
+        d, _parse_p_list(p_list), mode, cap_bits, mc_n, seed, float(level),
+        threads)
     return finish(report, json_path, csv_path)
 
 

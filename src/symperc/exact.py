@@ -205,7 +205,8 @@ class JointOutcomePolynomial:
 
 @dataclass(frozen=True)
 class Observables:
-    """The vertex sets one exact run observes of the origin's cluster.
+    """The vertex sets one exact run (or one Monte Carlo pass, see
+    :func:`symperc.mc.estimate_joint`) observes of the origin's cluster.
 
     Each pair contributes its two sets and each connection target a
     singleton; sets shared by several pairs are observed once.
@@ -604,9 +605,6 @@ class DominationReport:
     margins: tuple[tuple[int, Fraction], ...]
     passes: bool
     trivial_minus: bool  # the support never touches v_minus (empty set)
-
-    def min_margin(self) -> Fraction:
-        return min((m for _, m in self.margins), default=Fraction(0))
 
     def to_json_dict(self) -> dict:
         return {

@@ -234,31 +234,6 @@ def distance(g: Graph, u: int, v: int) -> int:
     return distances_from(g, u)[v]
 
 
-def boundary(g: Graph, a: Iterable[int], k: int) -> VertexSet:
-    """Inner boundary of thickness k: vertices of `a` within distance k of
-    some vertex outside `a`."""
-    if k < 1:
-        raise GraphError(f"boundary thickness must be >= 1, got {k}")
-    a_set = set(as_vertex_set(g, a))
-    outside = [v for v in range(g.n_vertices) if v not in a_set]
-    if not outside:
-        return ()
-    dist = [-1] * g.n_vertices
-    queue = deque()
-    for v in outside:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        if dist[v] >= k:
-            continue
-        for w in g.adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return tuple(sorted(v for v in a_set if dist[v] > 0))
-
-
 def as_vertex_set(g: Graph, vertices: Iterable[int]) -> VertexSet:
     """Validate and canonicalize a vertex collection (sorted, no duplicates)."""
     out = sorted(int(v) for v in vertices)

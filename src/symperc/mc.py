@@ -6,6 +6,14 @@ splitmix64 finalizer.  That makes every estimate bit-reproducible from the
 seed alone, independent of chunking, scheduling, and of whether edges are
 revealed lazily during cluster growth or drawn eagerly up front.
 
+There is one sampling loop, :func:`estimate_joint`, and like the exact
+engine it makes one pass per (graph, origin, p) for every observed pair and
+connection target.  Each sample is keyed by its origin cluster restricted
+to the union of the observed sets; every outcome (a, b) and every
+connection event is a function of that restriction.  Because sample i is
+the same cluster whichever sets are observed, a projection of the shared
+pass gives exactly the counts a separate pass per pair or target would.
+
 Verdicts about the domination margins are deliberately three-valued:
 sampling cannot prove the inequality, so the vocabulary is CONSISTENT,
 VIOLATION, or INCONCLUSIVE rather than a boolean.
@@ -14,11 +22,13 @@ VIOLATION, or INCONCLUSIVE rather than a boolean.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
+from .exact import Observables
 from .graphs import Graph
 from .groups import VertexSetPair
 from .rationals import parse_fraction
@@ -29,6 +39,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 INCONCLUSIVE = "INCONCLUSIVE"
+_SEVERITY = {CONSISTENT: 0, INCONCLUSIVE: 1, VIOLATION: 2}
 
 # A margin lives in [-1, 1]; intervals wider than this resolve nothing.
 MAX_INFORMATIVE_HALF_WIDTH = 0.25
@@ -152,44 +163,91 @@ def sample_cluster(g: Graph, o: int, p, seed: int,
     return tuple(v for v in range(g.n_vertices) if mask >> v & 1)
 
 
-def _sample_chunk(args) -> dict:
-    inc, seed, threshold, o, plus_mask, minus_mask, lo, hi = args
-    counts: dict[tuple[int, int], int] = {}
-    for i in range(lo, hi):
-        cluster = _sample_cluster_mask(inc, seed, i, threshold, o)
-        key = ((cluster & plus_mask).bit_count(),
-               (cluster & minus_mask).bit_count())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _sample_chunk(args) -> Counter:
+    inc, seed, threshold, o, observed, lo, hi = args
+    return Counter(_sample_cluster_mask(inc, seed, i, threshold, o) & observed
+                   for i in range(lo, hi))
 
 
-def estimate_joint(g: Graph, pair: VertexSetPair, p, n: int, seed: int,
-                   chunk_size: int | None = None,
-                   threads: int = 1) -> EmpiricalJoint:
-    """Bin n independent cluster samples by outcome.
+@dataclass(frozen=True)
+class EmpiricalSweep:
+    """Sampled counterpart of :class:`exact.ClusterSweep`.
 
-    Chunk layout and threading only batch the work; sample i's outcome
-    depends on (seed, i) alone, so any layout merges to the same counts.
+    ``bins[key]`` counts the samples whose origin cluster, restricted to the
+    union ``observed`` of the observed sets, is the vertex mask ``key``.
+    Every pair's outcome and every target's connection event is a function
+    of that restriction, so each is a projection of the bins.
+    """
+
+    n_samples: int
+    origin: int
+    observed: int
+    bins: dict[int, int]
+
+    def _check_observed(self, mask: int) -> None:
+        if mask & ~self.observed:
+            raise ValueError("vertex set was not observed by this sweep")
+
+    def joint(self, pair: VertexSetPair) -> EmpiricalJoint:
+        """The binned outcomes (a, b) of an observed pair."""
+        plus = sum(1 << v for v in pair.v_plus)
+        minus = sum(1 << v for v in pair.v_minus)
+        self._check_observed(plus | minus)
+        counts: Counter = Counter()
+        for key, cnt in self.bins.items():
+            counts[(key & plus).bit_count(), (key & minus).bit_count()] += cnt
+        return EmpiricalJoint(n_samples=self.n_samples, counts=dict(counts))
+
+    def hits(self, v: int) -> int:
+        """Samples whose origin cluster contains the observed target v."""
+        self._check_observed(1 << v)
+        return sum(cnt for key, cnt in self.bins.items() if key >> v & 1)
+
+    def connection(self, v: int, level: float = 0.95) -> McEstimate:
+        """Wilson-interval estimate of the probability that v joins the
+        origin's cluster (certain at the origin itself)."""
+        if v == self.origin:
+            return McEstimate(self.n_samples, 1.0, 0.0, level, 1.0, 1.0)
+        return _proportion(self.hits(v), self.n_samples, level)
+
+    def mean_stderr(self, statistic) -> tuple[float, float]:
+        """Mean and standard error of ``statistic(key)``, a function of one
+        sample's restricted cluster, over the samples."""
+        return _mean_stderr(self.n_samples, (
+            (statistic(key), cnt) for key, cnt in self.bins.items()))
+
+
+def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
+                   seed: int, chunk_size: int | None = None,
+                   threads: int = 1) -> EmpiricalJoint | EmpiricalSweep:
+    """Bin n independent cluster samples by what the observed sets see.
+
+    Given a pair, returns its :class:`EmpiricalJoint`; given
+    :class:`exact.Observables`, returns the :class:`EmpiricalSweep` that
+    every observed pair and target projects from.  Chunk layout and
+    threading only batch the work; sample i's cluster depends on (seed, i)
+    alone, so any layout merges to the same counts.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
+    observed = pair if isinstance(pair, Observables) else Observables(
+        pair.origin, (pair,))
     threshold = open_threshold(p)
     inc = _incidence_indexed(g)
-    plus_mask = sum(1 << v for v in pair.v_plus)
-    minus_mask = sum(1 << v for v in pair.v_minus)
+    union = 0
+    for mask in observed.masks():
+        union |= mask
     size = chunk_size or DEFAULT_CHUNK_SIZE
-    jobs = [(inc, seed, threshold, pair.origin, plus_mask, minus_mask,
+    jobs = [(inc, seed, threshold, observed.origin, union,
              lo, min(lo + size, n)) for lo in range(0, n, size)]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_sample_chunk, jobs))
     else:
         parts = [_sample_chunk(job) for job in jobs]
-    counts: dict[tuple[int, int], int] = {}
-    for part in parts:
-        for key, cnt in part.items():
-            counts[key] = counts.get(key, 0) + cnt
-    return EmpiricalJoint(n_samples=n, counts=counts)
+    sweep = EmpiricalSweep(n_samples=n, origin=observed.origin,
+                           observed=union, bins=dict(sum(parts, Counter())))
+    return sweep if observed is pair else sweep.joint(pair)
 
 
 def estimate_connection(g: Graph, o: int, v, p, n: int, seed: int,
@@ -197,24 +255,35 @@ def estimate_connection(g: Graph, o: int, v, p, n: int, seed: int,
     """Wilson-interval estimate of the probability that v joins the
     origin's cluster.
 
-    ``v`` may also be a sequence of targets: one pass over the n samples
-    then records hits for all of them and returns one estimate per target.
+    ``v`` may also be a sequence of targets, all read off one pass of
+    :func:`estimate_joint`; one estimate per target is returned.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
     _z_value(level)
     targets = (v,) if isinstance(v, int) else tuple(v)
-    hits = dict.fromkeys(targets, 0)
-    if any(t != o for t in targets):
-        threshold = open_threshold(p)
-        inc = _incidence_indexed(g)
-        for i in range(n):
-            cluster = _sample_cluster_mask(inc, seed, i, threshold, o)
-            for t in hits:
-                hits[t] += cluster >> t & 1
-    estimates = tuple(McEstimate(n, 1.0, 0.0, level, 1.0, 1.0) if t == o
-                      else _proportion(hits[t], n, level) for t in targets)
+    sweep = estimate_joint(g, Observables(o, targets=targets), p, n, seed)
+    estimates = tuple(sweep.connection(t, level) for t in targets)
     return estimates[0] if isinstance(v, int) else estimates
+
+
+def _mean_stderr(n: int, weighted) -> tuple[float, float]:
+    """Mean and standard error of an integer per-sample statistic given as
+    (value, sample count) pairs."""
+    total = total_sq = 0
+    for x, cnt in weighted:
+        total += x * cnt
+        total_sq += x * x * cnt
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / (n - 1)) if n > 1 else float("inf")
+
+
+def interval_verdict(mean: float, half: float) -> str:
+    """Verdict on "the quantity is >= 0" from an interval mean +/- half: a
+    VIOLATION when it lies entirely below zero; otherwise CONSISTENT when it
+    is narrow enough to be informative and INCONCLUSIVE when it is not."""
+    if mean + half < 0:
+        return VIOLATION
+    return CONSISTENT if half <= MAX_INFORMATIVE_HALF_WIDTH else INCONCLUSIVE
 
 
 def _proportion(hits: int, n: int, level: float) -> McEstimate:
@@ -243,13 +312,6 @@ def empirical_expected_sizes(emp: EmpiricalJoint,
         out.append(McEstimate(n, mean, stderr, level,
                               mean - z * stderr, mean + z * stderr))
     return out[0], out[1]
-
-
-def empirical_probability(emp: EmpiricalJoint, predicate,
-                          level: float = 0.95) -> McEstimate:
-    """Wilson estimate of P(predicate(a, b)) from the binned samples."""
-    hits = sum(cnt for key, cnt in emp.counts.items() if predicate(*key))
-    return _proportion(hits, emp.n_samples, level)
 
 
 @dataclass(frozen=True)
@@ -281,13 +343,11 @@ class DominationVerdict:
 
 def mc_domination_verdict(emp: EmpiricalJoint,
                           level: float = 0.95) -> DominationVerdict:
-    """Per-threshold verdict on the tail margins.
+    """Per-threshold :func:`interval_verdict` on the tail margins.
 
     Margins are paired differences (both indicators from the same sample),
     with a Bonferroni union bound across thresholds so the stated level
-    covers all of them jointly.  An interval entirely below zero is a
-    VIOLATION; otherwise the verdict is CONSISTENT when the interval is
-    narrow enough to be informative and INCONCLUSIVE when it is not.
+    covers all of them jointly.
     """
     if level not in _ALLOWED_LEVELS:
         raise ValueError(f"interval level must be one of {_ALLOWED_LEVELS}")
@@ -299,28 +359,11 @@ def mc_domination_verdict(emp: EmpiricalJoint,
     z = NormalDist().inv_cdf(1 - alpha / 2)
 
     rows = []
-    worst = CONSISTENT
     for t in range(1, t_max + 1):
-        total = 0
-        total_sq = 0
-        for (a, b), cnt in emp.counts.items():
-            d = (1 if a >= t else 0) - (1 if b >= t else 0)
-            total += d * cnt
-            total_sq += d * d * cnt
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        stderr = math.sqrt(var / (n - 1)) if n > 1 else float("inf")
+        mean, stderr = _mean_stderr(n, (
+            ((a >= t) - (b >= t), cnt) for (a, b), cnt in emp.counts.items()))
         half = z * stderr
-        lo, hi = mean - half, mean + half
-        if hi < 0:
-            verdict = VIOLATION
-        elif half <= MAX_INFORMATIVE_HALF_WIDTH:
-            verdict = CONSISTENT
-        else:
-            verdict = INCONCLUSIVE
-        rows.append(ThresholdVerdict(t, mean, lo, hi, verdict))
-        if verdict == VIOLATION:
-            worst = VIOLATION
-        elif verdict == INCONCLUSIVE and worst != VIOLATION:
-            worst = INCONCLUSIVE
-    return DominationVerdict(rows=tuple(rows), level=level, overall=worst)
+        rows.append(ThresholdVerdict(t, mean, mean - half, mean + half,
+                                     interval_verdict(mean, half)))
+    overall = max((r.verdict for r in rows), key=_SEVERITY.__getitem__)
+    return DominationVerdict(rows=tuple(rows), level=level, overall=overall)

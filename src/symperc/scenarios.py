@@ -1,7 +1,7 @@
 """Scenario pipeline: a scenario names a graph, the vertex sets compared on
 it and their symmetry generators.  ``run_scenario`` checks the symmetry
 conditions of every compared pair, makes one exact run that observes all
-of them (or samples them by Monte Carlo) and evaluates the checks.  The
+of them (or one Monte Carlo pass per p) and evaluates the checks.  The
 bunkbed, layered and z2 harnesses are constructors of scenarios; the
 hypercube harness reads its connection probabilities and its instance pairs
 off one run as well.
@@ -13,17 +13,17 @@ record with its confidence interval.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
+from statistics import NormalDist
 
 from . import exact, graphs, groups, mc
 from .exact import BOND, PartitionLaw, parse_law
 from .graphs import Graph, build_graph
-from .groups import Perm, VertexSetPair
+from .groups import Perm
 from .rationals import format_fraction, parse_probability
 
 SCHEMA = "symperc-report/2"
@@ -257,18 +257,15 @@ def exact_p_results(
 
 
 def mc_p_results(
-    g: Graph,
-    pair: VertexSetPair,
+    joints: Sequence[mc.EmpiricalJoint],
     p_grid: Sequence[Fraction],
-    n: int,
     seed: int,
     level: float = 0.95,
-    threads: int = 1,
 ) -> tuple[list[dict], str]:
+    """Summaries and verdicts of one pair's binned samples at each p."""
     results = []
     verdicts = []
-    for p in p_grid:
-        emp = mc.estimate_joint(g, pair, p, n, seed, threads=threads)
+    for p, emp in zip(p_grid, joints):
         est_plus, est_minus = mc.empirical_expected_sizes(emp, level)
         dom = mc.mc_domination_verdict(emp, level)
         verdict = _MC_VERDICT[dom.overall]
@@ -303,8 +300,9 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
 
     Exact mode makes one exact run that observes every compared pair and every
     connection target; each pair's joint law and each target's connection
-    counts are projections of it.  ``require_conditions`` skips a pair whose
-    symmetry check fails (used by the reports that claim a theorem
+    counts are projections of it; Monte Carlo mode makes one sampler pass
+    per p that observes the same sets.  ``require_conditions`` skips a pair
+    whose symmetry check fails (used by the reports that claim a theorem
     instance); otherwise the pair is evaluated and its report records that
     no instance is claimed.
     """
@@ -313,13 +311,18 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     compared = _compared_pairs(sc, g)
     live = [(rel, pair) for rel, pair, conditions in compared
             if conditions.ok or not require_conditions]
-    if sc.mode == "exact" and live:
+    if live:
         targets = tuple(resolve_vertex(g, t) for rel, _ in live
                         for t in (rel.c_far, rel.c_near) if t is not None)
         observed = exact.Observables(live[0][1].origin,
                                      tuple(pair for _, pair in live), targets)
-        sweep = exact.enumerate_joint(g, observed, sc.law,
-                                      cap_bits=sc.cap_bits)
+        if sc.mode == "exact":
+            sweep = exact.enumerate_joint(g, observed, sc.law,
+                                          cap_bits=sc.cap_bits)
+        else:
+            sampled = [mc.estimate_joint(g, observed, p, sc.mc_n, sc.mc_seed,
+                                         threads=threads)
+                       for p in sc.p_grid]
     blocks = []
     for rel, pair, conditions in compared:
         block = {"conditions": conditions.to_json_dict()}
@@ -334,8 +337,9 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
                          verdict=verdict, config_count=poly.total_configs(),
                          polynomial=poly.to_json_dict())
         else:
-            results, verdict = mc_p_results(g, pair, sc.p_grid, sc.mc_n,
-                                            sc.mc_seed, level, threads)
+            results, verdict = mc_p_results(
+                [sweep.joint(pair) for sweep in sampled], sc.p_grid,
+                sc.mc_seed, level)
             block.update(theorem_instance=conditions.ok, results=results,
                          verdict=verdict)
         blocks.append(block)
@@ -624,12 +628,12 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
 
 @dataclass(frozen=True)
 class CValues:
-    """Connection probabilities by graph distance; index 0 is the origin."""
+    """Exact connection probabilities by graph distance; index 0 is the
+    origin."""
 
     d: int
     p: Fraction
-    mode: str
-    values: tuple  # Fractions in exact mode, McEstimates in mc mode
+    values: tuple[Fraction, ...]
 
     def __post_init__(self):
         if len(self.values) != self.d + 1:
@@ -656,34 +660,36 @@ def _hypercube_sweep(g: Graph, pairs, cap_bits: int):
     return sweep, reps, invariant
 
 
-def hypercube_c_values(
-    d: int,
-    p,
-    mode: str = "exact",
-    cap_bits: int = exact.DEFAULT_CAP_BITS,
-    mc_n: int = 100_000,
-    mc_seed: int = 0,
-    level: float = 0.95,
-) -> CValues:
-    """Connection probabilities c_0..c_d on the d-dimensional hypercube.
+def hypercube_c_values(d: int, p,
+                       cap_bits: int = exact.DEFAULT_CAP_BITS) -> CValues:
+    """Exact connection probabilities c_0..c_d on the d-dimensional hypercube.
 
-    Exact mode additionally asserts that every vertex at distance i yields
-    the same value (coordinate permutations fix the origin, so the value can
-    only depend on the distance)."""
+    Also asserts that every vertex at distance i yields the same value
+    (coordinate permutations fix the origin, so the value can only depend
+    on the distance)."""
     p = parse_probability(p)
     g = graphs.hypercube_graph(d)
-    if mode == "exact":
-        _, reps, invariant = _hypercube_sweep(g, (), cap_bits)
-        if not invariant:
-            raise RuntimeError("connection counts differ within a distance class")
-        values = tuple(exact.eval_counts(reps[i], g.n_edges, p)
-                       for i in range(d + 1))
-        if values[0] != 1:
-            raise RuntimeError("origin connection probability must be 1")
-        return CValues(d=d, p=p, mode="exact", values=values)
-    reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
-    ests = mc.estimate_connection(g, 0, reps, p, mc_n, mc_seed, level)
-    return CValues(d=d, p=p, mode="mc", values=ests)
+    _, reps, invariant = _hypercube_sweep(g, (), cap_bits)
+    if not invariant:
+        raise RuntimeError("connection counts differ within a distance class")
+    values = tuple(exact.eval_counts(reps[i], g.n_edges, p)
+                   for i in range(d + 1))
+    if values[0] != 1:
+        raise RuntimeError("origin connection probability must be 1")
+    return CValues(d=d, p=p, values=values)
+
+
+def _c_value_gap(construction: str, k: int, l: int, c: Sequence):
+    """The c-value combination that a construction's expectation gap equals:
+    sum (-1)^i C(k,i) C(l,j) c_{i+j} for ``double_sum``, sum (-1)^i C(k,i)
+    (c_i -/+ c_{i+l}) for ``alternating_block``/``aligned_block``.  ``c``
+    holds probabilities, estimates or one sample's connection indicators."""
+    if construction == "double_sum":
+        return sum((-1) ** i * comb(k, i) * comb(l, j) * c[i + j]
+                   for i in range(k + 1) for j in range(l + 1))
+    sign = {"alternating_block": -1, "aligned_block": 1}[construction]
+    return sum((-1) ** i * comb(k, i) * (c[i] + sign * c[i + l])
+               for i in range(k + 1))
 
 
 def discrete_derivative(values: Sequence, k: int, l: int):
@@ -756,14 +762,15 @@ def hypercube_inequality_report(
     mc_n: int = 100_000,
     mc_seed: int = 0,
     level: float = 0.95,
-    cross_check: bool = True,
+    threads: int = 1,
 ) -> dict:
     """All inequality families on the d-cube for every k + l <= d.
 
     Exact mode also rebuilds each inequality as an expectation gap of an
     explicit symmetric set pair and checks that the gap equals the c-value
     combination exactly (and that the symmetry conditions hold for it).
-    The c-values and every instance pair come from one sweep.
+    The c-values and every instance pair come from one sweep; in Monte
+    Carlo mode every c-value at one p comes from one sampler pass.
     """
     started = time.perf_counter()
     p_grid = parse_p_grid(p_grid)
@@ -771,14 +778,15 @@ def hypercube_inequality_report(
         raise ScenarioFormatError(f"need n >= 1 Monte Carlo samples, got {mc_n}")
     echo = {"name": "hypercube", "d": d,
             "p_grid": [format_fraction(p) for p in p_grid]}
+    g = graphs.hypercube_graph(d)
     results = []
     verdicts = []
-    invariance = None
+    extra = {}
     if mode == "exact":
-        g = graphs.hypercube_graph(d)
-        instances = _hypercube_instances(g, d) if cross_check else []
+        instances = _hypercube_instances(g, d)
         sweep, reps, invariance = _hypercube_sweep(
             g, [inst[3] for inst in instances], cap_bits)
+        extra["invariance"] = invariance
         if not invariance:
             verdicts.append(VIOLATION)
         polys = []  # the symmetry checks wait for the sweep's cap check
@@ -788,33 +796,28 @@ def hypercube_inequality_report(
             polys.append((k, l, name, conditions, sweep.joint(pair)))
         for p in p_grid:
             c = [exact.eval_counts(reps[i], g.n_edges, p) for i in range(d + 1)]
-            entry = _exact_hypercube_entry(d, p, c, polys, cross_check)
-            verdicts.append(entry["verdict"])
-            results.append(entry)
+            results.append(_exact_hypercube_entry(d, p, c, polys))
     else:
-        for p in p_grid:
-            cv = hypercube_c_values(d, p, "mc", cap_bits, mc_n, mc_seed, level)
-            entry = _mc_hypercube_entry(d, p, cv.values, level, mc_seed)
-            verdicts.append(entry["verdict"])
-            results.append(entry)
-    extra = {}
-    if invariance is not None:
-        extra["invariance"] = invariance
-    if mode == "mc":
         extra["mc"] = {"n": mc_n, "seed": mc_seed, "level": level}
+        reps = tuple(g.index_of((1,) * i + (0,) * (d - i))
+                     for i in range(d + 1))
+        observed = exact.Observables(0, targets=reps)
+        for p in p_grid:
+            sweep = mc.estimate_joint(g, observed, p, mc_n, mc_seed,
+                                      threads=threads)
+            results.append(
+                _mc_hypercube_entry(d, p, sweep, reps, level, mc_seed))
+    verdicts += [entry["verdict"] for entry in results]
     return _envelope("hypercube", echo, mode, worst_verdict(verdicts),
                      started, results=results, **extra)
 
 
-def _exact_hypercube_entry(d, p, c, polys, cross_check) -> dict:
+def _exact_hypercube_entry(d, p, c, polys) -> dict:
     rows = []
     ok = True
     for k in range(d + 1):
         for l in range(d - k + 1):
-            double_sum = sum(
-                (-1) ** i * comb(k, i) * comb(l, j) * c[i + j]
-                for i in range(k + 1) for j in range(l + 1)
-            )
+            double_sum = _c_value_gap("double_sum", k, l, c)
             lhs = abs(discrete_derivative(c, k, 0))
             rhs = abs(discrete_derivative(c, k, l))
             row_ok = double_sum >= 0 and lhs >= rhs
@@ -833,18 +836,15 @@ def _exact_hypercube_entry(d, p, c, polys, cross_check) -> dict:
         ok = ok and sign_ok
         derivatives.append({"k": k, "value": format_fraction(val),
                             "sign_ok": sign_ok})
-    entry = {
+    instances, inst_ok = _check_hypercube_instances(p, c, polys)
+    return {
         "p": format_fraction(p),
         "c_values": [format_fraction(x) for x in c],
         "rows": rows,
         "derivatives": derivatives,
+        "instances": instances,
+        "verdict": PASS if ok and inst_ok else VIOLATION,
     }
-    if cross_check:
-        instances, inst_ok = _check_hypercube_instances(p, c, polys)
-        entry["instances"] = instances
-        ok = ok and inst_ok
-    entry["verdict"] = PASS if ok else VIOLATION
-    return entry
 
 
 def _check_hypercube_instances(p, c, polys):
@@ -856,18 +856,7 @@ def _check_hypercube_instances(p, c, polys):
         e_plus, e_minus = exact.expected_sizes(pmf)
         gap = e_plus - e_minus
         dom = exact.check_domination(pmf)
-        if name == "double_sum":
-            predicted = sum(
-                (-1) ** i * comb(k, i) * comb(l, j) * c[i + j]
-                for i in range(k + 1) for j in range(l + 1))
-        elif name == "alternating_block":
-            predicted = sum(
-                (-1) ** i * comb(k, i) * (c[i] - c[i + l])
-                for i in range(k + 1))
-        else:
-            predicted = sum(
-                (-1) ** i * comb(k, i) * (c[i] + c[i + l])
-                for i in range(k + 1))
+        predicted = _c_value_gap(name, k, l, c)
         inst_ok = (conditions.ok and gap == predicted and gap >= 0
                    and dom.passes)
         all_ok = all_ok and inst_ok
@@ -882,43 +871,39 @@ def _check_hypercube_instances(p, c, polys):
     return instances, all_ok
 
 
-def _mc_hypercube_entry(d, p, estimates, level, seed) -> dict:
-    """Monte Carlo inequality rows with conservatively propagated errors."""
-    from statistics import NormalDist
+def _mc_hypercube_entry(d, p, sweep, reps, level, seed) -> dict:
+    """Monte Carlo inequality rows read off one sampler pass.
 
+    Every c_i comes from the same samples, so the estimates are coupled.
+    Each row's estimate is the mean of one linear combination of a sample's
+    connection indicators (for the abs-compare row, the combination that
+    the signs of the two point derivatives select), and its standard error
+    is that combination's empirical standard error over the samples.
+    """
+    estimates = [sweep.connection(v, level) for v in reps]
     values = [e.estimate for e in estimates]
-    errs = [e.stderr for e in estimates]
     n_rows = (d + 1) * (d + 2)  # rough row count for the union bound
     z = NormalDist().inv_cdf(1 - (1 - level) / (2 * n_rows))
 
-    def verdict_ge_zero(val, err):
-        half = z * err
-        if val + half < 0:
-            return mc.VIOLATION
-        if half <= mc.MAX_INFORMATIVE_HALF_WIDTH:
-            return mc.CONSISTENT
-        return mc.INCONCLUSIVE
+    def indicators(key):
+        return [key >> v & 1 for v in reps]
 
     rows = []
-    overall = mc.CONSISTENT
+    verdicts = []
     for k in range(d + 1):
         for l in range(d - k + 1):
-            val = sum((-1) ** i * comb(k, i) * comb(l, j) * values[i + j]
-                      for i in range(k + 1) for j in range(l + 1))
-            err = _rss([comb(k, i) * comb(l, j) * errs[i + j]
-                              for i in range(k + 1) for j in range(l + 1)])
+            val = _c_value_gap("double_sum", k, l, values)
+            _, err = sweep.mean_stderr(
+                lambda key: _c_value_gap("double_sum", k, l, indicators(key)))
             lhs = discrete_derivative(values, k, 0)
             rhs = discrete_derivative(values, k, l)
-            err_k = _rss([comb(k, i) * errs[i] for i in range(k + 1)])
-            err_kl = _rss([comb(k, i) * errs[l + i]
-                                 for i in range(k + 1)])
-            v1 = verdict_ge_zero(val, err)
-            v2 = verdict_ge_zero(abs(lhs) - abs(rhs), err_k + err_kl)
-            for v in (v1, v2):
-                if v == mc.VIOLATION:
-                    overall = mc.VIOLATION
-                elif v == mc.INCONCLUSIVE and overall != mc.VIOLATION:
-                    overall = mc.INCONCLUSIVE
+            s0, s1 = (-1 if lhs < 0 else 1), (-1 if rhs < 0 else 1)
+            _, err_abs = sweep.mean_stderr(
+                lambda key: s0 * discrete_derivative(indicators(key), k, 0)
+                - s1 * discrete_derivative(indicators(key), k, l))
+            v1 = mc.interval_verdict(val, z * err)
+            v2 = mc.interval_verdict(abs(lhs) - abs(rhs), z * err_abs)
+            verdicts += (_MC_VERDICT[v1], _MC_VERDICT[v2])
             rows.append({
                 "k": k, "l": l, "double_sum": val, "double_sum_stderr": err,
                 "abs_derivative_at_0": abs(lhs),
@@ -930,13 +915,8 @@ def _mc_hypercube_entry(d, p, estimates, level, seed) -> dict:
         "c_values": [e.to_json_dict(f"c_{i}", seed) for i, e in
                      enumerate(estimates)],
         "rows": rows,
-        "verdict": _MC_VERDICT[overall],
+        "verdict": worst_verdict(verdicts),
     }
-
-
-def _rss(xs) -> float:
-    """Root sum of squares (error propagation for independent estimates)."""
-    return math.sqrt(sum(x * x for x in xs))
 
 
 # ---------------------------------------------------------------------------

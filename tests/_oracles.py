@@ -5,12 +5,19 @@ oracles draw configurations from itertools.product and find connectivity
 with union-find; the bitmask sweep (``brute_force_bins``) grows the
 origin's cluster in every one of the 2^units configurations, where the
 package sums over the clusters themselves.  Expected values in the tests
-were computed with these oracles and then frozen as literals.
+were computed with these oracles and then frozen as literals.  The
+hypothesis strategy ``observed_graphs`` draws the cases that the exact and
+the Monte Carlo projection properties share.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
+
+from hypothesis import strategies as st
+
+from symperc.graphs import explicit_graph
+from symperc.groups import make_pair
 
 
 class DSU:
@@ -230,3 +237,25 @@ def expectations(pmf):
     e_plus = sum((w * a for (a, _), w in pmf.items()), Fraction(0))
     e_minus = sum((w * b for (_, b), w in pmf.items()), Fraction(0))
     return e_plus, e_minus
+
+
+@st.composite
+def observed_graphs(draw):
+    """A connected graph of at most 10 edges, an origin, one to three pairs
+    holding it, and connection targets."""
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)))):
+        if u != v and len(edges) < 10:
+            edges.add((min(u, v), max(u, v)))
+    g = explicit_graph(n, sorted(edges))
+    o = draw(st.integers(0, n - 1))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pairs.append(make_pair(
+            g, [v for v in range(n) if side[v] == 1 or v == o],
+            [v for v in range(n) if side[v] == 2 and v != o], o))
+    targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return g, o, pairs, targets

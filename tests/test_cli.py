@@ -158,19 +158,46 @@ def test_main_keeps_no_redirected_stream_alive():
     assert [ref() for ref in refs] == [None, None]
 
 
-def test_hypercube_mc_one_pass_per_p_with_the_real_seed(tmp_path,
-                                                         monkeypatch):
+def _count_sampler_passes(monkeypatch) -> list:
+    """Record the keyword arguments of every mc.estimate_joint call."""
     passes = []
+    estimate_joint = mc.estimate_joint
 
     def counting(*args, **kwargs):
-        passes.append(args)
-        return estimate_connection(*args, **kwargs)
+        passes.append(kwargs)
+        return estimate_joint(*args, **kwargs)
 
-    estimate_connection = mc.estimate_connection
-    monkeypatch.setattr(mc, "estimate_connection", counting)
+    monkeypatch.setattr(mc, "estimate_joint", counting)
+    return passes
+
+
+def test_hypercube_mc_one_pass_per_p_with_the_real_seed(tmp_path,
+                                                         monkeypatch):
+    passes = _count_sampler_passes(monkeypatch)
     out = tmp_path / "hc.json"
     assert main(["hypercube", "--d", "2", "--mode", "mc", "--n", "2000",
                  "--seed", "17", "--p", "1/3,1/2", "--json", str(out)]) in (0, 2)
     assert len(passes) == 2
     for entry in json.loads(out.read_text())["results"]:
         assert [c["seed"] for c in entry["c_values"]] == [17, 17, 17]
+
+
+def test_hypercube_mc_threads_reach_the_sampler(tmp_path, monkeypatch):
+    passes = _count_sampler_passes(monkeypatch)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"hc{threads}.json"
+        assert main(["hypercube", "--d", "3", "--mode", "mc", "--n", "20000",
+                     "--threads", threads, "--json", str(out)]) in (0, 2)
+        report = json.loads(out.read_text())
+        del report["elapsed_seconds"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert [kw["threads"] for kw in passes] == [1, 2]
+
+
+def test_z2_mc_one_sampler_pass_per_p(monkeypatch):
+    passes = _count_sampler_passes(monkeypatch)
+    assert main(["z2", "--size", "3", "--mode", "mc", "--n", "2000",
+                 "--p", "1/4,1/2"]) in (0, 2)
+    assert len(passes) == 2

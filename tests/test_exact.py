@@ -39,6 +39,7 @@ from _oracles import (
     brute_force_bins,
     bond_joint_pmf,
     expectations,
+    observed_graphs,
     rc_joint_pmf,
     site_joint_pmf,
 )
@@ -280,28 +281,6 @@ def test_polynomial_json_round_trip():
         poly = enumerate_joint(g, pair, law)
         assert JointOutcomePolynomial.from_json_dict(
             poly.to_json_dict()) == poly
-
-
-@st.composite
-def observed_graphs(draw):
-    """A connected graph of at most 10 edges, an origin, one to three pairs
-    holding it, and connection targets."""
-    n = draw(st.integers(1, 6))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                        st.integers(0, n - 1)))):
-        if u != v and len(edges) < 10:
-            edges.add((min(u, v), max(u, v)))
-    g = explicit_graph(n, sorted(edges))
-    o = draw(st.integers(0, n - 1))
-    pairs = []
-    for _ in range(draw(st.integers(1, 3))):
-        side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        pairs.append(make_pair(
-            g, [v for v in range(n) if side[v] == 1 or v == o],
-            [v for v in range(n) if side[v] == 2 and v != o], o))
-    targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-    return g, o, pairs, targets
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

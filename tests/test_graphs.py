@@ -5,7 +5,6 @@ import pytest
 from symperc import graphs
 from symperc.graphs import (
     GraphError,
-    boundary,
     build_graph,
     bunkbed_graph,
     cartesian_product,
@@ -88,26 +87,6 @@ def test_distance_is_a_metric(g):
         for v in range(g.n_vertices):
             for w in range(g.n_vertices):
                 assert dist[u][w] <= dist[u][v] + dist[v][w]
-
-
-def test_boundary_examples():
-    g = cycle_graph(8)
-    assert boundary(g, range(8), 1) == ()  # complement empty
-    assert boundary(g, [0, 1, 2, 3], 1) == (0, 3)
-    assert boundary(g, [0, 1, 2, 3], 2) == (0, 1, 2, 3)
-
-
-def test_boundary_oracle_and_nesting():
-    # oracle: direct distance check per vertex
-    g = torus_graph(3, 4)
-    a = [0, 1, 2, 5, 6]
-    dist = [distances_from(g, v) for v in range(g.n_vertices)]
-    outside = [v for v in range(g.n_vertices) if v not in a]
-    for k in (1, 2, 3):
-        expect = tuple(sorted(
-            v for v in a if any(dist[v][w] <= k for w in outside)))
-        assert boundary(g, a, k) == expect
-    assert set(boundary(g, a, 1)) <= set(boundary(g, a, 2)) <= set(a)
 
 
 def test_build_graph_spec_dispatch():

@@ -1,9 +1,17 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symperc import mc
-from symperc.exact import connection_probability, enumerate_joint, eval_joint
+from symperc.exact import (
+    Observables,
+    connection_probability,
+    enumerate_joint,
+    eval_joint,
+)
 from symperc.graphs import bunkbed_graph, cycle_graph, path_graph, torus_graph
 from symperc.groups import make_pair
 from symperc.mc import (
@@ -20,7 +28,7 @@ from symperc.mc import (
     wilson_interval,
 )
 
-from _oracles import eager_cluster_mask
+from _oracles import eager_cluster_mask, observed_graphs
 
 HALF = F(1, 2)
 
@@ -75,6 +83,34 @@ def test_single_sample_single_bin():
     g, pair = c4_bunkbed()
     emp = estimate_joint(g, pair, HALF, 1, seed=0)
     assert emp.n_samples == 1 and len(emp.counts) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(observed_graphs(), st.sampled_from([F(1, 3), HALF, F(3, 5)]))
+def test_one_pass_projects_every_pair_and_target(case, p):
+    g, o, pairs, targets = case
+    n, seed = 300, 11
+    clusters = [set(sample_cluster(g, o, p, seed, i)) for i in range(n)]
+    observed = Observables(o, tuple(pairs), tuple(targets))
+    for chunk_size in (None, 37):
+        sweep = estimate_joint(g, observed, p, n, seed, chunk_size=chunk_size)
+        for pair in pairs:
+            joint = sweep.joint(pair)
+            assert joint == estimate_joint(g, pair, p, n, seed)
+            assert joint.counts == Counter(
+                (len(c & set(pair.v_plus)), len(c & set(pair.v_minus)))
+                for c in clusters)
+        for t in targets:
+            assert sweep.hits(t) == sum(t in c for c in clusters)
+
+
+def test_sweep_rejects_unobserved_sets():
+    g, pair = c4_bunkbed()
+    sweep = estimate_joint(g, Observables(0, targets=(3,)), HALF, 10, seed=0)
+    with pytest.raises(ValueError):
+        sweep.joint(pair)
+    with pytest.raises(ValueError):
+        sweep.hits(1)
 
 
 def test_lazy_equals_eager():

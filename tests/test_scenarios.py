@@ -1,8 +1,11 @@
+import math
+import statistics
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from symperc import exact, scenarios
+from symperc import exact, mc, scenarios
 from symperc.graphs import hypercube_graph
 from symperc.scenarios import (
     PASS,
@@ -72,7 +75,7 @@ def test_discrete_derivative_examples():
 
 def test_cvalues_length_check():
     with pytest.raises(ValueError):
-        CValues(d=2, p=HALF, mode="exact", values=(F(1),))
+        CValues(d=2, p=HALF, values=(F(1),))
 
 
 def test_hypercube_report_d3_exact():
@@ -109,6 +112,26 @@ def test_hypercube_mc_mode_consistent():
     for est, true in zip(entry["c_values"], exact_c):
         if est["estimate"] not in (1.0,):
             assert est["ci"][0] <= float(true) <= est["ci"][1]
+
+
+def test_hypercube_mc_stderr_accounts_for_coupling():
+    # every c_i comes from the same samples, so a row's standard error is
+    # that of its combination of one sample's connection indicators
+    d, n, seed = 3, 2000, 5
+    rep = hypercube_inequality_report(d, ["1/2"], mode="mc", mc_n=n,
+                                      mc_seed=seed)
+    g = hypercube_graph(d)
+    reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
+    hits = []
+    for i in range(n):
+        cluster = set(mc.sample_cluster(g, 0, HALF, seed, i))
+        hits.append([v in cluster for v in reps])
+    for row in rep["results"][0]["rows"]:
+        k, l = row["k"], row["l"]
+        xs = [sum((-1) ** i * comb(k, i) * comb(l, j) * h[i + j]
+                  for i in range(k + 1) for j in range(l + 1)) for h in hits]
+        assert row["double_sum_stderr"] == pytest.approx(
+            statistics.stdev(xs) / math.sqrt(n), rel=1e-9, abs=1e-15)
 
 
 def test_hypercube_cap():
