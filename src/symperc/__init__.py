@@ -16,7 +16,6 @@ from .exact import (
     check_domination,
     check_partition_identity,
     check_ratio_identity,
-    connection_probability,
     enumerate_joint,
     eval_joint,
     expected_sizes,
@@ -55,18 +54,15 @@ from .mc import (
     EmpiricalJoint,
     EmpiricalSweep,
     McEstimate,
-    estimate_connection,
     estimate_joint,
     mc_domination_verdict,
     sample_cluster,
 )
 from .scenarios import (
-    CValues,
     Scenario,
     bunkbed_scenario,
     discrete_derivative,
     group_theorem_battery,
-    hypercube_c_values,
     hypercube_inequality_report,
     layered_scenario,
     run_scenario,

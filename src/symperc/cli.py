@@ -328,7 +328,7 @@ def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads, json_path,
 @cli.command("verify-group-theorem")
 @click.option("--group", "group_name", required=True,
               help="named action: d4-on-c4 or bunkbed-c3")
-@click.option("--trials", type=int, default=100)
+@click.option("--trials", type=click.IntRange(min=0), default=100)
 @seed_opt
 @json_opt
 @csv_opt

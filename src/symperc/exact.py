@@ -27,6 +27,11 @@ the bins are integer-identical to those of the brute-force sweep, which
 the tests keep as their oracle.  The polynomial-in-p representation is
 evaluated exactly (as Fractions) at as many parameters as needed.
 
+:func:`enumerate_joint` is the only way to these counts.  A pair's law is
+``eval_joint(sweep.joint(pair), p)``; a connection probability is
+``eval_counts(sweep.connection(v), sweep.units, p)`` for a sweep that
+observes the target, ``enumerate_joint(g, Observables(o, targets=(v,)))``.
+
 Polynomials are Python integers with one coefficient per field of
 units+2 bits (Kronecker substitution).  No coefficient exceeds 2^units, so
 products, sums and the subtraction above never carry across fields.
@@ -43,7 +48,7 @@ checks mean exact zero.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -175,28 +180,6 @@ class JointOutcomePolynomial:
                 for (k, c), cnt in sorted(sub.items())
             ]
         return out
-
-    @staticmethod
-    def from_json_dict(d: Mapping) -> "JointOutcomePolynomial":
-        counts = {
-            (int(o["a"]), int(o["b"])): tuple(int(x) for x in o["counts"])
-            for o in d["outcomes"]
-        }
-        component_counts = None
-        if "component_counts" in d:
-            component_counts = {}
-            for row in d["component_counts"]:
-                key = (int(row["a"]), int(row["b"]))
-                sub = component_counts.setdefault(key, {})
-                sub[(int(row["k"]), int(row["components"]))] = int(row["count"])
-        return JointOutcomePolynomial(
-            units=int(d["edges"]),
-            n_plus=int(d["n_plus"]),
-            n_minus=int(d["n_minus"]),
-            law=parse_law(d["law"]),
-            counts=counts,
-            component_counts=component_counts,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -553,22 +536,21 @@ def _powers(x: Fraction, top: int) -> list[Fraction]:
     return out
 
 
-def eval_joint(poly: JointOutcomePolynomial, p,
-               law: PartitionLaw | None = None) -> Pmf:
-    """Exact probability of each outcome at parameter p (sums to 1)."""
+def eval_joint(poly: JointOutcomePolynomial, p) -> Pmf:
+    """Exact probability of each outcome at parameter p under the
+    polynomial's own law (sums to 1)."""
     p = parse_fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    law = poly.law if law is None else law
     units = poly.units
     pk = _powers(p, units)
     qk = _powers(1 - p, units)
 
     pmf: Pmf = {}
-    if law.kind == "random_cluster":
+    if poly.law.kind == "random_cluster":
         if poly.component_counts is None:
             raise ValueError("polynomial lacks component counts for this law")
-        q = law.q
+        q = poly.law.q
         weights: dict[tuple[int, int], Fraction] = {}
         total = Fraction(0)
         for key, sub in poly.component_counts.items():
@@ -589,6 +571,16 @@ def eval_joint(poly: JointOutcomePolynomial, p,
     if sum(pmf.values()) != 1:
         raise RuntimeError("pmf does not sum to exactly 1")
     return pmf
+
+
+def eval_counts(vec: Sequence[int], units: int, p) -> Fraction:
+    """Evaluate a count vector, such as ``ClusterSweep.connection(v)``, as
+    an exact probability at p."""
+    p = parse_fraction(p)
+    pk = _powers(p, units)
+    qk = _powers(1 - p, units)
+    return sum((cnt * pk[k] * qk[units - k] for k, cnt in enumerate(vec) if cnt),
+               Fraction(0))
 
 
 def expected_sizes(pmf: Pmf) -> tuple[Fraction, Fraction]:
@@ -636,33 +628,21 @@ def check_domination(pmf: Pmf) -> DominationReport:
     )
 
 
-TestFunction = tuple[str, Callable[[int], Fraction | int]]
-
-
-def default_test_functions(pmf: Pmf) -> list[TestFunction]:
-    """Threshold indicators for t = 1..(n_plus + n_minus) plus n and n^2."""
-    t_max = max((a + b for (a, b) in pmf), default=1)
-    fns: list[TestFunction] = []
-    for t in range(1, t_max + 1):
-        fns.append((f"ind_ge_{t}", lambda n, t=t: 1 if n >= t else 0))
-    fns.append(("identity", lambda n: n))
-    fns.append(("square", lambda n: n * n))
-    return fns
-
-
-def check_partition_identity(pmf: Pmf,
-                             f_family: Sequence[TestFunction] | None = None,
-                             ) -> dict[str, Fraction]:
-    """Residual of the reweighting identity for each test function.
+def check_partition_identity(pmf: Pmf) -> dict[str, Fraction]:
+    """Residual of the reweighting identity for each test function: the
+    threshold indicators ``ind_ge_t`` for t = 1..max(a + b), then
+    ``identity`` (n) and ``square`` (n^2).
 
     Both sides are exact expectations; under the symmetry conditions the
     residual is exactly 0 for every bounded f.  The denominator a + b never
     vanishes because the origin's cluster always meets v_plus.
     """
-    if f_family is None:
-        f_family = default_test_functions(pmf)
+    t_max = max((a + b for (a, b) in pmf), default=1)
+    family = [(f"ind_ge_{t}", lambda n, t=t: 1 if n >= t else 0)
+              for t in range(1, t_max + 1)]
+    family += [("identity", lambda n: n), ("square", lambda n: n * n)]
     residuals: dict[str, Fraction] = {}
-    for name, f in f_family:
+    for name, f in family:
         lhs = Fraction(0)
         rhs = Fraction(0)
         for (a, b), prob in pmf.items():
@@ -682,34 +662,3 @@ def check_ratio_identity(pmf: Pmf) -> tuple[Fraction, Fraction]:
     rhs = sum((prob for (_, b), prob in pmf.items() if b > 0), Fraction(0))
     return lhs, rhs
 
-
-# ---------------------------------------------------------------------------
-# connection probabilities
-
-
-def connection_counts(g: Graph, o: int,
-                      targets: Sequence[int] | None = None,
-                      cap_bits: int = DEFAULT_CAP_BITS,
-                      ) -> dict[int, tuple[int, ...]]:
-    """Per-target counts of configurations (by open-edge number) in which the
-    target sits in the origin's cluster, projected from one run that
-    observes every target."""
-    targets = tuple(range(g.n_vertices) if targets is None else targets)
-    sweep = enumerate_joint(g, Observables(o, targets=targets), BOND, cap_bits)
-    return {v: sweep.connection(v) for v in targets}
-
-
-def eval_counts(vec: Sequence[int], units: int, p) -> Fraction:
-    """Evaluate a count vector as an exact probability at p."""
-    p = parse_fraction(p)
-    pk = _powers(p, units)
-    qk = _powers(1 - p, units)
-    return sum((cnt * pk[k] * qk[units - k] for k, cnt in enumerate(vec) if cnt),
-               Fraction(0))
-
-
-def connection_probability(g: Graph, o: int, v: int, p,
-                           cap_bits: int = DEFAULT_CAP_BITS) -> Fraction:
-    """Exact probability that v lies in the origin's cluster."""
-    vec = connection_counts(g, o, [v], cap_bits)[v]
-    return eval_counts(vec, g.n_edges, p)

@@ -483,13 +483,23 @@ def lift_first_factor(base_perm: Sequence[int], n_second: int) -> Perm:
 
 def build_generator(g: Graph, spec) -> Perm:
     """Resolve one generator spec: an explicit image array, or a named
-    builder dict like {"name": "axis_rotation", "axis": 0, "step": 1}."""
+    builder dict like {"name": "axis_rotation", "axis": 0, "step": 1}.
+    {"name": "compose", "of": [...]} applies the listed specs right to
+    left."""
     if isinstance(spec, (list, tuple)):
         return _check_perm(spec, g.n_vertices)
     if isinstance(spec, Mapping):
         name = spec.get("name")
         if name is None and "perm" in spec:
             return _check_perm(spec["perm"], g.n_vertices)
+        if name == "compose":
+            parts = [build_generator(g, part) for part in spec["of"]]
+            if not parts:
+                raise GroupError("compose needs at least one part")
+            out = parts[-1]
+            for part in reversed(parts[:-1]):
+                out = compose(part, out)
+            return out
         if name == "layer_swap":
             return layer_swap(g)
         if name == "axis_rotation":

@@ -13,6 +13,10 @@ to the union of the observed sets; every outcome (a, b) and every
 connection event is a function of that restriction.  Because sample i is
 the same cluster whichever sets are observed, a projection of the shared
 pass gives exactly the counts a separate pass per pair or target would.
+It is also the only way in: a connection estimate is the projection
+``connection(v, level)`` of a pass that observes the target, and every
+sampled mean other than a proportion takes its standard error from one
+formula, :func:`_mean_stderr`.
 
 Verdicts about the domination margins are deliberately three-valued:
 sampling cannot prove the inequality, so the vocabulary is CONSISTENT,
@@ -250,21 +254,6 @@ def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
     return sweep if observed is pair else sweep.joint(pair)
 
 
-def estimate_connection(g: Graph, o: int, v, p, n: int, seed: int,
-                        level: float = 0.95):
-    """Wilson-interval estimate of the probability that v joins the
-    origin's cluster.
-
-    ``v`` may also be a sequence of targets, all read off one pass of
-    :func:`estimate_joint`; one estimate per target is returned.
-    """
-    _z_value(level)
-    targets = (v,) if isinstance(v, int) else tuple(v)
-    sweep = estimate_joint(g, Observables(o, targets=targets), p, n, seed)
-    estimates = tuple(sweep.connection(t, level) for t in targets)
-    return estimates[0] if isinstance(v, int) else estimates
-
-
 def _mean_stderr(n: int, weighted) -> tuple[float, float]:
     """Mean and standard error of an integer per-sample statistic given as
     (value, sample count) pairs."""
@@ -302,14 +291,10 @@ def empirical_expected_sizes(emp: EmpiricalJoint,
     """Normal-approximation estimates of the two expected sizes."""
     z = _z_value(level)
     out = []
-    n = emp.n_samples
     for coord in (0, 1):
-        total = sum(key[coord] * cnt for key, cnt in emp.counts.items())
-        total_sq = sum(key[coord] ** 2 * cnt for key, cnt in emp.counts.items())
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0)
-        stderr = math.sqrt(var / (n - 1)) if n > 1 else 0.0
-        out.append(McEstimate(n, mean, stderr, level,
+        mean, stderr = _mean_stderr(emp.n_samples, (
+            (key[coord], cnt) for key, cnt in emp.counts.items()))
+        out.append(McEstimate(emp.n_samples, mean, stderr, level,
                               mean - z * stderr, mean + z * stderr))
     return out[0], out[1]
 
@@ -349,8 +334,7 @@ def mc_domination_verdict(emp: EmpiricalJoint,
     with a Bonferroni union bound across thresholds so the stated level
     covers all of them jointly.
     """
-    if level not in _ALLOWED_LEVELS:
-        raise ValueError(f"interval level must be one of {_ALLOWED_LEVELS}")
+    _z_value(level)
     n = emp.n_samples
     max_a = max((a for (a, _) in emp.counts), default=0)
     max_b = max((b for (_, b) in emp.counts), default=0)

@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 from . import exact, graphs, groups, mc
 from .exact import BOND, PartitionLaw, parse_law
-from .graphs import Graph, build_graph
+from .graphs import Graph, GraphError, build_graph
 from .groups import Perm
 from .rationals import format_fraction, parse_probability
 
@@ -122,10 +122,13 @@ class Scenario:
 
 
 def _parsed(what: str, parse, value):
-    """``parse(value)``, with a failure reported as malformed input."""
+    """``parse(value)``, with a failure reported as malformed input; the
+    graph, group and scenario errors keep their own exit code."""
     try:
         return parse(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ScenarioError, GraphError, groups.GroupError):
+        raise
+    except (LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad {what} {value!r}: {exc}") from None
 
 
@@ -142,8 +145,8 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         v_plus = tuple(doc["v_plus"])
         v_minus = tuple(doc["v_minus"])
         origin = doc["origin"]
-    except (KeyError, TypeError) as exc:
-        raise ScenarioFormatError(f"scenario misses required field: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"bad or missing scenario field: {exc}") from None
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, Mapping):
         raise ScenarioFormatError(f"mc must be an object, got {mc_doc!r}")
@@ -153,7 +156,7 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         v_plus=v_plus,
         v_minus=v_minus,
         origin=origin,
-        generators=tuple(doc.get("generators", [])),
+        generators=_parsed("generators", tuple, doc.get("generators", [])),
         law=_parsed("law", parse_law, doc.get("law", "bond")),
         p_grid=parse_p_grid(doc.get("p_grid", ["1/2"])),
         mode=doc.get("mode", "exact"),
@@ -171,7 +174,7 @@ def resolve_vertex(g: Graph, item) -> int:
             raise ScenarioFormatError(f"vertex index {item} out of range")
         return item
     if isinstance(item, (list, tuple)):
-        return g.index_of(tuple(int(x) for x in item))
+        return g.index_of(tuple(_parsed("vertex label", int, x) for x in item))
     raise ScenarioFormatError(f"bad vertex reference: {item!r}")
 
 
@@ -187,24 +190,11 @@ def _compared_pairs(sc: Scenario, g: Graph):
             [resolve_vertex(g, v) for v in rel.v_minus],
             origin,
         )
-        gens = [build_generator_spec(g, spec) for spec in rel.generators]
+        gens = [_parsed("generator", lambda s: groups.build_generator(g, s),
+                        spec) for spec in rel.generators]
         grp = groups.generate_group(gens, n_points=g.n_vertices)
         out.append((rel, pair, groups.check_symmetry_conditions(g, grp, pair)))
     return out
-
-
-def build_generator_spec(g: Graph, spec) -> Perm:
-    """Generator spec resolution, extended with {"name": "compose",
-    "of": [...]} applying the listed specs right-to-left."""
-    if isinstance(spec, Mapping) and spec.get("name") == "compose":
-        parts = [build_generator_spec(g, s) for s in spec["of"]]
-        if not parts:
-            raise groups.GroupError("compose needs at least one part")
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = groups.compose(part, out)
-        return out
-    return groups.build_generator(g, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +297,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     no instance is claimed.
     """
     started = time.perf_counter()
-    g = build_graph(sc.graph_spec)
+    g = _parsed("graph", build_graph, sc.graph_spec)
     compared = _compared_pairs(sc, g)
     live = [(rel, pair) for rel, pair, conditions in compared
             if conditions.ok or not require_conditions]
@@ -389,7 +379,7 @@ def scenario_echo(sc: Scenario) -> dict:
 
 def check_symmetry_report(sc: Scenario) -> dict:
     started = time.perf_counter()
-    g = build_graph(sc.graph_spec)
+    g = _parsed("graph", build_graph, sc.graph_spec)
     conditions = _compared_pairs(sc, g)[0][2]
     verdict = PASS if conditions.ok else PRECONDITION_FAILED
     return _envelope("check-symmetry", scenario_echo(sc), sc.mode, verdict,
@@ -495,7 +485,7 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
                      law="bond", **settings) -> Scenario:
     """Two stacked copies of the base: compare the origin's layer with the
     other layer under the lifted base symmetries and the layer swap."""
-    base = build_graph(base_spec)
+    base = _parsed("base graph", build_graph, base_spec)
     layers = range(0, 2 * base.n_vertices, 2)
     return Scenario(
         name="bunkbed",
@@ -555,7 +545,7 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     Rotations by the pattern period and the reflection through k/2 provide
     the symmetries on the cycle coordinate.
     """
-    base = build_graph(base_spec)
+    base = _parsed("base graph", build_graph, base_spec)
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
     axis = len(base.labels[0])  # the cycle coordinate of the cylinder
     gens = _lifted_base_perms(base_spec, base)
@@ -624,59 +614,6 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
 
 # ---------------------------------------------------------------------------
 # scenario harness: hypercube connection-probability inequalities
-
-
-@dataclass(frozen=True)
-class CValues:
-    """Exact connection probabilities by graph distance; index 0 is the
-    origin."""
-
-    d: int
-    p: Fraction
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.d + 1:
-            raise ValueError("need one value per distance 0..d")
-
-
-def _hypercube_sweep(g: Graph, pairs, cap_bits: int):
-    """One exact run on the cube observing every vertex and the given pairs.
-
-    Returns the sweep, one connection-count vector per distance from the
-    origin, and whether every vertex at a distance has the same vector
-    (coordinate permutations fix the origin, so it must)."""
-    sweep = exact.enumerate_joint(
-        g, exact.Observables(0, tuple(pairs), tuple(range(g.n_vertices))),
-        BOND, cap_bits=cap_bits)
-    dist = graphs.distances_from(g, 0)
-    by_distance: dict[int, list] = {}
-    for v in range(g.n_vertices):
-        by_distance.setdefault(dist[v], []).append(sweep.connection(v))
-    invariant = all(
-        all(vec == vecs[0] for vec in vecs) for vecs in by_distance.values()
-    )
-    reps = {i: vecs[0] for i, vecs in by_distance.items()}
-    return sweep, reps, invariant
-
-
-def hypercube_c_values(d: int, p,
-                       cap_bits: int = exact.DEFAULT_CAP_BITS) -> CValues:
-    """Exact connection probabilities c_0..c_d on the d-dimensional hypercube.
-
-    Also asserts that every vertex at distance i yields the same value
-    (coordinate permutations fix the origin, so the value can only depend
-    on the distance)."""
-    p = parse_probability(p)
-    g = graphs.hypercube_graph(d)
-    _, reps, invariant = _hypercube_sweep(g, (), cap_bits)
-    if not invariant:
-        raise RuntimeError("connection counts differ within a distance class")
-    values = tuple(exact.eval_counts(reps[i], g.n_edges, p)
-                   for i in range(d + 1))
-    if values[0] != 1:
-        raise RuntimeError("origin connection probability must be 1")
-    return CValues(d=d, p=p, values=values)
 
 
 def _c_value_gap(construction: str, k: int, l: int, c: Sequence):
@@ -784,8 +721,17 @@ def hypercube_inequality_report(
     extra = {}
     if mode == "exact":
         instances = _hypercube_instances(g, d)
-        sweep, reps, invariance = _hypercube_sweep(
-            g, [inst[3] for inst in instances], cap_bits)
+        sweep = exact.enumerate_joint(
+            g, exact.Observables(0, tuple(inst[3] for inst in instances),
+                                 tuple(range(g.n_vertices))),
+            BOND, cap_bits=cap_bits)
+        # coordinate permutations fix the origin, so every vertex at one
+        # distance must have the same connection counts
+        by_distance: dict[int, list] = {}
+        for v, dist in enumerate(graphs.distances_from(g, 0)):
+            by_distance.setdefault(dist, []).append(sweep.connection(v))
+        invariance = all(vec == vecs[0] for vecs in by_distance.values()
+                         for vec in vecs)
         extra["invariance"] = invariance
         if not invariance:
             verdicts.append(VIOLATION)
@@ -795,7 +741,8 @@ def hypercube_inequality_report(
             conditions = groups.check_symmetry_conditions(g, grp, pair)
             polys.append((k, l, name, conditions, sweep.joint(pair)))
         for p in p_grid:
-            c = [exact.eval_counts(reps[i], g.n_edges, p) for i in range(d + 1)]
+            c = [exact.eval_counts(by_distance[i][0], g.n_edges, p)
+                 for i in range(d + 1)]
             results.append(_exact_hypercube_entry(d, p, c, polys))
     else:
         extra["mc"] = {"n": mc_n, "seed": mc_seed, "level": level}

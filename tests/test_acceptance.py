@@ -140,7 +140,8 @@ def test_criterion_6_mc_exact_consistency():
     pair = make_pair(g, [0, 2], [1, 3], origin=0)
     seed, n = 42, 100_000
 
-    conn = mc.estimate_connection(g, 0, 3, HALF, n, seed, level=0.99)
+    conn = mc.estimate_joint(g, exact.Observables(0, targets=(3,)), HALF, n,
+                             seed).connection(3, level=0.99)
     ok = conn.lo <= 7 / 16 <= conn.hi
 
     emp = mc.estimate_joint(g, pair, HALF, n, seed)

@@ -1,7 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symperc import mc
 from symperc.cli import main, to_stable_json
@@ -128,6 +135,13 @@ def _scenario_file(tmp_path, **changes):
     ["mc", "--scenario", {"mc": {"n": "many"}}],
     ["enumerate", "--scenario", {"p_grid": 0.5}],
     ["enumerate", "--scenario", {"p_grid": "1/3"}],
+    ["verify-group-theorem", "--group", "d4-on-c4", "--trials", "-3"],
+    ["enumerate", "--scenario", {"generators": [{"name": "axis_rotation"}]}],
+    ["enumerate", "--scenario", {"graph": {"builder": "cycle", "n": "x"}}],
+    ["bunkbed", "--base", '{"builder": "cycle", "n": "x"}'],
+    ["enumerate", "--scenario", {"generators": [{"name": "compose",
+                                                 "of": 5}]}],
+    ["check-symmetry", "--scenario", {"generators": 5}],
 ])
 def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     doc = next((a for a in argv if isinstance(a, dict)), {})
@@ -136,6 +150,7 @@ def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert err.count("\n") == 1  # one "usage error:" or "scenario error:"
     if not isinstance(doc.get("p_grid", []), list):
         assert "p_grid must be a list" in err
 
@@ -201,3 +216,89 @@ def test_z2_mc_one_sampler_pass_per_p(monkeypatch):
     assert main(["z2", "--size", "3", "--mode", "mc", "--n", "2000",
                  "--p", "1/4,1/2"]) in (0, 2)
     assert len(passes) == 2
+
+
+def test_mc_one_sample_has_unbounded_intervals(tmp_path):
+    # one sample says nothing about the spread: every interval is
+    # unbounded, the expected sizes' as well as the domination rows'
+    out = tmp_path / "mc1.json"
+    assert main(["mc", "--scenario", "builtin:bunkbed-path2", "--n", "1",
+                 "--json", str(out)]) == 2
+    result = json.loads(out.read_text())["results"][0]
+    inf = float("inf")
+    for key in ("expected_plus", "expected_minus"):
+        assert result[key]["stderr"] == inf
+        assert result[key]["ci"] == [-inf, inf]
+    assert all(row["ci"] == [-inf, inf]
+               for row in result["domination"]["thresholds"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzed scenario documents keep the exit-code contract
+
+_FUZZ_KEYS = ["name", "builder", "n", "m", "d", "base", "axis", "step",
+              "center2", "a", "b", "perm", "of", "kind", "q", "seed"]
+_fuzz_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["1/2", "2", "bond", "site", "random_cluster", "cycle",
+                       "path", "compose", "axis_rotation", "base_perm"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def _mutated(data, node):
+    """``node`` with one value somewhere inside it replaced or dropped."""
+    if not isinstance(node, (dict, list)) or not node or data.draw(
+            st.booleans()):
+        return data.draw(_fuzz_values)
+    out = node.copy()
+    key = data.draw(st.sampled_from(
+        sorted(out) if isinstance(out, dict) else range(len(out))))
+    if data.draw(st.integers(0, 3)) == 0:
+        del out[key]
+    else:
+        out[key] = _mutated(data, node[key])
+    return out
+
+
+def _found_violation(report: dict) -> bool:
+    """A negative margin or a nonzero identity residual in the results."""
+    for row in report.get("results", []):
+        dom = row.get("domination", {})
+        if any(F(m) < 0 for m in dom.get("margins", {}).values()):
+            return True
+        if any(t["margin"] < 0 for t in dom.get("thresholds", [])):
+            return True
+        if any(F(r) != 0 for r in row.get("identity_residuals", {}).values()):
+            return True
+        if row.get("ratio_lhs") != row.get("ratio_rhs"):
+            return True
+    return False
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["bunkbed-path2", "bunkbed-path2-rc2", "z2-n3-rel2",
+                        "layered-m6-a", "asym-path4"]),
+       st.sampled_from([["enumerate"], ["check-symmetry"],
+                        ["verify-identity"], ["mc", "--n", "300"]]),
+       st.data())
+def test_fuzzed_scenarios_keep_the_exit_code_contract(name, command, data):
+    doc = builtin_scenarios()[name]
+    top = data.draw(st.sampled_from(sorted(doc) + ["cap_bits", "mc"]))
+    doc = {**doc, top: _mutated(data, doc.get(top))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "doc.json"), Path(tmp, "report.json")
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*command, "--scenario", str(path),
+                         "--json", str(out)])
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert _found_violation(json.loads(out.read_text()))

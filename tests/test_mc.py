@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symperc import mc
-from symperc.exact import (
-    Observables,
-    connection_probability,
-    enumerate_joint,
-    eval_joint,
-)
+from symperc.exact import Observables, enumerate_joint, eval_counts, eval_joint
 from symperc.graphs import bunkbed_graph, cycle_graph, path_graph, torus_graph
 from symperc.groups import make_pair
 from symperc.mc import (
@@ -19,7 +14,6 @@ from symperc.mc import (
     INCONCLUSIVE,
     VIOLATION,
     EmpiricalJoint,
-    estimate_connection,
     estimate_joint,
     mc_domination_verdict,
     open_threshold,
@@ -124,6 +118,12 @@ def test_lazy_equals_eager():
             assert lazy == eager_cluster_mask(g, 0, p, 77, i)
 
 
+def estimate_connection(g, o, v, p, n, seed, level=0.95):
+    """Wilson-interval estimate of P(o <-> v) from one sampler pass."""
+    sweep = estimate_joint(g, Observables(o, targets=(v,)), p, n, seed)
+    return sweep.connection(v, level)
+
+
 def test_connection_estimate_within_99_ci_of_exact():
     g, pair = c4_bunkbed()
     est = estimate_connection(g, 0, 3, HALF, 100_000, seed=42, level=0.99)
@@ -197,7 +197,8 @@ def test_calibration_coverage():
     # must cover the exact value 7/16 in at least 90% of runs (the 5%
     # nominal miss rate leaves ample slack at 200 runs)
     g, pair = c4_bunkbed()
-    exact_value = connection_probability(g, 0, 3, HALF)
+    sweep = enumerate_joint(g, Observables(0, targets=(3,)))
+    exact_value = eval_counts(sweep.connection(3), sweep.units, HALF)
     assert exact_value == F(7, 16)
     covered = 0
     runs = 200

@@ -11,14 +11,12 @@ from symperc.scenarios import (
     PASS,
     PRECONDITION_FAILED,
     VIOLATION,
-    CValues,
     ScenarioError,
     ScenarioFormatError,
     builtin_scenarios,
     bunkbed_scenario,
     discrete_derivative,
     group_theorem_battery,
-    hypercube_c_values,
     hypercube_inequality_report,
     layered_scenario,
     load_scenario,
@@ -41,28 +39,35 @@ def instance_report(sc):
 # hypercube
 
 
+def hypercube_c_values(d, p):
+    """c_0..c_d as the exact hypercube report gives them."""
+    rep = hypercube_inequality_report(d, [p])
+    assert rep["invariance"] is True
+    return tuple(F(c) for c in rep["results"][0]["c_values"])
+
+
 def test_hypercube_c_values_d2():
-    cv = hypercube_c_values(2, HALF)
-    assert cv.values == (F(1), F(9, 16), F(7, 16))
-    assert cv.values[0] == 1
+    c = hypercube_c_values(2, HALF)
+    assert c == (F(1), F(9, 16), F(7, 16))
+    assert c[0] == 1
 
 
 def test_hypercube_c_values_d3_strict_ordering_and_oracle():
-    cv = hypercube_c_values(3, HALF)
+    c = hypercube_c_values(3, HALF)
     g = hypercube_graph(3)
     for i in (1, 2, 3):
         rep = g.index_of((1,) * i + (0,) * (3 - i))
-        assert cv.values[i] == bond_connection(8, g.edges, 0, rep, HALF)
-    assert cv.values[1] > cv.values[2] > cv.values[3]
+        assert c[i] == bond_connection(8, g.edges, 0, rep, HALF)
+    assert c[1] > c[2] > c[3]
 
 
 def test_hypercube_c_values_any_p_starts_at_one():
     for p in ("1/4", "3/4"):
-        assert hypercube_c_values(3, p).values[0] == 1
+        assert hypercube_c_values(3, p)[0] == 1
 
 
 def test_discrete_derivative_examples():
-    c = hypercube_c_values(2, HALF).values
+    c = hypercube_c_values(2, HALF)
     assert discrete_derivative(c, 0, 1) == c[1]  # zeroth derivative
     assert discrete_derivative(c, 1, 0) == F(-7, 16)
     assert discrete_derivative(c, 2, 0) == F(7, 16) - F(18, 16) + F(16, 16)
@@ -71,11 +76,6 @@ def test_discrete_derivative_examples():
         discrete_derivative(c, 1, 1)) == F(2, 16)
     with pytest.raises(IndexError):
         discrete_derivative(c, 2, 1)
-
-
-def test_cvalues_length_check():
-    with pytest.raises(ValueError):
-        CValues(d=2, p=HALF, values=(F(1),))
 
 
 def test_hypercube_report_d3_exact():
@@ -108,7 +108,7 @@ def test_hypercube_mc_mode_consistent():
                                       mc_seed=3)
     assert rep["verdict"] in (PASS,)
     entry = rep["results"][0]
-    exact_c = hypercube_c_values(2, HALF).values
+    exact_c = hypercube_c_values(2, HALF)
     for est, true in zip(entry["c_values"], exact_c):
         if est["estimate"] not in (1.0,):
             assert est["ci"][0] <= float(true) <= est["ci"][1]
