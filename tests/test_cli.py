@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from symperc import mc
+from symperc import graphs, mc
 from symperc.cli import main, to_stable_json
 from symperc.scenarios import builtin_scenarios
 
@@ -93,6 +93,23 @@ def test_z2_cli(tmp_path):
 
 def test_cap_flag_exit_three():
     assert main(["hypercube", "--d", "4", "--p", "1/2"]) == 3
+
+
+@pytest.mark.parametrize("argv, units", [
+    (["hypercube", "--d", "11"], 11 * 2**10),
+    (["z2", "--size", "40"], 2 * 40 * 40),
+])
+def test_cap_checked_before_the_graph_is_built(argv, units, monkeypatch,
+                                               capsys):
+    built = []
+    for name in ("hypercube_graph", "torus_graph"):
+        monkeypatch.setattr(graphs, name,
+                            lambda *args, name=name: built.append(name))
+    assert main(argv) == 3
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"precondition failure: enumeration needs 2^{units} "
+        "configurations, cap is 2^26\n")
 
 
 def test_usage_errors_exit_four():

@@ -118,6 +118,35 @@ def test_lazy_equals_eager():
             assert lazy == eager_cluster_mask(g, 0, p, 77, i)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(observed_graphs(), st.sampled_from([-1, 0, 2**64 + 5, 2**70]),
+       st.sampled_from([F(1, 10**6), F(3, 7), F(10**6 - 1, 10**6)]))
+def test_sampler_stream_is_pinned(case, seed, p):
+    # the sampler's inlined hash must reveal the same edges as unit_word,
+    # which the eager oracle draws for every edge up front
+    g, o, _pairs, _targets = case
+    n = 60
+    eager = [eager_cluster_mask(g, o, p, seed, i) for i in range(n)]
+    inc, thr = mc._incidence_indexed(g), open_threshold(p)
+    assert [mc._sample_cluster_mask(inc, seed, i, thr, o)
+            for i in range(n)] == eager
+    everything = Observables(o, targets=tuple(range(g.n_vertices)))
+    for chunk_size in (1, 37, None):
+        sweep = estimate_joint(g, everything, p, n, seed,
+                               chunk_size=chunk_size)
+        assert sweep.bins == Counter(eager)
+
+
+def test_sampler_stream_is_pinned_across_workers():
+    g = torus_graph(5, 5)
+    everything = Observables(0, targets=tuple(range(g.n_vertices)))
+    n, seed, p = 300, 2**70, F(3, 7)
+    sweep = estimate_joint(g, everything, p, n, seed, chunk_size=37,
+                           threads=2)
+    assert sweep.bins == Counter(eager_cluster_mask(g, 0, p, seed, i)
+                                 for i in range(n))
+
+
 def estimate_connection(g, o, v, p, n, seed, level=0.95):
     """Wilson-interval estimate of P(o <-> v) from one sampler pass."""
     sweep = estimate_joint(g, Observables(o, targets=(v,)), p, n, seed)

@@ -134,6 +134,26 @@ def test_hypercube_mc_stderr_accounts_for_coupling():
             statistics.stdev(xs) / math.sqrt(n), rel=1e-9, abs=1e-15)
 
 
+def test_hypercube_mc_rows_cover_the_exact_values():
+    # each row's 95% interval double_sum +/- z stderr must cover the exact
+    # d=3 value in at least 85% of 40 independent seeds
+    exact_rows = hypercube_inequality_report(3, ["1/2"])["results"][0]["rows"]
+    truth = [float(F(row["double_sum"])) for row in exact_rows]
+    z = statistics.NormalDist().inv_cdf(0.975)
+    covered = [0] * len(truth)
+    seeds = range(40)
+    for seed in seeds:
+        rep = hypercube_inequality_report(3, ["1/2"], mode="mc", mc_n=2000,
+                                          mc_seed=seed)
+        rows = rep["results"][0]["rows"]
+        assert [(r["k"], r["l"]) for r in rows] == [
+            (r["k"], r["l"]) for r in exact_rows]
+        for i, (row, value) in enumerate(zip(rows, truth)):
+            half = z * row["double_sum_stderr"]
+            covered[i] += abs(row["double_sum"] - value) <= half
+    assert all(c >= 0.85 * len(seeds) for c in covered), covered
+
+
 def test_hypercube_cap():
     with pytest.raises(exact.CapExceeded):
         hypercube_inequality_report(4, ["1/2"])  # 32 edges over default cap
