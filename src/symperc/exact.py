@@ -24,8 +24,18 @@ C_S = x·C_{S∖v}, and sub-clusters are enumerated as connected sets, never
 as all subsets.  Each S adds its polynomial to the bin of its intersection
 sizes, so one run per (graph, origin, law) serves every pair and target;
 the bins are integer-identical to those of the brute-force sweep, which
-the tests keep as their oracle.  The polynomial-in-p representation is
-evaluated exactly (as Fractions) at as many parameters as needed.
+the tests keep as their oracle.
+
+The counts are evaluated at as many parameters as needed, in integers over
+one common denominator.  At p = n/d a configuration with k of its units
+open has probability n^k·(d−n)^(units−k) / d^units, so each outcome's
+probability is one integer dot product over d^units; under the random-
+cluster law, q = qn/qd enters as qn^c·qd^(top−c), and the weights are
+integers over their own sum.  The checks bring a pmf to its least common
+denominator once, and then make one integer pass: suffix sums over t for
+the tail margins, a difference array over t for the ``ind_ge_t``
+residuals.  A Fraction is built only for each value handed back; the tests
+keep the term-by-term Fraction sums as their oracle.
 
 :func:`enumerate_joint` is the only way to these counts.  A pair's law is
 ``eval_joint(sweep.joint(pair), p)``; a connection probability is
@@ -51,7 +61,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .graphs import Graph
 from .groups import VertexSetPair
@@ -112,6 +123,10 @@ class PartitionLaw:
                 raise ValueError("random_cluster law needs q > 0")
         elif self.q is not None:
             raise ValueError(f"{self.kind} law takes no q")
+
+    def units(self, g: Graph) -> int:
+        """The binary units of a configuration: vertices or edges."""
+        return g.n_vertices if self.kind == "site" else g.n_edges
 
     def to_json_dict(self) -> dict:
         if self.kind == "random_cluster":
@@ -487,7 +502,7 @@ def enumerate_joint(
     """
     observed = pair if isinstance(pair, Observables) else Observables(
         pair.origin, (pair,))
-    units = g.n_vertices if law.kind == "site" else g.n_edges
+    units = law.units(g)
     check_cap(units, cap_bits)
 
     masks = observed.masks()
@@ -535,68 +550,74 @@ def _check_count_conservation(sweep: ClusterSweep) -> None:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and the exact checks
+# evaluation and the exact checks, in integers over one common denominator
 
 
-def _powers(x: Fraction, top: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
+def _unit_weights(p: Fraction, units: int) -> list[int]:
+    """n^k·(d−n)^(units−k) for k = 0..units, at p = n/d: the probability
+    of one configuration with k open units, times d^units."""
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    n, d = p.numerator, p.denominator
+    up, down = [1], [1]
+    for _ in range(units):
+        up.append(up[-1] * n)
+        down.append(down[-1] * (d - n))
+    return [u * v for u, v in zip(up, reversed(down))]
 
 
 def eval_joint(poly: JointOutcomePolynomial, p) -> Pmf:
     """Exact probability of each outcome at parameter p under the
     polynomial's own law (sums to 1)."""
     p = parse_fraction(p)
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    units = poly.units
-    pk = _powers(p, units)
-    qk = _powers(1 - p, units)
-
-    pmf: Pmf = {}
+    weights = _unit_weights(p, poly.units)
     if poly.law.kind == "random_cluster":
         if poly.component_counts is None:
             raise ValueError("polynomial lacks component counts for this law")
-        q = poly.law.q
-        weights: dict[tuple[int, int], Fraction] = {}
-        total = Fraction(0)
-        for key, sub in poly.component_counts.items():
-            w = Fraction(0)
-            for (k, c), cnt in sub.items():
-                w += cnt * pk[k] * qk[units - k] * q**c
-            weights[key] = w
-            total += w
-        for key, w in weights.items():
-            pmf[key] = w / total
+        # q^c = qn^c·qd^(top−c) / qd^top: every weight is an integer over
+        # d^units·qd^top, and that scale cancels against the total
+        qn, qd = poly.law.q.numerator, poly.law.q.denominator
+        top = max((c for sub in poly.component_counts.values()
+                   for _, c in sub), default=0)
+        cells = [qn**c * qd**(top - c) for c in range(top + 1)]
+        numerators = {key: sum(cnt * weights[k] * cells[c]
+                               for (k, c), cnt in sub.items())
+                      for key, sub in poly.component_counts.items()}
+        den = sum(numerators.values())
+        if not den:
+            raise RuntimeError("pmf does not sum to exactly 1")
     else:
-        for key, vec in poly.counts.items():
-            prob = Fraction(0)
-            for k, cnt in enumerate(vec):
-                if cnt:
-                    prob += cnt * pk[k] * qk[units - k]
-            pmf[key] = prob
-    if sum(pmf.values()) != 1:
-        raise RuntimeError("pmf does not sum to exactly 1")
-    return pmf
+        numerators = {key: sum(map(mul, vec, weights))
+                      for key, vec in poly.counts.items()}
+        den = p.denominator ** poly.units
+        if sum(numerators.values()) != den:
+            raise RuntimeError("pmf does not sum to exactly 1")
+    return {key: Fraction(num, den) for key, num in numerators.items()}
 
 
 def eval_counts(vec: Sequence[int], units: int, p) -> Fraction:
     """Evaluate a count vector, such as ``ClusterSweep.connection(v)``, as
     an exact probability at p."""
     p = parse_fraction(p)
-    pk = _powers(p, units)
-    qk = _powers(1 - p, units)
-    return sum((cnt * pk[k] * qk[units - k] for k, cnt in enumerate(vec) if cnt),
-               Fraction(0))
+    if len(vec) > units + 1:
+        raise ValueError(f"{len(vec)} counts for {units} units")
+    return Fraction(sum(map(mul, vec, _unit_weights(p, units))),
+                    p.denominator ** units)
+
+
+def _integer_pmf(pmf: Pmf) -> tuple[int, list[tuple[int, int, int]]]:
+    """The pmf over its least common denominator L: L and every (a, b,
+    L·prob)."""
+    den = lcm(*(prob.denominator for prob in pmf.values()))
+    return den, [(a, b, prob.numerator * (den // prob.denominator))
+                 for (a, b), prob in pmf.items()]
 
 
 def expected_sizes(pmf: Pmf) -> tuple[Fraction, Fraction]:
     """Exact expectations of the two intersection sizes."""
-    e_plus = sum((prob * a for (a, _), prob in pmf.items()), Fraction(0))
-    e_minus = sum((prob * b for (_, b), prob in pmf.items()), Fraction(0))
-    return e_plus, e_minus
+    den, entries = _integer_pmf(pmf)
+    return (Fraction(sum(num * a for a, _, num in entries), den),
+            Fraction(sum(num * b for _, b, num in entries), den))
 
 
 @dataclass(frozen=True)
@@ -620,19 +641,23 @@ def check_domination(pmf: Pmf) -> DominationReport:
 
     Threshold indicators generate all bounded increasing functions, so
     nonnegative margins at every t are equivalent to stochastic domination.
-    A negative margin is reported as-is; nothing is clamped.
+    A negative margin is reported as-is; nothing is clamped.  The margins
+    come from one suffix sum, over t, of the pmf's numerators.
     """
-    max_a = max((a for (a, _) in pmf), default=0)
-    max_b = max((b for (_, b) in pmf), default=0)
+    den, entries = _integer_pmf(pmf)
+    max_a = max((a for a, _, _ in entries), default=0)
+    max_b = max((b for _, b, _ in entries), default=0)
     t_max = max(max_a, max_b, 1)
-    margins = []
-    for t in range(1, t_max + 1):
-        tail_a = sum((prob for (a, _), prob in pmf.items() if a >= t), Fraction(0))
-        tail_b = sum((prob for (_, b), prob in pmf.items() if b >= t), Fraction(0))
-        margins.append((t, tail_a - tail_b))
+    tails = [0] * (t_max + 2)  # tails[t]: L·(P(a >= t) − P(b >= t))
+    for a, b, num in entries:
+        tails[a] += num
+        tails[b] -= num
+    for t in range(t_max, 0, -1):
+        tails[t] += tails[t + 1]
     return DominationReport(
-        margins=tuple(margins),
-        passes=all(m >= 0 for _, m in margins),
+        margins=tuple((t, Fraction(tails[t], den))
+                      for t in range(1, t_max + 1)),
+        passes=all(m >= 0 for m in tails[1:t_max + 1]),
         trivial_minus=max_b == 0,
     )
 
@@ -643,31 +668,46 @@ def check_partition_identity(pmf: Pmf) -> dict[str, Fraction]:
     ``identity`` (n) and ``square`` (n^2).
 
     Both sides are exact expectations; under the symmetry conditions the
-    residual is exactly 0 for every bounded f.  The denominator a + b never
-    vanishes because the origin's cluster always meets v_plus.
+    residual is exactly 0 for every bounded f.  The residual
+    E[f(a) − f(b)] − E[(f(a) − f(b))·(a − b)/(a + b)] equals
+    E[(f(a) − f(b))·2b/(a + b)], so an outcome with b = 0, which includes
+    a + b = 0, adds nothing.  Over M = lcm(a + b) every other outcome adds
+    the integer w = L·prob·2b·M/(a + b), and ``ind_ge_t`` picks up +w for
+    b < t ≤ a and −w for a < t ≤ b: one difference array over t gives
+    every threshold.
     """
     t_max = max((a + b for (a, b) in pmf), default=1)
-    family = [(f"ind_ge_{t}", lambda n, t=t: 1 if n >= t else 0)
-              for t in range(1, t_max + 1)]
-    family += [("identity", lambda n: n), ("square", lambda n: n * n)]
+    den, entries = _integer_pmf(pmf)
+    entries = [(a, b, num) for a, b, num in entries if num and b]
+    scale = lcm(*(a + b for a, b, _ in entries))
+    steps = [0] * (t_max + 2)
+    identity = square = 0
+    for a, b, num in entries:
+        w = num * 2 * b * (scale // (a + b))
+        steps[b + 1] += w
+        steps[a + 1] -= w
+        identity += w * (a - b)
+        square += w * (a * a - b * b)
+    den *= scale
     residuals: dict[str, Fraction] = {}
-    for name, f in family:
-        lhs = Fraction(0)
-        rhs = Fraction(0)
-        for (a, b), prob in pmf.items():
-            if prob == 0:
-                continue
-            diff = Fraction(f(a)) - Fraction(f(b))
-            lhs += prob * diff
-            rhs += prob * diff * Fraction(a - b, a + b)
-        residuals[name] = lhs - rhs
+    running = 0
+    for t in range(1, t_max + 1):
+        running += steps[t]
+        residuals[f"ind_ge_{t}"] = Fraction(running, den)
+    residuals["identity"] = Fraction(identity, den)
+    residuals["square"] = Fraction(square, den)
     return residuals
 
 
 def check_ratio_identity(pmf: Pmf) -> tuple[Fraction, Fraction]:
-    """Both sides of the ratio identity: E(b/a) and P(b > 0)."""
-    lhs = sum((prob * Fraction(b, a) for (a, b), prob in pmf.items()),
-              Fraction(0))
-    rhs = sum((prob for (_, b), prob in pmf.items() if b > 0), Fraction(0))
-    return lhs, rhs
+    """Both sides of the ratio identity: E(b/a) and P(b > 0).
 
+    Outcomes with b = 0 or probability 0 add nothing to either side;
+    over M = lcm(a) the rest add integers.
+    """
+    den, entries = _integer_pmf(pmf)
+    entries = [(a, b, num) for a, b, num in entries if num and b]
+    scale = lcm(*(a for a, _, _ in entries))
+    lhs = sum(num * b * (scale // a) for a, b, num in entries)
+    rhs = sum(num for _, _, num in entries)
+    return Fraction(lhs, den * scale), Fraction(rhs, den)

@@ -178,10 +178,15 @@ def resolve_vertex(g: Graph, item) -> int:
     raise ScenarioFormatError(f"bad vertex reference: {item!r}")
 
 
-def _compared_pairs(sc: Scenario, g: Graph):
-    """(relation, pair, symmetry report) for each pair the scenario compares."""
+def _compared_pairs(sc: Scenario, g: Graph, sweeps: bool = False):
+    """(relation, pair, symmetry report) for each pair the scenario compares.
+
+    Every pair and generator is parsed before any group is closed.  When
+    ``sweeps``, the exact run's cap is checked in between, so a run the cap
+    refuses spends nothing on group closure or the symmetry checks.
+    """
     origin = resolve_vertex(g, sc.origin)
-    out = []
+    parsed = []
     for rel in sc.relations or (
             Relation("", "", sc.v_plus, sc.v_minus, sc.generators),):
         pair = groups.make_pair(
@@ -192,9 +197,12 @@ def _compared_pairs(sc: Scenario, g: Graph):
         )
         gens = [_parsed("generator", lambda s: groups.build_generator(g, s),
                         spec) for spec in rel.generators]
-        grp = groups.generate_group(gens, n_points=g.n_vertices)
-        out.append((rel, pair, groups.check_symmetry_conditions(g, grp, pair)))
-    return out
+        parsed.append((rel, pair, gens))
+    if sweeps:
+        exact.check_cap(sc.law.units(g), sc.cap_bits)
+    return [(rel, pair, groups.check_symmetry_conditions(
+                g, groups.generate_group(gens, n_points=g.n_vertices), pair))
+            for rel, pair, gens in parsed]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +306,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     """
     started = time.perf_counter()
     g = _parsed("graph", build_graph, sc.graph_spec)
-    compared = _compared_pairs(sc, g)
+    compared = _compared_pairs(sc, g, sweeps=sc.mode == "exact")
     live = [(rel, pair) for rel, pair, conditions in compared
             if conditions.ok or not require_conditions]
     if live:

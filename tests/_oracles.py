@@ -8,6 +8,10 @@ package sums over the clusters themselves.  Expected values in the tests
 were computed with these oracles and then frozen as literals.  The
 hypothesis strategy ``observed_graphs`` draws the cases that the exact and
 the Monte Carlo projection properties share.
+
+The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
+and the three checks) chain Fraction sums term by term, where the package
+works in integers over one common denominator.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +20,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
+from symperc.exact import DominationReport
 from symperc.graphs import explicit_graph
 from symperc.groups import make_pair
 
@@ -233,10 +238,109 @@ def brute_force_bins(g, observed, law, chunks=1, threads=1):
              *kc): cnt for (packed, *kc), cnt in raw.items()}
 
 
+# ---------------------------------------------------------------------------
+# evaluation and the exact checks, one Fraction operation per term
+
+
+def _powers(x, top):
+    out = [Fraction(1)]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
+def eval_joint(poly, p):
+    """``exact.eval_joint``: each outcome's probability at p."""
+    p = Fraction(p)
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    units = poly.units
+    pk = _powers(p, units)
+    qk = _powers(1 - p, units)
+    pmf = {}
+    if poly.law.kind == "random_cluster":
+        q = poly.law.q
+        weights = {}
+        total = Fraction(0)
+        for key, sub in poly.component_counts.items():
+            w = Fraction(0)
+            for (k, c), cnt in sub.items():
+                w += cnt * pk[k] * qk[units - k] * q**c
+            weights[key] = w
+            total += w
+        for key, w in weights.items():
+            pmf[key] = w / total
+    else:
+        for key, vec in poly.counts.items():
+            prob = Fraction(0)
+            for k, cnt in enumerate(vec):
+                if cnt:
+                    prob += cnt * pk[k] * qk[units - k]
+            pmf[key] = prob
+    assert sum(pmf.values()) == 1
+    return pmf
+
+
+def eval_counts(vec, units, p):
+    """``exact.eval_counts``: a count vector's probability at p."""
+    p = Fraction(p)
+    pk = _powers(p, units)
+    qk = _powers(1 - p, units)
+    return sum((cnt * pk[k] * qk[units - k] for k, cnt in enumerate(vec) if cnt),
+               Fraction(0))
+
+
 def expectations(pmf):
+    """``exact.expected_sizes``."""
     e_plus = sum((w * a for (a, _), w in pmf.items()), Fraction(0))
     e_minus = sum((w * b for (_, b), w in pmf.items()), Fraction(0))
     return e_plus, e_minus
+
+
+def check_domination(pmf):
+    """``exact.check_domination``: both tails summed afresh at every t."""
+    max_a = max((a for (a, _) in pmf), default=0)
+    max_b = max((b for (_, b) in pmf), default=0)
+    t_max = max(max_a, max_b, 1)
+    margins = []
+    for t in range(1, t_max + 1):
+        tail_a = sum((prob for (a, _), prob in pmf.items() if a >= t), Fraction(0))
+        tail_b = sum((prob for (_, b), prob in pmf.items() if b >= t), Fraction(0))
+        margins.append((t, tail_a - tail_b))
+    return DominationReport(
+        margins=tuple(margins),
+        passes=all(m >= 0 for _, m in margins),
+        trivial_minus=max_b == 0,
+    )
+
+
+def check_partition_identity(pmf):
+    """``exact.check_partition_identity``: both sides of the identity for
+    each test function, one pass over the pmf per function."""
+    t_max = max((a + b for (a, b) in pmf), default=1)
+    family = [(f"ind_ge_{t}", lambda n, t=t: 1 if n >= t else 0)
+              for t in range(1, t_max + 1)]
+    family += [("identity", lambda n: n), ("square", lambda n: n * n)]
+    residuals = {}
+    for name, f in family:
+        lhs = Fraction(0)
+        rhs = Fraction(0)
+        for (a, b), prob in pmf.items():
+            if prob == 0:
+                continue
+            diff = Fraction(f(a)) - Fraction(f(b))
+            lhs += prob * diff
+            rhs += prob * diff * Fraction(a - b, a + b)
+        residuals[name] = lhs - rhs
+    return residuals
+
+
+def check_ratio_identity(pmf):
+    """``exact.check_ratio_identity``: E(b/a) and P(b > 0)."""
+    lhs = sum((prob * Fraction(b, a) for (a, b), prob in pmf.items()),
+              Fraction(0))
+    rhs = sum((prob for (_, b), prob in pmf.items() if b > 0), Fraction(0))
+    return lhs, rhs
 
 
 @st.composite

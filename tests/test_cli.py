@@ -7,10 +7,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from symperc import graphs, mc
+from symperc import graphs, groups, mc
 from symperc.cli import main, to_stable_json
 from symperc.scenarios import builtin_scenarios
 
@@ -110,6 +110,45 @@ def test_cap_checked_before_the_graph_is_built(argv, units, monkeypatch,
     assert capsys.readouterr().err == (
         f"precondition failure: enumeration needs 2^{units} "
         "configurations, cap is 2^26\n")
+
+
+@pytest.mark.parametrize("argv, units", [
+    (["bunkbed", "--base", "cycle:200"], 3 * 200),
+    (["bunkbed", "--base", "cycle:200", "--law", "site"], 2 * 200),
+    (["layered", "--base", "cycle:20", "--m", "40", "--choice", "b", "--k",
+      "1", "--period", "2"], 2 * 20 * 40),
+    (["enumerate", "--scenario", {"graph": {"builder": "cycle", "n": 40},
+                                  "v_plus": [0], "v_minus": [20],
+                                  "origin": 0,
+                                  "generators": [[*range(1, 40), 0]]}], 40),
+])
+def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
+                                                  monkeypatch, capsys):
+    closed = []
+    monkeypatch.setattr(groups, "generate_group",
+                        lambda *args, **kwargs: closed.append(args))
+    argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
+            for a in argv]
+    assert main(argv) == 3
+    assert closed == []
+    assert capsys.readouterr().err == (
+        f"precondition failure: enumeration needs 2^{units} "
+        "configurations, cap is 2^26\n")
+
+
+@pytest.mark.parametrize("generator, code, err", [
+    ({"name": "axis_rotation"}, 4, "scenario error: bad generator"),
+    ({"name": "compose", "of": 5}, 4, "scenario error: bad generator"),
+    ({"name": "no-such"}, 3, "precondition failure: unknown generator"),
+])
+def test_generator_errors_keep_their_exit_code_past_the_cap(
+        generator, code, err, tmp_path, capsys):
+    # the generators are parsed before the cap is checked
+    path = _scenario_file(tmp_path, graph={"builder": "cycle", "n": 40},
+                          v_plus=[0], v_minus=[20], origin=0,
+                          generators=[generator])
+    assert main(["enumerate", "--scenario", path]) == code
+    assert capsys.readouterr().err.startswith(err)
 
 
 def test_usage_errors_exit_four():
@@ -319,3 +358,65 @@ def test_fuzzed_scenarios_keep_the_exit_code_contract(name, command, data):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert _found_violation(json.loads(out.read_text()))
+
+
+_bases = st.one_of(
+    st.tuples(st.sampled_from(["path", "cycle"]), st.integers(-2, 400)),
+    st.tuples(st.just("complete"), st.integers(-2, 20)),
+    st.tuples(st.just("hypercube"), st.integers(-2, 8)),
+).map(lambda bn: f"{bn[0]}:{bn[1]}")
+
+_flag_commands = st.one_of(
+    st.integers(-2, 12).map(lambda d: ["hypercube", "--d", d]),
+    st.integers(-2, 40).map(lambda size: ["z2", "--size", size]),
+    st.tuples(_bases, st.sampled_from(["bond", "site", "rc:2"])).map(
+        lambda t: ["bunkbed", "--base", t[0], "--law", t[1]]),
+    st.tuples(st.sampled_from(["path:1", "path:2", "cycle:3", "cycle:4"]),
+              st.integers(-2, 8) | st.integers(-2, 30), st.sampled_from("abc"),
+              st.integers(-1, 4), st.none() | st.integers(-1, 4)).map(
+        lambda t: ["layered", "--base", t[0], "--m", t[1], "--choice", t[2],
+                   "--k", t[3]] + ([] if t[4] is None else ["--period", t[4]])),
+)
+
+
+# now and then one flag value that is not an integer
+_not_an_integer = st.integers(0, 7).flatmap(lambda r: st.none() if r else (
+    st.tuples(st.integers(0, 6), st.sampled_from(["", "x", "1.5", "2/3"]))))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_flag_commands, st.none() | st.integers(-2, 20), _not_an_integer)
+@example(["layered", "--base", "path:1", "--m", 6, "--choice", "a", "--k", 2],
+         None, None)
+@example(["layered", "--base", "path:1", "--m", 8, "--choice", "b", "--k", 1,
+          "--period", 2], 20, None)
+@example(["layered", "--base", "path:1", "--m", 8, "--choice", "c", "--k", 1,
+          "--period", 2], None, None)
+def test_fuzzed_flags_keep_the_exit_code_contract(argv, cap, bad):
+    # exact mode only, so nothing samples and no worker starts; the cap is
+    # at most 2^20 or the default, so no run that passes it takes long
+    if cap is not None:
+        argv = [*argv, "--cap", cap]
+    argv = [str(arg) for arg in argv]
+    if bad is not None:
+        i, text = bad
+        argv[2 + 2 * (i % (len(argv) // 2))] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "report.json")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([*argv, "--json", str(out)])
+        err = err.getvalue()
+        assert code in range(5)
+        assert "Traceback" not in err
+        if out.exists():  # a report: its verdict is the exit code
+            assert err == ""
+            if code == 1:
+                assert _found_violation(json.loads(out.read_text()))
+        else:  # refused: one line on stderr
+            assert code in (3, 4)
+            assert err.count("\n") == 1
+            assert err.startswith("precondition failure: " if code == 3
+                                  else ("usage error: ", "scenario error: "))

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symperc import exact, groups
@@ -32,6 +32,7 @@ from symperc.graphs import (
 )
 from symperc.groups import make_pair
 
+import _oracles as oracle
 from _oracles import (
     bond_connection,
     brute_force_bins,
@@ -264,6 +265,21 @@ def test_eval_rejects_bad_p():
             eval_joint(poly, bad)
 
 
+def test_eval_counts_rejects_bad_p():
+    # (1, 2, 1) sums to 2^2, so an unchecked p would give probability 1
+    g, pair = c4_bunkbed()
+    poly = enumerate_joint(g, pair)
+    for bad in (2, 0, 1, F(-1, 2), "3/2"):
+        with pytest.raises(ValueError) as counts_error:
+            eval_counts((1, 2, 1), 2, bad)
+        with pytest.raises(ValueError) as joint_error:
+            eval_joint(poly, bad)
+        assert str(counts_error.value) == str(joint_error.value)
+    with pytest.raises(ValueError):
+        eval_counts((1, 2, 1, 0), 2, HALF)  # more counts than units allow
+    assert eval_counts((1, 2, 1), 2, F(1, 3)) == 1
+
+
 def test_negative_margin_is_surfaced_not_masked():
     # far pair {0, 3} versus near pair {1, 2} on a path: the tail margin at
     # threshold 2 is p^3 - p^2 < 0 and must be reported as such
@@ -327,6 +343,61 @@ def test_one_sweep_projects_every_pair_and_target(case, p):
             else:
                 want = bond_connection(n, edges, o, t, p)
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation against the Fraction-loop oracle
+
+
+def _rationals(low, high):
+    return st.builds(F, st.integers(low, high), st.integers(1, 120))
+
+
+PROBABILITIES = st.integers(2, 120).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
+
+
+def _checks_equal_oracle(pmf):
+    assert expected_sizes(pmf) == oracle.expectations(pmf)
+    assert check_domination(pmf) == oracle.check_domination(pmf)
+    assert list(check_partition_identity(pmf).items()) == list(
+        oracle.check_partition_identity(pmf).items())
+    # the oracle divides by a even where the probability is 0
+    assert check_ratio_identity(pmf) == oracle.check_ratio_identity(
+        {key: prob for key, prob in pmf.items() if prob})
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(observed_graphs(), PROBABILITIES, _rationals(1, 300))
+def test_integer_evaluation_equals_the_fraction_oracle(case, p, q):
+    g, o, pairs, targets = case
+    for law in (BOND, SITE, random_cluster_law(q)):
+        sweep = enumerate_joint(g, Observables(o, tuple(pairs), tuple(targets)),
+                                law)
+        for pair in pairs:
+            poly = sweep.joint(pair)
+            pmf = eval_joint(poly, p)
+            assert list(pmf.items()) == list(oracle.eval_joint(poly, p).items())
+            _checks_equal_oracle(pmf)
+        for t in targets:
+            vec = sweep.connection(t)
+            assert eval_counts(vec, sweep.units, p) == oracle.eval_counts(
+                vec, sweep.units, p)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.just(F(0)) | _rationals(0, 130), max_size=12))
+@example({})
+@example({(1, 0): F(1, 3), (2, 0): F(2, 3)})  # b = 0 everywhere
+@example({(0, 0): F(0), (1, 0): F(1, 2), (1, 1): F(0), (2, 1): F(1, 2)})
+@example({(1, 2): F(1, 6), (3, 1): F(5, 14), (2, 2): F(10, 21)})
+def test_checks_equal_the_fraction_oracle_on_hand_built_pmfs(pmf):
+    # the origin's cluster always meets v_plus, so an outcome with a = 0,
+    # a + b = 0 included, has probability 0
+    pmf = {(a, b): prob if a else F(0) for (a, b), prob in pmf.items()}
+    _checks_equal_oracle(pmf)
 
 
 # ---------------------------------------------------------------------------
