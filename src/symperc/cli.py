@@ -21,8 +21,8 @@ import click
 
 from . import exact, scenarios
 from .exact import CapExceeded
-from .graphs import GraphError
-from .groups import GroupError
+from .graphs import GraphError, GraphSpecError
+from .groups import GeneratorSpecError, GroupError
 from .scenarios import (
     INCONCLUSIVE,
     PASS,
@@ -466,7 +466,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return USAGE_ERROR
-    except ScenarioFormatError as exc:
+    except (ScenarioFormatError, GraphSpecError, GeneratorSpecError) as exc:
         click.echo(f"scenario error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ScenarioError, CapExceeded, GraphError, GroupError) as exc:

@@ -21,10 +21,10 @@ configurations whose origin cluster is S, by the number k of open units:
 Two rules keep sparse graphs from costing more than a brute-force sweep: a
 vertex v ≠ o with one neighbour in S forces its edge open, so
 C_S = x·C_{S∖v}, and sub-clusters are enumerated as connected sets, never
-as all subsets.  Each S adds its polynomial to the bin of its intersection
-sizes, so one run per (graph, origin, law) serves every pair and target;
-the bins are integer-identical to those of the brute-force sweep, which
-the tests keep as their oracle.
+as all subsets.  Each S adds its polynomial to the row of its packed
+intersection sizes.  One run per (graph, origin, law) keeps these rows;
+each pair and target sums them per projected key and unpacks every key
+once.  Unpacked, they equal the brute-force sweep's counts, the tests' oracle.
 
 The counts are evaluated at as many parameters as needed, in integers over
 one common denominator.  At p = n/d a configuration with k of its units
@@ -240,17 +240,18 @@ class ClusterSweep:
     """Exact counts of configurations by the origin cluster's intersection
     sizes with each observed set and by open-unit number.
 
-    ``bins[(sizes, k)]`` counts the configurations with k open units and
-    ``sizes[i]`` = |C ∩ masks[i]|; for the random-cluster law the key also
-    ends in the number of partition cells.  Every pair's joint polynomial
-    and every target's connection counts are exact marginals.
+    ``rows[sizes]`` packs the counts of the clusters C with |C ∩ masks[i]|
+    in the ``width``-bit field i of ``sizes``: k open units (and c random-
+    cluster cells) at field k + (units+1)·c of units+2 bits.  Every pair's
+    joint polynomial and every target's connection counts are marginals.
     """
 
     units: int
     law: PartitionLaw
     origin: int
     masks: tuple[int, ...]
-    bins: dict[tuple, int]
+    width: int
+    rows: dict[int, int]
 
     def total_configs(self) -> int:
         return 1 << self.units
@@ -258,27 +259,36 @@ class ClusterSweep:
     @property
     def counts(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Count vectors by open-unit number, keyed by all the sizes."""
-        return self._marginal(lambda sizes: sizes)[0]
+        return self._marginal(range(len(self.masks)))[0]
 
-    def _marginal(self, project):
-        """Count vectors, and random-cluster (k, cells) counts, by the
-        projected sizes."""
-        counts: dict[tuple, list[int]] = {}
-        components = {} if self.law.kind == "random_cluster" else None
-        for (sizes, *kc), cnt in self.bins.items():
-            key = project(sizes)
-            counts.setdefault(key, [0] * (self.units + 1))[kc[0]] += cnt
-            if components is not None:
-                sub = components.setdefault(key, {})
-                sub[tuple(kc)] = sub.get(tuple(kc), 0) + cnt
-        return ({key: tuple(vec) for key, vec in sorted(counts.items())},
-                components)
+    def _marginal(self, fields):
+        """Count vectors, and random-cluster (k, cells) counts, keyed by the
+        sizes in the given fields."""
+        field, units = (1 << self.width) - 1, self.units
+        keep = sum(field << (i * self.width) for i in fields)
+        summed: dict[int, int] = {}
+        for sizes, poly in self.rows.items():
+            summed[sizes & keep] = summed.get(sizes & keep, 0) + poly
+        counts, components = {}, {}
+        for sizes, poly in summed.items():
+            key = tuple(sizes >> (i * self.width) & field for i in fields)
+            vec, sub, index = [0] * (units + 1), {}, 0
+            while poly:
+                if cnt := poly & ((1 << units + 2) - 1):
+                    cells, k = divmod(index, units + 1)
+                    vec[k] += cnt
+                    sub[(k, cells)] = cnt
+                poly >>= units + 2
+                index += 1
+            counts[key], components[key] = tuple(vec), sub
+        return (dict(sorted(counts.items())),
+                components if self.law.kind == "random_cluster" else None)
 
     def joint(self, pair: VertexSetPair) -> JointOutcomePolynomial:
         """The outcome polynomial of an observed pair."""
         i = self.masks.index(_vertex_mask(pair.v_plus))
         j = self.masks.index(_vertex_mask(pair.v_minus))
-        counts, components = self._marginal(lambda sizes: (sizes[i], sizes[j]))
+        counts, components = self._marginal((i, j))
         return JointOutcomePolynomial(
             units=self.units,
             n_plus=len(pair.v_plus),
@@ -291,9 +301,8 @@ class ClusterSweep:
     def connection(self, v: int) -> tuple[int, ...]:
         """Counts, by open-unit number, of the configurations whose origin
         cluster contains the observed target v."""
-        t = self.masks.index(1 << v)
-        counts, _ = self._marginal(lambda sizes: sizes[t])
-        return counts.get(1, (0,) * (self.units + 1))
+        counts, _ = self._marginal((self.masks.index(1 << v),))
+        return counts.get((1,), (0,) * (self.units + 1))
 
 
 def _vertex_mask(vertices) -> int:
@@ -495,7 +504,7 @@ def enumerate_joint(
 ) -> JointOutcomePolynomial | ClusterSweep:
     """Count all configurations exactly by the origin's cluster.
 
-    Independent of p: the counts are binned by the number of open units, so
+    Independent of p: the counts are kept by the number of open units, so
     one run serves every parameter value.  Given a pair, returns its
     :class:`JointOutcomePolynomial`; given :class:`Observables`, returns the
     :class:`ClusterSweep` that every observed pair and target projects from.
@@ -509,43 +518,24 @@ def enumerate_joint(
     width = g.n_vertices.bit_length()  # a field holds any size 0..n
     weights = [sum(1 << (i * width) for i, m in enumerate(masks) if m >> v & 1)
                for v in range(g.n_vertices)]
-    bits = units + 2
-    rows = _origin_cluster_rows(g, law, observed.origin, weights, bits)
-
-    field, coefficient = (1 << width) - 1, (1 << bits) - 1
-    by_cells = law.kind == "random_cluster"
-    bins: dict[tuple, int] = {}
-    for packed, poly in rows.items():
-        sizes = tuple(packed >> (i * width) & field for i in range(len(masks)))
-        index = 0
-        while poly:
-            cnt = poly & coefficient
-            if cnt and by_cells:
-                cells, k = divmod(index, units + 1)
-                bins[(sizes, k, cells)] = cnt
-            elif cnt:
-                bins[(sizes, index)] = cnt
-            poly >>= bits
-            index += 1
+    rows = _origin_cluster_rows(g, law, observed.origin, weights, units + 2)
     sweep = ClusterSweep(units=units, law=law, origin=observed.origin,
-                         masks=masks, bins=bins)
+                         masks=masks, width=width, rows=rows)
     _check_count_conservation(sweep)
     return sweep if observed is pair else sweep.joint(pair)
 
 
 def _check_count_conservation(sweep: ClusterSweep) -> None:
-    # Every configuration lands in exactly one bin.
-    counts = sweep.counts
-    for k in range(sweep.units + 1):
-        total = sum(vec[k] for vec in counts.values())
-        if total != comb(sweep.units, k):
-            raise RuntimeError(
-                f"count conservation broken at k={k}: {total} != "
-                f"{comb(sweep.units, k)}"
-            )
+    # Every configuration lands in exactly one row: the rows add up to
+    # (1+x)^units once the cells fold: y = 2^(bits·(units+1)) ≡ 1 (mod y − 1).
+    units, bits = sweep.units, sweep.units + 2
+    total = sum(sweep.rows.values()) % ((1 << bits * (units + 1)) - 1)
+    if total != sum(comb(units, k) << (bits * k) for k in range(units + 1)):
+        raise RuntimeError(f"count conservation: rows sum ≠ (1+x)^{units}")
     # The cluster holds the origin, so it meets every set containing it.
-    holding = [i for i, m in enumerate(sweep.masks) if m >> sweep.origin & 1]
-    if any(sizes[i] < 1 for sizes in counts for i in holding):
+    holding = [((1 << sweep.width) - 1) << (i * sweep.width)
+               for i, m in enumerate(sweep.masks) if m >> sweep.origin & 1]
+    if any(not sizes & field for sizes in sweep.rows for field in holding):
         raise RuntimeError("outcome with empty origin cluster observed")
 
 

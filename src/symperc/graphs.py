@@ -21,6 +21,10 @@ class GraphError(ValueError):
     """Invalid graph parameters or a structurally invalid graph."""
 
 
+class GraphSpecError(GraphError):
+    """A malformed graph spec: no or unknown builder, or a missing field."""
+
+
 VertexSet = tuple[int, ...]
 
 
@@ -186,7 +190,8 @@ def build_graph(spec: Mapping) -> Graph:
     try:
         builder = spec["builder"]
     except (KeyError, TypeError):
-        raise GraphError(f"graph spec needs a 'builder' key: {spec!r}") from None
+        raise GraphSpecError(
+            f"graph spec needs a 'builder' key: {spec!r}") from None
     try:
         if builder == "path":
             return path_graph(int(spec["n"]))
@@ -205,8 +210,9 @@ def build_graph(spec: Mapping) -> Graph:
         if builder == "explicit":
             return explicit_graph(int(spec["vertices"]), spec["edges"])
     except KeyError as exc:
-        raise GraphError(f"graph spec for {builder!r} misses {exc}") from None
-    raise GraphError(f"unknown builder {builder!r}")
+        raise GraphSpecError(
+            f"graph spec for {builder!r} misses {exc}") from None
+    raise GraphSpecError(f"unknown builder {builder!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ class GroupError(ValueError):
     """Invalid permutation input or a broken group precondition."""
 
 
+class GeneratorSpecError(GroupError):
+    """A malformed generator spec: an unknown name or not a spec at all."""
+
+
 class ClosureCapExceeded(GroupError):
     """Generator closure grew past the configured element cap."""
 
@@ -516,5 +520,5 @@ def build_generator(g: Graph, spec) -> Perm:
             if len(base) * n_second != g.n_vertices:
                 raise GroupError("base_perm length does not match the product")
             return lift_first_factor([int(x) for x in base], n_second)
-        raise GroupError(f"unknown generator name {name!r}")
-    raise GroupError(f"bad generator spec: {spec!r}")
+        raise GeneratorSpecError(f"unknown generator name {name!r}")
+    raise GeneratorSpecError(f"bad generator spec: {spec!r}")

@@ -4,7 +4,8 @@ Deliberately a different algorithm family from the package: the pmf
 oracles draw configurations from itertools.product and find connectivity
 with union-find; the bitmask sweep (``brute_force_bins``) grows the
 origin's cluster in every one of the 2^units configurations, where the
-package sums over the clusters themselves.  Expected values in the tests
+package sums over the clusters themselves and keeps packed rows, which
+``unpacked_bins`` lays out the oracle's way.  Expected values in the tests
 were computed with these oracles and then frozen as literals.  The
 hypothesis strategy ``observed_graphs`` draws the cases that the exact and
 the Monte Carlo projection properties share.
@@ -217,9 +218,30 @@ def _run_sweeps(jobs, threads):
     return merged
 
 
+def unpacked_bins(sweep):
+    """A ``ClusterSweep``'s packed rows as counts keyed (sizes, k), or
+    (sizes, k, cells) under the random-cluster law, one key per nonzero
+    coefficient: the keys of :func:`brute_force_bins`."""
+    field, fields = (1 << sweep.width) - 1, range(len(sweep.masks))
+    bits, by_cells = sweep.units + 2, sweep.law.kind == "random_cluster"
+    bins = {}
+    for packed, poly in sweep.rows.items():
+        sizes = tuple(packed >> (i * sweep.width) & field for i in fields)
+        index = 0
+        while poly:
+            cnt = poly & ((1 << bits) - 1)
+            if cnt:
+                cells, k = divmod(index, sweep.units + 1)
+                bins[(sizes, k, cells) if by_cells else (sizes, k)] = cnt
+            poly >>= bits
+            index += 1
+    return bins
+
+
 def brute_force_bins(g, observed, law, chunks=1, threads=1):
-    """``ClusterSweep.bins`` of ``enumerate_joint(g, observed, law)``, by
-    sweeping all 2^units configuration masks in ``chunks`` ranges."""
+    """Configuration counts of ``enumerate_joint(g, observed, law)`` keyed
+    as by :func:`unpacked_bins`, by sweeping all 2^units configuration
+    masks in ``chunks`` ranges."""
     if law.kind == "site":
         units, need = g.n_vertices, 1 << observed.origin
         inc = [tuple((w, 1 << w) for w in nbrs) for nbrs in g.adjacency]

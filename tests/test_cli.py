@@ -139,7 +139,7 @@ def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
 @pytest.mark.parametrize("generator, code, err", [
     ({"name": "axis_rotation"}, 4, "scenario error: bad generator"),
     ({"name": "compose", "of": 5}, 4, "scenario error: bad generator"),
-    ({"name": "no-such"}, 3, "precondition failure: unknown generator"),
+    ({"name": "no-such"}, 4, "scenario error: unknown generator"),
 ])
 def test_generator_errors_keep_their_exit_code_past_the_cap(
         generator, code, err, tmp_path, capsys):
@@ -198,6 +198,14 @@ def _scenario_file(tmp_path, **changes):
     ["enumerate", "--scenario", {"generators": [{"name": "compose",
                                                  "of": 5}]}],
     ["check-symmetry", "--scenario", {"generators": 5}],
+    ["enumerate", "--scenario", {"graph": {"builder": "cycle"}}],
+    ["enumerate", "--scenario", {"graph": {"n": 3}}],
+    ["check-symmetry", "--scenario", {"graph": {"builder": "mystery"}}],
+    ["bunkbed", "--base", '{"builder": "mystery"}'],
+    ["layered", "--base", '{"builder": "bunkbed", "base": {"builder": "x"}}',
+     "--m", "6", "--choice", "a", "--k", "1"],
+    ["enumerate", "--scenario", {"generators": [{"name": "no-such"}]}],
+    ["check-symmetry", "--scenario", {"generators": [5]}],
 ])
 def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     doc = next((a for a in argv if isinstance(a, dict)), {})
@@ -209,6 +217,30 @@ def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     assert err.count("\n") == 1  # one "usage error:" or "scenario error:"
     if not isinstance(doc.get("p_grid", []), list):
         assert "p_grid must be a list" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["enumerate", "--scenario", {"graph": {"builder": "cycle", "n": 2}}],
+     "cycle needs n >= 3"),
+    (["bunkbed", "--base", '{"builder": "cycle", "n": 2}'],
+     "cycle needs n >= 3"),
+    (["enumerate", "--scenario", {"generators": [[0, 0, 1, 2]]}],
+     "not a permutation"),
+    (["enumerate", "--scenario", {"generators": [[1, 0, 2, 3]]}],
+     "not an automorphism"),
+    (["enumerate", "--scenario", {"graph": {"builder": "cycle", "n": 4},
+                                  "v_plus": [0], "v_minus": [2],
+                                  "origin": 0,
+                                  "generators": [{"name": "layer_swap"}]}],
+     "layer swap needs a binary last coordinate"),
+])
+def test_well_formed_spec_faults_exit_three(argv, err, tmp_path, capsys):
+    argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
+            for a in argv]
+    assert main(argv) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("precondition failure: ") and err in lines[0]
 
 
 def test_main_keeps_no_redirected_stream_alive():

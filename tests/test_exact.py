@@ -41,6 +41,7 @@ from _oracles import (
     observed_graphs,
     rc_joint_pmf,
     site_joint_pmf,
+    unpacked_bins,
 )
 
 HALF = F(1, 2)
@@ -199,6 +200,46 @@ def test_count_conservation():
                    for (a, b) in poly.counts)
 
 
+def _top_coefficient(poly, bits):
+    return 1 << bits * ((poly.bit_length() - 1) // bits)
+
+
+TAMPERS = {
+    "coefficient-plus-one": lambda sizes, poly, bits, width: (
+        sizes, poly + _top_coefficient(poly, bits)),
+    "coefficient-minus-one": lambda sizes, poly, bits, width: (
+        sizes, poly - _top_coefficient(poly, bits)),
+    # field 0 observes v_plus, which holds the origin
+    "empty-origin-field": lambda sizes, poly, bits, width: (
+        sizes >> width << width, poly),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+@pytest.mark.parametrize("law", [BOND, SITE, random_cluster_law(2)],
+                         ids=["bond", "site", "rc2"])
+def test_count_conservation_fires(law, tamper, monkeypatch):
+    # the random-cluster rows start at one cell, so their top coefficient
+    # is changed in a cells field that the check folds onto k
+    g = bunkbed_graph(cycle_graph(3))
+    pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
+    enumerate_joint(g, pair, law)  # the untouched rows pass both checks
+    cluster_rows = exact._origin_cluster_rows
+
+    def tampered(g, law, origin, weights, bits):
+        rows = cluster_rows(g, law, origin, weights, bits)
+        sizes = max(rows)
+        new_sizes, poly = TAMPERS[tamper](sizes, rows.pop(sizes), bits,
+                                          g.n_vertices.bit_length())
+        rows[new_sizes] = rows.get(new_sizes, 0) + poly
+        return rows
+
+    monkeypatch.setattr(exact, "_origin_cluster_rows", tampered)
+    fault = "empty origin" if tamper == "empty-origin-field" else "conservation"
+    with pytest.raises(RuntimeError, match=fault):
+        enumerate_joint(g, pair, law)
+
+
 def test_pmf_normalization_exact():
     g = torus_graph(3, 3)
     pair = make_pair(g, [g.index_of((0, 0)), g.index_of((1, 1))],
@@ -243,7 +284,7 @@ def test_chunked_and_parallel_sweeps_identical():
     single = brute_force_bins(g, observed, BOND)
     assert brute_force_bins(g, observed, BOND, chunks=5) == single
     assert brute_force_bins(g, observed, BOND, chunks=4, threads=2) == single
-    assert enumerate_joint(g, observed).bins == single
+    assert unpacked_bins(enumerate_joint(g, observed)) == single
 
 
 def test_cap_exceeded():
@@ -326,8 +367,14 @@ def test_one_sweep_projects_every_pair_and_target(case, p):
             n, edges, plus, minus, o, p, q),
     }
     for law, oracle in oracles.items():
-        sweep = enumerate_joint(g, Observables(o, tuple(pairs), tuple(targets)),
-                                law)
+        observed = Observables(o, tuple(pairs), tuple(targets))
+        sweep = enumerate_joint(g, observed, law)
+        # the projection onto every size at once, cells and k summed
+        by_sizes = {}
+        for (sizes, k, *_), cnt in brute_force_bins(g, observed, law).items():
+            by_sizes.setdefault(sizes, [0] * (sweep.units + 1))[k] += cnt
+        assert sweep.counts == {sizes: tuple(vec)
+                                for sizes, vec in by_sizes.items()}
         for pair in pairs:
             assert eval_joint(sweep.joint(pair), p) == oracle(pair.v_plus,
                                                               pair.v_minus)
@@ -435,7 +482,7 @@ def small_graphs(draw):
 def test_subset_dp_bins_equal_brute_force(case):
     g, observed = case
     for law in LAWS:
-        assert (enumerate_joint(g, observed, law).bins
+        assert (unpacked_bins(enumerate_joint(g, observed, law))
                 == brute_force_bins(g, observed, law))
 
 
@@ -462,7 +509,7 @@ def _builtin_cases():
 @pytest.mark.parametrize("g, pair, law", _builtin_cases())
 def test_subset_dp_bins_equal_brute_force_on_builtins(g, pair, law):
     observed = Observables(pair.origin, (pair,), tuple(range(g.n_vertices)))
-    assert (enumerate_joint(g, observed, law, cap_bits=32).bins
+    assert (unpacked_bins(enumerate_joint(g, observed, law, cap_bits=32))
             == brute_force_bins(g, observed, law))
 
 
@@ -475,8 +522,9 @@ def test_star_counts_follow_the_closed_form():
     g = explicit_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
     observed = Observables(0, (make_pair(g, range(leaves + 1), [], 0),))
     bond = enumerate_joint(g, observed, BOND)
-    assert bond.bins == {((1 + j, 0), j): comb(leaves, j)
-                         for j in range(leaves + 1)}
+    assert unpacked_bins(bond) == {((1 + j, 0), j): comb(leaves, j)
+                                   for j in range(leaves + 1)}
     rc = enumerate_joint(g, observed, random_cluster_law(3))
-    assert rc.bins == {((1 + j, 0), j, 1 + leaves - j): comb(leaves, j)
-                       for j in range(leaves + 1)}
+    assert unpacked_bins(rc) == {
+        ((1 + j, 0), j, 1 + leaves - j): comb(leaves, j)
+        for j in range(leaves + 1)}
