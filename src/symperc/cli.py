@@ -43,15 +43,18 @@ def to_stable_json(report: dict) -> str:
 
 def write_outputs(report: dict, json_path: str | None,
                   csv_path: str | None) -> None:
-    if json_path:
-        Path(json_path).write_text(to_stable_json(report))
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["scenario", "p", "quantity", "value", "lo", "hi", "mode",
-                 "verdict"])
-            writer.writerows(csv_rows(report))
+    try:
+        if json_path:
+            Path(json_path).write_text(to_stable_json(report))
+        if csv_path:
+            with open(csv_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(
+                    ["scenario", "p", "quantity", "value", "lo", "hi", "mode",
+                     "verdict"])
+                writer.writerows(csv_rows(report))
+    except OSError as exc:
+        raise click.UsageError(f"cannot write output: {exc}") from None
 
 
 def _scenario_name(report: dict) -> str:
@@ -262,7 +265,7 @@ def cli():
 
 
 def _builtin_help() -> str:
-    return ", ".join(sorted(scenarios.builtin_scenarios()))
+    return ", ".join(sorted(scenarios.BUILTINS))
 
 
 @cli.command("check-symmetry")
@@ -284,7 +287,8 @@ def cmd_check_symmetry(scenario_ref, json_path):
 @csv_opt
 def cmd_enumerate(scenario_ref, p_list, cap_bits, threads, json_path,
                   csv_path):
-    """Exact pipeline: enumerate all configurations and run every check."""
+    """Exact pipeline: count the origin's clusters by a subset DP over
+    connected sets and run every check."""
     sc = scenarios.load_scenario(scenario_ref)
     sc = _override(sc, p_list=p_list, cap_bits=cap_bits, mode="exact")
     report = scenarios.run_scenario(sc, threads=threads)

@@ -114,8 +114,6 @@ class Scenario:
             raise ScenarioFormatError(
                 "mc mode samples bond percolation only; this scenario uses "
                 f"the {self.law.kind} law")
-        if not self.p_grid:
-            raise ScenarioFormatError("p_grid must not be empty")
         if self.mc_n < 1:
             raise ScenarioFormatError(
                 f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
@@ -136,6 +134,8 @@ def parse_p_grid(values) -> tuple[Fraction, ...]:
     """Parse percolation parameters; each must lie strictly inside (0, 1)."""
     if not isinstance(values, (list, tuple)):
         raise ScenarioFormatError(f"p_grid must be a list, got {values!r}")
+    if not values:
+        raise ScenarioFormatError("p_grid must not be empty")
     return tuple(_parsed("p", parse_probability, p) for p in values)
 
 
@@ -494,13 +494,12 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
     """Two stacked copies of the base: compare the origin's layer with the
     other layer under the lifted base symmetries and the layer swap."""
     base = _parsed("base graph", build_graph, base_spec)
-    layers = range(0, 2 * base.n_vertices, 2)
     return Scenario(
         name="bunkbed",
         graph_spec={"builder": "bunkbed", "base": dict(base_spec)},
-        v_plus=tuple(layers),
-        v_minus=tuple(v + 1 for v in layers),
-        origin=0,
+        v_plus=_layer_labels(base, [0]),
+        v_minus=_layer_labels(base, [1]),
+        origin=[*base.labels[0], 0],
         generators=tuple(_lifted_base_perms(base_spec, base)
                          + [{"name": "layer_swap"}]),
         law=_parsed("law", parse_law, law),
@@ -510,6 +509,12 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
               "v_plus": "base x {0}", "v_minus": "base x {1}", "origin": 0},
         **settings,
     )
+
+
+def _layer_labels(base: Graph, layers: Sequence[int]) -> tuple:
+    """The coordinate labels of a product with the base as its first factor
+    and ``layers`` on its last coordinate."""
+    return tuple([*label, layer] for label in base.labels for layer in layers)
 
 
 def _layer_classes(m: int, choice: str, k: int, period: int | None,
@@ -557,17 +562,15 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
     axis = len(base.labels[0])  # the cycle coordinate of the cylinder
     gens = _lifted_base_perms(base_spec, base)
-    gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
     if choice in ("b", "c"):
         gens.append({"name": "axis_rotation", "axis": axis, "step": period})
+    gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
     return Scenario(
         name="layered",
         graph_spec={"builder": "cylinder", "base": dict(base_spec), "m": m},
-        v_plus=tuple(b * m + l for b in range(base.n_vertices)
-                     for l in plus_layers),
-        v_minus=tuple(b * m + l for b in range(base.n_vertices)
-                      for l in minus_layers),
-        origin=0,
+        v_plus=_layer_labels(base, plus_layers),
+        v_minus=_layer_labels(base, minus_layers),
+        origin=[*base.labels[0], 0],
         generators=tuple(gens),
         p_grid=parse_p_grid(p_grid),
         kind="layered",
@@ -971,172 +974,76 @@ def group_theorem_battery(name: str, trials: int = 100, seed: int = 0) -> dict:
 # built-in scenario corpus
 
 
+def _relation_scenario(sc: Scenario, index: int) -> Scenario:
+    """One relation of a constructed scenario as a single-pair scenario."""
+    rel = sc.relations[index]
+    return replace(sc, v_plus=rel.v_plus, v_minus=rel.v_minus,
+                   generators=rel.generators, relations=())
+
+
+_THIRDS = ("1/3", "1/2")
+_QUARTERS = ("1/4", "1/2", "3/4")
+_PATH2 = {"builder": "path", "n": 2}
+_CYCLE3 = {"builder": "cycle", "n": 3}
+_POINT = {"builder": "path", "n": 1}
+
+# Each builtin is one constructor call, except the two that no constructor
+# makes, which are parsed from their documents.
+BUILTINS = {
+    "bunkbed-path2": lambda: bunkbed_scenario(_PATH2),
+    "bunkbed-cycle3": lambda: bunkbed_scenario(_CYCLE3),
+    "bunkbed-cycle5": lambda: bunkbed_scenario({"builder": "cycle", "n": 5}),
+    "bunkbed-path3": lambda: bunkbed_scenario({"builder": "path", "n": 3}),
+    "bunkbed-cycle3-site": lambda: bunkbed_scenario(_CYCLE3, _THIRDS, "site"),
+    "bunkbed-path2-rc2": lambda: bunkbed_scenario(_PATH2, _THIRDS, "rc:2"),
+    "bunkbed-path2-rchalf": lambda: bunkbed_scenario(_PATH2, _THIRDS,
+                                                     "rc:1/2"),
+    "z2-n3-rel1": lambda: _relation_scenario(z2_scenario(3, _QUARTERS), 0),
+    "z2-n3-rel2": lambda: _relation_scenario(z2_scenario(3, _QUARTERS), 1),
+    # axis-aligned parallel-lines pattern (the one line-class pattern
+    # that transfers verbatim to the torus quotient)
+    "z2-n3-lines": lambda: parse_scenario({
+        "graph": {"builder": "torus", "n": 3, "m": 3},
+        "v_plus": [[0, 0], [0, 1], [0, 2]],
+        "v_minus": [[1, 0], [1, 1], [1, 2]],
+        "origin": [0, 0],
+        "generators": [
+            {"name": "axis_rotation", "axis": 1, "step": 1},
+            {"name": "axis_reflection", "axis": 1, "center2": 0},
+            {"name": "axis_reflection", "axis": 0, "center2": 1},
+        ],
+    }),
+    "layered-m8-b": lambda: layered_scenario(_POINT, 8, "b", 1, 2, _QUARTERS),
+    "layered-m6-a": lambda: layered_scenario(_POINT, 6, "a", 3,
+                                             p_grid=_QUARTERS),
+    "asym-path4": lambda: parse_scenario({
+        "graph": {"builder": "path", "n": 4},
+        "v_plus": [0, 3], "v_minus": [1, 2], "origin": 0,
+    }),
+    "mc-bunkbed-path2": lambda: bunkbed_scenario(
+        _PATH2, mode="mc", mc_n=100_000, mc_seed=42),
+}
+
+
+def _builtin(name: str) -> Scenario:
+    """One builtin, as the scenario that its document parses to."""
+    if name not in BUILTINS:
+        raise ScenarioFormatError(
+            f"unknown builtin scenario {name!r}; available: "
+            + ", ".join(sorted(BUILTINS)))
+    return replace(BUILTINS[name](), name=name, kind="scenario", echo=None)
+
+
 def builtin_scenarios() -> dict[str, dict]:
     """Named scenario documents covering the acceptance corpus, so CI runs
-    need no hand-written files."""
-    cyc3_rot = {"name": "base_perm", "perm": [1, 2, 0]}
-    cyc3_refl = {"name": "base_perm", "perm": [0, 2, 1]}
-    swap = {"name": "layer_swap"}
-    bunk = lambda base: {"builder": "bunkbed", "base": base}
-    out = {
-        "bunkbed-path2": {
-            "graph": bunk({"builder": "path", "n": 2}),
-            "v_plus": [[0, 0], [1, 0]],
-            "v_minus": [[0, 1], [1, 1]],
-            "origin": [0, 0],
-            "generators": [{"name": "base_perm", "perm": [1, 0]}, swap],
-            "law": "bond",
-            "p_grid": ["1/2"],
-        },
-        "bunkbed-cycle3": {
-            "graph": bunk({"builder": "cycle", "n": 3}),
-            "v_plus": [[0, 0], [1, 0], [2, 0]],
-            "v_minus": [[0, 1], [1, 1], [2, 1]],
-            "origin": [0, 0],
-            "generators": [cyc3_rot, cyc3_refl, swap],
-            "law": "bond",
-            "p_grid": ["1/2"],
-        },
-        "bunkbed-cycle5": {
-            "graph": bunk({"builder": "cycle", "n": 5}),
-            "v_plus": [[i, 0] for i in range(5)],
-            "v_minus": [[i, 1] for i in range(5)],
-            "origin": [0, 0],
-            "generators": [
-                {"name": "base_perm", "perm": [1, 2, 3, 4, 0]},
-                {"name": "base_perm", "perm": [0, 4, 3, 2, 1]},
-                swap,
-            ],
-            "law": "bond",
-            "p_grid": ["1/2"],
-        },
-        "bunkbed-path3": {
-            "graph": bunk({"builder": "path", "n": 3}),
-            "v_plus": [[i, 0] for i in range(3)],
-            "v_minus": [[i, 1] for i in range(3)],
-            "origin": [0, 0],
-            "generators": [{"name": "base_perm", "perm": [2, 1, 0]}, swap],
-            "law": "bond",
-            "p_grid": ["1/2"],
-        },
-        "bunkbed-cycle3-site": {
-            "graph": bunk({"builder": "cycle", "n": 3}),
-            "v_plus": [[0, 0], [1, 0], [2, 0]],
-            "v_minus": [[0, 1], [1, 1], [2, 1]],
-            "origin": [0, 0],
-            "generators": [cyc3_rot, cyc3_refl, swap],
-            "law": "site",
-            "p_grid": ["1/3", "1/2"],
-        },
-        "bunkbed-path2-rc2": {
-            "graph": bunk({"builder": "path", "n": 2}),
-            "v_plus": [[0, 0], [1, 0]],
-            "v_minus": [[0, 1], [1, 1]],
-            "origin": [0, 0],
-            "generators": [{"name": "base_perm", "perm": [1, 0]}, swap],
-            "law": {"kind": "random_cluster", "q": "2"},
-            "p_grid": ["1/3", "1/2"],
-        },
-        "bunkbed-path2-rchalf": {
-            "graph": bunk({"builder": "path", "n": 2}),
-            "v_plus": [[0, 0], [1, 0]],
-            "v_minus": [[0, 1], [1, 1]],
-            "origin": [0, 0],
-            "generators": [{"name": "base_perm", "perm": [1, 0]}, swap],
-            "law": {"kind": "random_cluster", "q": "1/2"},
-            "p_grid": ["1/3", "1/2"],
-        },
-        "z2-n3-rel1": {
-            "graph": {"builder": "torus", "n": 3, "m": 3},
-            "v_plus": [[0, 0], [1, 1]],
-            "v_minus": [[1, 0], [0, 1]],
-            "origin": [0, 0],
-            "generators": [
-                {"name": "swap_axes", "a": 0, "b": 1},
-                {"name": "axis_reflection", "axis": 0, "center2": 1},
-            ],
-            "law": "bond",
-            "p_grid": ["1/4", "1/2", "3/4"],
-        },
-        "z2-n3-rel2": {
-            "graph": {"builder": "torus", "n": 3, "m": 3},
-            "v_plus": [[0, 0], [2, 0]],
-            "v_minus": [[1, 1], [1, 2]],
-            "origin": [0, 0],
-            "generators": [
-                {"name": "axis_reflection", "axis": 0, "center2": 2},
-                {"name": "compose", "of": [
-                    {"name": "axis_rotation", "axis": 0, "step": 1},
-                    {"name": "axis_rotation", "axis": 1, "step": -1},
-                    {"name": "swap_axes", "a": 0, "b": 1},
-                ]},
-            ],
-            "law": "bond",
-            "p_grid": ["1/4", "1/2", "3/4"],
-        },
-        # axis-aligned parallel-lines pattern (the one line-class pattern
-        # that transfers verbatim to the torus quotient)
-        "z2-n3-lines": {
-            "graph": {"builder": "torus", "n": 3, "m": 3},
-            "v_plus": [[0, 0], [0, 1], [0, 2]],
-            "v_minus": [[1, 0], [1, 1], [1, 2]],
-            "origin": [0, 0],
-            "generators": [
-                {"name": "axis_rotation", "axis": 1, "step": 1},
-                {"name": "axis_reflection", "axis": 1, "center2": 0},
-                {"name": "axis_reflection", "axis": 0, "center2": 1},
-            ],
-            "law": "bond",
-            "p_grid": ["1/2"],
-        },
-        "layered-m8-b": {
-            "graph": {"builder": "cylinder",
-                      "base": {"builder": "path", "n": 1}, "m": 8},
-            "v_plus": [[0, 0], [0, 2], [0, 4], [0, 6]],
-            "v_minus": [[0, 1], [0, 3], [0, 5], [0, 7]],
-            "origin": [0, 0],
-            "generators": [
-                {"name": "axis_rotation", "axis": 1, "step": 2},
-                {"name": "axis_reflection", "axis": 1, "center2": 1},
-            ],
-            "law": "bond",
-            "p_grid": ["1/4", "1/2", "3/4"],
-        },
-        "layered-m6-a": {
-            "graph": {"builder": "cylinder",
-                      "base": {"builder": "path", "n": 1}, "m": 6},
-            "v_plus": [[0, 0]],
-            "v_minus": [[0, 3]],
-            "origin": [0, 0],
-            "generators": [
-                {"name": "axis_reflection", "axis": 1, "center2": 3},
-            ],
-            "law": "bond",
-            "p_grid": ["1/4", "1/2", "3/4"],
-        },
-        "asym-path4": {
-            "graph": {"builder": "path", "n": 4},
-            "v_plus": [0, 3],
-            "v_minus": [1, 2],
-            "origin": 0,
-            "generators": [],
-            "law": "bond",
-            "p_grid": ["1/2"],
-        },
-        "mc-bunkbed-path2": {
-            "graph": bunk({"builder": "path", "n": 2}),
-            "v_plus": [[0, 0], [1, 0]],
-            "v_minus": [[0, 1], [1, 1]],
-            "origin": [0, 0],
-            "generators": [{"name": "base_perm", "perm": [1, 0]}, swap],
-            "law": "bond",
-            "p_grid": ["1/2"],
-            "mode": "mc",
-            "mc": {"n": 100000, "seed": 42},
-        },
-    }
-    for name, doc in out.items():
-        doc.setdefault("name", name)
+    need no hand-written files.  A document is its scenario's echo, with
+    the sample count and seed in Monte Carlo mode."""
+    out = {}
+    for name in BUILTINS:
+        sc = _builtin(name)
+        out[name] = scenario_echo(sc)
+        if sc.mode == "mc":
+            out[name]["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed}
     return out
 
 
@@ -1146,13 +1053,7 @@ def load_scenario(ref: str) -> Scenario:
     from pathlib import Path
 
     if ref.startswith("builtin:"):
-        name = ref.split(":", 1)[1]
-        corpus = builtin_scenarios()
-        if name not in corpus:
-            raise ScenarioFormatError(
-                f"unknown builtin scenario {name!r}; available: "
-                + ", ".join(sorted(corpus)))
-        return parse_scenario(corpus[name], name)
+        return _builtin(ref.split(":", 1)[1])
     path = Path(ref)
     try:
         doc = json.loads(path.read_text())

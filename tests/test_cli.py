@@ -206,6 +206,11 @@ def _scenario_file(tmp_path, **changes):
      "--m", "6", "--choice", "a", "--k", "1"],
     ["enumerate", "--scenario", {"generators": [{"name": "no-such"}]}],
     ["check-symmetry", "--scenario", {"generators": [5]}],
+    ["hypercube", "--d", "2", "--p", ","],
+    ["hypercube", "--d", "2", "--p", ",", "--mode", "mc", "--n", "10"],
+    ["check-symmetry", "--scenario", "builtin:bunkbed-path2", "--json",
+     "/nonexistent/dir/x.json"],
+    ["enumerate", "--scenario", "builtin:bunkbed-path2", "--csv", "."],
 ])
 def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     doc = next((a for a in argv if isinstance(a, dict)), {})

@@ -10,6 +10,7 @@ from symperc.graphs import hypercube_graph
 from symperc.scenarios import (
     PASS,
     PRECONDITION_FAILED,
+    BUILTINS,
     VIOLATION,
     ScenarioError,
     ScenarioFormatError,
@@ -22,6 +23,7 @@ from symperc.scenarios import (
     load_scenario,
     parse_scenario,
     run_scenario,
+    scenario_echo,
     z2_scenario,
 )
 
@@ -301,6 +303,18 @@ def test_parse_scenario_errors():
         load_scenario("builtin:does-not-exist")
     with pytest.raises(ScenarioFormatError):
         load_scenario("/nonexistent/path.json")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_document_and_loader_agree(name):
+    doc = builtin_scenarios()[name]
+    sc = parse_scenario(doc, name)
+    assert load_scenario(f"builtin:{name}") == sc
+    # document -> Scenario -> document is a fixed point
+    again = scenario_echo(sc)
+    if sc.mode == "mc":
+        again["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed}
+    assert again == doc
 
 
 def test_scenario_file_round_trip(tmp_path):
