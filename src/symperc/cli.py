@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,8 +38,9 @@ USAGE_ERROR = 4
 
 
 def to_stable_json(report: dict) -> str:
-    """Canonical serialization; parsing and re-serializing is a no-op."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical strict JSON; parsing and re-serializing is a no-op.  A
+    non-finite float raises instead of becoming ``Infinity`` or ``NaN``."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_outputs(report: dict, json_path: str | None,
@@ -62,60 +64,48 @@ def _scenario_name(report: dict) -> str:
     return str(sc.get("name", report.get("kind", "scenario")))
 
 
+def _cells(value, unbounded=("", "")) -> tuple:
+    """A result value as (value, lo, hi): an exact "num/den" string has no
+    interval, and a Monte Carlo record's null end becomes ``unbounded``."""
+    if not isinstance(value, dict):
+        return value, "", ""
+    lo, hi = value["ci"]
+    return (value["estimate"], unbounded[0] if lo is None else lo,
+            unbounded[1] if hi is None else hi)
+
+
 def csv_rows(report: dict) -> list[list]:
     """Flatten a report into the stable CSV columns."""
     name = _scenario_name(report)
     mode = report.get("mode", "")
     rows: list[list] = []
 
-    def emit(p, quantity, value, lo="", hi="", verdict=""):
-        rows.append([name, p, quantity, value, lo, hi, mode, verdict])
+    def emit(p, quantity, value, verdict=""):
+        rows.append([name, p, quantity, *_cells(value), mode, verdict])
 
     def emit_result(res: dict, prefix: str = ""):
         p = res.get("p", "")
         for key in ("expected_plus", "expected_minus", "expectation_gap"):
             if key in res:
-                val = res[key]
-                if isinstance(val, dict):
-                    emit(p, prefix + key, val["estimate"], val["ci"][0],
-                         val["ci"][1], res.get("verdict", ""))
-                else:
-                    emit(p, prefix + key, val, verdict=res.get("verdict", ""))
-        dom = res.get("domination")
-        if dom and "margins" in dom:
-            for t, margin in sorted(dom["margins"].items(),
-                                    key=lambda kv: int(kv[0])):
-                emit(p, f"{prefix}margin_t{t}", margin,
-                     verdict="pass" if dom["passes"] else "violation")
-        if dom and "thresholds" in dom:
-            for row in dom["thresholds"]:
-                emit(p, f"{prefix}margin_t{row['t']}", row["margin"],
-                     row["ci"][0], row["ci"][1], row["verdict"])
+                emit(p, prefix + key, res[key], res["verdict"])
+        for row in res.get("domination", {}).get("thresholds", []):
+            emit(p, f"{prefix}margin_t{row['t']}", row["margin"],
+                 row["verdict"])
         for key, val in res.get("identity_residuals", {}).items():
             emit(p, f"{prefix}residual_{key}", val,
-                 verdict="pass" if res.get("identity_zero") else "violation")
+                 PASS if res["identity_zero"] else VIOLATION)
         for key in ("ratio_lhs", "ratio_rhs", "relation_slack", "c_far",
                     "c_near"):
             if key in res:
                 emit(p, prefix + key, res[key])
-        if "c_values" in res:
-            for i, val in enumerate(res["c_values"]):
-                if isinstance(val, dict):
-                    emit(p, f"{prefix}c_{i}", val["estimate"], val["ci"][0],
-                         val["ci"][1])
-                else:
-                    emit(p, f"{prefix}c_{i}", val)
+        for i, val in enumerate(res.get("c_values", [])):
+            emit(p, f"{prefix}c_{i}", val)
         for row in res.get("rows", []):
-            tag = f"k{row['k']}_l{row['l']}"
-            if "pass" in row:
-                emit(p, f"{prefix}double_sum_{tag}", row["double_sum"],
-                     verdict="pass" if row["pass"] else "violation")
-            else:
-                emit(p, f"{prefix}double_sum_{tag}", row["double_sum"],
-                     verdict=row.get("double_sum_verdict", ""))
+            emit(p, f"{prefix}double_sum_k{row['k']}_l{row['l']}",
+                 row["double_sum"], row["double_sum_verdict"])
         for row in res.get("derivatives", []):
             emit(p, f"{prefix}derivative_k{row['k']}", row["value"],
-                 verdict="pass" if row["sign_ok"] else "violation")
+                 row["verdict"])
 
     for res in report.get("results", []):
         emit_result(res)
@@ -124,7 +114,7 @@ def csv_rows(report: dict) -> list[list]:
             emit_result(res, prefix=rel["name"] + "_")
     if "all_exact" in report:
         emit("", "all_exact", str(report["all_exact"]).lower(),
-             verdict=report["verdict"])
+             report["verdict"])
     return rows
 
 
@@ -178,25 +168,16 @@ def _result_line(res: dict, indent: str) -> str:
     bits = [f"p={p}"]
     for key in ("expected_plus", "expected_minus"):
         if key in res:
-            val = res[key]
-            if isinstance(val, dict):
-                bits.append(f"{key}={val['estimate']:.6g}"
-                            f"[{val['ci'][0]:.6g},{val['ci'][1]:.6g}]")
-            else:
-                bits.append(f"{key}={val}")
-    dom = res.get("domination")
-    if dom and "passes" in dom:
-        bits.append(f"margins>=0={dom['passes']}")
-    if dom and "overall" in dom:
-        bits.append(f"domination={dom['overall']}")
-    if "identity_zero" in res:
-        bits.append(f"identity-zero={res['identity_zero']}")
-    if "ratio_equal" in res:
-        bits.append(f"ratio-equal={res['ratio_equal']}")
-    if "relation_slack" in res:
-        bits.append(f"slack={res['relation_slack']}")
-    if "verdict" in res:
-        bits.append(f"verdict={res['verdict']}")
+            value, lo, hi = _cells(res[key], (-math.inf, math.inf))
+            bits.append(f"{key}={value}" if lo == "" else
+                        f"{key}={value:.6g}[{lo:.6g},{hi:.6g}]")
+    if "domination" in res:
+        bits.append(f"domination={res['domination']['verdict']}")
+    for key, label in (("identity_zero", "identity-zero"),
+                       ("ratio_equal", "ratio-equal"),
+                       ("relation_slack", "slack"), ("verdict", "verdict")):
+        if key in res:
+            bits.append(f"{label}={res[key]}")
     return indent + "  ".join(bits)
 
 
@@ -207,7 +188,8 @@ def finish(report: dict, json_path: str | None, csv_path: str | None) -> int:
 
 
 def _parse_p_list(text: str | None, default=("1/2",)) -> list[str]:
-    if not text:
+    """The --p grid; only an absent flag means the default."""
+    if text is None:
         return list(default)
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -446,7 +428,7 @@ def _override(sc: scenarios.Scenario, p_list=None, cap_bits=None, mode=None,
     from dataclasses import replace
 
     changes = {}
-    if p_list:
+    if p_list is not None:
         changes["p_grid"] = scenarios.parse_p_grid(_parse_p_list(p_list))
     if cap_bits is not None:
         changes["cap_bits"] = cap_bits

@@ -618,13 +618,6 @@ class DominationReport:
     passes: bool
     trivial_minus: bool  # the support never touches v_minus (empty set)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "margins": {str(t): format_fraction(m) for t, m in self.margins},
-            "passes": self.passes,
-            "trivial_minus": self.trivial_minus,
-        }
-
 
 def check_domination(pmf: Pmf) -> DominationReport:
     """Compare the two tail distributions at every threshold.

@@ -30,8 +30,8 @@ sampled mean other than a proportion takes its standard error from one
 formula, :func:`_mean_stderr`.
 
 Verdicts about the domination margins are deliberately three-valued:
-sampling cannot prove the inequality, so the vocabulary is CONSISTENT,
-VIOLATION, or INCONCLUSIVE rather than a boolean.
+sampling cannot prove the inequality, so a verdict is ``pass`` (consistent
+with it at the stated level), ``violation`` or ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from .rationals import parse_fraction
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-CONSISTENT = "CONSISTENT"
-VIOLATION = "VIOLATION"
-INCONCLUSIVE = "INCONCLUSIVE"
-_SEVERITY = {CONSISTENT: 0, INCONCLUSIVE: 1, VIOLATION: 2}
+PASS = "pass"
+VIOLATION = "violation"
+INCONCLUSIVE = "inconclusive"
+_SEVERITY = {PASS: 0, INCONCLUSIVE: 1, VIOLATION: 2}
 
 # A margin lives in [-1, 1]; intervals wider than this resolve nothing.
 MAX_INFORMATIVE_HALF_WIDTH = 0.25
@@ -96,16 +96,16 @@ class McEstimate:
     lo: float
     hi: float
 
-    def to_json_dict(self, quantity: str, seed: int) -> dict:
-        return {
-            "quantity": quantity,
-            "n": self.n_samples,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "ci": [self.lo, self.hi],
-            "level": self.level,
-            "seed": seed,
-        }
+    def to_json_dict(self) -> dict:
+        return interval_record(self.estimate, self.stderr, self.lo, self.hi)
+
+
+def interval_record(estimate: float, stderr: float, lo: float,
+                    hi: float) -> dict:
+    """A report's Monte Carlo value: the estimate, its standard error and
+    its confidence interval, with an infinite stderr or end as null."""
+    stderr, lo, hi = (x if math.isfinite(x) else None for x in (stderr, lo, hi))
+    return {"estimate": estimate, "stderr": stderr, "ci": [lo, hi]}
 
 
 @dataclass(frozen=True)
@@ -292,11 +292,12 @@ def _mean_stderr(n: int, weighted) -> tuple[float, float]:
 
 def interval_verdict(mean: float, half: float) -> str:
     """Verdict on "the quantity is >= 0" from an interval mean +/- half: a
-    VIOLATION when it lies entirely below zero; otherwise CONSISTENT when it
-    is narrow enough to be informative and INCONCLUSIVE when it is not."""
+    violation when it lies entirely below zero; otherwise a pass (consistent
+    with the inequality) when it is narrow enough to be informative and
+    inconclusive when it is not."""
     if mean + half < 0:
         return VIOLATION
-    return CONSISTENT if half <= MAX_INFORMATIVE_HALF_WIDTH else INCONCLUSIVE
+    return PASS if half <= MAX_INFORMATIVE_HALF_WIDTH else INCONCLUSIVE
 
 
 def _proportion(hits: int, n: int, level: float) -> McEstimate:
@@ -327,6 +328,7 @@ def empirical_expected_sizes(emp: EmpiricalJoint,
 class ThresholdVerdict:
     threshold: int
     margin: float
+    stderr: float
     lo: float
     hi: float
     verdict: str
@@ -340,10 +342,10 @@ class DominationVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "level": self.level,
-            "overall": self.overall,
+            "verdict": self.overall,
             "thresholds": [
-                {"t": r.threshold, "margin": r.margin, "ci": [r.lo, r.hi],
+                {"t": r.threshold,
+                 "margin": interval_record(r.margin, r.stderr, r.lo, r.hi),
                  "verdict": r.verdict}
                 for r in self.rows
             ],
@@ -371,7 +373,7 @@ def mc_domination_verdict(emp: EmpiricalJoint,
         mean, stderr = _mean_stderr(n, (
             ((a >= t) - (b >= t), cnt) for (a, b), cnt in emp.counts.items()))
         half = z * stderr
-        rows.append(ThresholdVerdict(t, mean, mean - half, mean + half,
-                                     interval_verdict(mean, half)))
+        rows.append(ThresholdVerdict(t, mean, stderr, mean - half,
+                                     mean + half, interval_verdict(mean, half)))
     overall = max((r.verdict for r in rows), key=_SEVERITY.__getitem__)
     return DominationVerdict(rows=tuple(rows), level=level, overall=overall)

@@ -6,9 +6,11 @@ bunkbed, layered and z2 harnesses are constructors of scenarios; the
 hypercube harness reads its connection probabilities and its instance pairs
 off one run as well.
 
-Reports are plain JSON-ready dicts sharing one envelope, with every exact
-quantity as a "num/den" string and every Monte Carlo quantity as an estimate
-record with its confidence interval.
+Reports are plain JSON-ready dicts sharing one envelope.  A result has one
+shape in both modes: every exact quantity is a "num/den" string and every
+Monte Carlo quantity an ``{estimate, stderr, ci}`` record, and every verdict
+is ``pass``, ``violation`` or ``inconclusive`` (``precondition_failed`` for a
+whole block).
 """
 
 from __future__ import annotations
@@ -26,18 +28,10 @@ from .graphs import Graph, GraphError, build_graph
 from .groups import Perm
 from .rationals import format_fraction, parse_probability
 
-SCHEMA = "symperc-report/2"
+SCHEMA = "symperc-report/3"
 
-PASS = "pass"
-VIOLATION = "violation"
-INCONCLUSIVE = "inconclusive"
+PASS, VIOLATION, INCONCLUSIVE = mc.PASS, mc.VIOLATION, mc.INCONCLUSIVE
 PRECONDITION_FAILED = "precondition_failed"
-
-_MC_VERDICT = {
-    mc.CONSISTENT: PASS,
-    mc.VIOLATION: VIOLATION,
-    mc.INCONCLUSIVE: INCONCLUSIVE,
-}
 
 _SEVERITY = {PASS: 0, INCONCLUSIVE: 1, VIOLATION: 2, PRECONDITION_FAILED: 3}
 
@@ -51,11 +45,12 @@ class ScenarioFormatError(ScenarioError):
 
 
 def worst_verdict(verdicts) -> str:
-    out = PASS
-    for v in verdicts:
-        if _SEVERITY[v] > _SEVERITY[out]:
-            out = v
-    return out
+    return max(verdicts, key=_SEVERITY.__getitem__, default=PASS)
+
+
+def _sign_verdict(value) -> str:
+    """An exact verdict on "the quantity is >= 0"."""
+    return PASS if value >= 0 else VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +216,6 @@ def exact_p_results(
     informational and only a negative margin counts as a violation.
     """
     results = []
-    verdicts = []
     for p in p_grid:
         pmf = exact.eval_joint(poly, p)
         e_plus, e_minus = exact.expected_sizes(pmf)
@@ -235,47 +229,50 @@ def exact_p_results(
                   and e_plus >= e_minus)
         else:
             ok = dom.passes
-        verdict = PASS if ok else VIOLATION
-        verdicts.append(verdict)
         results.append({
             "p": format_fraction(p),
             "expected_plus": format_fraction(e_plus),
             "expected_minus": format_fraction(e_minus),
             "expectation_gap": format_fraction(e_plus - e_minus),
-            "domination": dom.to_json_dict(),
+            "domination": _domination_block(dom),
             "identity_residuals": {k: format_fraction(v)
                                    for k, v in residuals.items()},
             "identity_zero": identity_zero,
             "ratio_lhs": format_fraction(ratio_lhs),
             "ratio_rhs": format_fraction(ratio_rhs),
             "ratio_equal": ratio_equal,
-            "verdict": verdict,
+            "verdict": PASS if ok else VIOLATION,
         })
-    return results, worst_verdict(verdicts)
+    return results, worst_verdict(row["verdict"] for row in results)
+
+
+def _domination_block(dom: exact.DominationReport) -> dict:
+    """The exact domination block, shaped as the Monte Carlo one: each
+    threshold's margin is judged by its own sign."""
+    thresholds = [{"t": t, "margin": format_fraction(m),
+                   "verdict": _sign_verdict(m)} for t, m in dom.margins]
+    return {"verdict": worst_verdict(row["verdict"] for row in thresholds),
+            "thresholds": thresholds}
 
 
 def mc_p_results(
     joints: Sequence[mc.EmpiricalJoint],
     p_grid: Sequence[Fraction],
-    seed: int,
     level: float = 0.95,
 ) -> tuple[list[dict], str]:
     """Summaries and verdicts of one pair's binned samples at each p."""
     results = []
-    verdicts = []
     for p, emp in zip(p_grid, joints):
         est_plus, est_minus = mc.empirical_expected_sizes(emp, level)
         dom = mc.mc_domination_verdict(emp, level)
-        verdict = _MC_VERDICT[dom.overall]
-        verdicts.append(verdict)
         results.append({
             "p": format_fraction(p),
-            "expected_plus": est_plus.to_json_dict("expected_plus", seed),
-            "expected_minus": est_minus.to_json_dict("expected_minus", seed),
+            "expected_plus": est_plus.to_json_dict(),
+            "expected_minus": est_minus.to_json_dict(),
             "domination": dom.to_json_dict(),
-            "verdict": verdict,
+            "verdict": dom.overall,
         })
-    return results, worst_verdict(verdicts)
+    return results, worst_verdict(row["verdict"] for row in results)
 
 
 def _envelope(kind: str, scenario_echo: dict, mode: str, verdict: str,
@@ -336,8 +333,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
                          polynomial=poly.to_json_dict())
         else:
             results, verdict = mc_p_results(
-                [sweep.joint(pair) for sweep in sampled], sc.p_grid,
-                sc.mc_seed, level)
+                [sweep.joint(pair) for sweep in sampled], sc.p_grid, level)
             block.update(theorem_instance=conditions.ok, results=results,
                          verdict=verdict)
         blocks.append(block)
@@ -406,7 +402,7 @@ def verify_identity_report(sc: Scenario) -> dict:
     for row in report["results"]:
         ok = row["identity_zero"] and row["ratio_equal"]
         results.append({**{key: row[key] for key in _IDENTITY_FIELDS},
-                        "exact_zero": ok, "verdict": PASS if ok else VIOLATION})
+                        "verdict": PASS if ok else VIOLATION})
     report["kind"] = "verify-identity"
     report["results"] = results
     if report["verdict"] != PRECONDITION_FAILED:
@@ -768,52 +764,69 @@ def hypercube_inequality_report(
         for p in p_grid:
             sweep = mc.estimate_joint(g, observed, p, mc_n, mc_seed,
                                       threads=threads)
-            results.append(
-                _mc_hypercube_entry(d, p, sweep, reps, level, mc_seed))
+            results.append(_mc_hypercube_entry(d, p, sweep, reps, level))
     verdicts += [entry["verdict"] for entry in results]
     return _envelope("hypercube", echo, mode, worst_verdict(verdicts),
                      started, results=results, **extra)
 
 
-def _exact_hypercube_entry(d, p, c, polys) -> dict:
+def _hypercube_rows(d: int, c: Sequence, measure) -> list[dict]:
+    """The inequality rows for every k + l <= d, in one shape for both modes.
+
+    Each quantity is ``stat(c)`` for a linear combination ``stat`` of the
+    c-values, and ``measure(stat)`` returns how the report shows it and the
+    verdict on "it is >= 0".  The abs-compare row combines the two point
+    derivatives with the signs they take at ``c``.
+    """
     rows = []
-    ok = True
     for k in range(d + 1):
         for l in range(d - k + 1):
-            double_sum = _c_value_gap("double_sum", k, l, c)
-            lhs = abs(discrete_derivative(c, k, 0))
-            rhs = abs(discrete_derivative(c, k, l))
-            row_ok = double_sum >= 0 and lhs >= rhs
-            ok = ok and row_ok
-            rows.append({
-                "k": k, "l": l,
-                "double_sum": format_fraction(double_sum),
-                "abs_derivative_at_0": format_fraction(lhs),
-                "abs_derivative_at_l": format_fraction(rhs),
-                "pass": row_ok,
-            })
+            s0 = -1 if discrete_derivative(c, k, 0) < 0 else 1
+            s1 = -1 if discrete_derivative(c, k, l) < 0 else 1
+            double_sum, sum_verdict = measure(
+                lambda x: _c_value_gap("double_sum", k, l, x))
+            at_0, _ = measure(lambda x: s0 * discrete_derivative(x, k, 0))
+            at_l, _ = measure(lambda x: s1 * discrete_derivative(x, k, l))
+            _, compare_verdict = measure(
+                lambda x: s0 * discrete_derivative(x, k, 0)
+                - s1 * discrete_derivative(x, k, l))
+            rows.append({"k": k, "l": l, "double_sum": double_sum,
+                         "abs_derivative_at_0": at_0,
+                         "abs_derivative_at_l": at_l,
+                         "double_sum_verdict": sum_verdict,
+                         "abs_compare_verdict": compare_verdict})
+    return rows
+
+
+def _hypercube_entry(p, c_values: list, rows: list[dict], **checks) -> dict:
+    """One p's hypercube result; ``checks`` are further lists of items that
+    each carry a verdict."""
+    verdicts = [row[key] for row in rows
+                for key in ("double_sum_verdict", "abs_compare_verdict")]
+    verdicts += [item["verdict"] for items in checks.values() for item in items]
+    return {"p": format_fraction(p), "c_values": c_values, "rows": rows,
+            **checks, "verdict": worst_verdict(verdicts)}
+
+
+def _exact_hypercube_entry(d, p, c, polys) -> dict:
+    def measure(stat):
+        value = stat(c)
+        return format_fraction(value), _sign_verdict(value)
+
+    rows = _hypercube_rows(d, c, measure)
     derivatives = []
     for k in range(d + 1):
         val = discrete_derivative(c, k, 0)
-        sign_ok = (-1) ** k * val >= 0
-        ok = ok and sign_ok
         derivatives.append({"k": k, "value": format_fraction(val),
-                            "sign_ok": sign_ok})
-    instances, inst_ok = _check_hypercube_instances(p, c, polys)
-    return {
-        "p": format_fraction(p),
-        "c_values": [format_fraction(x) for x in c],
-        "rows": rows,
-        "derivatives": derivatives,
-        "instances": instances,
-        "verdict": PASS if ok and inst_ok else VIOLATION,
-    }
+                            "verdict": _sign_verdict((-1) ** k * val)})
+    return _hypercube_entry(p, [format_fraction(x) for x in c], rows,
+                            derivatives=derivatives,
+                            instances=_check_hypercube_instances(p, c, polys))
 
 
-def _check_hypercube_instances(p, c, polys):
+def _check_hypercube_instances(p, c, polys) -> list[dict]:
     """Check each inequality as a genuine symmetric-set expectation gap."""
     instances = []
-    all_ok = True
     for k, l, name, conditions, poly in polys:
         pmf = exact.eval_joint(poly, p)
         e_plus, e_minus = exact.expected_sizes(pmf)
@@ -822,64 +835,41 @@ def _check_hypercube_instances(p, c, polys):
         predicted = _c_value_gap(name, k, l, c)
         inst_ok = (conditions.ok and gap == predicted and gap >= 0
                    and dom.passes)
-        all_ok = all_ok and inst_ok
         instances.append({
             "k": k, "l": l, "construction": name,
             "conditions_ok": conditions.ok,
             "expectation_gap": format_fraction(gap),
             "predicted_gap": format_fraction(predicted),
             "margins_pass": dom.passes,
-            "pass": inst_ok,
+            "verdict": PASS if inst_ok else VIOLATION,
         })
-    return instances, all_ok
+    return instances
 
 
-def _mc_hypercube_entry(d, p, sweep, reps, level, seed) -> dict:
+def _mc_hypercube_entry(d, p, sweep, reps, level) -> dict:
     """Monte Carlo inequality rows read off one sampler pass.
 
     Every c_i comes from the same samples, so the estimates are coupled.
-    Each row's estimate is the mean of one linear combination of a sample's
-    connection indicators (for the abs-compare row, the combination that
-    the signs of the two point derivatives select), and its standard error
-    is that combination's empirical standard error over the samples.
+    Each row quantity is the mean of one linear combination of a sample's
+    connection indicators, and its standard error is that combination's
+    empirical standard error over the samples.  A record's interval is the
+    union-bound interval its verdict is judged on.
     """
     estimates = [sweep.connection(v, level) for v in reps]
-    values = [e.estimate for e in estimates]
     n_rows = (d + 1) * (d + 2)  # rough row count for the union bound
     z = NormalDist().inv_cdf(1 - (1 - level) / (2 * n_rows))
+    c = [e.estimate for e in estimates]
+    indicators = {key: [key >> v & 1 for v in reps] for key in sweep.bins}
 
-    def indicators(key):
-        return [key >> v & 1 for v in reps]
+    def measure(stat):
+        value = stat(c)
+        _, err = sweep.mean_stderr(lambda key: stat(indicators[key]))
+        half = z * err
+        return (mc.interval_record(value, err, value - half, value + half),
+                mc.interval_verdict(value, half))
 
-    rows = []
-    verdicts = []
-    for k in range(d + 1):
-        for l in range(d - k + 1):
-            val = _c_value_gap("double_sum", k, l, values)
-            _, err = sweep.mean_stderr(
-                lambda key: _c_value_gap("double_sum", k, l, indicators(key)))
-            lhs = discrete_derivative(values, k, 0)
-            rhs = discrete_derivative(values, k, l)
-            s0, s1 = (-1 if lhs < 0 else 1), (-1 if rhs < 0 else 1)
-            _, err_abs = sweep.mean_stderr(
-                lambda key: s0 * discrete_derivative(indicators(key), k, 0)
-                - s1 * discrete_derivative(indicators(key), k, l))
-            v1 = mc.interval_verdict(val, z * err)
-            v2 = mc.interval_verdict(abs(lhs) - abs(rhs), z * err_abs)
-            verdicts += (_MC_VERDICT[v1], _MC_VERDICT[v2])
-            rows.append({
-                "k": k, "l": l, "double_sum": val, "double_sum_stderr": err,
-                "abs_derivative_at_0": abs(lhs),
-                "abs_derivative_at_l": abs(rhs),
-                "double_sum_verdict": v1, "abs_compare_verdict": v2,
-            })
-    return {
-        "p": format_fraction(p),
-        "c_values": [e.to_json_dict(f"c_{i}", seed) for i, e in
-                     enumerate(estimates)],
-        "rows": rows,
-        "verdict": worst_verdict(verdicts),
-    }
+    rows = _hypercube_rows(d, c, measure)
+    return _hypercube_entry(p, [e.to_json_dict() for e in estimates], rows)
 
 
 # ---------------------------------------------------------------------------

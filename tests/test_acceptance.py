@@ -69,9 +69,12 @@ def test_criterion_2_hypercube_inequalities():
     elapsed = time.perf_counter() - started
     ok = report["verdict"] == "pass" and report["invariance"] is True
     for entry in report["results"]:
-        ok = ok and all(row["pass"] for row in entry["rows"])
-        ok = ok and all(d["sign_ok"] for d in entry["derivatives"])
-        ok = ok and all(inst["pass"] for inst in entry["instances"])
+        ok = ok and all(row["double_sum_verdict"] == "pass"
+                        and row["abs_compare_verdict"] == "pass"
+                        for row in entry["rows"])
+        ok = ok and all(d["verdict"] == "pass" for d in entry["derivatives"])
+        ok = ok and all(inst["verdict"] == "pass"
+                        for inst in entry["instances"])
     ok = ok and elapsed < 5.0
     assert _verdict_line(2, ok, "hypercube d=3 inequality families", elapsed)
 
@@ -87,10 +90,11 @@ def test_criterion_3_z2_relation_on_torus():
         # 1 + c(1,1) >= 2 c(1,0) in its expectation form, margins included
         ok = ok and F(row["relation_slack"]) >= 0
         ok = ok and row["expectation_gap"] == row["relation_slack"]
-        ok = ok and row["domination"]["passes"]
+        ok = ok and row["domination"]["verdict"] == "pass"
     for rel in report["relations"]:
         ok = ok and rel["conditions"]["ok"]
-        ok = ok and all(r["domination"]["passes"] for r in rel["results"])
+        ok = ok and all(r["domination"]["verdict"] == "pass"
+                        for r in rel["results"])
     ok = ok and elapsed < 30.0
     assert _verdict_line(3, ok, "torus n=3 square-lattice relations", elapsed)
 
@@ -163,7 +167,7 @@ def test_criterion_7_layered_cycle():
     elapsed = time.perf_counter() - started
     ok = report["verdict"] == "pass" and report["conditions"]["ok"]
     for row in report["results"]:
-        ok = ok and row["domination"]["passes"]
+        ok = ok and row["domination"]["verdict"] == "pass"
         ok = ok and row["identity_zero"] and row["ratio_equal"]
     ok = ok and elapsed < 1.0
     assert _verdict_line(7, ok, "layered residue classes on cycle(8)",

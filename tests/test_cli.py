@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import tempfile
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from symperc import graphs, groups, mc
+from symperc import graphs, groups, mc, scenarios
 from symperc.cli import main, to_stable_json
 from symperc.scenarios import builtin_scenarios
 
@@ -22,7 +24,7 @@ def test_hypercube_exact_exit_zero(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdict"] == "pass"
-    assert report["schema"] == "symperc-report/2"
+    assert report["schema"] == "symperc-report/3"
 
 
 def test_json_reports_round_trip_byte_identically(tmp_path):
@@ -31,6 +33,77 @@ def test_json_reports_round_trip_byte_identically(tmp_path):
           "--json", str(out)])
     raw = out.read_text()
     assert to_stable_json(json.loads(raw)) == raw
+
+
+def _strict_json(text: str):
+    """Parse RFC 8259 JSON: ``Infinity``, ``-Infinity`` and ``NaN`` fail."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in a report")
+    return json.loads(text, parse_constant=reject)
+
+
+_VERDICTS = {"pass", "violation", "inconclusive"}
+_VALUE_KEYS = {"expected_plus", "expected_minus", "margin", "c_values",
+               "double_sum", "abs_derivative_at_0", "abs_derivative_at_l"}
+
+
+def _walk(node, key=None):
+    """Every (key, value) pair in a report, nested ones included."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield k, v
+            yield from _walk(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield key, v
+            yield from _walk(v, key)
+
+
+def _shape_reports() -> dict:
+    bunkbed = scenarios.load_scenario("builtin:bunkbed-path2")
+    return {
+        "exact": scenarios.run_scenario(bunkbed),
+        **{f"mc-n{n}": scenarios.run_scenario(
+            replace(bunkbed, mode="mc", mc_n=n)) for n in (1, 300)},
+        "z2": scenarios.run_scenario(scenarios.z2_scenario(3, ["1/2"]),
+                                     require_conditions=True),
+        "verify-identity": scenarios.verify_identity_report(bunkbed),
+        "hypercube": scenarios.hypercube_inequality_report(2, ["1/3", "1/2"]),
+        **{f"hypercube-mc-n{n}": scenarios.hypercube_inequality_report(
+            2, ["1/2"], mode="mc", mc_n=n) for n in (1, 300)},
+        "group-battery": scenarios.group_theorem_battery("d4-on-c4", 20, 3),
+        "check-symmetry": scenarios.check_symmetry_report(bunkbed),
+    }
+
+
+def test_reports_have_one_result_shape():
+    reports = _shape_reports()
+    for name, report in reports.items():
+        pairs = list(_walk(_strict_json(to_stable_json(report))))
+        for key, value in pairs:
+            if key == "verdict":
+                assert value in _VERDICTS | {"precondition_failed"}, name
+            elif key.endswith("_verdict"):
+                assert value in _VERDICTS, (name, key)
+            if isinstance(value, dict) and {"estimate", "stderr",
+                                            "ci"} & set(value):
+                assert set(value) == {"estimate", "stderr", "ci"}, name
+                assert len(value["ci"]) == 2, name
+            if key in _VALUE_KEYS and not isinstance(value, list):
+                # exact values are "num/den" strings, sampled ones records
+                assert isinstance(value, str if report["mode"] == "exact"
+                                  else dict), (name, key)
+    exact_dom = reports["exact"]["results"][0]["domination"]
+    for mc_name in ("mc-n1", "mc-n300"):
+        mc_dom = reports[mc_name]["results"][0]["domination"]
+        assert set(mc_dom) == set(exact_dom) == {"verdict", "thresholds"}
+        assert {frozenset(row) for row in mc_dom["thresholds"]} == {
+            frozenset(row) for row in exact_dom["thresholds"]} == {
+            frozenset({"t", "margin", "verdict"})}
+        mc_rows = reports[mc_name.replace("mc", "hypercube-mc")]["results"]
+        assert {frozenset(row) for entry in mc_rows for row in entry["rows"]} \
+            == {frozenset(row) for entry in reports["hypercube"]["results"]
+                for row in entry["rows"]}
 
 
 def test_check_symmetry_failure_exit_three():
@@ -211,6 +284,10 @@ def _scenario_file(tmp_path, **changes):
     ["check-symmetry", "--scenario", "builtin:bunkbed-path2", "--json",
      "/nonexistent/dir/x.json"],
     ["enumerate", "--scenario", "builtin:bunkbed-path2", "--csv", "."],
+    ["hypercube", "--d", "2", "--p", ""],
+    ["hypercube", "--d", "2", "--p", "", "--mode", "mc", "--n", "10"],
+    ["z2", "--p", ""],
+    ["enumerate", "--scenario", "builtin:bunkbed-path2", "--p", ""],
 ])
 def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     doc = next((a for a in argv if isinstance(a, dict)), {})
@@ -222,6 +299,8 @@ def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     assert err.count("\n") == 1  # one "usage error:" or "scenario error:"
     if not isinstance(doc.get("p_grid", []), list):
         assert "p_grid must be a list" in err
+    if "--p" in argv and argv[argv.index("--p") + 1] in ("", ","):
+        assert err == "scenario error: p_grid must not be empty\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -267,12 +346,13 @@ def test_main_keeps_no_redirected_stream_alive():
 
 
 def _count_sampler_passes(monkeypatch) -> list:
-    """Record the keyword arguments of every mc.estimate_joint call."""
+    """Record the arguments, by name, of every mc.estimate_joint call."""
     passes = []
     estimate_joint = mc.estimate_joint
+    signature = inspect.signature(estimate_joint)
 
     def counting(*args, **kwargs):
-        passes.append(kwargs)
+        passes.append(signature.bind(*args, **kwargs).arguments)
         return estimate_joint(*args, **kwargs)
 
     monkeypatch.setattr(mc, "estimate_joint", counting)
@@ -285,9 +365,8 @@ def test_hypercube_mc_one_pass_per_p_with_the_real_seed(tmp_path,
     out = tmp_path / "hc.json"
     assert main(["hypercube", "--d", "2", "--mode", "mc", "--n", "2000",
                  "--seed", "17", "--p", "1/3,1/2", "--json", str(out)]) in (0, 2)
-    assert len(passes) == 2
-    for entry in json.loads(out.read_text())["results"]:
-        assert [c["seed"] for c in entry["c_values"]] == [17, 17, 17]
+    assert [kw["seed"] for kw in passes] == [17, 17]
+    assert json.loads(out.read_text())["mc"]["seed"] == 17
 
 
 def test_hypercube_mc_threads_reach_the_sampler(tmp_path, monkeypatch):
@@ -313,17 +392,18 @@ def test_z2_mc_one_sampler_pass_per_p(monkeypatch):
 
 def test_mc_one_sample_has_unbounded_intervals(tmp_path):
     # one sample says nothing about the spread: every interval is
-    # unbounded, the expected sizes' as well as the domination rows'
+    # unbounded, the expected sizes' as well as the domination rows', and
+    # strict JSON writes each unbounded end and infinite stderr as null
     out = tmp_path / "mc1.json"
     assert main(["mc", "--scenario", "builtin:bunkbed-path2", "--n", "1",
                  "--json", str(out)]) == 2
-    result = json.loads(out.read_text())["results"][0]
-    inf = float("inf")
-    for key in ("expected_plus", "expected_minus"):
-        assert result[key]["stderr"] == inf
-        assert result[key]["ci"] == [-inf, inf]
-    assert all(row["ci"] == [-inf, inf]
-               for row in result["domination"]["thresholds"])
+    result = _strict_json(out.read_text())["results"][0]
+    records = [result["expected_plus"], result["expected_minus"]] + [
+        row["margin"] for row in result["domination"]["thresholds"]]
+    assert len(records) > 2
+    for record in records:
+        assert record["stderr"] is None
+        assert record["ci"] == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +437,35 @@ def _mutated(data, node):
     return out
 
 
+def _negative(value) -> bool:
+    """An exact value below zero, or a Monte Carlo interval wholly below."""
+    if isinstance(value, dict):
+        return value["ci"][1] is not None and value["ci"][1] < 0
+    return F(value) < 0
+
+
 def _found_violation(report: dict) -> bool:
     """A negative margin or a nonzero identity residual in the results."""
-    for row in report.get("results", []):
+    results = report.get("results", []) + [
+        res for rel in report.get("relations", []) for res in rel["results"]]
+    for row in results:
         dom = row.get("domination", {})
-        if any(F(m) < 0 for m in dom.get("margins", {}).values()):
-            return True
-        if any(t["margin"] < 0 for t in dom.get("thresholds", [])):
+        if any(_negative(t["margin"]) for t in dom.get("thresholds", [])):
             return True
         if any(F(r) != 0 for r in row.get("identity_residuals", {}).values()):
             return True
         if row.get("ratio_lhs") != row.get("ratio_rhs"):
             return True
     return False
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate"], ["mc", "--n", "50000", "--seed", "5"]])
+def test_exit_one_reports_a_violation(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--scenario", "builtin:asym-path4",
+                 "--json", str(out)]) == 1
+    assert _found_violation(json.loads(out.read_text()))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True,

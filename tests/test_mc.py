@@ -10,8 +10,8 @@ from symperc.exact import Observables, enumerate_joint, eval_counts, eval_joint
 from symperc.graphs import bunkbed_graph, cycle_graph, path_graph, torus_graph
 from symperc.groups import make_pair
 from symperc.mc import (
-    CONSISTENT,
     INCONCLUSIVE,
+    PASS,
     VIOLATION,
     EmpiricalJoint,
     estimate_joint,
@@ -187,8 +187,8 @@ def test_domination_verdicts():
     g, pair = c4_bunkbed()
     emp = estimate_joint(g, pair, HALF, 50_000, seed=8)
     verdict = mc_domination_verdict(emp)
-    assert verdict.overall == CONSISTENT
-    assert all(r.verdict == CONSISTENT for r in verdict.rows)
+    assert verdict.overall == PASS
+    assert all(r.verdict == PASS for r in verdict.rows)
 
     tiny = estimate_joint(g, pair, HALF, 10, seed=8)
     assert mc_domination_verdict(tiny).overall == INCONCLUSIVE

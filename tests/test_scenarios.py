@@ -85,11 +85,13 @@ def test_hypercube_report_d3_exact():
     assert rep["verdict"] == PASS
     assert rep["invariance"] is True
     for entry in rep["results"]:
-        assert all(row["pass"] for row in entry["rows"])
-        assert all(d["sign_ok"] for d in entry["derivatives"])
+        assert all(row["double_sum_verdict"] == PASS
+                   and row["abs_compare_verdict"] == PASS
+                   for row in entry["rows"])
+        assert all(d["verdict"] == PASS for d in entry["derivatives"])
         # every inequality is also realized as a symmetric-pair instance
         # whose expectation gap matches the c-value combination exactly
-        assert all(inst["pass"] for inst in entry["instances"])
+        assert all(inst["verdict"] == PASS for inst in entry["instances"])
         assert all(inst["expectation_gap"] == inst["predicted_gap"]
                    for inst in entry["instances"])
     # the trivial row (0, 0) is the constant 1
@@ -132,12 +134,19 @@ def test_hypercube_mc_stderr_accounts_for_coupling():
         k, l = row["k"], row["l"]
         xs = [sum((-1) ** i * comb(k, i) * comb(l, j) * h[i + j]
                   for i in range(k + 1) for j in range(l + 1)) for h in hits]
-        assert row["double_sum_stderr"] == pytest.approx(
+        assert row["double_sum"]["stderr"] == pytest.approx(
             statistics.stdev(xs) / math.sqrt(n), rel=1e-9, abs=1e-15)
+        for key, offset in (("abs_derivative_at_0", 0),
+                            ("abs_derivative_at_l", l)):
+            ys = [discrete_derivative(h, k, offset) for h in hits]
+            assert row[key]["estimate"] == pytest.approx(
+                abs(statistics.mean(ys)), rel=1e-9, abs=1e-15)
+            assert row[key]["stderr"] == pytest.approx(
+                statistics.stdev(ys) / math.sqrt(n), rel=1e-9, abs=1e-15)
 
 
 def test_hypercube_mc_rows_cover_the_exact_values():
-    # each row's 95% interval double_sum +/- z stderr must cover the exact
+    # each row's 95% interval estimate +/- z stderr must cover the exact
     # d=3 value in at least 85% of 40 independent seeds
     exact_rows = hypercube_inequality_report(3, ["1/2"])["results"][0]["rows"]
     truth = [float(F(row["double_sum"])) for row in exact_rows]
@@ -151,8 +160,8 @@ def test_hypercube_mc_rows_cover_the_exact_values():
         assert [(r["k"], r["l"]) for r in rows] == [
             (r["k"], r["l"]) for r in exact_rows]
         for i, (row, value) in enumerate(zip(rows, truth)):
-            half = z * row["double_sum_stderr"]
-            covered[i] += abs(row["double_sum"] - value) <= half
+            half = z * row["double_sum"]["stderr"]
+            covered[i] += abs(row["double_sum"]["estimate"] - value) <= half
     assert all(c >= 0.85 * len(seeds) for c in covered), covered
 
 
@@ -172,7 +181,7 @@ def test_z2_relations_exact_n3():
     for rel in rep["relations"]:
         assert rel["conditions"]["ok"]
         for row in rel["results"]:
-            assert row["domination"]["passes"]
+            assert row["domination"]["verdict"] == PASS
             assert row["identity_zero"] and row["ratio_equal"]
             # expectation gap equals the c-value slack: two independent
             # computation routes must agree exactly
@@ -216,7 +225,7 @@ def test_bunkbed_cycle5_full_pipeline():
     assert rep["verdict"] == PASS
     assert rep["config_count"] == 2 ** 15
     row = rep["results"][0]
-    assert row["domination"]["passes"]
+    assert row["domination"]["verdict"] == PASS
     assert row["identity_zero"] and row["ratio_equal"]
 
 
@@ -241,7 +250,7 @@ def test_layered_single_vertex_m8_choice_b():
     assert rep["scenario"]["plus_layers"] == [0, 2, 4, 6]
     assert rep["scenario"]["minus_layers"] == [1, 3, 5, 7]
     for row in rep["results"]:
-        assert row["domination"]["passes"] and row["identity_zero"]
+        assert row["domination"]["verdict"] == PASS and row["identity_zero"]
 
 
 def test_layered_single_vertex_m6_choice_a():
@@ -339,7 +348,7 @@ def test_builtin_corpus_theorem_instances():
             assert rep["verdict"] == PASS, name
             for row in rep["results"]:
                 if sc.mode == "exact":
-                    assert row["domination"]["passes"], name
+                    assert row["domination"]["verdict"] == PASS, name
                     assert F(row["expectation_gap"]) >= 0, name
                     assert row["identity_zero"] and row["ratio_equal"], name
 
@@ -348,8 +357,10 @@ def test_asym_builtin_reports_violation():
     rep = run_scenario(load_scenario("builtin:asym-path4"))
     assert rep["verdict"] == VIOLATION
     assert not rep["theorem_instance"]
-    margins = rep["results"][0]["domination"]["margins"]
-    assert F(margins["2"]) == F(-1, 8)
+    dom = rep["results"][0]["domination"]
+    assert dom["verdict"] == VIOLATION
+    row = next(row for row in dom["thresholds"] if row["t"] == 2)
+    assert F(row["margin"]) == F(-1, 8) and row["verdict"] == VIOLATION
 
 
 def test_run_scenario_require_conditions():
