@@ -39,6 +39,7 @@ from .groups import (
     FamilyPair,
     GroupSplit,
     PermGroup,
+    StabilizerChain,
     SymmetryReport,
     VertexSetPair,
     check_symmetry_conditions,
@@ -46,6 +47,7 @@ from .groups import (
     is_automorphism,
     orbit,
     split_group,
+    stabilizer_chain,
     stabilizer_orbit,
     verify_double_counting,
     verify_orbit_product,

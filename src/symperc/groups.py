@@ -2,20 +2,29 @@
 
 A permutation is a plain tuple ``p`` of length n with ``p[i]`` the image of
 vertex i.  Composition follows ``(g o h)(x) = g(h(x))``: ``compose(g, h)``
-applies h first.  Groups are materialized as explicit element lists (closure
-of the generators, capped), because every check in this package is an
-exhaustive sweep over elements.
+applies h first.
+
+A group is held in one of two forms.  A :class:`StabilizerChain` is a base
+and strong generating set built by deterministic Schreier–Sims; it never
+lists the elements, and its order is the product of the basic orbit
+lengths.  A :class:`PermGroup` is the explicit element list (closure of the
+generators), which only the group-theorem battery (``verify-group-theorem``)
+needs: it sums over elements to check the orbit product and
+double-counting lemmas.  The closure cap, ``DEFAULT_CLOSURE_CAP`` elements
+by default, therefore bounds only that battery.
 
 The module also houses the verification side: the three symmetry conditions
 a group must satisfy for the cluster-domination pipeline (set preservation,
 transitivity on the union, and symmetry of cross stabilizer-orbit sizes),
-the orbit product identity, and the double-counting identity on orbits of
-set pairs.
+decided from the generators and a stabilizer chain; the orbit product
+identity; and the double-counting identity on orbits of set pairs.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -68,6 +77,11 @@ def invert(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def _mul(g: Perm, h: Perm) -> Perm:
+    """compose(g, h) for permutations of one length, without the check."""
+    return tuple(map(g.__getitem__, h))
+
+
 def _check_perm(p: Sequence[int], n: int) -> Perm:
     p = tuple(int(x) for x in p)
     if len(p) != n or sorted(p) != list(range(n)):
@@ -108,7 +122,10 @@ def perm_from_label_map(g: Graph, fn) -> Perm:
 @dataclass(frozen=True)
 class PermGroup:
     """Generators plus the full element list (deterministic discovery order:
-    breadth-first from the identity, generators applied in input order)."""
+    breadth-first from the identity, generators applied in input order).
+
+    Only the group-theorem battery closes a group; everything else works
+    from a :class:`StabilizerChain`."""
 
     n_points: int
     generators: tuple[Perm, ...]
@@ -117,6 +134,17 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def _checked_generators(gens: Sequence[Sequence[int]],
+                        n_points: int | None) -> tuple[int, list[Perm]]:
+    if gens:
+        n = len(gens[0])
+    elif n_points is not None:
+        n = n_points
+    else:
+        raise GroupError("empty generator list needs an explicit n_points")
+    return n, [_check_perm(p, n) for p in gens]
 
 
 def generate_group(
@@ -132,13 +160,7 @@ def generate_group(
     """
     if cap < 1:
         raise GroupError(f"closure cap must be >= 1, got {cap}")
-    if gens:
-        n = len(gens[0])
-    elif n_points is not None:
-        n = n_points
-    else:
-        raise GroupError("empty generator list needs an explicit n_points")
-    checked = [_check_perm(p, n) for p in gens]
+    n, checked = _checked_generators(gens, n_points)
 
     ident = identity_perm(n)
     elements = [ident]
@@ -184,6 +206,197 @@ def verify_orbit_product(grp: PermGroup, x: int, y: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# stabilizer chain (base and strong generating set)
+
+
+class _Level:
+    """One level of a stabilizer chain.
+
+    ``gens`` are the strong generators that fix every earlier base point.
+    ``inverses[x]`` is u_x^-1 for the transversal element u_x, a product of
+    ``gens`` with u_x(point) = x; its keys are the basic orbit.  ``done``
+    holds the (orbit point, generator index) pairs whose Schreier generator
+    is known to lie in the group of the next level.
+    """
+
+    __slots__ = ("point", "gens", "gen_inverses", "inverses", "done")
+
+    def __init__(self, point: int, ident: Perm):
+        self.point = point
+        self.gens: list[Perm] = []
+        self.gen_inverses: list[Perm] = []
+        self.inverses: dict[int, Perm] = {point: ident}
+        self.done: set[tuple[int, int]] = set()
+
+    def add(self, gen: Perm, gen_inv: Perm) -> None:
+        """Add a strong generator and grow the basic orbit."""
+        self.gens.append(gen)
+        self.gen_inverses.append(gen_inv)
+        moves = list(enumerate(zip(self.gens, self.gen_inverses)))
+        inverses = self.inverses
+        frontier = list(inverses)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for k, (s, s_inv) in moves:
+                    y = s[x]
+                    if y not in inverses:
+                        inverses[y] = _mul(inverses[x], s_inv)
+                        # u_y = s u_x: the Schreier generator is the identity
+                        self.done.add((x, k))
+                        nxt.append(y)
+            frontier = nxt
+
+
+def _sift(levels: Sequence[_Level], a: Perm, b: Perm,
+          start: int) -> Perm | None:
+    """Sift h = a b^-1 through the levels from ``start``: the residue, or
+    None when h sifts to the identity.  h stays a quotient, each step
+    reading h(point) as a[b.index(point)], so no inverse is formed unless a
+    residue remains."""
+    for lvl in levels[start:]:
+        x = a[b.index(lvl.point)]
+        if x != lvl.point:
+            u_inv = lvl.inverses.get(x)
+            if u_inv is None:
+                break
+            a = _mul(u_inv, a)
+    else:
+        if a == b:
+            return None
+    return _mul(a, invert(b))
+
+
+def _schreier_sims(gens: Sequence[Perm], n: int, base: Sequence[int] = (),
+                   order: int | None = None) -> list[_Level]:
+    """Deterministic Schreier–Sims: levels for ``base`` and whatever further
+    base points the generators need.
+
+    Each Schreier generator u_{s(x)}^-1 s u_x of a level is sifted through
+    the levels below it; a nonidentity residue becomes a new strong
+    generator.  When the group order is known, the search stops once the
+    basic orbit lengths multiply to it: their product never exceeds the
+    order, and reaching it means every level already generates its
+    stabilizer.
+    """
+    ident = identity_perm(n)
+    levels = [_Level(b, ident) for b in base]
+
+    def install(h: Perm, first: int) -> int:
+        """Add h, which fixes the base points before ``first``, to each
+        level from ``first`` to the first whose point it moves, appending a
+        base point when it fixes them all; return that level."""
+        j = first
+        while j < len(levels) and h[levels[j].point] == levels[j].point:
+            j += 1
+        if j == len(levels):
+            levels.append(_Level(next(x for x in range(n) if h[x] != x), ident))
+        h_inv = invert(h)
+        for lvl in levels[first:j + 1]:
+            lvl.add(h, h_inv)
+        return j
+
+    for s in gens:
+        if s != ident:
+            install(s, 0)
+
+    def residue_level(i: int) -> int | None:
+        """Sift the unchecked Schreier generators of level i; the level of
+        the first nonidentity residue, or None when all of them sift."""
+        lvl = levels[i]
+        for x, x_inv in list(lvl.inverses.items()):
+            for k, s in enumerate(lvl.gens):
+                if (x, k) in lvl.done:
+                    continue
+                lvl.done.add((x, k))
+                # u_{s(x)}^-1 s u_x = c x_inv^-1, the identity iff c == x_inv
+                c = _mul(lvl.inverses[s[x]], s)
+                residue = None if c == x_inv else _sift(levels, c, x_inv, i + 1)
+                if residue is not None:
+                    return install(residue, i + 1)
+        return None
+
+    i = len(levels) - 1
+    while i >= 0:
+        if order is not None and math.prod(
+                len(lvl.inverses) for lvl in levels) == order:
+            break
+        j = residue_level(i)
+        i = i - 1 if j is None else j
+    return levels
+
+
+@dataclass(frozen=True)
+class StabilizerChain:
+    """A base and strong generating set of the group ``generators`` generate.
+
+    Level i holds the i-th base point, the strong generators fixing the base
+    points before it, and the inverse transversal of its basic orbit.  The
+    group order is the product of the basic orbit lengths; no element list
+    is ever built.
+    """
+
+    n_points: int
+    generators: tuple[Perm, ...]
+    levels: tuple[_Level, ...]
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(lvl.inverses) for lvl in self.levels)
+
+
+def stabilizer_chain(gens: Sequence[Sequence[int]],
+                     n_points: int | None = None) -> StabilizerChain:
+    """Base and strong generating set of the group the generators generate.
+
+    Deterministic: the base starts at the first point the first
+    nonidentity generator moves.  ``n_points`` is only needed when ``gens``
+    is empty.
+    """
+    n, checked = _checked_generators(gens, n_points)
+    return StabilizerChain(n_points=n, generators=tuple(checked),
+                           levels=tuple(_schreier_sims(checked, n)))
+
+
+def _orbit_reps(gens: Sequence[Perm], n: int) -> list[int]:
+    """The least point of each point's orbit under the generated group."""
+    rep = [-1] * n
+    for x in range(n):
+        if rep[x] < 0:
+            rep[x] = x
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for s in gens:
+                    z = s[y]
+                    if rep[z] < 0:
+                        rep[z] = x
+                        stack.append(z)
+    return rep
+
+
+def _rooted(chain: StabilizerChain, v: int, reps: Sequence[int],
+            ) -> tuple[Mapping[int, Perm], Sequence[int]]:
+    """For the orbit of v, with a root r in it: u_x^-1 for each x in the
+    orbit (u_x(r) = x), and the least point of each point's Stab(r)-orbit.
+
+    The root is the chain's first base point when that lies in the orbit;
+    otherwise it is v, with a chain of its own that puts v first and stops
+    at the known order.  A fixed point's stabilizer is the whole group,
+    whose orbits are ``reps``.
+    """
+    n = chain.n_points
+    if reps.count(reps[v]) == 1:
+        return {v: identity_perm(n)}, reps
+    levels = chain.levels
+    if reps[levels[0].point] != reps[v]:
+        strong = dict.fromkeys(s for lvl in levels for s in lvl.gens)
+        levels = _schreier_sims(list(strong), n, base=(v,), order=chain.order)
+    stab_gens = levels[1].gens if len(levels) > 1 else ()
+    return levels[0].inverses, _orbit_reps(stab_gens, n)
+
+
+# ---------------------------------------------------------------------------
 # vertex set pairs and the symmetry conditions
 
 
@@ -220,7 +433,7 @@ def make_pair(g: Graph, v_plus: Iterable[int], v_minus: Iterable[int],
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Outcome of the exhaustive symmetry check.
+    """Outcome of the symmetry check, decided without listing the elements.
 
     ``set_preserving``: every element maps each of the two sets onto one of
     the two sets.  ``transitive``: every element maps the union onto itself
@@ -228,9 +441,9 @@ class SymmetryReport:
     cross pair (v, w) the two stabilizer orbits have equal size.
     ``swap_transitive`` reports the stronger sufficient condition that some
     element exchanges v and w for every cross pair; ``sets_finite`` is
-    trivially true here and recorded for completeness.
+    trivially true here and recorded for completeness.  ``group_order`` is
+    the product of the basic orbit lengths of a stabilizer chain.
     """
-
     set_preserving: bool
     transitive: bool
     stabilizer_symmetric: bool
@@ -256,16 +469,28 @@ class SymmetryReport:
         }
 
 
-def check_symmetry_conditions(g: Graph, grp: PermGroup,
+def check_symmetry_conditions(g: Graph, grp: StabilizerChain | PermGroup,
                               pair: VertexSetPair) -> SymmetryReport:
-    """Exhaustively verify the three symmetry conditions for a pair of sets.
+    """Decide the three symmetry conditions for a pair of sets.
 
-    Raises :class:`NonAutomorphismElement` unless every group element is an
-    automorphism of ``g``.
+    Set preservation, invariance of the union and being an automorphism
+    hold for the group iff they hold for each generator, and transitivity
+    is one orbit of the generators.  Each cross pair (v, w) is read off a
+    stabilizer chain rooted in v's orbit, with u_v(root) = v: |Stab(v).w|
+    is |Stab(root).u_v^-1(w)|, and some element swaps v and w iff
+    u_w^-1(v) lies in Stab(root).u_v^-1(w).  A :class:`PermGroup` is
+    checked through the chain its elements generate.
+
+    Raises :class:`NonAutomorphismElement` unless every generator is an
+    automorphism of ``g``; the first bad generator is also the first bad
+    element in the breadth-first element order of :func:`generate_group`.
     """
     if grp.n_points != g.n_vertices:
         raise GroupError("group acts on a different number of points")
-    for e in grp.elements:
+    chain = (grp if isinstance(grp, StabilizerChain)
+             else stabilizer_chain(grp.elements, grp.n_points))
+    gens = chain.generators
+    for e in gens:
         if not is_automorphism(g, e):
             raise NonAutomorphismElement(f"element {e} is not an automorphism")
 
@@ -273,46 +498,52 @@ def check_symmetry_conditions(g: Graph, grp: PermGroup,
     union = plus | minus
     notes: list[str] = []
 
-    set_preserving = True
-    for e in grp.elements:
-        img_plus = {e[v] for v in plus}
-        img_minus = {e[v] for v in minus}
-        if img_plus not in (plus, minus) or img_minus not in (plus, minus):
-            set_preserving = False
-            notes.append("an element maps a set off the pair {v_plus, v_minus}")
-            break
+    set_preserving = all(
+        {e[v] for v in plus} in (plus, minus)
+        and {e[v] for v in minus} in (plus, minus) for e in gens)
+    if not set_preserving:
+        notes.append("an element maps a set off the pair {v_plus, v_minus}")
 
-    transitive = True
-    for e in grp.elements:
-        if {e[v] for v in union} != union:
-            transitive = False
-            notes.append("an element moves the union off itself")
-            break
+    transitive = all({e[v] for v in union} == union for e in gens)
+    if not transitive:
+        notes.append("an element moves the union off itself")
+    reps = _orbit_reps(gens, g.n_vertices)
     if transitive and union:
         seed = min(union)
-        reach = {e[seed] for e in grp.elements}
-        if not union <= reach:
+        missing = sorted(v for v in union if reps[v] != reps[seed])
+        if missing:
             transitive = False
-            missing = sorted(union - reach)
             notes.append(f"vertices {missing} unreachable from vertex {seed}")
 
-    stabilizer_symmetric = True
+    # Each point of the union maps to (u_v^-1, orbital ids): the id of the
+    # pair (v, w) is that of the Stab(root)-orbit of u_v^-1(w), made unique
+    # across roots, so the cross pairs are two lookups each.
+    roots: dict[int, tuple] = {}
+    view = {}
+    sizes: Counter[int] = Counter()
+    for v in pair.v_plus + pair.v_minus:
+        if reps[v] not in roots:
+            inverses, stab_reps = _rooted(chain, v, reps)
+            offset = len(roots) * g.n_vertices
+            ids = [offset + x for x in stab_reps]
+            sizes.update(ids)
+            roots[reps[v]] = (inverses, ids)
+        inverses, ids = roots[reps[v]]
+        view[v] = (inverses[v], ids)
+
+    stabilizer_symmetric = swap_transitive = True
     for v in pair.v_plus:
+        inv_v, ids_v = view[v]
         for w in pair.v_minus:
-            if len(stabilizer_orbit(grp, v, w)) != len(stabilizer_orbit(grp, w, v)):
+            inv_w, ids_w = view[w]
+            forward, backward = ids_v[inv_v[w]], ids_w[inv_w[v]]
+            if stabilizer_symmetric and sizes[forward] != sizes[backward]:
                 stabilizer_symmetric = False
                 notes.append(f"stabilizer orbit sizes differ for pair ({v},{w})")
+            swap_transitive = swap_transitive and forward == backward
+            if not (stabilizer_symmetric or swap_transitive):
                 break
-        if not stabilizer_symmetric:
-            break
-
-    swap_transitive = True
-    for v in pair.v_plus:
-        for w in pair.v_minus:
-            if not any(e[v] == w and e[w] == v for e in grp.elements):
-                swap_transitive = False
-                break
-        if not swap_transitive:
+        if not (stabilizer_symmetric or swap_transitive):
             break
 
     return SymmetryReport(
@@ -321,7 +552,7 @@ def check_symmetry_conditions(g: Graph, grp: PermGroup,
         stabilizer_symmetric=stabilizer_symmetric,
         swap_transitive=swap_transitive,
         sets_finite=True,
-        group_order=grp.order,
+        group_order=chain.order,
         notes=tuple(notes),
     )
 

@@ -173,13 +173,8 @@ def resolve_vertex(g: Graph, item) -> int:
     raise ScenarioFormatError(f"bad vertex reference: {item!r}")
 
 
-def _compared_pairs(sc: Scenario, g: Graph, sweeps: bool = False):
-    """(relation, pair, symmetry report) for each pair the scenario compares.
-
-    Every pair and generator is parsed before any group is closed.  When
-    ``sweeps``, the exact run's cap is checked in between, so a run the cap
-    refuses spends nothing on group closure or the symmetry checks.
-    """
+def _parsed_pairs(sc: Scenario, g: Graph):
+    """(relation, pair, generators) for each pair the scenario compares."""
     origin = resolve_vertex(g, sc.origin)
     parsed = []
     for rel in sc.relations or (
@@ -193,10 +188,21 @@ def _compared_pairs(sc: Scenario, g: Graph, sweeps: bool = False):
         gens = [_parsed("generator", lambda s: groups.build_generator(g, s),
                         spec) for spec in rel.generators]
         parsed.append((rel, pair, gens))
+    return parsed
+
+
+def _compared_pairs(sc: Scenario, g: Graph, sweeps: bool = False):
+    """(relation, pair, symmetry report) for each pair the scenario compares.
+
+    Every pair and generator is parsed before any stabilizer chain is
+    built.  When ``sweeps``, the exact run's cap is checked in between, so a
+    run the cap refuses spends nothing on the chains or the symmetry checks.
+    """
+    parsed = _parsed_pairs(sc, g)
     if sweeps:
         exact.check_cap(sc.law.units(g), sc.cap_bits)
     return [(rel, pair, groups.check_symmetry_conditions(
-                g, groups.generate_group(gens, n_points=g.n_vertices), pair))
+                g, groups.stabilizer_chain(gens, n_points=g.n_vertices), pair))
             for rel, pair, gens in parsed]
 
 
@@ -749,8 +755,8 @@ def hypercube_inequality_report(
             verdicts.append(VIOLATION)
         polys = []  # the symmetry checks wait for the sweep's cap check
         for k, l, name, pair, gens in instances:
-            grp = groups.generate_group(gens, n_points=g.n_vertices)
-            conditions = groups.check_symmetry_conditions(g, grp, pair)
+            chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
+            conditions = groups.check_symmetry_conditions(g, chain, pair)
             polys.append((k, l, name, conditions, sweep.joint(pair)))
         for p in p_grid:
             c = [exact.eval_counts(by_distance[i][0], g.n_edges, p)

@@ -13,6 +13,11 @@ the Monte Carlo projection properties share.
 The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
 and the three checks) chain Fraction sums term by term, where the package
 works in integers over one common denominator.
+
+``exhaustive_symmetry_report`` decides the symmetry conditions by scanning
+the closed element list, where the package works from generators and a
+stabilizer chain; ``symmetry_cases`` draws graphs, generator sets and pairs
+for it, failing cases included.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +28,14 @@ from hypothesis import strategies as st
 
 from symperc.exact import DominationReport
 from symperc.graphs import explicit_graph
-from symperc.groups import make_pair
+from symperc.groups import (
+    NonAutomorphismElement,
+    SymmetryReport,
+    generate_group,
+    is_automorphism,
+    make_pair,
+    stabilizer_orbit,
+)
 
 
 class DSU:
@@ -385,3 +397,96 @@ def observed_graphs(draw):
             [v for v in range(n) if side[v] == 2 and v != o], o))
     targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
     return g, o, pairs, targets
+
+
+def exhaustive_symmetry_report(g, grp, pair):
+    """``groups.check_symmetry_conditions`` by a sweep over the elements of
+    the closed group ``grp``, each cross pair rescanning the element list."""
+    for e in grp.elements:
+        if not is_automorphism(g, e):
+            raise NonAutomorphismElement(f"element {e} is not an automorphism")
+
+    plus, minus = set(pair.v_plus), set(pair.v_minus)
+    union = plus | minus
+    notes = []
+
+    set_preserving = True
+    for e in grp.elements:
+        img_plus = {e[v] for v in plus}
+        img_minus = {e[v] for v in minus}
+        if img_plus not in (plus, minus) or img_minus not in (plus, minus):
+            set_preserving = False
+            notes.append("an element maps a set off the pair {v_plus, v_minus}")
+            break
+
+    transitive = True
+    for e in grp.elements:
+        if {e[v] for v in union} != union:
+            transitive = False
+            notes.append("an element moves the union off itself")
+            break
+    if transitive and union:
+        seed = min(union)
+        reach = {e[seed] for e in grp.elements}
+        if not union <= reach:
+            transitive = False
+            missing = sorted(union - reach)
+            notes.append(f"vertices {missing} unreachable from vertex {seed}")
+
+    stabilizer_symmetric = True
+    for v in pair.v_plus:
+        for w in pair.v_minus:
+            if len(stabilizer_orbit(grp, v, w)) != len(
+                    stabilizer_orbit(grp, w, v)):
+                stabilizer_symmetric = False
+                notes.append(f"stabilizer orbit sizes differ for pair ({v},{w})")
+                break
+        if not stabilizer_symmetric:
+            break
+
+    swap_transitive = True
+    for v in pair.v_plus:
+        for w in pair.v_minus:
+            if not any(e[v] == w and e[w] == v for e in grp.elements):
+                swap_transitive = False
+                break
+        if not swap_transitive:
+            break
+
+    return SymmetryReport(
+        set_preserving=set_preserving,
+        transitive=transitive,
+        stabilizer_symmetric=stabilizer_symmetric,
+        swap_transitive=swap_transitive,
+        sets_finite=True,
+        group_order=grp.order,
+        notes=tuple(notes),
+    )
+
+
+@st.composite
+def symmetry_cases(draw):
+    """A graph on at most 6 vertices, generators and a vertex-set pair.
+
+    The edges are the orbits of a drawn spanning tree and a few more drawn
+    edges under the drawn generators, so the graph is connected and the
+    generators are automorphisms unless an extra drawn permutation
+    spoils it; the sets are arbitrary, so every condition fails somewhere.
+    """
+    n = draw(st.integers(1, 6))
+    perms = st.permutations(range(n)).map(tuple)
+    gens = draw(st.lists(perms, max_size=3))
+    grp = generate_group(gens, n_points=n)
+    seeds = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    seeds += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)), max_size=2))
+    edges = {tuple(sorted((e[u], e[v]))) for u, v in seeds if u != v
+             for e in grp.elements}
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(draw(perms))
+    g = explicit_graph(n, sorted(edges))
+    side = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    o = draw(st.integers(0, n - 1))
+    pair = make_pair(g, [v for v in range(n) if side[v] == 1 or v == o],
+                     [v for v in range(n) if side[v] == 2 and v != o], o)
+    return g, gens, pair

@@ -197,9 +197,11 @@ def test_cap_checked_before_the_graph_is_built(argv, units, monkeypatch,
 ])
 def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
                                                   monkeypatch, capsys):
+    # neither a stabilizer chain nor a symmetry check before the cap check
     closed = []
-    monkeypatch.setattr(groups, "generate_group",
-                        lambda *args, **kwargs: closed.append(args))
+    for name in ("stabilizer_chain", "check_symmetry_conditions"):
+        monkeypatch.setattr(groups, name, lambda *args, name=name, **kwargs:
+                            closed.append(name))
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
             for a in argv]
     assert main(argv) == 3

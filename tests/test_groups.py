@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from _oracles import exhaustive_symmetry_report, symmetry_cases
+from hypothesis import given, settings
 
-from symperc import groups
-from symperc.graphs import bunkbed_graph, cycle_graph, path_graph
+from symperc import groups, scenarios
+from symperc.graphs import (
+    bunkbed_graph,
+    complete_graph,
+    cycle_graph,
+    hypercube_graph,
+    path_graph,
+)
 from symperc.groups import (
+    DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     FamilyPair,
     GroupError,
@@ -20,6 +29,7 @@ from symperc.groups import (
     orbit,
     pair_orbit,
     split_group,
+    stabilizer_chain,
     stabilizer_orbit,
     verify_double_counting,
     verify_orbit_product,
@@ -288,3 +298,91 @@ def test_generator_builders_are_automorphisms():
     assert is_automorphism(bb, groups.layer_swap(bb))
     assert is_automorphism(
         bb, groups.lift_first_factor((1, 2, 3, 4, 0), 2))
+
+
+def _report_or_error(check, *args):
+    try:
+        return check(*args)
+    except GroupError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetry_cases())
+def test_symmetry_report_equals_the_exhaustive_oracle(case):
+    # every field, group_order and notes included; a non-automorphism
+    # generator must raise the oracle's error with the oracle's text
+    g, gens, pair = case
+    grp = generate_group(gens, n_points=g.n_vertices)
+    want = _report_or_error(exhaustive_symmetry_report, g, grp, pair)
+    chain = stabilizer_chain(gens, n_points=g.n_vertices)
+    assert _report_or_error(check_symmetry_conditions, g, chain, pair) == want
+    assert _report_or_error(check_symmetry_conditions, g, grp, pair) == want
+
+
+def _constructor_cases():
+    cases = {f"builtin:{name}": scenarios.load_scenario(f"builtin:{name}")
+             for name in sorted(scenarios.BUILTINS)}
+    for size in (3, 5):
+        cases[f"z2:{size}"] = scenarios.z2_scenario(size, mode="mc")
+    for base in ("path:2", "path:3", "cycle:4", "cycle:6", "complete:4",
+                 "hypercube:2"):
+        builder, n = base.split(":")
+        key = "d" if builder == "hypercube" else "n"
+        cases[f"bunkbed:{base}"] = scenarios.bunkbed_scenario(
+            {"builder": builder, key: int(n)})
+    for m, choice, k, period in ((6, "a", 2, None), (8, "b", 1, 4),
+                                 (8, "c", 1, 2), (6, "b", 2, 3)):
+        cases[f"layered:{m}{choice}{k}"] = scenarios.layered_scenario(
+            {"builder": "cycle", "n": 3}, m, choice, k, period)
+    out = []
+    for name, sc in cases.items():
+        g = scenarios.build_graph(sc.graph_spec)
+        out += [pytest.param(g, gens, pair, id=f"{name}{rel.name and ':'}"
+                             f"{rel.name}")
+                for rel, pair, gens in scenarios._parsed_pairs(sc, g)]
+    for d in range(1, 5):
+        g = hypercube_graph(d)
+        out += [pytest.param(g, gens, pair, id=f"hypercube:{d}:{k}{l}{name}")
+                for k, l, name, pair, gens
+                in scenarios._hypercube_instances(g, d)]
+    return out
+
+
+@pytest.mark.parametrize("g, gens, pair", _constructor_cases())
+def test_symmetry_report_equals_the_oracle_on_every_report(g, gens, pair):
+    grp = generate_group(gens, n_points=g.n_vertices)
+    chain = stabilizer_chain(gens, n_points=g.n_vertices)
+    assert chain.order == grp.order
+    assert check_symmetry_conditions(g, chain, pair) == (
+        exhaustive_symmetry_report(g, grp, pair))
+
+
+def test_group_past_the_closure_cap_is_checked_without_closing_it():
+    # K_10 under <(0 1), (0 1 ... 9)>: the full symmetric group, 10! elements
+    g = complete_graph(10)
+    gens = [(1, 0) + tuple(range(2, 10)), tuple(range(1, 10)) + (0,)]
+    assert 3_628_800 > DEFAULT_CLOSURE_CAP
+    chain = stabilizer_chain(gens)
+    assert chain.order == 3_628_800
+    report = check_symmetry_conditions(
+        g, chain, make_pair(g, [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], origin=0))
+    # a transposition across the sets splits them; every cross pair swaps
+    assert report == groups.SymmetryReport(
+        set_preserving=False, transitive=True, stabilizer_symmetric=True,
+        swap_transitive=True, sets_finite=True, group_order=3_628_800,
+        notes=("an element maps a set off the pair {v_plus, v_minus}",))
+
+
+def test_group_theorem_battery_still_enumerates_under_the_cap(monkeypatch):
+    closed = []
+
+    def spy(gens, cap=DEFAULT_CLOSURE_CAP, n_points=None):
+        grp = generate_group(gens, cap, n_points)
+        closed.append((cap, grp.order))
+        return grp
+
+    monkeypatch.setattr(groups, "generate_group", spy)
+    for name in ("d4-on-c4", "bunkbed-c3"):
+        assert scenarios.group_theorem_battery(name, trials=5)["all_exact"]
+    assert closed == [(DEFAULT_CLOSURE_CAP, 8), (DEFAULT_CLOSURE_CAP, 12)]
