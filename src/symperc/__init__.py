@@ -58,7 +58,6 @@ from .mc import (
     McEstimate,
     estimate_joint,
     mc_domination_verdict,
-    sample_cluster,
 )
 from .scenarios import (
     Scenario,

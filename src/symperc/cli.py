@@ -225,7 +225,16 @@ mode_opt = click.option("--mode", type=click.Choice(["exact", "mc"]),
 n_opt = click.option("--n", "mc_n", type=int, default=100_000,
                      help="Monte Carlo sample count")
 seed_opt = click.option("--seed", type=int, default=0)
+
+
+def _check_threads(ctx, param, value):
+    if value < 1:
+        raise ScenarioFormatError(f"need --threads >= 1, got {value}")
+    return value
+
+
 threads_opt = click.option("--threads", type=int, default=1,
+                           callback=_check_threads,
                            help="worker cap for Monte Carlo sampling "
                                 "(exact mode ignores it)")
 json_opt = click.option("--json", "json_path", type=click.Path(), default=None)

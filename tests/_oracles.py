@@ -14,6 +14,11 @@ The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
 and the three checks) chain Fraction sums term by term, where the package
 works in integers over one common denominator.
 
+The Monte Carlo oracles grow one sample at a time: ``eager_cluster_mask``
+draws every edge of the sample and then traverses, and
+``sample_cluster_mask`` (behind ``sample_cluster``) reveals edges by a DFS,
+where the package grows every sample of a chunk at once, one bit each.
+
 ``exhaustive_symmetry_report`` decides the symmetry conditions by scanning
 the closed element list, where the package works from generators and a
 stabilizer chain; ``symmetry_cases`` draws graphs, generator sets and pairs
@@ -140,6 +145,56 @@ def eager_cluster_mask(g, o, p, seed, sample_index):
         if unit_word(seed, sample_index, eidx) < threshold:
             mask |= 1 << eidx
     return _cluster_mask_bond(_incidence(g), mask, o)
+
+
+def lazy_incidence(g):
+    """Per vertex x, one (w, 1 << w, (e + 1) * GOLDEN mod 2^64) entry for
+    each edge e = xw: the neighbour, its bit, and the edge's offset in
+    ``unit_word``'s second round."""
+    from symperc.mc import _GOLDEN, _MASK64
+
+    inc = [[] for _ in range(g.n_vertices)]
+    for idx, (u, v) in enumerate(g.edges):
+        step = ((idx + 1) * _GOLDEN) & _MASK64
+        inc[u].append((v, 1 << v, step))
+        inc[v].append((u, 1 << u, step))
+    return [tuple(x) for x in inc]
+
+
+def sample_cluster_mask(inc, seed, sample_index, threshold, o):
+    """Per-sample Monte Carlo oracle: grow one sample's cluster by a DFS,
+    revealing each edge's state on first contact only.
+
+    Edge e is open iff ``unit_word(seed, sample_index, e) < threshold``;
+    the sample's first round is hashed once and the edge's round written
+    out inline.
+    """
+    from symperc.mc import _GOLDEN, _MASK64, _mix64
+
+    mask = _MASK64
+    h = _mix64(seed + (sample_index + 1) * _GOLDEN)
+    seen = 1 << o
+    stack = [o]
+    while stack:
+        for w, wbit, step in inc[stack.pop()]:
+            if seen & wbit:
+                continue
+            z = (h + step) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            if z ^ (z >> 31) < threshold:
+                seen |= wbit
+                stack.append(w)
+    return seen
+
+
+def sample_cluster(g, o, p, seed, sample_index=0):
+    """The origin's cluster for one sample of the edge process."""
+    from symperc.mc import open_threshold
+
+    mask = sample_cluster_mask(lazy_incidence(g), seed, sample_index,
+                               open_threshold(p), o)
+    return tuple(v for v in range(g.n_vertices) if mask >> v & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,12 @@ from symperc.graphs import (
 )
 from symperc.groups import make_pair
 
-from _oracles import bond_joint_pmf, eager_cluster_mask
+from _oracles import (
+    bond_joint_pmf,
+    eager_cluster_mask,
+    lazy_incidence,
+    sample_cluster_mask,
+)
 
 HALF = F(1, 2)
 GRID3 = (F(1, 4), HALF, F(3, 4))
@@ -211,10 +216,10 @@ def test_criterion_8_property_suites():
 
     # lazy sampling equals eager sampling on a graph within 20 edges
     g5 = bunkbed_graph(cycle_graph(5))
-    inc = mc._incidence_indexed(g5)
+    inc = lazy_incidence(g5)
     thr = mc.open_threshold(HALF)
     for i in range(300):
-        ok = ok and mc._sample_cluster_mask(inc, 13, i, thr, 0) == \
+        ok = ok and sample_cluster_mask(inc, 13, i, thr, 0) == \
             eager_cluster_mask(g5, 0, HALF, 13, i)
 
     # monotonicity of increasing events on the p grid

@@ -290,6 +290,10 @@ def _scenario_file(tmp_path, **changes):
     ["hypercube", "--d", "2", "--p", "", "--mode", "mc", "--n", "10"],
     ["z2", "--p", ""],
     ["enumerate", "--scenario", "builtin:bunkbed-path2", "--p", ""],
+    ["mc", "--scenario", "builtin:bunkbed-path2", "--threads", "0"],
+    ["mc", "--scenario", "builtin:bunkbed-path2", "--threads", "-3"],
+    ["hypercube", "--d", "2", "--mode", "mc", "--n", "10", "--threads", "0"],
+    ["enumerate", "--scenario", "builtin:bunkbed-path2", "--threads", "0"],
 ])
 def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
     doc = next((a for a in argv if isinstance(a, dict)), {})

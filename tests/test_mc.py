@@ -17,12 +17,17 @@ from symperc.mc import (
     estimate_joint,
     mc_domination_verdict,
     open_threshold,
-    sample_cluster,
     unit_word,
     wilson_interval,
 )
 
-from _oracles import eager_cluster_mask, observed_graphs
+from _oracles import (
+    eager_cluster_mask,
+    lazy_incidence,
+    observed_graphs,
+    sample_cluster,
+    sample_cluster_mask,
+)
 
 HALF = F(1, 2)
 
@@ -110,11 +115,11 @@ def test_sweep_rejects_unobserved_sets():
 def test_lazy_equals_eager():
     g = bunkbed_graph(cycle_graph(5))  # 15 edges, under the 20-edge bound
     assert g.n_edges <= 20
-    inc = mc._incidence_indexed(g)
+    inc = lazy_incidence(g)
     for p in (F(3, 10), HALF):
         thr = open_threshold(p)
         for i in range(500):
-            lazy = mc._sample_cluster_mask(inc, 77, i, thr, 0)
+            lazy = sample_cluster_mask(inc, 77, i, thr, 0)
             assert lazy == eager_cluster_mask(g, 0, p, 77, i)
 
 
@@ -127,14 +132,116 @@ def test_sampler_stream_is_pinned(case, seed, p):
     g, o, _pairs, _targets = case
     n = 60
     eager = [eager_cluster_mask(g, o, p, seed, i) for i in range(n)]
-    inc, thr = mc._incidence_indexed(g), open_threshold(p)
-    assert [mc._sample_cluster_mask(inc, seed, i, thr, o)
+    inc, thr = lazy_incidence(g), open_threshold(p)
+    assert [sample_cluster_mask(inc, seed, i, thr, o)
             for i in range(n)] == eager
     everything = Observables(o, targets=tuple(range(g.n_vertices)))
     for chunk_size in (1, 37, None):
         sweep = estimate_joint(g, everything, p, n, seed,
                                chunk_size=chunk_size)
         assert sweep.bins == Counter(eager)
+
+
+_TORUS5 = torus_graph(5, 5)
+_P_MIXED = F(1, 5)  # edges of the 5x5 torus meet small and large waves
+
+
+@pytest.fixture(scope="module")
+def torus5_oracle():
+    return [eager_cluster_mask(_TORUS5, 0, _P_MIXED, 2**70, i)
+            for i in range(4400)]
+
+
+@pytest.mark.parametrize("chunk_size, n", [
+    (1, 130), (63, 200), (64, 200), (65, 200), (4097, 4100),
+    (4400, 4400),  # one chunk wider than int's 4300-digit base-10 limit
+])
+def test_chunk_growth_equals_the_oracle(torus5_oracle, chunk_size, n):
+    everything = Observables(0, targets=tuple(range(_TORUS5.n_vertices)))
+    sweep = estimate_joint(_TORUS5, everything, _P_MIXED, n, 2**70,
+                           chunk_size=chunk_size)
+    assert sweep.bins == Counter(torus5_oracle[:n])
+
+
+@pytest.mark.parametrize("p", [F(1, 10**6), HALF, F(10**6 - 1, 10**6)])
+def test_keys_wider_than_a_word_equal_the_oracle(p):
+    g = torus_graph(9, 9)
+    everything = Observables(0, targets=tuple(range(g.n_vertices)))
+    n, seed = 150, 3
+    sweep = estimate_joint(g, everything, p, n, seed)
+    assert sweep.bins == Counter(eager_cluster_mask(g, 0, p, seed, i)
+                                 for i in range(n))
+    if p > HALF:
+        assert max(sweep.bins) == (1 << 81) - 1
+
+
+def test_both_hashing_paths_decide_one_edge_alike():
+    seed, lo, hi = -1, 5, 5 + 300
+    threshold = open_threshold(F(3, 7))
+    stream = mc._ChunkStream(seed, threshold, lo, hi)
+    for e in (0, 7, 10**6):
+        step = ((e + 1) * mc._GOLDEN) & mc._MASK64
+        want = sum(1 << j for j in range(hi - lo)
+                   if unit_word(seed, lo + j, e) < threshold)
+        assert stream.open_lanes(step) == want
+        assert stream.open_each(step, (1 << (hi - lo)) - 1) == want
+        some = sum(1 << j for j in range(0, hi - lo, 7))
+        assert stream.open_each(step, some) == want & some
+
+
+def test_growth_mixes_hashing_paths_on_one_edge(monkeypatch, torus5_oracle):
+    # an edge first asked about by a few samples is hashed one sample at a
+    # time, and when more samples reach it, for the whole chunk at once
+    calls = []
+
+    def spy(name):
+        method = getattr(mc._ChunkStream, name)
+
+        def recorded(self, step, *args):
+            calls.append((step, name))
+            return method(self, step, *args)
+        monkeypatch.setattr(mc._ChunkStream, name, recorded)
+
+    spy("open_each")
+    spy("open_lanes")
+    everything = Observables(0, targets=tuple(range(_TORUS5.n_vertices)))
+    sweep = estimate_joint(_TORUS5, everything, _P_MIXED, 1000, 2**70)
+    assert sweep.bins == Counter(torus5_oracle[:1000])
+    paths: dict[int, list[str]] = {}
+    for step, path in calls:
+        paths.setdefault(step, []).append(path)
+    assert any(seq[0] == "open_each" and seq[-1] == "open_lanes"
+               for seq in paths.values())
+
+
+def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
+    g, pair = c4_bunkbed()
+    base = estimate_joint(g, pair, HALF, 100, seed=4)
+    for threads, chunk_size, workers in ((8, 10, 3), (8, 50, 2), (2, 10, 2),
+                                         (8, 100, None), (1, 10, None)):
+        started.clear()
+        assert estimate_joint(g, pair, HALF, 100, seed=4, threads=threads,
+                              chunk_size=chunk_size) == base
+        assert started == ([] if workers is None else [workers])
+    with pytest.raises(ValueError):
+        estimate_joint(g, pair, HALF, 100, seed=4, threads=0)
 
 
 def test_sampler_stream_is_pinned_across_workers():

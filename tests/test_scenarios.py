@@ -27,7 +27,7 @@ from symperc.scenarios import (
     z2_scenario,
 )
 
-from _oracles import bond_connection
+from _oracles import bond_connection, sample_cluster
 
 HALF = F(1, 2)
 
@@ -128,7 +128,7 @@ def test_hypercube_mc_stderr_accounts_for_coupling():
     reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
     hits = []
     for i in range(n):
-        cluster = set(mc.sample_cluster(g, 0, HALF, seed, i))
+        cluster = set(sample_cluster(g, 0, HALF, seed, i))
         hits.append([v in cluster for v in reps])
     for row in rep["results"][0]["rows"]:
         k, l = row["k"], row["l"]
