@@ -18,10 +18,11 @@ hashed once per chunk, while the edge has been asked about for fewer than
 1/16 of the chunk's samples; after that for the whole chunk in one pass
 over 128-bit lanes of a big integer.  The first path keeps small clusters
 cheap, where most edges are never reached, and the second makes large
-ones cheap, where every edge is.  On a 2-core x86-64 box with Python 3.11,
-at p = 1/2, this raised the sampling rate from about 3,700 to 11,000
-samples/s on the 20x20 torus, from 153,000 to 639,000 on the bunkbed of
-C5, and from 12,600 to 68,600 on Q6.
+ones cheap, where every edge is.  Every reached vertex and decided edge
+holds one chunk-wide set, so large graphs get smaller chunks.  On a 2-core
+x86-64 box with Python 3.11, at p = 1/2, this raised the sampling rate
+from about 3,700 to 11,000 samples/s on the 20x20 torus, from 153,000 to
+639,000 on the bunkbed of C5, and from 12,600 to 68,600 on Q6.
 
 There is one sampling loop, :func:`estimate_joint`, and like the exact
 engine it makes one pass per (graph, origin, p) for every observed pair and
@@ -44,8 +45,7 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from array import array
+import struct
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +77,19 @@ _ALLOWED_LEVELS = (0.95, 0.99)
 # peaked at 30.6 MB against 29.0 MB here, and ran no faster (2-core x86-64,
 # Python 3.11).
 DEFAULT_CHUNK_SIZE = 1 << 12
+# On a large graph the chunk shrinks so that (vertices + edges) x chunk
+# stays under this many bits, about 8 MB of per-chunk state, but not below
+# one 64-bit word of samples.
+_CHUNK_STATE_BITS = 1 << 26
+_MIN_CHUNK_SIZE = 64
+
+
+def _chunk_size_for(g: Graph) -> int:
+    """Samples per chunk on g: :data:`DEFAULT_CHUNK_SIZE`, or fewer when
+    the graph is so large that the chunk's state would pass
+    :data:`_CHUNK_STATE_BITS`."""
+    fit = _CHUNK_STATE_BITS // (g.n_vertices + len(g.edges))
+    return max(_MIN_CHUNK_SIZE, min(DEFAULT_CHUNK_SIZE, fit))
 
 
 def _mix64(z: int) -> int:
@@ -197,14 +210,14 @@ class _ChunkStream:
         self.threshold = threshold
         self.ones = ones = int.from_bytes(_LANE_ONE * size, "little")
         self.low = ones * _MASK64
-        ramp = array("Q", bytes(_LANE_BYTES * size))
-        ramp[::2] = array("Q", range(size))
-        ramp = int.from_bytes(_little_endian(ramp).tobytes(), "little")
+        # One little-endian word in the low half of each lane.
+        self._lanes = lanes = struct.Struct("<" + "Q8x" * size)
+        ramp = int.from_bytes(lanes.pack(*range(size)), "little")
         self.firsts = _mix_lanes(
             ((seed + (lo + 1) * _GOLDEN) & _MASK64) * ones + ramp * _GOLDEN,
             self.low)
         self.carry = ones * ((1 << 64) - threshold)
-        self._words: list[int] | None = None
+        self._words: tuple[int, ...] | None = None
 
     def open_lanes(self, step: int) -> int:
         """The samples in which the edge with offset ``step`` is open."""
@@ -216,9 +229,8 @@ class _ChunkStream:
         """The members of ``samples`` in which that edge is open."""
         words = self._words
         if words is None:
-            lanes = array("Q", self.firsts.to_bytes(
-                _LANE_BYTES * self.size, "little"))
-            words = self._words = _little_endian(lanes)[::2].tolist()
+            words = self._words = self._lanes.unpack(
+                self.firsts.to_bytes(_LANE_BYTES * self.size, "little"))
         mask, threshold = _MASK64, self.threshold
         opened = 0
         while samples:
@@ -230,14 +242,6 @@ class _ChunkStream:
             if z ^ (z >> 31) < threshold:
                 opened |= bit
         return opened
-
-
-def _little_endian(words: array) -> array:
-    """Swap the bytes of each 64-bit word in place on a big-endian host, so
-    the array's bytes and an int's little-endian bytes line up."""
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words
 
 
 def _sample_chunk(args) -> Counter:
@@ -290,15 +294,32 @@ def _sample_chunk(args) -> Counter:
 
 def _bins(reach: list[int], observed: int, size: int) -> Counter:
     """Count the samples by their set of reached observed vertices, read
-    off the transpose of the observed vertices' ``reach`` sets."""
-    verts = [v for v in range(len(reach)) if observed >> v & 1]
+    off the transpose of the observed vertices' ``reach`` sets.
+
+    Each row is one sample's string of bits over the observed vertices that
+    some sample reached, highest vertex first; the others would add the same
+    0 to every row.  A run of consecutive vertices is one binary slice of a
+    row, so a row's key costs one ``int`` per run, not one step per vertex.
+    """
+    verts = [v for v in range(len(reach) - 1, -1, -1)
+             if reach[v] and observed >> v & 1]
     if not verts:
         return Counter({0: size})
+    runs = []
+    start = 0
+    for i in range(1, len(verts) + 1):
+        if i == len(verts) or verts[i] != verts[i - 1] - 1:
+            runs.append((start, i, verts[i - 1]))
+            start = i
     width = f"0{size}b"
-    rows = Counter(zip(*(format(reach[v], width) for v in verts)))
+    rows = Counter(map("".join, zip(*(format(reach[v], width)
+                                      for v in verts))))
     bins: Counter = Counter()
     for row, cnt in rows.items():
-        bins[sum(1 << v for v, c in zip(verts, row) if c == "1")] += cnt
+        key = 0
+        for a, b, low in runs:
+            key |= int(row[a:b], 2) << low
+        bins[key] += cnt
     return bins
 
 
@@ -372,17 +393,23 @@ def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
     union = 0
     for mask in observed.masks():
         union |= mask
-    size = chunk_size or DEFAULT_CHUNK_SIZE
+    size = chunk_size or _chunk_size_for(g)
     jobs = [(inc, seed, threshold, observed.origin, union,
              lo, min(lo + size, n)) for lo in range(0, n, size)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
+    bins: Counter = Counter()
     if workers > 1:
+        # One batch of jobs per worker, so the incidence lists they share
+        # are pickled once per worker and not once per chunk.
+        batch = -(-len(jobs) // workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_chunk, jobs))
+            for part in pool.map(_sample_chunk, jobs, chunksize=batch):
+                bins.update(part)
     else:
-        parts = [_sample_chunk(job) for job in jobs]
+        for part in map(_sample_chunk, jobs):
+            bins.update(part)
     sweep = EmpiricalSweep(n_samples=n, origin=observed.origin,
-                           observed=union, bins=dict(sum(parts, Counter())))
+                           observed=union, bins=dict(bins))
     return sweep if observed is pair else sweep.joint(pair)
 
 

@@ -163,6 +163,24 @@ def test_chunk_growth_equals_the_oracle(torus5_oracle, chunk_size, n):
     assert sweep.bins == Counter(torus5_oracle[:n])
 
 
+def test_chunk_shrinks_on_large_graphs(monkeypatch, torus5_oracle):
+    # the 5x5 torus holds 25 + 50 = 75 chunk-wide sets at most
+    assert mc._chunk_size_for(_TORUS5) == mc.DEFAULT_CHUNK_SIZE
+    sizes = []
+    grow = mc._sample_chunk
+    monkeypatch.setattr(mc, "_sample_chunk",
+                        lambda job: sizes.append(job[-1] - job[-2]) or grow(job))
+    everything = Observables(0, targets=tuple(range(_TORUS5.n_vertices)))
+    for bits, size in ((75 * 100, 100), (75 * 100 + 74, 100),
+                       (75, mc._MIN_CHUNK_SIZE)):
+        monkeypatch.setattr(mc, "_CHUNK_STATE_BITS", bits)
+        assert mc._chunk_size_for(_TORUS5) == size
+        sizes.clear()
+        sweep = estimate_joint(_TORUS5, everything, _P_MIXED, 250, 2**70)
+        assert sizes == [size] * (250 // size) + [250 % size]
+        assert sweep.bins == Counter(torus5_oracle[:250])
+
+
 @pytest.mark.parametrize("p", [F(1, 10**6), HALF, F(10**6 - 1, 10**6)])
 def test_keys_wider_than_a_word_equal_the_oracle(p):
     g = torus_graph(9, 9)
@@ -215,7 +233,7 @@ def test_growth_mixes_hashing_paths_on_one_edge(monkeypatch, torus5_oracle):
 
 
 def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
-    started = []
+    started, batches = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -227,19 +245,23 @@ def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
+        def map(self, fn, jobs, chunksize):
+            batches.append(chunksize)
             return map(fn, jobs)
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     g, pair = c4_bunkbed()
     base = estimate_joint(g, pair, HALF, 100, seed=4)
-    for threads, chunk_size, workers in ((8, 10, 3), (8, 50, 2), (2, 10, 2),
-                                         (8, 100, None), (1, 10, None)):
+    for threads, chunk_size, workers, batch in (
+            (8, 10, 3, 4), (8, 50, 2, 1), (2, 10, 2, 5), (8, 100, None, None),
+            (1, 10, None, None)):
         started.clear()
+        batches.clear()
         assert estimate_joint(g, pair, HALF, 100, seed=4, threads=threads,
                               chunk_size=chunk_size) == base
         assert started == ([] if workers is None else [workers])
+        assert batches == ([] if batch is None else [batch])
     with pytest.raises(ValueError):
         estimate_joint(g, pair, HALF, 100, seed=4, threads=0)
 
