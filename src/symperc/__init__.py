@@ -30,7 +30,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     cylinder_graph,
-    distance,
     hypercube_graph,
     path_graph,
     torus_graph,

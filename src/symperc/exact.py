@@ -10,8 +10,13 @@ configurations whose origin cluster is S, by the number k of open units:
   of G[S] by edge number and F is the number of edges with no endpoint in
   S (the cut is closed).  C_S follows from splitting every edge set of
   G[S] by the origin's component U:
-  C_S = (1+x)^e(S) − Σ C_U·(1+x)^e(S∖U) over connected U, o ∈ U ⊊ S;
-* site: x^|S|·(1+x)^(n−|S|−|∂S|), plus (1+x)^(n−1) for a closed origin;
+  C_S = (1+x)^e(S) − Σ C_U·(1+x)^e(S∖U) over connected U, o ∈ U ⊊ S,
+  where the C_U are first summed by e(S∖U), so each distinct edge count
+  costs one multiply;
+* site: x^|S|·(1+x)^(n−|S|−|∂S|), plus (1+x)^(n−1) for a closed origin.
+  One branching pass finds every S; each branch that adds a vertex also
+  adds to S's packed sizes, to the mask of S ∪ ∂S and to the shift of
+  x^|S|, so a set costs one step and is never rescanned;
 * random cluster: y·C_S(x)·Z_{V∖S}(x, y), with y counting partition
   cells and Z_T the edge sets of G[T] by open edges and cells,
   Z_T = Σ y·C_U·Z_{T∖U} over connected U ∋ min T inside T (the
@@ -378,8 +383,10 @@ def _spanning_polys(nbr, root: int, allowed: int, bits: int,
             total += census[v]
         else:
             inner = degrees >> 1
-            poly = powers[inner]
-            # t counts the edges of G[S] with an endpoint in U
+            # t counts the edges of G[S] with an endpoint in U; the C_U of
+            # one t share their factor (1+x)^(e(S)−t), so they are summed
+            # first and multiplied once
+            acc = [0] * (inner + 1)
             start = nbr[root] & s
             stack = [(rbit, start, s, start.bit_count())]
             while stack:
@@ -392,7 +399,11 @@ def _spanning_polys(nbr, root: int, allowed: int, bits: int,
                     u |= low
                     stack.append((u, (frontier | nv) & allow & ~u, allow, t))
                 elif u != s:
-                    poly -= polys[u] * powers[inner - t]
+                    acc[t] += polys[u]
+            poly = powers[inner]
+            for t, summed in enumerate(acc):
+                if summed:
+                    poly -= summed * powers[inner - t]
             polys[s] = poly
             extent[s] = (inner, total)
     return polys, extent
@@ -423,18 +434,30 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
         # S open, its outer boundary closed, every other vertex free; a
         # closed origin is a singleton cell whatever the others do
         add(weights[origin], powers[n - 1])
-        for s in _connected_sets(nbr, origin, everything):
-            sizes = around = 0
-            rest = s
-            while rest:
-                low = rest & -rest
-                rest ^= low
+        # Every connected S ∋ o by the branching of _connected_sets, which
+        # carries S's sizes, the mask of S ∪ ∂S and the shift bits·|S| as
+        # it adds a vertex, so each S goes to its row as it is found.  Both
+        # branches on the lowest frontier vertex take it out of ``avail``,
+        # the vertices still free to join S.
+        obit = 1 << origin
+        get = rows.get
+        stack = [(nbr[origin], everything ^ obit, weights[origin],
+                  obit | nbr[origin], bits)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            frontier, avail, sizes, around, shift = pop()
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                avail ^= low
+                push((frontier, avail, sizes, around, shift))
                 v = low.bit_length() - 1
+                frontier = (frontier | nbr[v]) & avail
                 sizes += weights[v]
                 around |= nbr[v]
-            size = s.bit_count()
-            free = n - size - (around & ~s).bit_count()
-            add(sizes, powers[free] << (bits * size))
+                shift += bits
+            rows[sizes] = get(sizes, 0) + (
+                powers[n - around.bit_count()] << shift)
         return rows
 
     # the census of S packs its sizes and, above them, its degree sum

@@ -234,12 +234,6 @@ def distances_from(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    """Graph distance (edge count of a shortest path)."""
-    _check_vertex(g, v)
-    return distances_from(g, u)[v]
-
-
 def as_vertex_set(g: Graph, vertices: Iterable[int]) -> VertexSet:
     """Validate and canonicalize a vertex collection (sorted, no duplicates)."""
     out = sorted(int(v) for v in vertices)
@@ -249,18 +243,6 @@ def as_vertex_set(g: Graph, vertices: Iterable[int]) -> VertexSet:
         if x == y:
             raise GraphError(f"duplicate vertex {x}")
     return tuple(out)
-
-
-def relabel_graph(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply a vertex permutation: vertex v moves to index perm[v], carrying
-    its label along; edges are re-canonicalized."""
-    if sorted(perm) != list(range(g.n_vertices)):
-        raise GraphError("relabeling must be a permutation of all vertices")
-    labels: list[tuple[int, ...]] = [()] * g.n_vertices
-    for v, lab in enumerate(g.labels):
-        labels[perm[v]] = lab
-    edges = [(perm[u], perm[v]) for (u, v) in g.edges]
-    return _canonical(labels, edges)
 
 
 def _check_vertex(g: Graph, v: int) -> None:

@@ -47,7 +47,6 @@ import math
 import os
 import struct
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
@@ -399,6 +398,10 @@ def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     bins: Counter = Counter()
     if workers > 1:
+        # Imported here, as it pulls in multiprocessing, which a
+        # one-process run would otherwise load at every start.
+        from concurrent.futures import ProcessPoolExecutor
+
         # One batch of jobs per worker, so the incidence lists they share
         # are pickled once per worker and not once per chunk.
         batch = -(-len(jobs) // workers)

@@ -10,6 +10,12 @@ were computed with these oracles and then frozen as literals.  The
 hypothesis strategy ``observed_graphs`` draws the cases that the exact and
 the Monte Carlo projection properties share.
 
+``per_set_site_rows`` builds the site law's packed rows the slow way:
+every connected S ∋ o grown level by level and then rescanned vertex by
+vertex, where the package carries each S's sizes and boundary along one
+branching pass.  ``cyclic_site_cases`` draws its graphs, which have cycles
+and up to 16 vertices, past the reach of the 2^units sweeps.
+
 The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
 and the three checks) chain Fraction sums term by term, where the package
 works in integers over one common denominator.
@@ -23,16 +29,20 @@ where the package grows every sample of a chunk at once, one bit each.
 the closed element list, where the package works from generators and a
 stabilizer chain; ``symmetry_cases`` draws graphs, generator sets and pairs
 for it, failing cases included.
+
+``distance`` and ``relabel_graph`` are graph helpers that only the tests
+use.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 from hypothesis import strategies as st
 
 from symperc.exact import DominationReport
-from symperc.graphs import explicit_graph
+from symperc.graphs import distances_from, explicit_graph
 from symperc.groups import (
     NonAutomorphismElement,
     SymmetryReport,
@@ -41,6 +51,22 @@ from symperc.groups import (
     make_pair,
     stabilizer_orbit,
 )
+
+
+def distance(g, u, v):
+    """Graph distance (edge count of a shortest path)."""
+    return distances_from(g, u)[v]
+
+
+def relabel_graph(g, perm):
+    """Apply a vertex permutation: vertex v moves to index perm[v], carrying
+    its label along; edges are re-canonicalized."""
+    labels = [()] * g.n_vertices
+    for v, lab in enumerate(g.labels):
+        labels[perm[v]] = lab
+    relabeled = explicit_graph(g.n_vertices,
+                               [(perm[u], perm[v]) for u, v in g.edges])
+    return replace(relabeled, labels=tuple(labels))
 
 
 class DSU:
@@ -327,6 +353,40 @@ def brute_force_bins(g, observed, law, chunks=1, threads=1):
              *kc): cnt for (packed, *kc), cnt in raw.items()}
 
 
+def per_set_site_rows(g, origin, masks):
+    """The packed site-law rows of ``exact._origin_cluster_rows``, keyed as
+    there with ``width = n.bit_length()`` and fields of n+2 bits, by the
+    per-set loop: every connected S ∋ o is grown level by level, one
+    neighbour at a time with duplicates merged, and then rescanned vertex
+    by vertex for its sizes and its outer boundary ∂S.  S is open, ∂S
+    closed and the rest free; a closed origin is a cell of its own."""
+    n = g.n_vertices
+    width, bits = n.bit_length(), n + 2
+    nbr = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+    weights = [sum(1 << (i * width) for i, m in enumerate(masks) if m >> v & 1)
+               for v in range(n)]
+    powers = [1]  # (1 + x)^j
+    for _ in range(n):
+        powers.append(powers[-1] + (powers[-1] << bits))
+    rows = {weights[origin]: powers[n - 1]}
+    level = {1 << origin}
+    while level:
+        grown = set()
+        for s in level:
+            sizes = around = 0
+            for v in range(n):
+                if s >> v & 1:
+                    sizes += weights[v]
+                    around |= nbr[v]
+            boundary = around & ~s
+            free = n - s.bit_count() - boundary.bit_count()
+            rows[sizes] = rows.get(sizes, 0) + (
+                powers[free] << (bits * s.bit_count()))
+            grown.update(s | 1 << v for v in range(n) if boundary >> v & 1)
+        level = grown
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # evaluation and the exact checks, one Fraction operation per term
 
@@ -452,6 +512,27 @@ def observed_graphs(draw):
             [v for v in range(n) if side[v] == 2 and v != o], o))
     targets = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
     return g, o, pairs, targets
+
+
+@st.composite
+def cyclic_site_cases(draw):
+    """A connected graph of 3 to 16 vertices with at least one cycle (a
+    random tree plus up to n chords), an origin and one to three arbitrary
+    observed vertex masks."""
+    n = draw(st.integers(3, 16))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              min_size=1, max_size=n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    if len(edges) == n - 1:  # still a tree: close the first missing pair
+        edges.add(next((u, v) for v in range(n) for u in range(v)
+                       if (u, v) not in edges))
+    origin = draw(st.integers(0, n - 1))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=3))
+    return explicit_graph(n, sorted(edges)), origin, tuple(masks)
 
 
 def exhaustive_symmetry_report(g, grp, pair):

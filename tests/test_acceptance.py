@@ -24,7 +24,6 @@ from symperc.graphs import (
     bunkbed_graph,
     cycle_graph,
     path_graph,
-    relabel_graph,
 )
 from symperc.groups import make_pair
 
@@ -32,6 +31,7 @@ from _oracles import (
     bond_joint_pmf,
     eager_cluster_mask,
     lazy_incidence,
+    relabel_graph,
     sample_cluster_mask,
 )
 

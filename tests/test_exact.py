@@ -27,7 +27,6 @@ from symperc.graphs import (
     explicit_graph,
     hypercube_graph,
     path_graph,
-    relabel_graph,
     torus_graph,
 )
 from symperc.groups import make_pair
@@ -37,9 +36,12 @@ from _oracles import (
     bond_connection,
     brute_force_bins,
     bond_joint_pmf,
+    cyclic_site_cases,
     expectations,
     observed_graphs,
+    per_set_site_rows,
     rc_joint_pmf,
+    relabel_graph,
     site_joint_pmf,
     unpacked_bins,
 )
@@ -528,3 +530,30 @@ def test_star_counts_follow_the_closed_form():
     assert unpacked_bins(rc) == {
         ((1 + j, 0), j, 1 + leaves - j): comb(leaves, j)
         for j in range(leaves + 1)}
+
+
+@pytest.mark.parametrize("g", [
+    bunkbed_graph(cycle_graph(9)),
+    bunkbed_graph(cycle_graph(10)),
+    torus_graph(4, 4),
+], ids=["bunkbed-c9", "bunkbed-c10", "torus4x4"])
+def test_site_rows_equal_the_per_set_loop(g):
+    # the two layers as a pair and the far end as a target
+    half = g.n_vertices // 2
+    observed = Observables(
+        0, (make_pair(g, range(half), range(half, 2 * half), 0),),
+        (g.n_vertices - 1,))
+    sweep = enumerate_joint(g, observed, SITE)
+    assert sweep.rows == per_set_site_rows(g, 0, sweep.masks)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cyclic_site_cases())
+def test_site_rows_equal_the_per_set_loop_on_cyclic_graphs(case):
+    g, origin, masks = case
+    n = g.n_vertices
+    width = n.bit_length()
+    weights = [sum(1 << (i * width) for i, m in enumerate(masks) if m >> v & 1)
+               for v in range(n)]
+    assert (exact._origin_cluster_rows(g, SITE, origin, weights, n + 2)
+            == per_set_site_rows(g, origin, masks))

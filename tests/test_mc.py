@@ -1,3 +1,7 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -249,7 +253,7 @@ def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
             batches.append(chunksize)
             return map(fn, jobs)
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     g, pair = c4_bunkbed()
     base = estimate_joint(g, pair, HALF, 100, seed=4)
@@ -264,6 +268,18 @@ def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
         assert batches == ([] if batch is None else [batch])
     with pytest.raises(ValueError):
         estimate_joint(g, pair, HALF, 100, seed=4, threads=0)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # A one-process run never starts a pool, so it should not pay for
+    # importing multiprocessing at start-up.
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, symperc.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sampler_stream_is_pinned_across_workers():
