@@ -24,6 +24,9 @@ The Monte Carlo oracles grow one sample at a time: ``eager_cluster_mask``
 draws every edge of the sample and then traverses, and
 ``sample_cluster_mask`` (behind ``sample_cluster``) reveals edges by a DFS,
 where the package grows every sample of a chunk at once, one bit each.
+``transpose_bins`` bins a chunk's samples from the transpose of the
+``reach`` sets, one string of bits per sample, where the package packs
+eight vertices into one byte per sample; ``reach_cases`` draws its inputs.
 
 ``exhaustive_symmetry_report`` decides the symmetry conditions by scanning
 the closed element list, where the package works from generators and a
@@ -34,6 +37,7 @@ for it, failing cases included.
 use.
 """
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -221,6 +225,53 @@ def sample_cluster(g, o, p, seed, sample_index=0):
     mask = sample_cluster_mask(lazy_incidence(g), seed, sample_index,
                                open_threshold(p), o)
     return tuple(v for v in range(g.n_vertices) if mask >> v & 1)
+
+
+def transpose_bins(reach, observed, size):
+    """Bin oracle: count the samples by their set of reached observed
+    vertices, read off the transpose of the observed vertices' ``reach``
+    sets.
+
+    Each row is one sample's string of bits over the observed vertices that
+    some sample reached, highest vertex first; the others would add the same
+    0 to every row.  A run of consecutive vertices is one binary slice of a
+    row, so a row's key costs one ``int`` per run, not one step per vertex.
+    """
+    verts = [v for v in range(len(reach) - 1, -1, -1)
+             if reach[v] and observed >> v & 1]
+    if not verts:
+        return Counter({0: size})
+    runs = []
+    start = 0
+    for i in range(1, len(verts) + 1):
+        if i == len(verts) or verts[i] != verts[i - 1] - 1:
+            runs.append((start, i, verts[i - 1]))
+            start = i
+    width = f"0{size}b"
+    rows = Counter(map("".join, zip(*(format(reach[v], width)
+                                      for v in verts))))
+    bins = Counter()
+    for row, cnt in rows.items():
+        key = 0
+        for a, b, low in runs:
+            key |= int(row[a:b], 2) << low
+        bins[key] += cnt
+    return bins
+
+
+@st.composite
+def reach_cases(draw):
+    """A chunk size, per-vertex ``reach`` sets of that many samples (some
+    empty) over up to 40 vertices, and 0-20 observed vertices among them."""
+    size = draw(st.sampled_from([1, 7, 8, 9, 64, 65, 4097]))
+    n = draw(st.integers(1, 40))
+    full = (1 << size) - 1
+    sets = st.one_of(st.just(0), st.just(full), st.integers(0, full),
+                     st.integers(0, size - 1).map(lambda i: 1 << i),
+                     st.integers(0, 16).map(lambda k: full >> k))
+    reach = draw(st.lists(sets, min_size=n, max_size=n))
+    observed = draw(st.lists(st.integers(0, n - 1), max_size=20))
+    return reach, sum(1 << v for v in set(observed)), size
 
 
 # ---------------------------------------------------------------------------

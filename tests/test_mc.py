@@ -29,8 +29,10 @@ from _oracles import (
     eager_cluster_mask,
     lazy_incidence,
     observed_graphs,
+    reach_cases,
     sample_cluster,
     sample_cluster_mask,
+    transpose_bins,
 )
 
 HALF = F(1, 2)
@@ -201,14 +203,40 @@ def test_both_hashing_paths_decide_one_edge_alike():
     seed, lo, hi = -1, 5, 5 + 300
     threshold = open_threshold(F(3, 7))
     stream = mc._ChunkStream(seed, threshold, lo, hi)
-    for e in (0, 7, 10**6):
-        step = ((e + 1) * mc._GOLDEN) & mc._MASK64
+    # from 2**30 on, e + 1 is more than one digit of a Python int
+    for e in (0, 7, 10**6, 2**30, 2**40):
         want = sum(1 << j for j in range(hi - lo)
                    if unit_word(seed, lo + j, e) < threshold)
-        assert stream.open_lanes(step) == want
-        assert stream.open_each(step, (1 << (hi - lo)) - 1) == want
+        assert stream.open_lanes(e) == want
+        assert stream.open_each(e, (1 << (hi - lo)) - 1) == want
         some = sum(1 << j for j in range(0, hi - lo, 7))
-        assert stream.open_each(step, some) == want & some
+        assert stream.open_each(e, some) == want & some
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_streams_share_only_their_lane_constants(order):
+    # a full and a tail chunk of two seeds and thresholds, built in either
+    # order and used after one another, each still draws unit_word
+    cases = [(-1, F(3, 7), 0, 64), (2**70, F(1, 5), 64, 64 + 37),
+             (9, F(3, 7), 128, 128 + 37), (9, F(1, 5), 0, 64)][::order]
+    streams = [mc._ChunkStream(seed, open_threshold(p), lo, hi)
+               for seed, p, lo, hi in cases]
+    for (seed, p, lo, hi), stream in zip(cases, streams):
+        threshold = open_threshold(p)
+        for e in (0, 3, 2**40):
+            want = sum(1 << j for j in range(hi - lo)
+                       if unit_word(seed, lo + j, e) < threshold)
+            assert stream.open_lanes(e) == want
+            assert stream.open_each(e, (1 << (hi - lo)) - 1) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(reach_cases())
+def test_byte_plane_bins_equal_the_transpose(case):
+    reach, observed, size = case
+    bins = mc._bins(reach, observed, size)
+    assert bins == transpose_bins(reach, observed, size)
+    assert sum(bins.values()) == size
 
 
 def test_growth_mixes_hashing_paths_on_one_edge(monkeypatch, torus5_oracle):
