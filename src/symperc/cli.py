@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
@@ -39,8 +40,70 @@ USAGE_ERROR = 4
 
 def to_stable_json(report: dict) -> str:
     """Canonical strict JSON; parsing and re-serializing is a no-op.  A
-    non-finite float raises instead of becoming ``Infinity`` or ``NaN``."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    non-finite float raises ValueError instead of becoming ``Infinity`` or
+    ``NaN``.
+
+    The text is that of ``json.dumps(report, indent=2, sort_keys=True,
+    allow_nan=False)`` plus a newline; keys must be strings.  The stdlib
+    writes indented JSON in pure Python, one generator step per token; this
+    writer builds each container's text with one join, and a flat list of
+    ints or of strings is joined in C.
+    """
+    return _json_text(report, "\n") + "\n"
+
+
+# The JSON text of a str or an int (not a bool, whose type is not int).
+_SCALARS = {str: _quote, int: int.__repr__}
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as indented JSON; ``newline`` is a line break followed by
+    the indent of the line that ``value`` starts on."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            (_quote(key) if type(key) is str else _json_key(key)) + ": "
+            + (_SCALARS[type(item)](item) if type(item) in _SCALARS
+               else _json_text(item, inner))
+            for key, item in sorted(value.items())]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = (map(write, value) if write else
+                 [_json_text(item, inner) for item in value])
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if value != value or value in (math.inf, -math.inf):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"report keys must be str, not {type(key).__name__}")
+    return _quote(key)
 
 
 def write_outputs(report: dict, json_path: str | None,

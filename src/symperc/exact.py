@@ -36,11 +36,18 @@ one common denominator.  At p = n/d a configuration with k of its units
 open has probability n^k·(d−n)^(units−k) / d^units, so each outcome's
 probability is one integer dot product over d^units; under the random-
 cluster law, q = qn/qd enters as qn^c·qd^(top−c), and the weights are
-integers over their own sum.  The checks bring a pmf to its least common
-denominator once, and then make one integer pass: suffix sums over t for
-the tail margins, a difference array over t for the ``ind_ge_t``
-residuals.  A Fraction is built only for each value handed back; the tests
-keep the term-by-term Fraction sums as their oracle.
+integers over their own sum.  :func:`joint_numerators` makes this one
+:class:`IntegerPmf` per (pair, p), and each check is one integer pass over
+it that returns numerators over one denominator: the expected sizes, suffix
+sums over t for the tail margins, a difference array over t for the
+``ind_ge_t`` residuals, and both sides of the ratio identity.  Reports
+format these numerators as they are (:func:`symperc.rationals.format_ratio`
+reduces each with one gcd), so no Fraction is built on the report path.
+The public Fraction functions (:func:`eval_joint`, :func:`eval_counts`,
+:func:`expected_sizes` and the three checks) are adapters over the same
+integer cores: they bring a Fraction pmf to its least common denominator
+once and build a Fraction for each value handed back.  The tests keep the
+term-by-term Fraction sums as their oracle.
 
 :func:`enumerate_joint` is the only way to these counts.  A pair's law is
 ``eval_joint(sweep.joint(pair), p)``; a connection probability is
@@ -57,8 +64,9 @@ that big integers do not.
 
 Units follow the canonical order: edge k for the bond and random-cluster
 laws, vertex k for the site law.  Everything in this module is exact:
-counts are Python integers, probabilities are Fractions, and identity
-checks mean exact zero.
+counts are Python integers, probabilities are integer numerators over one
+denominator (Fractions at the public adapters), and identity checks mean
+exact zero.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .graphs import Graph
 from .groups import VertexSetPair
@@ -566,6 +575,14 @@ def _check_count_conservation(sweep: ClusterSweep) -> None:
 # evaluation and the exact checks, in integers over one common denominator
 
 
+class IntegerPmf(NamedTuple):
+    """A pmf as integer numerators over one positive denominator:
+    P(a, b) = nums[(a, b)] / den.  The denominator need not be the least."""
+
+    den: int
+    nums: dict[tuple[int, int], int]
+
+
 def _unit_weights(p: Fraction, units: int) -> list[int]:
     """n^k·(d−n)^(units−k) for k = 0..units, at p = n/d: the probability
     of one configuration with k open units, times d^units."""
@@ -579,9 +596,10 @@ def _unit_weights(p: Fraction, units: int) -> list[int]:
     return [u * v for u, v in zip(up, reversed(down))]
 
 
-def eval_joint(poly: JointOutcomePolynomial, p) -> Pmf:
-    """Exact probability of each outcome at parameter p under the
-    polynomial's own law (sums to 1)."""
+def joint_numerators(poly: JointOutcomePolynomial, p) -> IntegerPmf:
+    """Each outcome's probability at p under the polynomial's own law, as
+    one integer pmf: over d^units at p = n/d, and over the sum of the
+    weights under the random-cluster law."""
     p = parse_fraction(p)
     weights = _unit_weights(p, poly.units)
     if poly.law.kind == "random_cluster":
@@ -593,44 +611,64 @@ def eval_joint(poly: JointOutcomePolynomial, p) -> Pmf:
         top = max((c for sub in poly.component_counts.values()
                    for _, c in sub), default=0)
         cells = [qn**c * qd**(top - c) for c in range(top + 1)]
-        numerators = {key: sum(cnt * weights[k] * cells[c]
-                               for (k, c), cnt in sub.items())
-                      for key, sub in poly.component_counts.items()}
-        den = sum(numerators.values())
+        nums = {key: sum(cnt * weights[k] * cells[c]
+                         for (k, c), cnt in sub.items())
+                for key, sub in poly.component_counts.items()}
+        den = sum(nums.values())
         if not den:
             raise RuntimeError("pmf does not sum to exactly 1")
     else:
-        numerators = {key: sum(map(mul, vec, weights))
-                      for key, vec in poly.counts.items()}
+        nums = {key: sum(map(mul, vec, weights))
+                for key, vec in poly.counts.items()}
         den = p.denominator ** poly.units
-        if sum(numerators.values()) != den:
+        if sum(nums.values()) != den:
             raise RuntimeError("pmf does not sum to exactly 1")
-    return {key: Fraction(num, den) for key, num in numerators.items()}
+    return IntegerPmf(den, nums)
+
+
+def eval_joint(poly: JointOutcomePolynomial, p) -> Pmf:
+    """Exact probability of each outcome at parameter p under the
+    polynomial's own law (sums to 1)."""
+    den, nums = joint_numerators(poly, p)
+    return {key: Fraction(num, den) for key, num in nums.items()}
+
+
+def count_numerator(vec: Sequence[int], units: int, p) -> int:
+    """A count vector's probability at p = n/d, times d^units."""
+    p = parse_fraction(p)
+    if len(vec) > units + 1:
+        raise ValueError(f"{len(vec)} counts for {units} units")
+    return sum(map(mul, vec, _unit_weights(p, units)))
 
 
 def eval_counts(vec: Sequence[int], units: int, p) -> Fraction:
     """Evaluate a count vector, such as ``ClusterSweep.connection(v)``, as
     an exact probability at p."""
     p = parse_fraction(p)
-    if len(vec) > units + 1:
-        raise ValueError(f"{len(vec)} counts for {units} units")
-    return Fraction(sum(map(mul, vec, _unit_weights(p, units))),
-                    p.denominator ** units)
+    return Fraction(count_numerator(vec, units, p), p.denominator ** units)
 
 
-def _integer_pmf(pmf: Pmf) -> tuple[int, list[tuple[int, int, int]]]:
-    """The pmf over its least common denominator L: L and every (a, b,
-    L·prob)."""
+def _integer_pmf(pmf: Pmf) -> IntegerPmf:
+    """A Fraction pmf over the least common denominator of its values."""
     den = lcm(*(prob.denominator for prob in pmf.values()))
-    return den, [(a, b, prob.numerator * (den // prob.denominator))
-                 for (a, b), prob in pmf.items()]
+    return IntegerPmf(den, {key: prob.numerator * (den // prob.denominator)
+                            for key, prob in pmf.items()})
+
+
+def expected_numerators(pmf: IntegerPmf) -> tuple[int, int]:
+    """The expectations of the two intersection sizes, times ``pmf.den``."""
+    e_plus = e_minus = 0
+    for (a, b), num in pmf.nums.items():
+        e_plus += num * a
+        e_minus += num * b
+    return e_plus, e_minus
 
 
 def expected_sizes(pmf: Pmf) -> tuple[Fraction, Fraction]:
     """Exact expectations of the two intersection sizes."""
-    den, entries = _integer_pmf(pmf)
-    return (Fraction(sum(num * a for a, _, num in entries), den),
-            Fraction(sum(num * b for _, b, num in entries), den))
+    ipmf = _integer_pmf(pmf)
+    e_plus, e_minus = expected_numerators(ipmf)
+    return Fraction(e_plus, ipmf.den), Fraction(e_minus, ipmf.den)
 
 
 @dataclass(frozen=True)
@@ -642,49 +680,49 @@ class DominationReport:
     trivial_minus: bool  # the support never touches v_minus (empty set)
 
 
+def margin_numerators(pmf: IntegerPmf) -> list[int]:
+    """The tail margins P(a >= t) − P(b >= t), times ``pmf.den``, for
+    t = 1..max(a, b, 1) over the outcomes: one suffix sum over t."""
+    t_max = max([1, *map(max, pmf.nums)])
+    tails = [0] * (t_max + 2)
+    for (a, b), num in pmf.nums.items():
+        tails[a] += num
+        tails[b] -= num
+    for t in range(t_max, 0, -1):
+        tails[t] += tails[t + 1]
+    return tails[1:t_max + 1]
+
+
 def check_domination(pmf: Pmf) -> DominationReport:
     """Compare the two tail distributions at every threshold.
 
     Threshold indicators generate all bounded increasing functions, so
     nonnegative margins at every t are equivalent to stochastic domination.
-    A negative margin is reported as-is; nothing is clamped.  The margins
-    come from one suffix sum, over t, of the pmf's numerators.
+    A negative margin is reported as-is; nothing is clamped.
     """
-    den, entries = _integer_pmf(pmf)
-    max_a = max((a for a, _, _ in entries), default=0)
-    max_b = max((b for _, b, _ in entries), default=0)
-    t_max = max(max_a, max_b, 1)
-    tails = [0] * (t_max + 2)  # tails[t]: L·(P(a >= t) − P(b >= t))
-    for a, b, num in entries:
-        tails[a] += num
-        tails[b] -= num
-    for t in range(t_max, 0, -1):
-        tails[t] += tails[t + 1]
+    ipmf = _integer_pmf(pmf)
+    margins = margin_numerators(ipmf)
     return DominationReport(
-        margins=tuple((t, Fraction(tails[t], den))
-                      for t in range(1, t_max + 1)),
-        passes=all(m >= 0 for m in tails[1:t_max + 1]),
-        trivial_minus=max_b == 0,
+        margins=tuple((t, Fraction(m, ipmf.den))
+                      for t, m in enumerate(margins, 1)),
+        passes=all(m >= 0 for m in margins),
+        trivial_minus=max((b for _, b in pmf), default=0) == 0,
     )
 
 
-def check_partition_identity(pmf: Pmf) -> dict[str, Fraction]:
-    """Residual of the reweighting identity for each test function: the
-    threshold indicators ``ind_ge_t`` for t = 1..max(a + b), then
-    ``identity`` (n) and ``square`` (n^2).
+def residual_numerators(pmf: IntegerPmf) -> tuple[int, dict[str, int]]:
+    """The residuals of :func:`check_partition_identity` as integers over
+    one denominator, which is returned first.
 
-    Both sides are exact expectations; under the symmetry conditions the
-    residual is exactly 0 for every bounded f.  The residual
-    E[f(a) − f(b)] − E[(f(a) − f(b))·(a − b)/(a + b)] equals
+    The residual E[f(a) − f(b)] − E[(f(a) − f(b))·(a − b)/(a + b)] equals
     E[(f(a) − f(b))·2b/(a + b)], so an outcome with b = 0, which includes
     a + b = 0, adds nothing.  Over M = lcm(a + b) every other outcome adds
-    the integer w = L·prob·2b·M/(a + b), and ``ind_ge_t`` picks up +w for
+    the integer w = num·2b·M/(a + b), and ``ind_ge_t`` picks up +w for
     b < t ≤ a and −w for a < t ≤ b: one difference array over t gives
     every threshold.
     """
-    t_max = max((a + b for (a, b) in pmf), default=1)
-    den, entries = _integer_pmf(pmf)
-    entries = [(a, b, num) for a, b, num in entries if num and b]
+    t_max = max((a + b for (a, b) in pmf.nums), default=1)
+    entries = [(a, b, num) for (a, b), num in pmf.nums.items() if num and b]
     scale = lcm(*(a + b for a, b, _ in entries))
     steps = [0] * (t_max + 2)
     identity = square = 0
@@ -694,26 +732,43 @@ def check_partition_identity(pmf: Pmf) -> dict[str, Fraction]:
         steps[a + 1] -= w
         identity += w * (a - b)
         square += w * (a * a - b * b)
-    den *= scale
-    residuals: dict[str, Fraction] = {}
+    residuals: dict[str, int] = {}
     running = 0
     for t in range(1, t_max + 1):
         running += steps[t]
-        residuals[f"ind_ge_{t}"] = Fraction(running, den)
-    residuals["identity"] = Fraction(identity, den)
-    residuals["square"] = Fraction(square, den)
-    return residuals
+        residuals[f"ind_ge_{t}"] = running
+    residuals["identity"] = identity
+    residuals["square"] = square
+    return pmf.den * scale, residuals
 
 
-def check_ratio_identity(pmf: Pmf) -> tuple[Fraction, Fraction]:
-    """Both sides of the ratio identity: E(b/a) and P(b > 0).
+def check_partition_identity(pmf: Pmf) -> dict[str, Fraction]:
+    """Residual of the reweighting identity for each test function: the
+    threshold indicators ``ind_ge_t`` for t = 1..max(a + b), then
+    ``identity`` (n) and ``square`` (n^2).
+
+    Both sides are exact expectations; under the symmetry conditions the
+    residual is exactly 0 for every bounded f.
+    """
+    den, residuals = residual_numerators(_integer_pmf(pmf))
+    return {name: Fraction(num, den) for name, num in residuals.items()}
+
+
+def ratio_numerators(pmf: IntegerPmf) -> tuple[int, int, int]:
+    """Both sides of the ratio identity, E(b/a) and P(b > 0), as integers
+    over one denominator: (denominator, lhs, rhs).
 
     Outcomes with b = 0 or probability 0 add nothing to either side;
     over M = lcm(a) the rest add integers.
     """
-    den, entries = _integer_pmf(pmf)
-    entries = [(a, b, num) for a, b, num in entries if num and b]
+    entries = [(a, b, num) for (a, b), num in pmf.nums.items() if num and b]
     scale = lcm(*(a for a, _, _ in entries))
     lhs = sum(num * b * (scale // a) for a, b, num in entries)
-    rhs = sum(num for _, _, num in entries)
-    return Fraction(lhs, den * scale), Fraction(rhs, den)
+    rhs = sum(num for _, _, num in entries) * scale
+    return pmf.den * scale, lhs, rhs
+
+
+def check_ratio_identity(pmf: Pmf) -> tuple[Fraction, Fraction]:
+    """Both sides of the ratio identity: E(b/a) and P(b > 0)."""
+    den, lhs, rhs = ratio_numerators(_integer_pmf(pmf))
+    return Fraction(lhs, den), Fraction(rhs, den)

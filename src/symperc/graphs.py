@@ -215,6 +215,35 @@ def build_graph(spec: Mapping) -> Graph:
     raise GraphSpecError(f"unknown builder {builder!r}")
 
 
+def spec_size(spec: Mapping) -> tuple[int, int]:
+    """(vertices, edges) of the graph that :func:`build_graph` makes of the
+    spec, found without building it, so that a caller can refuse a graph
+    too large to build.  A spec the builder would refuse gives (0, 0): the
+    builder reports it."""
+    try:
+        builder = spec["builder"]
+        if builder in ("path", "cycle", "complete"):
+            n = int(spec["n"])
+            edges = {"path": n - 1, "cycle": n, "complete": n * (n - 1) // 2}
+            return n, edges[builder]
+        if builder == "hypercube":
+            d = int(spec["d"])
+            return 1 << d, d << (d - 1)
+        if builder == "torus":
+            cells = int(spec["n"]) * int(spec["m"])
+            return cells, 2 * cells
+        if builder in ("bunkbed", "cylinder"):
+            # base x factor has v·fv vertices and e·fv + v·fe edges
+            v, e = spec_size(spec["base"])
+            fv, fe = (2, 1) if builder == "bunkbed" else (int(spec["m"]),) * 2
+            return v * fv, e * fv + v * fe
+        if builder == "explicit":
+            return int(spec["vertices"]), len(spec["edges"])
+    except (KeyError, TypeError, ValueError):
+        pass
+    return 0, 0
+
+
 # ---------------------------------------------------------------------------
 # queries
 

@@ -93,6 +93,13 @@ def _chunk_size_for(g: Graph) -> int:
     return max(_MIN_CHUNK_SIZE, min(DEFAULT_CHUNK_SIZE, fit))
 
 
+def max_graph_size() -> int:
+    """The most vertices + edges a sampled graph may have: past it, even a
+    chunk of :data:`_MIN_CHUNK_SIZE` samples holds more than
+    :data:`_CHUNK_STATE_BITS` bits of state."""
+    return _CHUNK_STATE_BITS // _MIN_CHUNK_SIZE
+
+
 def _mix64(z: int) -> int:
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -1,13 +1,17 @@
 """Exact rational helpers shared by the engines and the CLI.
 
-Probabilities and identity residuals travel through the whole pipeline as
-:class:`fractions.Fraction`; floats only appear in Monte Carlo summaries.
-On the wire (JSON reports, CSV, CLI flags) rationals are "num/den" strings.
+Parameters are parsed into :class:`fractions.Fraction`, and the public
+functions of :mod:`symperc.exact` hand back Fractions.  The report path
+carries every exact value as an integer numerator over a positive
+denominator instead, and :func:`format_ratio` reduces it with one gcd as
+it is written; floats only appear in Monte Carlo summaries.  On the wire
+(JSON reports, CSV, CLI flags) rationals are "num/den" strings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def parse_fraction(text: str | int | Fraction) -> Fraction:
@@ -24,10 +28,18 @@ def parse_fraction(text: str | int | Fraction) -> Fraction:
 
 def format_fraction(value: Fraction | int) -> str:
     """Canonical "num/den" string; plain "num" when the denominator is 1."""
-    frac = Fraction(value)
+    frac = value if isinstance(value, Fraction) else Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"
+
+
+def format_ratio(num: int, den: int) -> str:
+    """The :func:`format_fraction` string of num/den, for den > 0."""
+    common = gcd(num, den)
+    if common == den:
+        return str(num // den)
+    return f"{num // common}/{den // common}"
 
 
 def parse_probability(text: str | Fraction) -> Fraction:

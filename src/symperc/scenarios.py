@@ -26,7 +26,7 @@ from . import exact, graphs, groups, mc
 from .exact import BOND, PartitionLaw, parse_law
 from .graphs import Graph, GraphError, build_graph
 from .groups import Perm
-from .rationals import format_fraction, parse_probability
+from .rationals import format_fraction, format_ratio, parse_probability
 
 SCHEMA = "symperc-report/3"
 
@@ -112,6 +112,18 @@ class Scenario:
         if self.mc_n < 1:
             raise ScenarioFormatError(
                 f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
+        if self.mode == "mc":
+            _check_mc_size(self.graph_spec)
+
+
+def _check_mc_size(spec) -> None:
+    """Refuse, before it is built, a graph too large for the sampler."""
+    vertices, edges = graphs.spec_size(spec)
+    limit = mc.max_graph_size()
+    if vertices + edges > limit:
+        raise ScenarioError(
+            f"Monte Carlo graph has {vertices} vertices and {edges} edges; "
+            f"the sampler takes at most {limit} vertices + edges")
 
 
 def _parsed(what: str, parse, value):
@@ -217,46 +229,50 @@ def exact_p_results(
 ) -> tuple[list[dict], str]:
     """Evaluate the polynomial on the grid and run the exact checks.
 
+    Each p makes one integer pmf, and every check returns numerators over
+    one denominator, so each value is reduced once, as it is formatted.
     When the symmetry conditions hold the verdict folds in the identity
     residuals and the expectation ordering; otherwise those fields are
     informational and only a negative margin counts as a violation.
     """
     results = []
     for p in p_grid:
-        pmf = exact.eval_joint(poly, p)
-        e_plus, e_minus = exact.expected_sizes(pmf)
-        dom = exact.check_domination(pmf)
-        residuals = exact.check_partition_identity(pmf)
-        ratio_lhs, ratio_rhs = exact.check_ratio_identity(pmf)
-        identity_zero = all(r == 0 for r in residuals.values())
+        pmf = exact.joint_numerators(poly, p)
+        e_plus, e_minus = exact.expected_numerators(pmf)
+        margins = exact.margin_numerators(pmf)
+        res_den, residuals = exact.residual_numerators(pmf)
+        ratio_den, ratio_lhs, ratio_rhs = exact.ratio_numerators(pmf)
+        passes = all(m >= 0 for m in margins)
+        identity_zero = not any(residuals.values())
         ratio_equal = ratio_lhs == ratio_rhs
         if theorem_instance:
-            ok = (dom.passes and identity_zero and ratio_equal
-                  and e_plus >= e_minus)
+            ok = passes and identity_zero and ratio_equal and e_plus >= e_minus
         else:
-            ok = dom.passes
+            ok = passes
         results.append({
             "p": format_fraction(p),
-            "expected_plus": format_fraction(e_plus),
-            "expected_minus": format_fraction(e_minus),
-            "expectation_gap": format_fraction(e_plus - e_minus),
-            "domination": _domination_block(dom),
-            "identity_residuals": {k: format_fraction(v)
+            "expected_plus": format_ratio(e_plus, pmf.den),
+            "expected_minus": format_ratio(e_minus, pmf.den),
+            "expectation_gap": format_ratio(e_plus - e_minus, pmf.den),
+            "domination": _domination_block(margins, pmf.den),
+            "identity_residuals": {k: format_ratio(v, res_den)
                                    for k, v in residuals.items()},
             "identity_zero": identity_zero,
-            "ratio_lhs": format_fraction(ratio_lhs),
-            "ratio_rhs": format_fraction(ratio_rhs),
+            "ratio_lhs": format_ratio(ratio_lhs, ratio_den),
+            "ratio_rhs": format_ratio(ratio_rhs, ratio_den),
             "ratio_equal": ratio_equal,
             "verdict": PASS if ok else VIOLATION,
         })
     return results, worst_verdict(row["verdict"] for row in results)
 
 
-def _domination_block(dom: exact.DominationReport) -> dict:
+def _domination_block(margins: Sequence[int], den: int) -> dict:
     """The exact domination block, shaped as the Monte Carlo one: each
-    threshold's margin is judged by its own sign."""
-    thresholds = [{"t": t, "margin": format_fraction(m),
-                   "verdict": _sign_verdict(m)} for t, m in dom.margins]
+    threshold's margin, ``margins[t - 1] / den``, is judged by its own
+    sign."""
+    thresholds = [{"t": t, "margin": format_ratio(m, den),
+                   "verdict": _sign_verdict(m)}
+                  for t, m in enumerate(margins, 1)]
     return {"verdict": worst_verdict(row["verdict"] for row in thresholds),
             "thresholds": thresholds}
 
@@ -363,14 +379,17 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
 
 
 def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
+    """c_far, c_near and 1 + c_far − 2·c_near, each over d^units at
+    p = n/d."""
     c_far_vec = sweep.connection(resolve_vertex(g, rel.c_far))
     c_near_vec = sweep.connection(resolve_vertex(g, rel.c_near))
     for row, p in zip(results, p_grid):
-        c_far = exact.eval_counts(c_far_vec, sweep.units, p)
-        c_near = exact.eval_counts(c_near_vec, sweep.units, p)
-        row["c_far"] = format_fraction(c_far)
-        row["c_near"] = format_fraction(c_near)
-        row["relation_slack"] = format_fraction(1 + c_far - 2 * c_near)
+        den = p.denominator ** sweep.units
+        c_far = exact.count_numerator(c_far_vec, sweep.units, p)
+        c_near = exact.count_numerator(c_near_vec, sweep.units, p)
+        row["c_far"] = format_ratio(c_far, den)
+        row["c_near"] = format_ratio(c_near, den)
+        row["relation_slack"] = format_ratio(den + c_far - 2 * c_near, den)
 
 
 def scenario_echo(sc: Scenario) -> dict:
@@ -495,6 +514,8 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
                      law="bond", **settings) -> Scenario:
     """Two stacked copies of the base: compare the origin's layer with the
     other layer under the lifted base symmetries and the layer swap."""
+    if settings.get("mode") == "mc":
+        _check_mc_size({"builder": "bunkbed", "base": base_spec})
     base = _parsed("base graph", build_graph, base_spec)
     return Scenario(
         name="bunkbed",
@@ -560,6 +581,8 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     Rotations by the pattern period and the reflection through k/2 provide
     the symmetries on the cycle coordinate.
     """
+    if settings.get("mode") == "mc":
+        _check_mc_size({"builder": "cylinder", "base": base_spec, "m": m})
     base = _parsed("base graph", build_graph, base_spec)
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
     axis = len(base.labels[0])  # the cycle coordinate of the cylinder
@@ -733,6 +756,8 @@ def hypercube_inequality_report(
             "p_grid": [format_fraction(p) for p in p_grid]}
     if mode == "exact" and d >= 1:
         exact.check_cap(d << (d - 1), cap_bits)  # the d-cube's edge count
+    elif mode == "mc":
+        _check_mc_size({"builder": "hypercube", "d": d})
     g = graphs.hypercube_graph(d)
     results = []
     verdicts = []
@@ -759,9 +784,10 @@ def hypercube_inequality_report(
             conditions = groups.check_symmetry_conditions(g, chain, pair)
             polys.append((k, l, name, conditions, sweep.joint(pair)))
         for p in p_grid:
-            c = [exact.eval_counts(by_distance[i][0], g.n_edges, p)
+            c = [exact.count_numerator(by_distance[i][0], g.n_edges, p)
                  for i in range(d + 1)]
-            results.append(_exact_hypercube_entry(d, p, c, polys))
+            results.append(_exact_hypercube_entry(
+                d, p, c, p.denominator ** g.n_edges, polys))
     else:
         extra["mc"] = {"n": mc_n, "seed": mc_seed, "level": level}
         reps = tuple(g.index_of((1,) * i + (0,) * (d - i))
@@ -814,39 +840,44 @@ def _hypercube_entry(p, c_values: list, rows: list[dict], **checks) -> dict:
             **checks, "verdict": worst_verdict(verdicts)}
 
 
-def _exact_hypercube_entry(d, p, c, polys) -> dict:
+def _exact_hypercube_entry(d, p, c, den, polys) -> dict:
+    """One p's exact result from the c-values ``c[i] / den``: every row,
+    derivative and predicted gap is an integer combination of them over
+    ``den``."""
     def measure(stat):
         value = stat(c)
-        return format_fraction(value), _sign_verdict(value)
+        return format_ratio(value, den), _sign_verdict(value)
 
     rows = _hypercube_rows(d, c, measure)
     derivatives = []
     for k in range(d + 1):
         val = discrete_derivative(c, k, 0)
-        derivatives.append({"k": k, "value": format_fraction(val),
+        derivatives.append({"k": k, "value": format_ratio(val, den),
                             "verdict": _sign_verdict((-1) ** k * val)})
-    return _hypercube_entry(p, [format_fraction(x) for x in c], rows,
-                            derivatives=derivatives,
-                            instances=_check_hypercube_instances(p, c, polys))
+    return _hypercube_entry(
+        p, [format_ratio(x, den) for x in c], rows, derivatives=derivatives,
+        instances=_check_hypercube_instances(p, c, den, polys))
 
 
-def _check_hypercube_instances(p, c, polys) -> list[dict]:
-    """Check each inequality as a genuine symmetric-set expectation gap."""
+def _check_hypercube_instances(p, c, den, polys) -> list[dict]:
+    """Check each inequality as a genuine symmetric-set expectation gap;
+    the gap, over its pmf's denominator, is compared with the c-value
+    combination over ``den`` by cross-multiplication."""
     instances = []
     for k, l, name, conditions, poly in polys:
-        pmf = exact.eval_joint(poly, p)
-        e_plus, e_minus = exact.expected_sizes(pmf)
+        pmf = exact.joint_numerators(poly, p)
+        e_plus, e_minus = exact.expected_numerators(pmf)
         gap = e_plus - e_minus
-        dom = exact.check_domination(pmf)
+        passes = all(m >= 0 for m in exact.margin_numerators(pmf))
         predicted = _c_value_gap(name, k, l, c)
-        inst_ok = (conditions.ok and gap == predicted and gap >= 0
-                   and dom.passes)
+        inst_ok = (conditions.ok and gap * den == predicted * pmf.den
+                   and gap >= 0 and passes)
         instances.append({
             "k": k, "l": l, "construction": name,
             "conditions_ok": conditions.ok,
-            "expectation_gap": format_fraction(gap),
-            "predicted_gap": format_fraction(predicted),
-            "margins_pass": dom.passes,
+            "expectation_gap": format_ratio(gap, pmf.den),
+            "predicted_gap": format_ratio(predicted, den),
+            "margins_pass": passes,
             "verdict": PASS if inst_ok else VIOLATION,
         })
     return instances

@@ -18,7 +18,12 @@ and up to 16 vertices, past the reach of the 2^units sweeps.
 
 The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
 and the three checks) chain Fraction sums term by term, where the package
-works in integers over one common denominator.
+works in integers over one common denominator.  ``hypercube_entry`` builds
+one p's exact hypercube result from Fraction c-values and these oracles,
+where the package combines integer numerators over d^units.
+
+``stable_json`` is the stdlib's indenting JSON encoder, the oracle of the
+package's report writer; ``json_values`` draws the trees it is fed.
 
 The Monte Carlo oracles grow one sample at a time: ``eager_cluster_mask``
 draws every edge of the sample and then traverses, and
@@ -37,6 +42,7 @@ for it, failing cases included.
 use.
 """
 
+import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -46,6 +52,13 @@ from itertools import product
 from hypothesis import strategies as st
 
 from symperc.exact import DominationReport
+from symperc.rationals import format_fraction
+from symperc.scenarios import (
+    _c_value_gap,
+    _hypercube_entry,
+    _hypercube_rows,
+    discrete_derivative,
+)
 from symperc.graphs import distances_from, explicit_graph
 from symperc.groups import (
     NonAutomorphismElement,
@@ -541,6 +554,73 @@ def check_ratio_identity(pmf):
               Fraction(0))
     rhs = sum((prob for (_, b), prob in pmf.items() if b > 0), Fraction(0))
     return lhs, rhs
+
+
+def _sign(value):
+    return "pass" if value >= 0 else "violation"
+
+
+def hypercube_entry(d, p, c, polys):
+    """One p's exact ``hypercube`` result from the Fraction c-values ``c``
+    and the instances ``polys``, (k, l, construction, symmetry report,
+    joint polynomial) each: every row, derivative and gap a Fraction sum."""
+    def measure(stat):
+        value = stat(c)
+        return format_fraction(value), _sign(value)
+
+    derivatives = []
+    for k in range(d + 1):
+        val = discrete_derivative(c, k, 0)
+        derivatives.append({"k": k, "value": format_fraction(val),
+                            "verdict": _sign((-1) ** k * val)})
+    instances = []
+    for k, l, name, conditions, poly in polys:
+        pmf = eval_joint(poly, p)
+        e_plus, e_minus = expectations(pmf)
+        gap = e_plus - e_minus
+        dom = check_domination(pmf)
+        predicted = _c_value_gap(name, k, l, c)
+        ok = conditions.ok and gap == predicted and gap >= 0 and dom.passes
+        instances.append({
+            "k": k, "l": l, "construction": name,
+            "conditions_ok": conditions.ok,
+            "expectation_gap": format_fraction(gap),
+            "predicted_gap": format_fraction(predicted),
+            "margins_pass": dom.passes,
+            "verdict": "pass" if ok else "violation",
+        })
+    return _hypercube_entry(p, [format_fraction(x) for x in c],
+                            _hypercube_rows(d, c, measure),
+                            derivatives=derivatives, instances=instances)
+
+
+# ---------------------------------------------------------------------------
+# the report writer
+
+
+def stable_json(value):
+    """``cli.to_stable_json`` by the stdlib's own encoder."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f", "tab\tline\nquote\"slash\\", "é ✓ \u2028 𝄞",
+     "\ud800"])
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 0.0, 1e300, -1e-300]) | _STRINGS)
+
+
+def json_values():
+    """Trees of dicts with string keys, lists and tuples, empty ones
+    included, over None, bools next to ints, finite floats and strings
+    with non-ASCII and control characters."""
+    return st.recursive(
+        _SCALARS,
+        lambda inner: (st.lists(inner, max_size=5)
+                       | st.lists(inner, max_size=5).map(tuple)
+                       | st.dictionaries(_STRINGS, inner, max_size=5)),
+        max_leaves=40)
 
 
 @st.composite

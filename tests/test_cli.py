@@ -16,6 +16,8 @@ from symperc import graphs, groups, mc, scenarios
 from symperc.cli import main, to_stable_json
 from symperc.scenarios import builtin_scenarios
 
+from _oracles import json_values, stable_json
+
 
 def test_hypercube_exact_exit_zero(tmp_path):
     out = tmp_path / "hc.json"
@@ -33,6 +35,26 @@ def test_json_reports_round_trip_byte_identically(tmp_path):
           "--json", str(out)])
     raw = out.read_text()
     assert to_stable_json(json.loads(raw)) == raw
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values())
+def test_report_writer_equals_the_stdlib_encoder(value):
+    assert to_stable_json(value) == stable_json(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_report_writer_refuses_non_finite_floats(bad):
+    for value in (bad, [1, bad], {"a": {"b": (True, bad)}}):
+        with pytest.raises(ValueError):
+            stable_json(value)
+        with pytest.raises(ValueError):
+            to_stable_json(value)
+
+
+def test_report_writer_takes_string_keys_only():
+    with pytest.raises(TypeError, match="report keys must be str"):
+        to_stable_json({"a": {1: "b"}})
 
 
 def _strict_json(text: str):
@@ -209,6 +231,38 @@ def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
     assert capsys.readouterr().err == (
         f"precondition failure: enumeration needs 2^{units} "
         "configurations, cap is 2^26\n")
+
+
+@pytest.mark.parametrize("argv, vertices, edges", [
+    (["hypercube", "--d", "40", "--mode", "mc", "--n", "1"],
+     1 << 40, 40 << 39),
+    (["z2", "--size", "600", "--mode", "mc", "--n", "1"],
+     600 * 600, 2 * 600 * 600),
+    (["bunkbed", "--base", "hypercube:40", "--mode", "mc", "--n", "1"],
+     1 << 41, 2 * (40 << 39) + (1 << 40)),
+    (["layered", "--base", "cycle:1000", "--m", "1000", "--choice", "a",
+      "--k", "1", "--mode", "mc", "--n", "1"], 10**6, 2 * 10**6),
+    (["mc", "--scenario", {"graph": {"builder": "torus", "n": 600, "m": 600},
+                           "v_plus": [0], "v_minus": [1], "origin": 0},
+      "--n", "1"], 600 * 600, 2 * 600 * 600),
+])
+def test_mc_graph_size_checked_before_the_graph_is_built(
+        argv, vertices, edges, tmp_path, monkeypatch, capsys):
+    # past 2^20 vertices + edges even the smallest chunk overfills the
+    # sampler's state, so the graph is refused before it is built
+    argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
+            for a in argv]
+    built = []
+    monkeypatch.setattr(scenarios, "build_graph",
+                        lambda *args: built.append("build_graph"))
+    monkeypatch.setattr(graphs, "hypercube_graph",
+                        lambda *args: built.append("hypercube_graph"))
+    assert main(argv) == 3
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"precondition failure: Monte Carlo graph has {vertices} vertices "
+        f"and {edges} edges; the sampler takes at most 1048576 vertices + "
+        "edges\n")
 
 
 @pytest.mark.parametrize("generator, code, err", [

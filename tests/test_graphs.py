@@ -14,6 +14,7 @@ from symperc.graphs import (
     distances_from,
     hypercube_graph,
     path_graph,
+    spec_size,
     torus_graph,
 )
 
@@ -124,3 +125,32 @@ def test_relabel_moves_labels_with_vertices():
     for v in range(4):
         assert h.labels[perm[v]] == g.labels[v]
     assert list(h.edges) == sorted(h.edges)
+
+
+@pytest.mark.parametrize("spec", [
+    {"builder": "path", "n": 1},
+    {"builder": "path", "n": 6},
+    {"builder": "cycle", "n": 7},
+    {"builder": "complete", "n": 6},
+    {"builder": "hypercube", "d": 1},
+    {"builder": "hypercube", "d": 4},
+    {"builder": "torus", "n": 3, "m": 5},
+    {"builder": "bunkbed", "base": {"builder": "cycle", "n": 5}},
+    {"builder": "bunkbed", "base": {"builder": "hypercube", "d": 3}},
+    {"builder": "cylinder", "base": {"builder": "path", "n": 3}, "m": 4},
+    {"builder": "cylinder", "base": {"builder": "bunkbed", "base": {
+        "builder": "path", "n": 2}}, "m": 3},
+    {"builder": "explicit", "vertices": 4, "edges": [[0, 1], [1, 2], [1, 3]]},
+])
+def test_spec_size_is_the_built_graphs_size(spec):
+    g = build_graph(spec)
+    assert spec_size(spec) == (g.n_vertices, g.n_edges)
+
+
+@pytest.mark.parametrize("spec", [
+    {}, 5, {"builder": "no-such"}, {"builder": "torus", "n": 3},
+    {"builder": "hypercube", "d": -1}, {"builder": "cycle", "n": "x"},
+    {"builder": "bunkbed"},
+])
+def test_spec_size_leaves_refused_specs_to_the_builder(spec):
+    assert spec_size(spec) == (0, 0)

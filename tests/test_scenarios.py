@@ -4,9 +4,13 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symperc import exact, mc, scenarios
-from symperc.graphs import hypercube_graph
+from symperc import exact, graphs, groups, mc, scenarios
+from symperc.exact import BOND, SITE, parse_law
+from symperc.graphs import hypercube_graph, torus_graph
+from symperc.rationals import format_fraction
 from symperc.scenarios import (
     PASS,
     PRECONDITION_FAILED,
@@ -27,7 +31,8 @@ from symperc.scenarios import (
     z2_scenario,
 )
 
-from _oracles import bond_connection, sample_cluster
+import _oracles as oracle
+from _oracles import bond_connection, observed_graphs, sample_cluster
 
 HALF = F(1, 2)
 
@@ -170,6 +175,24 @@ def test_hypercube_cap():
         hypercube_inequality_report(4, ["1/2"])  # 32 edges over default cap
 
 
+def test_hypercube_report_equals_the_fraction_oracle():
+    d, grid = 3, (HALF, F(61, 89), F(2, 97), F(88, 89))
+    report = hypercube_inequality_report(d, grid)
+    g = hypercube_graph(d)
+    polys = []
+    for k, l, name, pair, gens in scenarios._hypercube_instances(g, d):
+        chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
+        polys.append((k, l, name,
+                      groups.check_symmetry_conditions(g, chain, pair),
+                      exact.enumerate_joint(g, pair)))
+    reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
+    sweep = exact.enumerate_joint(g, exact.Observables(0, targets=tuple(reps)))
+    for p, entry in zip(grid, report["results"], strict=True):
+        c = [oracle.eval_counts(sweep.connection(v), g.n_edges, p)
+             for v in reps]
+        assert entry == oracle.hypercube_entry(d, p, c, polys)
+
+
 # ---------------------------------------------------------------------------
 # z2 on the torus
 
@@ -189,6 +212,36 @@ def test_z2_relations_exact_n3():
             assert F(row["relation_slack"]) >= 0
 
 
+def test_z2_relation_slack_equals_the_fraction_api():
+    grid = (F(1, 3), F(61, 89), F(2, 97))
+    report = instance_report(z2_scenario(3, grid))
+    g = torus_graph(3, 3)
+    for rel, block in zip(z2_scenario(3).relations, report["relations"],
+                          strict=True):
+        far, near = g.index_of(rel.c_far), g.index_of(rel.c_near)
+        sweep = exact.enumerate_joint(
+            g, exact.Observables(g.index_of((0, 0)), targets=(far, near)))
+        for p, row in zip(grid, block["results"], strict=True):
+            c_far = exact.eval_counts(sweep.connection(far), sweep.units, p)
+            c_near = exact.eval_counts(sweep.connection(near), sweep.units, p)
+            assert row["c_far"] == format_fraction(c_far)
+            assert row["c_near"] == format_fraction(c_near)
+            assert row["relation_slack"] == format_fraction(
+                1 + c_far - 2 * c_near)
+
+
+def test_mc_size_limit_is_inclusive(monkeypatch):
+    # the 3x3 torus has 9 vertices and 18 edges
+    monkeypatch.setattr(mc, "_CHUNK_STATE_BITS", 27 * mc._MIN_CHUNK_SIZE)
+    assert z2_scenario(3, mode="mc").mode == "mc"
+    monkeypatch.setattr(mc, "_CHUNK_STATE_BITS", 26 * mc._MIN_CHUNK_SIZE)
+    with pytest.raises(ScenarioError, match="9 vertices and 18 edges"):
+        z2_scenario(3, mode="mc")
+    with pytest.raises(ScenarioError, match="18 vertices and 27 edges"):
+        bunkbed_scenario({"builder": "cycle", "n": 9}, mode="mc")
+    assert z2_scenario(3).mode == "exact"  # the limit is the sampler's
+
+
 def test_z2_size_validation():
     with pytest.raises(ScenarioError):
         z2_scenario(2, ["1/2"])
@@ -204,6 +257,65 @@ def test_z2_parallel_lines_scenario():
     assert layered["verdict"] == PASS
     assert layered["results"][0]["expected_plus"] == \
         rep["results"][0]["expected_plus"]
+
+
+# ---------------------------------------------------------------------------
+# exact report values against the public Fraction API
+
+
+PROBABILITIES = st.integers(2, 120).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
+
+
+def _fraction_result(poly, p, theorem_instance):
+    """One ``exact_p_results`` row from the public Fraction functions."""
+    pmf = exact.eval_joint(poly, p)
+    e_plus, e_minus = exact.expected_sizes(pmf)
+    dom = exact.check_domination(pmf)
+    residuals = exact.check_partition_identity(pmf)
+    ratio_lhs, ratio_rhs = exact.check_ratio_identity(pmf)
+    identity_zero = all(r == 0 for r in residuals.values())
+    ok = dom.passes and (not theorem_instance or (
+        identity_zero and ratio_lhs == ratio_rhs and e_plus >= e_minus))
+    thresholds = [{"t": t, "margin": format_fraction(m),
+                   "verdict": PASS if m >= 0 else VIOLATION}
+                  for t, m in dom.margins]
+    return {
+        "p": format_fraction(p),
+        "expected_plus": format_fraction(e_plus),
+        "expected_minus": format_fraction(e_minus),
+        "expectation_gap": format_fraction(e_plus - e_minus),
+        "domination": {"verdict": PASS if dom.passes else VIOLATION,
+                       "thresholds": thresholds},
+        "identity_residuals": {k: format_fraction(v)
+                               for k, v in residuals.items()},
+        "identity_zero": identity_zero,
+        "ratio_lhs": format_fraction(ratio_lhs),
+        "ratio_rhs": format_fraction(ratio_rhs),
+        "ratio_equal": ratio_lhs == ratio_rhs,
+        "verdict": PASS if ok else VIOLATION,
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(observed_graphs(), st.lists(PROBABILITIES, min_size=1, max_size=3),
+       st.booleans())
+def test_report_values_equal_the_fraction_api(case, grid, theorem_instance):
+    g, o, pairs, _ = case
+    for law in (BOND, SITE, parse_law("rc:2"), parse_law("rc:1/2")):
+        sweep = exact.enumerate_joint(g, exact.Observables(o, tuple(pairs)),
+                                      law)
+        for pair in pairs:
+            poly = sweep.joint(pair)
+            results, verdict = scenarios.exact_p_results(poly, grid,
+                                                         theorem_instance)
+            want = [_fraction_result(poly, p, theorem_instance) for p in grid]
+            assert results == want
+            # the CSV lists the residuals in the report's own order
+            assert [list(row["identity_residuals"]) for row in results] == [
+                list(row["identity_residuals"]) for row in want]
+            assert verdict == scenarios.worst_verdict(
+                row["verdict"] for row in want)
 
 
 # ---------------------------------------------------------------------------
