@@ -13,12 +13,7 @@ from .exact import (
     JointOutcomePolynomial,
     Observables,
     PartitionLaw,
-    check_domination,
-    check_partition_identity,
-    check_ratio_identity,
     enumerate_joint,
-    eval_joint,
-    expected_sizes,
     random_cluster_law,
 )
 from .graphs import (

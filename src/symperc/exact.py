@@ -43,16 +43,13 @@ sums over t for the tail margins, a difference array over t for the
 ``ind_ge_t`` residuals, and both sides of the ratio identity.  Reports
 format these numerators as they are (:func:`symperc.rationals.format_ratio`
 reduces each with one gcd), so no Fraction is built on the report path.
-The public Fraction functions (:func:`eval_joint`, :func:`eval_counts`,
-:func:`expected_sizes` and the three checks) are adapters over the same
-integer cores: they bring a Fraction pmf to its least common denominator
-once and build a Fraction for each value handed back.  The tests keep the
-term-by-term Fraction sums as their oracle.
+The tests keep the term-by-term Fraction sums as their oracle.
 
 :func:`enumerate_joint` is the only way to these counts.  A pair's law is
-``eval_joint(sweep.joint(pair), p)``; a connection probability is
-``eval_counts(sweep.connection(v), sweep.units, p)`` for a sweep that
-observes the target, ``enumerate_joint(g, Observables(o, targets=(v,)))``.
+``joint_numerators(sweep.joint(pair), p)``; a connection probability is
+``count_numerator(sweep.connection(v), sweep.units, p)`` over d^units for
+a sweep that observes the target,
+``enumerate_joint(g, Observables(o, targets=(v,)))``.
 
 Polynomials are Python integers with one coefficient per field of
 units+2 bits (Kronecker substitution).  No coefficient exceeds 2^units, so
@@ -65,8 +62,7 @@ that big integers do not.
 Units follow the canonical order: edge k for the bond and random-cluster
 laws, vertex k for the site law.  Everything in this module is exact:
 counts are Python integers, probabilities are integer numerators over one
-denominator (Fractions at the public adapters), and identity checks mean
-exact zero.
+denominator, and identity checks mean exact zero.
 """
 
 from __future__ import annotations
@@ -83,8 +79,6 @@ from .groups import VertexSetPair
 from .rationals import format_fraction, parse_fraction
 
 DEFAULT_CAP_BITS = 26
-
-Pmf = dict[tuple[int, int], Fraction]
 
 
 class CapExceeded(RuntimeError):
@@ -530,19 +524,16 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
 
 def enumerate_joint(
     g: Graph,
-    pair: VertexSetPair | Observables,
+    observed: Observables,
     law: PartitionLaw = BOND,
     cap_bits: int = DEFAULT_CAP_BITS,
-) -> JointOutcomePolynomial | ClusterSweep:
+) -> ClusterSweep:
     """Count all configurations exactly by the origin's cluster.
 
     Independent of p: the counts are kept by the number of open units, so
-    one run serves every parameter value.  Given a pair, returns its
-    :class:`JointOutcomePolynomial`; given :class:`Observables`, returns the
+    one run serves every parameter value.  Returns the
     :class:`ClusterSweep` that every observed pair and target projects from.
     """
-    observed = pair if isinstance(pair, Observables) else Observables(
-        pair.origin, (pair,))
     units = law.units(g)
     check_cap(units, cap_bits)
 
@@ -554,7 +545,7 @@ def enumerate_joint(
     sweep = ClusterSweep(units=units, law=law, origin=observed.origin,
                          masks=masks, width=width, rows=rows)
     _check_count_conservation(sweep)
-    return sweep if observed is pair else sweep.joint(pair)
+    return sweep
 
 
 def _check_count_conservation(sweep: ClusterSweep) -> None:
@@ -626,33 +617,12 @@ def joint_numerators(poly: JointOutcomePolynomial, p) -> IntegerPmf:
     return IntegerPmf(den, nums)
 
 
-def eval_joint(poly: JointOutcomePolynomial, p) -> Pmf:
-    """Exact probability of each outcome at parameter p under the
-    polynomial's own law (sums to 1)."""
-    den, nums = joint_numerators(poly, p)
-    return {key: Fraction(num, den) for key, num in nums.items()}
-
-
 def count_numerator(vec: Sequence[int], units: int, p) -> int:
     """A count vector's probability at p = n/d, times d^units."""
     p = parse_fraction(p)
     if len(vec) > units + 1:
         raise ValueError(f"{len(vec)} counts for {units} units")
     return sum(map(mul, vec, _unit_weights(p, units)))
-
-
-def eval_counts(vec: Sequence[int], units: int, p) -> Fraction:
-    """Evaluate a count vector, such as ``ClusterSweep.connection(v)``, as
-    an exact probability at p."""
-    p = parse_fraction(p)
-    return Fraction(count_numerator(vec, units, p), p.denominator ** units)
-
-
-def _integer_pmf(pmf: Pmf) -> IntegerPmf:
-    """A Fraction pmf over the least common denominator of its values."""
-    den = lcm(*(prob.denominator for prob in pmf.values()))
-    return IntegerPmf(den, {key: prob.numerator * (den // prob.denominator)
-                            for key, prob in pmf.items()})
 
 
 def expected_numerators(pmf: IntegerPmf) -> tuple[int, int]:
@@ -664,25 +634,13 @@ def expected_numerators(pmf: IntegerPmf) -> tuple[int, int]:
     return e_plus, e_minus
 
 
-def expected_sizes(pmf: Pmf) -> tuple[Fraction, Fraction]:
-    """Exact expectations of the two intersection sizes."""
-    ipmf = _integer_pmf(pmf)
-    e_plus, e_minus = expected_numerators(ipmf)
-    return Fraction(e_plus, ipmf.den), Fraction(e_minus, ipmf.den)
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Exact tail margins P(a >= t) - P(b >= t) for every threshold."""
-
-    margins: tuple[tuple[int, Fraction], ...]
-    passes: bool
-    trivial_minus: bool  # the support never touches v_minus (empty set)
-
-
 def margin_numerators(pmf: IntegerPmf) -> list[int]:
     """The tail margins P(a >= t) − P(b >= t), times ``pmf.den``, for
-    t = 1..max(a, b, 1) over the outcomes: one suffix sum over t."""
+    t = 1..max(a, b, 1) over the outcomes: one suffix sum over t.
+
+    Threshold indicators generate all bounded increasing functions, so
+    nonnegative margins at every t are equivalent to stochastic domination.
+    """
     t_max = max([1, *map(max, pmf.nums)])
     tails = [0] * (t_max + 2)
     for (a, b), num in pmf.nums.items():
@@ -693,26 +651,12 @@ def margin_numerators(pmf: IntegerPmf) -> list[int]:
     return tails[1:t_max + 1]
 
 
-def check_domination(pmf: Pmf) -> DominationReport:
-    """Compare the two tail distributions at every threshold.
-
-    Threshold indicators generate all bounded increasing functions, so
-    nonnegative margins at every t are equivalent to stochastic domination.
-    A negative margin is reported as-is; nothing is clamped.
-    """
-    ipmf = _integer_pmf(pmf)
-    margins = margin_numerators(ipmf)
-    return DominationReport(
-        margins=tuple((t, Fraction(m, ipmf.den))
-                      for t, m in enumerate(margins, 1)),
-        passes=all(m >= 0 for m in margins),
-        trivial_minus=max((b for _, b in pmf), default=0) == 0,
-    )
-
-
 def residual_numerators(pmf: IntegerPmf) -> tuple[int, dict[str, int]]:
-    """The residuals of :func:`check_partition_identity` as integers over
-    one denominator, which is returned first.
+    """The residual of the reweighting identity for each test function,
+    as integers over one denominator, which is returned first: the
+    threshold indicators ``ind_ge_t`` for t = 1..max(a + b), then
+    ``identity`` (n) and ``square`` (n^2).  Under the symmetry conditions
+    every residual is exactly 0.
 
     The residual E[f(a) − f(b)] − E[(f(a) − f(b))·(a − b)/(a + b)] equals
     E[(f(a) − f(b))·2b/(a + b)], so an outcome with b = 0, which includes
@@ -742,18 +686,6 @@ def residual_numerators(pmf: IntegerPmf) -> tuple[int, dict[str, int]]:
     return pmf.den * scale, residuals
 
 
-def check_partition_identity(pmf: Pmf) -> dict[str, Fraction]:
-    """Residual of the reweighting identity for each test function: the
-    threshold indicators ``ind_ge_t`` for t = 1..max(a + b), then
-    ``identity`` (n) and ``square`` (n^2).
-
-    Both sides are exact expectations; under the symmetry conditions the
-    residual is exactly 0 for every bounded f.
-    """
-    den, residuals = residual_numerators(_integer_pmf(pmf))
-    return {name: Fraction(num, den) for name, num in residuals.items()}
-
-
 def ratio_numerators(pmf: IntegerPmf) -> tuple[int, int, int]:
     """Both sides of the ratio identity, E(b/a) and P(b > 0), as integers
     over one denominator: (denominator, lhs, rhs).
@@ -766,9 +698,3 @@ def ratio_numerators(pmf: IntegerPmf) -> tuple[int, int, int]:
     lhs = sum(num * b * (scale // a) for a, b, num in entries)
     rhs = sum(num for _, _, num in entries) * scale
     return pmf.den * scale, lhs, rhs
-
-
-def check_ratio_identity(pmf: Pmf) -> tuple[Fraction, Fraction]:
-    """Both sides of the ratio identity: E(b/a) and P(b > 0)."""
-    den, lhs, rhs = ratio_numerators(_integer_pmf(pmf))
-    return Fraction(lhs, den), Fraction(rhs, den)

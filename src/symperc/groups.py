@@ -469,7 +469,7 @@ class SymmetryReport:
         }
 
 
-def check_symmetry_conditions(g: Graph, grp: StabilizerChain | PermGroup,
+def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
                               pair: VertexSetPair) -> SymmetryReport:
     """Decide the three symmetry conditions for a pair of sets.
 
@@ -478,17 +478,14 @@ def check_symmetry_conditions(g: Graph, grp: StabilizerChain | PermGroup,
     is one orbit of the generators.  Each cross pair (v, w) is read off a
     stabilizer chain rooted in v's orbit, with u_v(root) = v: |Stab(v).w|
     is |Stab(root).u_v^-1(w)|, and some element swaps v and w iff
-    u_w^-1(v) lies in Stab(root).u_v^-1(w).  A :class:`PermGroup` is
-    checked through the chain its elements generate.
+    u_w^-1(v) lies in Stab(root).u_v^-1(w).
 
     Raises :class:`NonAutomorphismElement` unless every generator is an
     automorphism of ``g``; the first bad generator is also the first bad
     element in the breadth-first element order of :func:`generate_group`.
     """
-    if grp.n_points != g.n_vertices:
+    if chain.n_points != g.n_vertices:
         raise GroupError("group acts on a different number of points")
-    chain = (grp if isinstance(grp, StabilizerChain)
-             else stabilizer_chain(grp.elements, grp.n_points))
     gens = chain.generators
     for e in gens:
         if not is_automorphism(g, e):

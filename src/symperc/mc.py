@@ -417,14 +417,13 @@ class EmpiricalSweep:
             (statistic(key), cnt) for key, cnt in self.bins.items()))
 
 
-def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
+def estimate_joint(g: Graph, observed: Observables, p, n: int,
                    seed: int, chunk_size: int | None = None,
-                   threads: int = 1) -> EmpiricalJoint | EmpiricalSweep:
+                   threads: int = 1) -> EmpiricalSweep:
     """Bin n independent cluster samples by what the observed sets see.
 
-    Given a pair, returns its :class:`EmpiricalJoint`; given
-    :class:`exact.Observables`, returns the :class:`EmpiricalSweep` that
-    every observed pair and target projects from.  Chunk layout and
+    Returns the :class:`EmpiricalSweep` that every observed pair and target
+    of the :class:`exact.Observables` projects from.  Chunk layout and
     threading only batch the work; sample i's cluster depends on (seed, i)
     alone, so any layout merges to the same counts.
     """
@@ -432,8 +431,6 @@ def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
         raise ValueError(f"need n >= 1 samples, got {n}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
-    observed = pair if isinstance(pair, Observables) else Observables(
-        pair.origin, (pair,))
     threshold = open_threshold(p)
     inc = _incidence_indexed(g)
     union = 0
@@ -458,9 +455,8 @@ def estimate_joint(g: Graph, pair: VertexSetPair | Observables, p, n: int,
     else:
         for part in map(_sample_chunk, jobs):
             bins.update(part)
-    sweep = EmpiricalSweep(n_samples=n, origin=observed.origin,
-                           observed=union, bins=dict(bins))
-    return sweep if observed is pair else sweep.joint(pair)
+    return EmpiricalSweep(n_samples=n, origin=observed.origin,
+                          observed=union, bins=dict(bins))
 
 
 def _mean_stderr(n: int, weighted) -> tuple[float, float]:

@@ -113,14 +113,19 @@ class Scenario:
             raise ScenarioFormatError(
                 f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
         if self.mode == "mc":
-            _check_mc_size(self.graph_spec)
+            _check_size(self.graph_spec, mode="mc")
 
 
-def _check_mc_size(spec) -> None:
-    """Refuse, before it is built, a graph too large for the sampler."""
+def _check_size(spec, law: PartitionLaw = BOND, mode: str = "exact",
+                cap_bits: int = exact.DEFAULT_CAP_BITS, **_) -> None:
+    """Refuse, before it is built, a graph too large for the run: past the
+    sampler's limit in Monte Carlo mode, past the enumeration cap in exact
+    mode, where the units are the vertices under the site law and the
+    edges otherwise.  A constructor passes its settings as they are."""
     vertices, edges = graphs.spec_size(spec)
-    limit = mc.max_graph_size()
-    if vertices + edges > limit:
+    if mode != "mc":
+        exact.check_cap(vertices if law.kind == "site" else edges, cap_bits)
+    elif vertices + edges > (limit := mc.max_graph_size()):
         raise ScenarioError(
             f"Monte Carlo graph has {vertices} vertices and {edges} edges; "
             f"the sampler takes at most {limit} vertices + edges")
@@ -514,8 +519,8 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
                      law="bond", **settings) -> Scenario:
     """Two stacked copies of the base: compare the origin's layer with the
     other layer under the lifted base symmetries and the layer swap."""
-    if settings.get("mode") == "mc":
-        _check_mc_size({"builder": "bunkbed", "base": base_spec})
+    law = _parsed("law", parse_law, law)
+    _check_size({"builder": "bunkbed", "base": base_spec}, law, **settings)
     base = _parsed("base graph", build_graph, base_spec)
     return Scenario(
         name="bunkbed",
@@ -525,7 +530,7 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
         origin=[*base.labels[0], 0],
         generators=tuple(_lifted_base_perms(base_spec, base)
                          + [{"name": "layer_swap"}]),
-        law=_parsed("law", parse_law, law),
+        law=law,
         p_grid=parse_p_grid(p_grid),
         kind="bunkbed",
         echo={"name": "bunkbed", "base": dict(base_spec),
@@ -581,8 +586,8 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     Rotations by the pattern period and the reflection through k/2 provide
     the symmetries on the cycle coordinate.
     """
-    if settings.get("mode") == "mc":
-        _check_mc_size({"builder": "cylinder", "base": base_spec, "m": m})
+    _check_size({"builder": "cylinder", "base": base_spec, "m": m},
+                **settings)
     base = _parsed("base graph", build_graph, base_spec)
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
     axis = len(base.labels[0])  # the cycle coordinate of the cylinder
@@ -647,7 +652,7 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
         **settings,
     )
     if sc.mode == "exact":
-        exact.check_cap(2 * size * size, sc.cap_bits)  # the torus's edges
+        _check_size(sc.graph_spec, sc.law, cap_bits=sc.cap_bits)
     return sc
 
 
@@ -754,10 +759,7 @@ def hypercube_inequality_report(
         raise ScenarioFormatError(f"need n >= 1 Monte Carlo samples, got {mc_n}")
     echo = {"name": "hypercube", "d": d,
             "p_grid": [format_fraction(p) for p in p_grid]}
-    if mode == "exact" and d >= 1:
-        exact.check_cap(d << (d - 1), cap_bits)  # the d-cube's edge count
-    elif mode == "mc":
-        _check_mc_size({"builder": "hypercube", "d": d})
+    _check_size({"builder": "hypercube", "d": d}, BOND, mode, cap_bits)
     g = graphs.hypercube_graph(d)
     results = []
     verdicts = []
@@ -941,7 +943,8 @@ def group_theorem_battery(name: str, trials: int = 100, seed: int = 0) -> dict:
     started = time.perf_counter()
     g, gens, pair = _named_group(name)
     grp = groups.generate_group(gens, n_points=g.n_vertices)
-    conditions = groups.check_symmetry_conditions(g, grp, pair)
+    conditions = groups.check_symmetry_conditions(
+        g, groups.stabilizer_chain(gens, n_points=g.n_vertices), pair)
 
     orbit_product_failures = []
     for x in range(g.n_vertices):

@@ -17,10 +17,18 @@ branching pass.  ``cyclic_site_cases`` draws its graphs, which have cycles
 and up to 16 vertices, past the reach of the 2^units sweeps.
 
 The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
-and the three checks) chain Fraction sums term by term, where the package
-works in integers over one common denominator.  ``hypercube_entry`` builds
-one p's exact hypercube result from Fraction c-values and these oracles,
-where the package combines integer numerators over d^units.
+and the three checks) chain Fraction sums term by term, where the package's
+integer cores (``joint_numerators``, ``count_numerator`` and the four
+``*_numerators`` checks) work in integers over one common denominator.
+``hypercube_entry`` builds one p's exact hypercube result from Fraction
+c-values and these oracles, where the package combines integer numerators
+over d^units.
+
+``pair_joint`` runs either engine on one pair and projects the pair out of
+its sweep.  ``probabilities``, ``count_probability``, ``expected``,
+``margins``, ``residuals`` and ``ratio`` read the integer cores' numerators
+as Fractions, and ``integer_pmf`` feeds a Fraction pmf to them, so the tests
+compare the cores with the oracles and with frozen values.
 
 ``stable_json`` is the stdlib's indenting JSON encoder, the oracle of the
 package's report writer; ``json_values`` draws the trees it is fed.
@@ -48,10 +56,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from symperc.exact import DominationReport
+from symperc.exact import (
+    IntegerPmf,
+    Observables,
+    count_numerator,
+    expected_numerators,
+    margin_numerators,
+    ratio_numerators,
+    residual_numerators,
+)
 from symperc.rationals import format_fraction
 from symperc.scenarios import (
     _c_value_gap,
@@ -463,7 +481,8 @@ def _powers(x, top):
 
 
 def eval_joint(poly, p):
-    """``exact.eval_joint``: each outcome's probability at p."""
+    """``exact.joint_numerators`` over its denominator: each outcome's
+    probability at p."""
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
@@ -495,7 +514,8 @@ def eval_joint(poly, p):
 
 
 def eval_counts(vec, units, p):
-    """``exact.eval_counts``: a count vector's probability at p."""
+    """``exact.count_numerator`` over d^units: a count vector's probability
+    at p = n/d."""
     p = Fraction(p)
     pk = _powers(p, units)
     qk = _powers(1 - p, units)
@@ -504,14 +524,23 @@ def eval_counts(vec, units, p):
 
 
 def expectations(pmf):
-    """``exact.expected_sizes``."""
+    """``exact.expected_numerators`` over the pmf's denominator."""
     e_plus = sum((w * a for (a, _), w in pmf.items()), Fraction(0))
     e_minus = sum((w * b for (_, b), w in pmf.items()), Fraction(0))
     return e_plus, e_minus
 
 
+class Domination(NamedTuple):
+    """The tail margins P(a >= t) − P(b >= t) for t = 1, 2, ..., and
+    whether none of them is negative."""
+
+    margins: tuple[Fraction, ...]
+    passes: bool
+
+
 def check_domination(pmf):
-    """``exact.check_domination``: both tails summed afresh at every t."""
+    """``exact.margin_numerators`` over the pmf's denominator: both tails
+    summed afresh at every t."""
     max_a = max((a for (a, _) in pmf), default=0)
     max_b = max((b for (_, b) in pmf), default=0)
     t_max = max(max_a, max_b, 1)
@@ -519,17 +548,14 @@ def check_domination(pmf):
     for t in range(1, t_max + 1):
         tail_a = sum((prob for (a, _), prob in pmf.items() if a >= t), Fraction(0))
         tail_b = sum((prob for (_, b), prob in pmf.items() if b >= t), Fraction(0))
-        margins.append((t, tail_a - tail_b))
-    return DominationReport(
-        margins=tuple(margins),
-        passes=all(m >= 0 for _, m in margins),
-        trivial_minus=max_b == 0,
-    )
+        margins.append(tail_a - tail_b)
+    return Domination(tuple(margins), all(m >= 0 for m in margins))
 
 
 def check_partition_identity(pmf):
-    """``exact.check_partition_identity``: both sides of the identity for
-    each test function, one pass over the pmf per function."""
+    """``exact.residual_numerators`` over their denominator: both sides of
+    the identity for each test function, one pass over the pmf per
+    function."""
     t_max = max((a + b for (a, b) in pmf), default=1)
     family = [(f"ind_ge_{t}", lambda n, t=t: 1 if n >= t else 0)
               for t in range(1, t_max + 1)]
@@ -549,7 +575,8 @@ def check_partition_identity(pmf):
 
 
 def check_ratio_identity(pmf):
-    """``exact.check_ratio_identity``: E(b/a) and P(b > 0)."""
+    """``exact.ratio_numerators`` over their denominator: E(b/a) and
+    P(b > 0)."""
     lhs = sum((prob * Fraction(b, a) for (a, b), prob in pmf.items()),
               Fraction(0))
     rhs = sum((prob for (_, b), prob in pmf.items() if b > 0), Fraction(0))
@@ -592,6 +619,54 @@ def hypercube_entry(d, p, c, polys):
     return _hypercube_entry(p, [format_fraction(x) for x in c],
                             _hypercube_rows(d, c, measure),
                             derivatives=derivatives, instances=instances)
+
+
+# ---------------------------------------------------------------------------
+# the package's results as the tests read them
+
+
+def pair_joint(engine, g, pair, *args, **kwargs):
+    """One pair's joint law: ``exact.enumerate_joint`` or
+    ``mc.estimate_joint`` run on the pair alone, projected on it."""
+    return engine(g, Observables(pair.origin, (pair,)), *args,
+                  **kwargs).joint(pair)
+
+
+def probabilities(pmf):
+    """An ``exact.IntegerPmf`` as Fractions."""
+    return {key: Fraction(num, pmf.den) for key, num in pmf.nums.items()}
+
+
+def count_probability(vec, units, p):
+    """``exact.count_numerator`` over d^units, at p = n/d."""
+    return Fraction(count_numerator(vec, units, p),
+                    Fraction(p).denominator ** units)
+
+
+def expected(pmf):
+    e_plus, e_minus = expected_numerators(pmf)
+    return Fraction(e_plus, pmf.den), Fraction(e_minus, pmf.den)
+
+
+def margins(pmf):
+    return tuple(Fraction(m, pmf.den) for m in margin_numerators(pmf))
+
+
+def residuals(pmf):
+    den, nums = residual_numerators(pmf)
+    return {name: Fraction(num, den) for name, num in nums.items()}
+
+
+def ratio(pmf):
+    den, lhs, rhs = ratio_numerators(pmf)
+    return Fraction(lhs, den), Fraction(rhs, den)
+
+
+def integer_pmf(pmf):
+    """A Fraction pmf over the least common denominator of its values."""
+    den = lcm(*(prob.denominator for prob in pmf.values()))
+    return IntegerPmf(den, {key: prob.numerator * (den // prob.denominator)
+                            for key, prob in pmf.items()})
 
 
 # ---------------------------------------------------------------------------

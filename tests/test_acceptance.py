@@ -12,12 +12,8 @@ from symperc import exact, groups, mc, scenarios
 from symperc.exact import (
     BOND,
     SITE,
-    check_domination,
-    check_partition_identity,
-    check_ratio_identity,
     enumerate_joint,
-    eval_joint,
-    expected_sizes,
+    joint_numerators,
     random_cluster_law,
 )
 from symperc.graphs import (
@@ -30,8 +26,14 @@ from symperc.groups import make_pair
 from _oracles import (
     bond_joint_pmf,
     eager_cluster_mask,
+    expected,
     lazy_incidence,
+    margins,
+    pair_joint,
+    probabilities,
+    ratio,
     relabel_graph,
+    residuals,
     sample_cluster_mask,
 )
 
@@ -49,20 +51,17 @@ def test_criterion_1_bunkbed_exactness():
     started = time.perf_counter()
     g = bunkbed_graph(path_graph(2))
     pair = make_pair(g, [0, 2], [1, 3], origin=0)
-    poly = enumerate_joint(g, pair)
-    pmf = eval_joint(poly, HALF)
+    poly = pair_joint(enumerate_joint, g, pair)
+    pmf = joint_numerators(poly, HALF)
     oracle = bond_joint_pmf(4, g.edges, [0, 2], [1, 3], 0, HALF)
-    e_plus, e_minus = expected_sizes(pmf)
-    dom = check_domination(pmf)
-    residuals = check_partition_identity(pmf)
+    e_plus, e_minus = expected(pmf)
     elapsed = time.perf_counter() - started
     ok = (
-        pmf == oracle
+        probabilities(pmf) == oracle
         and e_plus == F(25, 16)
         and e_minus == F(1)
-        and dom.passes
-        and all(m >= 0 for _, m in dom.margins)
-        and all(r == 0 for r in residuals.values())
+        and all(m >= 0 for m in margins(pmf))
+        and not any(residuals(pmf).values())
         and elapsed < 1.0
     )
     assert _verdict_line(1, ok, "bunkbed(path(2)) exact joint law", elapsed)
@@ -123,19 +122,18 @@ def test_criterion_5_partition_identity_generality():
     ok = True
     g_site = bunkbed_graph(cycle_graph(3))
     pair_site = make_pair(g_site, [0, 2, 4], [1, 3, 5], origin=0)
-    poly_site = enumerate_joint(g_site, pair_site, SITE)
+    poly_site = pair_joint(enumerate_joint, g_site, pair_site, SITE)
     g_rc = bunkbed_graph(path_graph(2))
     pair_rc = make_pair(g_rc, [0, 2], [1, 3], origin=0)
     polys = [poly_site] + [
-        enumerate_joint(g_rc, pair_rc, random_cluster_law(q))
+        pair_joint(enumerate_joint, g_rc, pair_rc, random_cluster_law(q))
         for q in (F(1, 2), F(2))
     ]
     for poly in polys:
         for p in (F(1, 3), HALF):
-            pmf = eval_joint(poly, p)
-            residuals = check_partition_identity(pmf)
-            lhs, rhs = check_ratio_identity(pmf)
-            ok = ok and all(r == 0 for r in residuals.values())
+            pmf = joint_numerators(poly, p)
+            lhs, rhs = ratio(pmf)
+            ok = ok and not any(residuals(pmf).values())
             ok = ok and lhs == rhs
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 5.0
@@ -153,12 +151,13 @@ def test_criterion_6_mc_exact_consistency():
                              seed).connection(3, level=0.99)
     ok = conn.lo <= 7 / 16 <= conn.hi
 
-    emp = mc.estimate_joint(g, pair, HALF, n, seed)
+    emp = pair_joint(mc.estimate_joint, g, pair, HALF, n, seed)
     est_plus, _ = mc.empirical_expected_sizes(emp)
     ok = ok and abs(est_plus.estimate - 25 / 16) <= 3 * est_plus.stderr
 
-    rerun = mc.estimate_joint(g, pair, HALF, n, seed)
-    relaid = mc.estimate_joint(g, pair, HALF, n, seed, chunk_size=997)
+    rerun = pair_joint(mc.estimate_joint, g, pair, HALF, n, seed)
+    relaid = pair_joint(mc.estimate_joint, g, pair, HALF, n, seed,
+                        chunk_size=997)
     ok = ok and emp == rerun and emp == relaid
     elapsed = time.perf_counter() - started
     assert _verdict_line(6, ok, "Monte Carlo matches exact law", elapsed)
@@ -196,12 +195,14 @@ def test_criterion_8_property_suites():
         pair = make_pair(g, [scenarios.resolve_vertex(g, v) for v in sc.v_plus],
                          [scenarios.resolve_vertex(g, v) for v in sc.v_minus],
                          scenarios.resolve_vertex(g, sc.origin))
-        poly = enumerate_joint(g, pair, sc.law, cap_bits=sc.cap_bits)
+        poly = pair_joint(enumerate_joint, g, pair, sc.law,
+                          cap_bits=sc.cap_bits)
         for kk in range(poly.units + 1):
             total = sum(vec[kk] for vec in poly.counts.values())
             ok = ok and total == comb(poly.units, kk)
         for p in sc.p_grid:
-            ok = ok and sum(eval_joint(poly, p).values()) == 1
+            ok = ok and sum(probabilities(
+                joint_numerators(poly, p)).values()) == 1
 
     # automorphism-permuted enumeration equality, all three laws
     g = bunkbed_graph(cycle_graph(3))
@@ -211,8 +212,8 @@ def test_criterion_8_property_suites():
     pair2 = make_pair(g2, [phi[v] for v in pair.v_plus],
                       [phi[v] for v in pair.v_minus], phi[pair.origin])
     for law in (BOND, SITE, random_cluster_law(F(2))):
-        ok = ok and enumerate_joint(g, pair, law) == enumerate_joint(
-            g2, pair2, law)
+        ok = ok and pair_joint(enumerate_joint, g, pair, law) == pair_joint(
+            enumerate_joint, g2, pair2, law)
 
     # lazy sampling equals eager sampling on a graph within 20 edges
     g5 = bunkbed_graph(cycle_graph(5))
@@ -225,14 +226,14 @@ def test_criterion_8_property_suites():
     # monotonicity of increasing events on the p grid
     gq = bunkbed_graph(path_graph(2))
     pairq = make_pair(gq, [0, 2], [1, 3], origin=0)
-    polyq = enumerate_joint(gq, pairq)
+    polyq = pair_joint(enumerate_joint, gq, pairq)
     grid = [F(k, 10) for k in range(1, 10)]
-    pmfs = [eval_joint(polyq, p) for p in grid]
+    pmfs = [joint_numerators(polyq, p) for p in grid]
     for t in (1, 2):
-        tails = [sum(pr for (a, _), pr in pmf.items() if a >= t)
-                 for pmf in pmfs]
+        tails = [sum(pr for (a, _), pr in probabilities(pmf).items()
+                     if a >= t) for pmf in pmfs]
         ok = ok and all(x <= y for x, y in zip(tails, tails[1:]))
-    means = [expected_sizes(pmf)[0] for pmf in pmfs]
+    means = [expected(pmf)[0] for pmf in pmfs]
     ok = ok and all(x <= y for x, y in zip(means, means[1:]))
 
     elapsed = time.perf_counter() - started

@@ -193,6 +193,11 @@ def test_cap_flag_exit_three():
 @pytest.mark.parametrize("argv, units", [
     (["hypercube", "--d", "11"], 11 * 2**10),
     (["z2", "--size", "40"], 2 * 40 * 40),
+    # the bunkbed and the cylinder of Q30: the base alone has 2^30 vertices
+    (["bunkbed", "--base", "hypercube:30", "--p", "1/2"],
+     2 * (30 << 29) + (1 << 30)),
+    (["layered", "--base", "hypercube:30", "--m", "4", "--choice", "a",
+      "--k", "1"], 4 * (30 << 29) + 4 * (1 << 30)),
 ])
 def test_cap_checked_before_the_graph_is_built(argv, units, monkeypatch,
                                                capsys):
@@ -200,6 +205,8 @@ def test_cap_checked_before_the_graph_is_built(argv, units, monkeypatch,
     for name in ("hypercube_graph", "torus_graph"):
         monkeypatch.setattr(graphs, name,
                             lambda *args, name=name: built.append(name))
+    monkeypatch.setattr(scenarios, "build_graph",
+                        lambda *args: built.append("build_graph"))
     assert main(argv) == 3
     assert built == []
     assert capsys.readouterr().err == (

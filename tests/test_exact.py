@@ -11,13 +11,9 @@ from symperc.exact import (
     SITE,
     CapExceeded,
     Observables,
-    check_domination,
-    check_partition_identity,
-    check_ratio_identity,
+    count_numerator,
     enumerate_joint,
-    eval_counts,
-    eval_joint,
-    expected_sizes,
+    joint_numerators,
     random_cluster_law,
 )
 from symperc.graphs import (
@@ -36,12 +32,18 @@ from _oracles import (
     bond_connection,
     brute_force_bins,
     bond_joint_pmf,
+    count_probability,
     cyclic_site_cases,
-    expectations,
+    expected,
+    integer_pmf,
     observed_graphs,
+    pair_joint,
     per_set_site_rows,
+    probabilities,
+    ratio,
     rc_joint_pmf,
     relabel_graph,
+    residuals,
     site_joint_pmf,
     unpacked_bins,
 )
@@ -57,28 +59,27 @@ def c4_bunkbed():
 def test_single_edge_enumeration():
     g = path_graph(2)
     pair = make_pair(g, [0], [1], origin=0)
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     assert poly.counts == {(1, 0): (1, 0), (1, 1): (0, 1)}
-    pmf = eval_joint(poly, HALF)
-    assert pmf == {(1, 0): HALF, (1, 1): HALF}
-    assert expected_sizes(pmf) == (F(1), HALF)
+    pmf = joint_numerators(poly, HALF)
+    assert probabilities(pmf) == {(1, 0): HALF, (1, 1): HALF}
+    assert expected(pmf) == (F(1), HALF)
     p = F(2, 7)
-    pmf = eval_joint(poly, p)
-    assert expected_sizes(pmf) == (F(1), p)
-    lhs, rhs = check_ratio_identity(pmf)
+    pmf = joint_numerators(poly, p)
+    assert expected(pmf) == (F(1), p)
+    lhs, rhs = ratio(pmf)
     assert lhs == rhs == p
 
 
 def test_c4_bunkbed_against_oracle_and_frozen_values():
     g, pair = c4_bunkbed()
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     # all 16 configurations land somewhere
     assert sum(sum(vec) for vec in poly.counts.values()) == 16
     for p in (F(1, 4), HALF, F(2, 3)):
-        pmf = eval_joint(poly, p)
+        pmf = probabilities(joint_numerators(poly, p))
         assert pmf == bond_joint_pmf(4, g.edges, [0, 2], [1, 3], 0, p)
-    pmf = eval_joint(poly, HALF)
-    e_plus, e_minus = expected_sizes(pmf)
+    e_plus, e_minus = expected(joint_numerators(poly, HALF))
     assert (e_plus, e_minus) == (F(25, 16), F(1))
     # E|C+| = 1 + c_adjacent, E|C-| = c_adjacent + c_opposite
     assert e_plus == 1 + F(9, 16)
@@ -87,43 +88,41 @@ def test_c4_bunkbed_against_oracle_and_frozen_values():
 
 def test_c4_bunkbed_domination_margins():
     g, pair = c4_bunkbed()
-    pmf = eval_joint(enumerate_joint(g, pair), HALF)
-    dom = check_domination(pmf)
-    assert dom.passes and not dom.trivial_minus
-    margins = dict(dom.margins)
-    assert margins[1] == 1 - sum(
-        prob for (_, b), prob in pmf.items() if b >= 1)
-    assert margins[1] > 0
-    assert margins[2] >= 0
-    assert (margins[1], margins[2]) == (F(3, 8), F(3, 16))
+    pmf = joint_numerators(pair_joint(enumerate_joint, g, pair), HALF)
+    assert max(b for _, b in pmf.nums) > 0
+    margins = oracle.margins(pmf)
+    assert margins[0] == 1 - sum(
+        prob for (_, b), prob in probabilities(pmf).items() if b >= 1)
+    assert margins[0] > 0
+    assert margins[1] >= 0
+    assert margins == (F(3, 8), F(3, 16))
 
 
 def test_partition_identity_residuals_zero():
     g, pair = c4_bunkbed()
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     for p in (F(1, 3), HALF, F(7, 10)):
-        residuals = check_partition_identity(eval_joint(poly, p))
-        assert all(r == 0 for r in residuals.values())
+        assert not any(residuals(joint_numerators(poly, p)).values())
 
 
 def test_ratio_identity():
     g, pair = c4_bunkbed()
-    pmf = eval_joint(enumerate_joint(g, pair), HALF)
-    lhs, rhs = check_ratio_identity(pmf)
+    lhs, rhs = ratio(joint_numerators(pair_joint(enumerate_joint, g, pair),
+                                      HALF))
     assert lhs == rhs
     # empty far side: both sides zero
     g2 = path_graph(2)
     pair2 = make_pair(g2, [0, 1], [], origin=0)
-    pmf2 = eval_joint(enumerate_joint(g2, pair2), HALF)
-    assert check_ratio_identity(pmf2) == (F(0), F(0))
-    dom2 = check_domination(pmf2)
-    assert dom2.passes and dom2.trivial_minus
+    pmf2 = joint_numerators(pair_joint(enumerate_joint, g2, pair2), HALF)
+    assert ratio(pmf2) == (F(0), F(0))
+    assert max(b for _, b in pmf2.nums) == 0
+    assert all(m >= 0 for m in oracle.margins(pmf2))
 
 
 def connection_probability(g, o, v, p, cap_bits=exact.DEFAULT_CAP_BITS):
     """Exact P(o <-> v), read off one run that observes the target."""
     sweep = enumerate_joint(g, Observables(o, targets=(v,)), cap_bits=cap_bits)
-    return eval_counts(sweep.connection(v), sweep.units, p)
+    return count_probability(sweep.connection(v), sweep.units, p)
 
 
 def test_connection_probability_closed_forms():
@@ -142,21 +141,22 @@ def test_connection_probability_closed_forms():
 def test_site_law_against_oracle():
     g = bunkbed_graph(cycle_graph(3))
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
-    poly = enumerate_joint(g, pair, SITE)
+    poly = pair_joint(enumerate_joint, g, pair, SITE)
     assert poly.units == g.n_vertices
     for p in (F(1, 3), HALF):
-        pmf = eval_joint(poly, p)
-        assert pmf == site_joint_pmf(6, g.edges, [0, 2, 4], [1, 3, 5], 0, p)
-        residuals = check_partition_identity(pmf)
-        assert all(r == 0 for r in residuals.values())
-        lhs, rhs = check_ratio_identity(pmf)
+        pmf = joint_numerators(poly, p)
+        assert probabilities(pmf) == site_joint_pmf(
+            6, g.edges, [0, 2, 4], [1, 3, 5], 0, p)
+        assert not any(residuals(pmf).values())
+        lhs, rhs = ratio(pmf)
         assert lhs == rhs
 
 
 def test_site_law_closed_origin_is_singleton():
     g = path_graph(2)
     pair = make_pair(g, [0], [1], origin=0)
-    pmf = eval_joint(enumerate_joint(g, pair, SITE), F(1, 3))
+    pmf = probabilities(joint_numerators(
+        pair_joint(enumerate_joint, g, pair, SITE), F(1, 3)))
     # o closed -> cluster {o} -> outcome (1, 0) regardless of the other site
     assert pmf[(1, 0)] == F(2, 3) + F(1, 3) * F(2, 3)
     assert pmf[(1, 1)] == F(1, 3) * F(1, 3)
@@ -164,22 +164,23 @@ def test_site_law_closed_origin_is_singleton():
 
 def test_random_cluster_q1_equals_bond():
     g, pair = c4_bunkbed()
-    bond = enumerate_joint(g, pair, BOND)
-    rc = enumerate_joint(g, pair, random_cluster_law(1))
+    bond = pair_joint(enumerate_joint, g, pair, BOND)
+    rc = pair_joint(enumerate_joint, g, pair, random_cluster_law(1))
     for p in (F(1, 3), HALF):
-        assert eval_joint(rc, p) == eval_joint(bond, p)
+        assert probabilities(joint_numerators(rc, p)) == probabilities(
+            joint_numerators(bond, p))
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(2)])
 def test_random_cluster_against_oracle(q):
     g, pair = c4_bunkbed()
-    poly = enumerate_joint(g, pair, random_cluster_law(q))
+    poly = pair_joint(enumerate_joint, g, pair, random_cluster_law(q))
     for p in (F(1, 3), HALF):
-        pmf = eval_joint(poly, p)
-        assert pmf == rc_joint_pmf(4, g.edges, [0, 2], [1, 3], 0, p, q)
-        residuals = check_partition_identity(pmf)
-        assert all(r == 0 for r in residuals.values())
-        lhs, rhs = check_ratio_identity(pmf)
+        pmf = joint_numerators(poly, p)
+        assert probabilities(pmf) == rc_joint_pmf(4, g.edges, [0, 2], [1, 3],
+                                                  0, p, q)
+        assert not any(residuals(pmf).values())
+        lhs, rhs = ratio(pmf)
         assert lhs == rhs
 
 
@@ -193,7 +194,7 @@ def test_count_conservation():
     ]
     for g, plus, minus, law in cases:
         pair = make_pair(g, plus, minus, origin=plus[0])
-        poly = enumerate_joint(g, pair, law)
+        poly = pair_joint(enumerate_joint, g, pair, law)
         for k in range(poly.units + 1):
             assert sum(vec[k] for vec in poly.counts.values()) == comb(
                 poly.units, k)
@@ -225,7 +226,8 @@ def test_count_conservation_fires(law, tamper, monkeypatch):
     # is changed in a cells field that the check folds onto k
     g = bunkbed_graph(cycle_graph(3))
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
-    enumerate_joint(g, pair, law)  # the untouched rows pass both checks
+    observed = Observables(0, (pair,))
+    enumerate_joint(g, observed, law)  # the untouched rows pass both checks
     cluster_rows = exact._origin_cluster_rows
 
     def tampered(g, law, origin, weights, bits):
@@ -239,16 +241,16 @@ def test_count_conservation_fires(law, tamper, monkeypatch):
     monkeypatch.setattr(exact, "_origin_cluster_rows", tampered)
     fault = "empty origin" if tamper == "empty-origin-field" else "conservation"
     with pytest.raises(RuntimeError, match=fault):
-        enumerate_joint(g, pair, law)
+        enumerate_joint(g, observed, law)
 
 
 def test_pmf_normalization_exact():
     g = torus_graph(3, 3)
     pair = make_pair(g, [g.index_of((0, 0)), g.index_of((1, 1))],
                      [g.index_of((1, 0)), g.index_of((0, 1))], origin=0)
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     for p in (F(1, 10), F(9, 10), F(123, 1000)):
-        assert sum(eval_joint(poly, p).values()) == 1
+        assert sum(probabilities(joint_numerators(poly, p)).values()) == 1
 
 
 @pytest.mark.parametrize("law", [BOND, SITE, random_cluster_law(F(3, 2))])
@@ -262,19 +264,20 @@ def test_automorphism_invariance_of_enumeration(law):
     g2 = relabel_graph(g, phi)
     pair2 = make_pair(g2, [phi[v] for v in pair.v_plus],
                       [phi[v] for v in pair.v_minus], phi[pair.origin])
-    assert enumerate_joint(g, pair, law) == enumerate_joint(g2, pair2, law)
+    assert (pair_joint(enumerate_joint, g, pair, law)
+            == pair_joint(enumerate_joint, g2, pair2, law))
 
 
 def test_monotone_in_p():
     g, pair = c4_bunkbed()
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     grid = [F(k, 10) for k in range(1, 10)]
-    pmfs = [eval_joint(poly, p) for p in grid]
+    pmfs = [joint_numerators(poly, p) for p in grid]
     for t in (1, 2):
-        tails = [sum(prob for (a, _), prob in pmf.items() if a >= t)
-                 for pmf in pmfs]
+        tails = [sum(prob for (a, _), prob in probabilities(pmf).items()
+                     if a >= t) for pmf in pmfs]
         assert all(x <= y for x, y in zip(tails, tails[1:]))
-    means = [expected_sizes(pmf)[0] for pmf in pmfs]
+    means = [expected(pmf)[0] for pmf in pmfs]
     assert all(x <= y for x, y in zip(means, means[1:]))
 
 
@@ -293,7 +296,7 @@ def test_cap_exceeded():
     g = hypercube_graph(3)
     pair = make_pair(g, [0], [7], origin=0)
     with pytest.raises(CapExceeded) as err:
-        enumerate_joint(g, pair, cap_bits=10)
+        pair_joint(enumerate_joint, g, pair, cap_bits=10)
     assert err.value.required_bits == 12
     assert err.value.required_configs == 4096
     with pytest.raises(CapExceeded):
@@ -302,25 +305,25 @@ def test_cap_exceeded():
 
 def test_eval_rejects_bad_p():
     g, pair = c4_bunkbed()
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     for bad in (F(0), F(1), F(-1, 2), F(3, 2)):
         with pytest.raises(ValueError):
-            eval_joint(poly, bad)
+            joint_numerators(poly, bad)
 
 
-def test_eval_counts_rejects_bad_p():
+def test_count_numerator_rejects_bad_p():
     # (1, 2, 1) sums to 2^2, so an unchecked p would give probability 1
     g, pair = c4_bunkbed()
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     for bad in (2, 0, 1, F(-1, 2), "3/2"):
         with pytest.raises(ValueError) as counts_error:
-            eval_counts((1, 2, 1), 2, bad)
+            count_numerator((1, 2, 1), 2, bad)
         with pytest.raises(ValueError) as joint_error:
-            eval_joint(poly, bad)
+            joint_numerators(poly, bad)
         assert str(counts_error.value) == str(joint_error.value)
     with pytest.raises(ValueError):
-        eval_counts((1, 2, 1, 0), 2, HALF)  # more counts than units allow
-    assert eval_counts((1, 2, 1), 2, F(1, 3)) == 1
+        count_numerator((1, 2, 1, 0), 2, HALF)  # more counts than units allow
+    assert count_numerator((1, 2, 1), 2, F(1, 3)) == 3**2
 
 
 def test_negative_margin_is_surfaced_not_masked():
@@ -328,10 +331,10 @@ def test_negative_margin_is_surfaced_not_masked():
     # threshold 2 is p^3 - p^2 < 0 and must be reported as such
     g = path_graph(4)
     pair = make_pair(g, [0, 3], [1, 2], origin=0)
-    pmf = eval_joint(enumerate_joint(g, pair), HALF)
-    dom = check_domination(pmf)
-    assert not dom.passes
-    assert dict(dom.margins)[2] == F(1, 8) - F(1, 4) == F(-1, 8)
+    margins = oracle.margins(joint_numerators(
+        pair_joint(enumerate_joint, g, pair), HALF))
+    assert not all(m >= 0 for m in margins)
+    assert margins[1] == F(1, 8) - F(1, 4) == F(-1, 8)
 
 
 def test_polynomial_json_round_trip():
@@ -339,7 +342,7 @@ def test_polynomial_json_round_trip():
     # random-cluster law, every (k, cells) count
     g, pair = c4_bunkbed()
     for law in (BOND, SITE, random_cluster_law(F(1, 2))):
-        poly = enumerate_joint(g, pair, law)
+        poly = pair_joint(enumerate_joint, g, pair, law)
         doc = poly.to_json_dict()
         assert (doc["edges"], doc["n_plus"], doc["n_minus"]) == (
             poly.units, poly.n_plus, poly.n_minus)
@@ -378,12 +381,12 @@ def test_one_sweep_projects_every_pair_and_target(case, p):
         assert sweep.counts == {sizes: tuple(vec)
                                 for sizes, vec in by_sizes.items()}
         for pair in pairs:
-            assert eval_joint(sweep.joint(pair), p) == oracle(pair.v_plus,
-                                                              pair.v_minus)
+            assert probabilities(joint_numerators(sweep.joint(pair), p)) == (
+                oracle(pair.v_plus, pair.v_minus))
         for t in targets:
             # configuration counts: bond and random-cluster share the edge
             # product measure, the site law weighs open vertices
-            got = eval_counts(sweep.connection(t), sweep.units, p)
+            got = count_probability(sweep.connection(t), sweep.units, p)
             if t == o:
                 want = 1
             elif law == SITE:
@@ -406,13 +409,14 @@ PROBABILITIES = st.integers(2, 120).flatmap(
     lambda d: st.integers(1, d - 1).map(lambda n: F(n, d)))
 
 
-def _checks_equal_oracle(pmf):
-    assert expected_sizes(pmf) == oracle.expectations(pmf)
-    assert check_domination(pmf) == oracle.check_domination(pmf)
-    assert list(check_partition_identity(pmf).items()) == list(
+def _checks_equal_oracle(ipmf):
+    pmf = probabilities(ipmf)
+    assert expected(ipmf) == oracle.expectations(pmf)
+    assert oracle.margins(ipmf) == oracle.check_domination(pmf).margins
+    assert list(residuals(ipmf).items()) == list(
         oracle.check_partition_identity(pmf).items())
     # the oracle divides by a even where the probability is 0
-    assert check_ratio_identity(pmf) == oracle.check_ratio_identity(
+    assert ratio(ipmf) == oracle.check_ratio_identity(
         {key: prob for key, prob in pmf.items() if prob})
 
 
@@ -425,13 +429,14 @@ def test_integer_evaluation_equals_the_fraction_oracle(case, p, q):
                                 law)
         for pair in pairs:
             poly = sweep.joint(pair)
-            pmf = eval_joint(poly, p)
-            assert list(pmf.items()) == list(oracle.eval_joint(poly, p).items())
-            _checks_equal_oracle(pmf)
+            ipmf = joint_numerators(poly, p)
+            assert list(probabilities(ipmf).items()) == list(
+                oracle.eval_joint(poly, p).items())
+            _checks_equal_oracle(ipmf)
         for t in targets:
             vec = sweep.connection(t)
-            assert eval_counts(vec, sweep.units, p) == oracle.eval_counts(
-                vec, sweep.units, p)
+            assert (count_probability(vec, sweep.units, p)
+                    == oracle.eval_counts(vec, sweep.units, p))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -446,7 +451,7 @@ def test_checks_equal_the_fraction_oracle_on_hand_built_pmfs(pmf):
     # the origin's cluster always meets v_plus, so an outcome with a = 0,
     # a + b = 0 included, has probability 0
     pmf = {(a, b): prob if a else F(0) for (a, b), prob in pmf.items()}
-    _checks_equal_oracle(pmf)
+    _checks_equal_oracle(integer_pmf(pmf))
 
 
 # ---------------------------------------------------------------------------

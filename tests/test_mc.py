@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symperc import mc
-from symperc.exact import Observables, enumerate_joint, eval_counts, eval_joint
+from symperc.exact import Observables, enumerate_joint, joint_numerators
 from symperc.graphs import bunkbed_graph, cycle_graph, path_graph, torus_graph
 from symperc.groups import make_pair
 from symperc.mc import (
@@ -26,9 +26,12 @@ from symperc.mc import (
 )
 
 from _oracles import (
+    count_probability,
     eager_cluster_mask,
     lazy_incidence,
     observed_graphs,
+    pair_joint,
+    probabilities,
     reach_cases,
     sample_cluster,
     sample_cluster_mask,
@@ -73,20 +76,20 @@ def test_sample_cluster_limits_and_determinism():
 
 def test_estimate_joint_reproducible_across_layouts():
     g, pair = c4_bunkbed()
-    base = estimate_joint(g, pair, HALF, 20_000, seed=42)
-    assert estimate_joint(g, pair, HALF, 20_000, seed=42) == base
-    assert estimate_joint(g, pair, HALF, 20_000, seed=42,
-                          chunk_size=123) == base
-    assert estimate_joint(g, pair, HALF, 20_000, seed=42, chunk_size=4096,
-                          threads=2) == base
-    assert estimate_joint(g, pair, HALF, 20_000, seed=43) != base
+    base = pair_joint(estimate_joint, g, pair, HALF, 20_000, seed=42)
+    assert pair_joint(estimate_joint, g, pair, HALF, 20_000, seed=42) == base
+    assert pair_joint(estimate_joint, g, pair, HALF, 20_000, seed=42,
+                      chunk_size=123) == base
+    assert pair_joint(estimate_joint, g, pair, HALF, 20_000, seed=42,
+                      chunk_size=4096, threads=2) == base
+    assert pair_joint(estimate_joint, g, pair, HALF, 20_000, seed=43) != base
     assert base.n_samples == sum(base.counts.values()) == 20_000
     assert all(a >= 1 for (a, _b) in base.counts)
 
 
 def test_single_sample_single_bin():
     g, pair = c4_bunkbed()
-    emp = estimate_joint(g, pair, HALF, 1, seed=0)
+    emp = pair_joint(estimate_joint, g, pair, HALF, 1, seed=0)
     assert emp.n_samples == 1 and len(emp.counts) == 1
 
 
@@ -101,7 +104,7 @@ def test_one_pass_projects_every_pair_and_target(case, p):
         sweep = estimate_joint(g, observed, p, n, seed, chunk_size=chunk_size)
         for pair in pairs:
             joint = sweep.joint(pair)
-            assert joint == estimate_joint(g, pair, p, n, seed)
+            assert joint == pair_joint(estimate_joint, g, pair, p, n, seed)
             assert joint.counts == Counter(
                 (len(c & set(pair.v_plus)), len(c & set(pair.v_minus)))
                 for c in clusters)
@@ -284,18 +287,18 @@ def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 3)
     g, pair = c4_bunkbed()
-    base = estimate_joint(g, pair, HALF, 100, seed=4)
+    base = pair_joint(estimate_joint, g, pair, HALF, 100, seed=4)
     for threads, chunk_size, workers, batch in (
             (8, 10, 3, 4), (8, 50, 2, 1), (2, 10, 2, 5), (8, 100, None, None),
             (1, 10, None, None)):
         started.clear()
         batches.clear()
-        assert estimate_joint(g, pair, HALF, 100, seed=4, threads=threads,
-                              chunk_size=chunk_size) == base
+        assert pair_joint(estimate_joint, g, pair, HALF, 100, seed=4,
+                          threads=threads, chunk_size=chunk_size) == base
         assert started == ([] if workers is None else [workers])
         assert batches == ([] if batch is None else [batch])
     with pytest.raises(ValueError):
-        estimate_joint(g, pair, HALF, 100, seed=4, threads=0)
+        pair_joint(estimate_joint, g, pair, HALF, 100, seed=4, threads=0)
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
@@ -336,7 +339,7 @@ def test_connection_estimate_within_99_ci_of_exact():
 
 def test_empirical_mean_close_to_exact():
     g, pair = c4_bunkbed()
-    emp = estimate_joint(g, pair, HALF, 100_000, seed=42)
+    emp = pair_joint(estimate_joint, g, pair, HALF, 100_000, seed=42)
     est_plus, est_minus = mc.empirical_expected_sizes(emp)
     assert abs(est_plus.estimate - 25 / 16) <= 3 * est_plus.stderr
     assert abs(est_minus.estimate - 1.0) <= 3 * est_minus.stderr
@@ -358,12 +361,12 @@ def test_wilson_interval_reference_value():
 
 def test_domination_verdicts():
     g, pair = c4_bunkbed()
-    emp = estimate_joint(g, pair, HALF, 50_000, seed=8)
+    emp = pair_joint(estimate_joint, g, pair, HALF, 50_000, seed=8)
     verdict = mc_domination_verdict(emp)
     assert verdict.overall == PASS
     assert all(r.verdict == PASS for r in verdict.rows)
 
-    tiny = estimate_joint(g, pair, HALF, 10, seed=8)
+    tiny = pair_joint(estimate_joint, g, pair, HALF, 10, seed=8)
     assert mc_domination_verdict(tiny).overall == INCONCLUSIVE
 
 
@@ -371,12 +374,13 @@ def test_domination_violation_detected():
     # origin placed with the far vertex: true margin at threshold 2 is -1/8
     g = path_graph(4)
     pair = make_pair(g, [0, 3], [1, 2], origin=0)
-    pmf = eval_joint(enumerate_joint(g, pair), HALF)
+    pmf = probabilities(joint_numerators(
+        pair_joint(enumerate_joint, g, pair), HALF))
     true_margin = (
         sum(prob for (a, _), prob in pmf.items() if a >= 2)
         - sum(prob for (_, b), prob in pmf.items() if b >= 2))
     assert true_margin == F(-1, 8)
-    emp = estimate_joint(g, pair, HALF, 100_000, seed=7)
+    emp = pair_joint(estimate_joint, g, pair, HALF, 100_000, seed=7)
     verdict = mc_domination_verdict(emp)
     assert verdict.overall == VIOLATION
     row = next(r for r in verdict.rows if r.threshold == 2)
@@ -400,7 +404,7 @@ def test_calibration_coverage():
     # nominal miss rate leaves ample slack at 200 runs)
     g, pair = c4_bunkbed()
     sweep = enumerate_joint(g, Observables(0, targets=(3,)))
-    exact_value = eval_counts(sweep.connection(3), sweep.units, HALF)
+    exact_value = count_probability(sweep.connection(3), sweep.units, HALF)
     assert exact_value == F(7, 16)
     covered = 0
     runs = 200

@@ -12,7 +12,7 @@ import pytest
 
 from symperc import exact, groups, scenarios
 from symperc.cli import main
-from symperc.exact import enumerate_joint, eval_joint
+from symperc.exact import enumerate_joint, joint_numerators
 from symperc.graphs import (
     bunkbed_graph,
     complete_graph,
@@ -23,6 +23,8 @@ from symperc.graphs import (
     torus_graph,
 )
 from symperc.groups import generate_group, make_pair, verify_orbit_product
+
+from _oracles import pair_joint, probabilities
 
 HALF = F(1, 2)
 
@@ -68,10 +70,9 @@ def test_distance_metric_on_mid_size_graphs():
 def test_single_vertex_graph_degenerate_enumeration():
     g = path_graph(1)
     pair = make_pair(g, [0], [], origin=0)
-    poly = enumerate_joint(g, pair)
+    poly = pair_joint(enumerate_joint, g, pair)
     assert poly.counts == {(1, 0): (1,)}
-    pmf = eval_joint(poly, HALF)
-    assert pmf == {(1, 0): F(1)}
+    assert probabilities(joint_numerators(poly, HALF)) == {(1, 0): F(1)}
 
 
 def test_hypercube_report_d1():
@@ -124,12 +125,14 @@ def test_rc_polynomial_also_evaluates_as_bond():
     # those of a plain bond enumeration
     g = bunkbed_graph(path_graph(2))
     pair = make_pair(g, [0, 2], [1, 3], origin=0)
-    rc_poly = enumerate_joint(g, pair, exact.random_cluster_law(3))
-    bond_poly = enumerate_joint(g, pair)
+    rc_poly = pair_joint(enumerate_joint, g, pair,
+                         exact.random_cluster_law(3))
+    bond_poly = pair_joint(enumerate_joint, g, pair)
     assert rc_poly.counts == bond_poly.counts
     # the q-weighting needs the cell counts a bond polynomial lacks
     with pytest.raises(ValueError):
-        eval_joint(replace(bond_poly, law=exact.random_cluster_law(2)), HALF)
+        joint_numerators(replace(bond_poly, law=exact.random_cluster_law(2)),
+                         HALF)
 
 
 def test_enumerate_p_override_keeps_law():
@@ -153,8 +156,9 @@ def test_complete_graph_bunkbed_group_is_large_enough():
     grp = generate_group(gens)
     assert grp.order == 48  # S4 lifted times the layer swap
     pair = make_pair(g, [0, 2, 4, 6], [1, 3, 5, 7], origin=0)
-    report = groups.check_symmetry_conditions(g, grp, pair)
-    assert report.ok and report.swap_transitive
+    report = groups.check_symmetry_conditions(
+        g, groups.stabilizer_chain(gens), pair)
+    assert report.ok and report.swap_transitive and report.group_order == 48
 
 
 def test_readme_library_example_runs():
@@ -165,5 +169,5 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(code.split("```", 1)[0], {})
     lines = out.getvalue().splitlines()
-    assert lines[:4] == ["(Fraction(25, 16), Fraction(1, 1))", "True",
+    assert lines[:6] == ["25/16 1", "True", "False", "True",
                          "(0, 0, 2, 4, 1)", "7/16"]

@@ -32,7 +32,14 @@ from symperc.scenarios import (
 )
 
 import _oracles as oracle
-from _oracles import bond_connection, observed_graphs, sample_cluster
+from _oracles import (
+    bond_connection,
+    count_probability,
+    expected,
+    observed_graphs,
+    pair_joint,
+    sample_cluster,
+)
 
 HALF = F(1, 2)
 
@@ -184,7 +191,7 @@ def test_hypercube_report_equals_the_fraction_oracle():
         chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
         polys.append((k, l, name,
                       groups.check_symmetry_conditions(g, chain, pair),
-                      exact.enumerate_joint(g, pair)))
+                      pair_joint(exact.enumerate_joint, g, pair)))
     reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
     sweep = exact.enumerate_joint(g, exact.Observables(0, targets=tuple(reps)))
     for p, entry in zip(grid, report["results"], strict=True):
@@ -222,8 +229,9 @@ def test_z2_relation_slack_equals_the_fraction_api():
         sweep = exact.enumerate_joint(
             g, exact.Observables(g.index_of((0, 0)), targets=(far, near)))
         for p, row in zip(grid, block["results"], strict=True):
-            c_far = exact.eval_counts(sweep.connection(far), sweep.units, p)
-            c_near = exact.eval_counts(sweep.connection(near), sweep.units, p)
+            c_far = count_probability(sweep.connection(far), sweep.units, p)
+            c_near = count_probability(sweep.connection(near), sweep.units,
+                                       p)
             assert row["c_far"] == format_fraction(c_far)
             assert row["c_near"] == format_fraction(c_near)
             assert row["relation_slack"] == format_fraction(
@@ -260,7 +268,7 @@ def test_z2_parallel_lines_scenario():
 
 
 # ---------------------------------------------------------------------------
-# exact report values against the public Fraction API
+# exact report values against the Fraction oracles
 
 
 PROBABILITIES = st.integers(2, 120).flatmap(
@@ -268,18 +276,18 @@ PROBABILITIES = st.integers(2, 120).flatmap(
 
 
 def _fraction_result(poly, p, theorem_instance):
-    """One ``exact_p_results`` row from the public Fraction functions."""
-    pmf = exact.eval_joint(poly, p)
-    e_plus, e_minus = exact.expected_sizes(pmf)
-    dom = exact.check_domination(pmf)
-    residuals = exact.check_partition_identity(pmf)
-    ratio_lhs, ratio_rhs = exact.check_ratio_identity(pmf)
+    """One ``exact_p_results`` row from the term-by-term Fraction oracles."""
+    pmf = oracle.eval_joint(poly, p)
+    e_plus, e_minus = oracle.expectations(pmf)
+    dom = oracle.check_domination(pmf)
+    residuals = oracle.check_partition_identity(pmf)
+    ratio_lhs, ratio_rhs = oracle.check_ratio_identity(pmf)
     identity_zero = all(r == 0 for r in residuals.values())
     ok = dom.passes and (not theorem_instance or (
         identity_zero and ratio_lhs == ratio_rhs and e_plus >= e_minus))
     thresholds = [{"t": t, "margin": format_fraction(m),
                    "verdict": PASS if m >= 0 else VIOLATION}
-                  for t, m in dom.margins]
+                  for t, m in enumerate(dom.margins, 1)]
     return {
         "p": format_fraction(p),
         "expected_plus": format_fraction(e_plus),
@@ -492,10 +500,9 @@ def test_cross_mode_agreement():
     sc = parse_scenario(doc)
     g = build_graph(sc.graph_spec)
     pair = groups.make_pair(g, [0, 2, 4], [1, 3, 5], 0)
-    poly = exact.enumerate_joint(g, pair)
-    pmf = exact.eval_joint(poly, HALF)
-    e_plus, e_minus = exact.expected_sizes(pmf)
-    emp = mc.estimate_joint(g, pair, HALF, 50_000, seed=12)
+    poly = pair_joint(exact.enumerate_joint, g, pair)
+    e_plus, e_minus = expected(exact.joint_numerators(poly, HALF))
+    emp = pair_joint(mc.estimate_joint, g, pair, HALF, 50_000, seed=12)
     est_plus, est_minus = mc.empirical_expected_sizes(emp, level=0.99)
     assert est_plus.lo <= float(e_plus) <= est_plus.hi
     assert est_minus.lo <= float(e_minus) <= est_minus.hi
@@ -513,6 +520,16 @@ def test_group_theorem_battery(name, order):
     assert rep["verdict"] == PASS
     assert rep["double_counting_trials"] == 100
     assert rep["orbit_product_failures"] == 0
+
+
+@pytest.mark.parametrize("name", ["d4-on-c4", "bunkbed-c3"])
+def test_group_battery_conditions_equal_the_exhaustive_oracle(name):
+    # the battery decides the conditions from its generators; the oracle
+    # scans every element of the closed group
+    g, gens, pair = scenarios._named_group(name)
+    grp = groups.generate_group(gens, n_points=g.n_vertices)
+    assert group_theorem_battery(name)["conditions"] == (
+        oracle.exhaustive_symmetry_report(g, grp, pair).to_json_dict())
 
 
 def test_group_battery_unknown_name():
