@@ -15,13 +15,17 @@ configurations whose origin cluster is S, by the number k of open units:
   costs one multiply;
 * site: x^|S|·(1+x)^(n−|S|−|∂S|), plus (1+x)^(n−1) for a closed origin.
   One branching pass finds every S; each branch that adds a vertex also
-  adds to S's packed sizes, to the mask of S ∪ ∂S and to the shift of
-  x^|S|, so a set costs one step and is never rescanned;
+  adds to one small key, which packs S's sizes and |S|, and to the mask of
+  S ∪ ∂S, whose size joins the key when S is found.  The pass only counts
+  the sets per key; each distinct key then adds its count times its
+  polynomial to its row once;
 * random cluster: y·C_S(x)·Z_{V∖S}(x, y), with y counting partition
-  cells and Z_T the edge sets of G[T] by open edges and cells,
+  cells and Z_T the edge sets of G[T] by open edges and cells.  A
+  connected T splits off the cell of its lowest vertex,
   Z_T = Σ y·C_U·Z_{T∖U} over connected U ∋ min T inside T (the
   vertex-exponential random-cluster evaluation of Björklund, Husfeldt,
-  Kaski and Koivisto).
+  Kaski and Koivisto), and any other T is the product over its
+  components; one memo keeps Z_T for every T met.
 
 Two rules keep sparse graphs from costing more than a brute-force sweep: a
 vertex v ≠ o with one neighbour in S forces its edge open, so
@@ -324,20 +328,29 @@ def _connected_sets(nbr, root: int, allowed: int) -> list[int]:
     """Every S with root ∈ S ⊆ allowed that induces a connected subgraph.
 
     Branches on the lowest frontier vertex, which either joins S or leaves
-    ``allowed`` for the rest of that branch, so each set is found once.
+    ``allow``, the vertices still free to join, for the rest of that
+    branch, so each set is found once.  The include branch is followed in
+    place; the exclude branch is pushed, or, with no frontier vertex left,
+    is a leaf at once.  :func:`_spanning_polys` and the site pass of
+    :func:`_origin_cluster_rows` walk their sets the same way.
     """
     found = []
-    stack = [(1 << root, nbr[root] & allowed, allowed)]
+    rbit = 1 << root
+    stack = [(rbit, nbr[root] & allowed, allowed & ~rbit)]
+    pop, push = stack.pop, stack.append
     while stack:
-        s, frontier, allowed = stack.pop()
-        if not frontier:
-            found.append(s)
-            continue
-        low = frontier & -frontier
-        stack.append((s, frontier ^ low, allowed ^ low))
-        s |= low
-        stack.append((s, (frontier | nbr[low.bit_length() - 1]) & allowed & ~s,
-                      allowed))
+        s, frontier, allow = pop()
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            allow ^= low
+            if frontier:
+                push((s, frontier, allow))
+            else:  # the exclude branch is a leaf: S as it stands
+                found.append(s)
+            s |= low
+            frontier = (frontier | nbr[low.bit_length() - 1]) & allow
+        found.append(s)
     return found
 
 
@@ -391,17 +404,23 @@ def _spanning_polys(nbr, root: int, allowed: int, bits: int,
             # first and multiplied once
             acc = [0] * (inner + 1)
             start = nbr[root] & s
-            stack = [(rbit, start, s, start.bit_count())]
+            stack = [(rbit, start, s ^ rbit, start.bit_count())]
+            pop, push = stack.pop, stack.append
             while stack:
-                u, frontier, allow, t = stack.pop()
-                if frontier:
+                u, frontier, allow, t = pop()
+                while frontier:
                     low = frontier & -frontier
-                    stack.append((u, frontier ^ low, allow ^ low, t))
-                    nv = nbr[low.bit_length() - 1]
-                    t += (nv & s & ~u).bit_count()
+                    frontier ^= low
+                    allow ^= low
+                    if frontier:
+                        push((u, frontier, allow, t))
+                    else:  # a leaf short of ``low``, so U ⊊ S
+                        acc[t] += polys[u]
+                    nv = nbr[low.bit_length() - 1] & s
+                    t += (nv & ~u).bit_count()
                     u |= low
-                    stack.append((u, (frontier | nv) & allow & ~u, allow, t))
-                elif u != s:
+                    frontier = (frontier | nv) & allow
+                if u != s:
                     acc[t] += polys[u]
             poly = powers[inner]
             for t, summed in enumerate(acc):
@@ -438,29 +457,40 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
         # closed origin is a singleton cell whatever the others do
         add(weights[origin], powers[n - 1])
         # Every connected S ∋ o by the branching of _connected_sets, which
-        # carries S's sizes, the mask of S ∪ ∂S and the shift bits·|S| as
-        # it adds a vertex, so each S goes to its row as it is found.  Both
-        # branches on the lowest frontier vertex take it out of ``avail``,
-        # the vertices still free to join S.
+        # carries S's tally key as it adds a vertex: S's sizes and, below
+        # them, |S|; |S ∪ ∂S| joins the key at the leaf.  Both branches on
+        # the lowest frontier vertex take it out of ``avail``, the vertices
+        # still free to join S.  The leaves are counted per key, and each
+        # distinct key adds its count times x^|S|·(1+x)^(n−|S ∪ ∂S|) once.
+        field = n.bit_length()  # |S| and |S ∪ ∂S| are at most n
+        ones = (1 << field) - 1
+        steps = [(w << 2 * field) + (1 << field) for w in weights]
         obit = 1 << origin
-        get = rows.get
-        stack = [(nbr[origin], everything ^ obit, weights[origin],
-                  obit | nbr[origin], bits)]
+        tally: dict[int, int] = {}
+        get = tally.get
+        stack = [(nbr[origin], everything ^ obit, steps[origin],
+                  obit | nbr[origin])]
         pop, push = stack.pop, stack.append
         while stack:
-            frontier, avail, sizes, around, shift = pop()
+            frontier, avail, key, around = pop()
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
                 avail ^= low
-                push((frontier, avail, sizes, around, shift))
+                if frontier:
+                    push((frontier, avail, key, around))
+                else:  # the exclude branch is a leaf: S as it stands
+                    leaf = key | around.bit_count()
+                    tally[leaf] = get(leaf, 0) + 1
                 v = low.bit_length() - 1
                 frontier = (frontier | nbr[v]) & avail
-                sizes += weights[v]
+                key += steps[v]
                 around |= nbr[v]
-                shift += bits
-            rows[sizes] = get(sizes, 0) + (
-                powers[n - around.bit_count()] << shift)
+            key |= around.bit_count()
+            tally[key] = get(key, 0) + 1
+        for key, count in tally.items():
+            add(key >> 2 * field, count * (
+                powers[n - (key & ones)] << bits * (key >> field & ones)))
         return rows
 
     # the census of S packs its sizes and, above them, its degree sum
@@ -478,32 +508,25 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
             polys.update(rooted[0])
             extent.update(rooted[1])
         ystride = bits * (m + 1)
-        memo: dict[int, int] = {}
+        memo = {0: 1}
 
         def partition_poly(t: int) -> int:
-            """Z_T(x, y): the edge sets of G[T] by open edges and cells,
-            the product over the components of G[T]."""
-            z = 1
-            while t:
-                low = t & -t
-                if nbr[low.bit_length() - 1] & t:
-                    comp = _component(nbr, low, t)
-                    z *= connected_partition_poly(comp)
-                else:  # an isolated vertex: one cell, a factor y
-                    comp = low
-                    z <<= ystride
-                t ^= comp
-            return z
-
-        def connected_partition_poly(t: int) -> int:
-            """Z_T for a connected T, split by the cell U of T's lowest
-            vertex; memoized, so it is kept for connected sets only."""
+            """Z_T(x, y): the edge sets of G[T] by open edges and cells;
+            memoized for every T.  A connected T splits off the cell U of
+            its lowest vertex, any other T is the product over its
+            components."""
             z = memo.get(t)
             if z is None:
-                z = 0
-                for u in _connected_sets(nbr, (t & -t).bit_length() - 1, t):
-                    z += polys[u] * partition_poly(t ^ u)
-                z = memo[t] = z << ystride
+                low = t & -t
+                comp = _component(nbr, low, t)
+                if comp != t:
+                    z = partition_poly(comp) * partition_poly(t ^ comp)
+                else:
+                    z = 0
+                    for u in _connected_sets(nbr, low.bit_length() - 1, t):
+                        z += polys[u] * partition_poly(t ^ u)
+                    z <<= ystride
+                memo[t] = z
             return z
 
     obit = 1 << origin

@@ -754,6 +754,8 @@ def hypercube_inequality_report(
     Carlo mode every c-value at one p comes from one sampler pass.
     """
     started = time.perf_counter()
+    if mode not in ("exact", "mc"):
+        raise ScenarioFormatError(f"mode must be 'exact' or 'mc', got {mode!r}")
     p_grid = parse_p_grid(p_grid)
     if mode == "mc" and mc_n < 1:
         raise ScenarioFormatError(f"need n >= 1 Monte Carlo samples, got {mc_n}")

@@ -506,6 +506,12 @@ def _builtin_cases():
         # the 2^18-configuration tori are swept under their own law only
         for law in LAWS if g.n_edges <= 12 else (sc.law,):
             yield pytest.param(g, pair, law, id=f"{name}-{law.kind}")
+        if name == "bunkbed-cycle5":
+            # 15 edges, past the union-find oracles: the memo of Z_T over
+            # every T against the bitmask sweep
+            for q, tag in (("2", "rc2"), ("1/2", "rchalf")):
+                yield pytest.param(g, pair, random_cluster_law(q),
+                                   id=f"{name}-{tag}")
     for d in (1, 2, 3):
         g = hypercube_graph(d)
         for law in LAWS:
@@ -549,6 +555,15 @@ def test_site_rows_equal_the_per_set_loop(g):
         0, (make_pair(g, range(half), range(half, 2 * half), 0),),
         (g.n_vertices - 1,))
     sweep = enumerate_joint(g, observed, SITE)
+    assert sweep.rows == per_set_site_rows(g, 0, sweep.masks)
+
+
+def test_site_tally_fields_hold_clusters_of_more_than_255_vertices():
+    # |S| and |S ∪ ∂S| reach 300, so a tally field of one byte would carry
+    g = path_graph(300)
+    observed = Observables(
+        0, (make_pair(g, range(0, 300, 2), range(1, 300, 2), 0),), (299,))
+    sweep = enumerate_joint(g, observed, SITE, cap_bits=400)
     assert sweep.rows == per_set_site_rows(g, 0, sweep.masks)
 
 

@@ -182,6 +182,16 @@ def test_hypercube_cap():
         hypercube_inequality_report(4, ["1/2"])  # 32 edges over default cap
 
 
+def test_hypercube_refuses_an_unknown_mode_before_building(monkeypatch):
+    def unbuilt(d):
+        raise AssertionError("the cube was built before the mode was checked")
+
+    monkeypatch.setattr(graphs, "hypercube_graph", unbuilt)
+    with pytest.raises(ScenarioFormatError,
+                       match="mode must be 'exact' or 'mc', got 'bogus'"):
+        hypercube_inequality_report(2, ["1/2"], mode="bogus", mc_n=100)
+
+
 def test_hypercube_report_equals_the_fraction_oracle():
     d, grid = 3, (HALF, F(61, 89), F(2, 97), F(88, 89))
     report = hypercube_inequality_report(d, grid)
