@@ -59,6 +59,7 @@ from .scenarios import (
     discrete_derivative,
     group_theorem_battery,
     hypercube_inequality_report,
+    hypercube_scenario,
     layered_scenario,
     run_scenario,
     z2_scenario,

@@ -309,6 +309,15 @@ level_opt = click.option("--level", type=click.Choice(["0.95", "0.99"]),
                          default="0.95", help="confidence level")
 
 
+def _instance_options(fn):
+    """The options shared by the subcommands that construct their
+    scenario, in the order listed."""
+    for option in reversed((p_opt, mode_opt, cap_opt, n_opt, seed_opt,
+                            level_opt, threads_opt, json_opt, csv_opt)):
+        fn = option(fn)
+    return fn
+
+
 @click.group()
 def cli():
     """Verification lab for cluster-size comparison under symmetry.
@@ -399,36 +408,21 @@ def cmd_verify_group_theorem(group_name, trials, seed, json_path, csv_path):
 
 @cli.command("hypercube")
 @click.option("--d", "d", type=int, required=True)
-@p_opt
-@mode_opt
-@cap_opt
-@n_opt
-@seed_opt
-@level_opt
-@threads_opt
-@json_opt
-@csv_opt
+@_instance_options
 def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
                   json_path, csv_path):
     """Connection-probability inequalities on the d-dimensional hypercube."""
-    report = scenarios.hypercube_inequality_report(
-        d, _parse_p_list(p_list), mode, cap_bits, mc_n, seed, float(level),
-        threads)
+    sc = scenarios.hypercube_scenario(d, _parse_p_list(p_list), mode=mode,
+                                      cap_bits=cap_bits, mc_n=mc_n,
+                                      mc_seed=seed)
+    report = scenarios.hypercube_inequality_report(sc, threads, float(level))
     return finish(report, json_path, csv_path)
 
 
 @cli.command("z2")
 @click.option("--size", type=int, default=3,
               help="torus side length (>= 3)")
-@p_opt
-@mode_opt
-@cap_opt
-@n_opt
-@seed_opt
-@level_opt
-@threads_opt
-@json_opt
-@csv_opt
+@_instance_options
 def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
            json_path, csv_path):
     """Square-lattice connection relations realized on a torus."""
@@ -440,17 +434,9 @@ def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
 @cli.command("bunkbed")
 @click.option("--base", required=True,
               help="base graph, e.g. cycle:5 or a JSON spec")
-@p_opt
-@mode_opt
 @click.option("--law", "law_text", default="bond",
               help="bond | site | rc:Q")
-@cap_opt
-@n_opt
-@seed_opt
-@level_opt
-@threads_opt
-@json_opt
-@csv_opt
+@_instance_options
 def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
                 threads, json_path, csv_path):
     """Compare the two layers of base x edge."""
@@ -468,15 +454,7 @@ def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
 @click.option("--k", "k", type=int, required=True)
 @click.option("--period", type=int, default=None,
               help="residue period n (choices b and c)")
-@p_opt
-@mode_opt
-@cap_opt
-@n_opt
-@seed_opt
-@level_opt
-@threads_opt
-@json_opt
-@csv_opt
+@_instance_options
 def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
                 seed, level, threads, json_path, csv_path):
     """Residue-class layer comparison on the cylinder base x cycle(m)."""

@@ -627,16 +627,20 @@ def verify_double_counting(elements: Sequence[Perm], pair: FamilyPair,
     return hits_o * len(pair.a_minus), hits_o_prime * len(pair.a_plus)
 
 
+# The most vertices on each side of a sampled set pair.
+_FAMILY_SIDE_MAX = 4
+
+
 def random_family_pairs(v_plus: Sequence[int], v_minus: Sequence[int],
-                        trials: int, seed: int,
-                        max_size: int = 4) -> list[FamilyPair]:
-    """Reproducible sample of set pairs with sides of size <= max_size
-    (empty sides included, so the degenerate branch gets exercised)."""
+                        trials: int, seed: int) -> list[FamilyPair]:
+    """Reproducible sample of set pairs with sides of size <=
+    ``_FAMILY_SIDE_MAX`` (empty sides included, so the degenerate branch
+    gets exercised)."""
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
-        ka = rng.randint(0, min(max_size, len(v_plus)))
-        kb = rng.randint(0, min(max_size, len(v_minus)))
+        ka = rng.randint(0, min(_FAMILY_SIDE_MAX, len(v_plus)))
+        kb = rng.randint(0, min(_FAMILY_SIDE_MAX, len(v_minus)))
         out.append(FamilyPair(
             a_plus=frozenset(rng.sample(list(v_plus), ka)),
             a_minus=frozenset(rng.sample(list(v_minus), kb)),

@@ -1,10 +1,10 @@
 """Exact rational helpers shared by the engines and the CLI.
 
-Parameters are parsed into :class:`fractions.Fraction`, and the public
-functions of :mod:`symperc.exact` hand back Fractions.  The report path
-carries every exact value as an integer numerator over a positive
-denominator instead, and :func:`format_ratio` reduces it with one gcd as
-it is written; floats only appear in Monte Carlo summaries.  On the wire
+Parameters are parsed into :class:`fractions.Fraction`.  The public
+functions of :mod:`symperc.exact` hand back integer numerators over a
+positive denominator (an ``IntegerPmf``, or a count's numerator over
+``d^units`` at p = n/d), and :func:`format_ratio` reduces each with one gcd
+as it is written; floats only appear in Monte Carlo summaries.  On the wire
 (JSON reports, CSV, CLI flags) rationals are "num/den" strings.
 """
 

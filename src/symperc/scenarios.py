@@ -1,10 +1,11 @@
-"""Scenario pipeline: a scenario names a graph, the vertex sets compared on
-it and their symmetry generators.  ``run_scenario`` checks the symmetry
-conditions of every compared pair, makes one exact run that observes all
-of them (or one Monte Carlo pass per p) and evaluates the checks.  The
-bunkbed, layered and z2 harnesses are constructors of scenarios; the
-hypercube harness reads its connection probabilities and its instance pairs
-off one run as well.
+"""Scenario pipeline: a scenario names a graph, an origin and its
+relations, each a pair of vertex sets compared under its own symmetry
+generators.  ``bunkbed_scenario``, ``layered_scenario``, ``z2_scenario``
+and ``hypercube_scenario`` construct scenarios.  ``run_scenario`` and
+``hypercube_inequality_report`` check the symmetry conditions of each
+compared pair, make one exact run that observes all of them (or one Monte
+Carlo pass per p) and evaluate their checks on it: the pair comparisons,
+or the cube's connection-probability inequalities.
 
 Reports are plain JSON-ready dicts sharing one envelope.  A result has one
 shape in both modes: every exact quantity is a "num/den" string and every
@@ -59,7 +60,8 @@ def _sign_verdict(value) -> str:
 
 @dataclass(frozen=True)
 class Relation:
-    """A named pair compared on a scenario's graph under its own generators.
+    """A pair compared on a scenario's graph under its own generators; the
+    one relation of a scenario document is unnamed.
 
     Exact result rows also report the connection probabilities of the
     targets ``c_far`` and ``c_near`` and the slack 1 + c_far - 2 c_near.
@@ -76,21 +78,16 @@ class Relation:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One graph and origin with the pairs compared on it.
+    """One graph and origin with the relations compared on it.
 
-    A scenario document compares ``v_plus`` with ``v_minus`` under
-    ``generators``; a constructor may list ``relations`` instead, each a
-    pair with its own generators.  ``kind`` names the report and ``echo``
-    fills its scenario block, to which the p-grid is added (a document
-    echoes its own fields).
+    A scenario document holds one unnamed relation; a constructor may name
+    several.  ``kind`` names the report and ``echo`` fills its scenario
+    block, to which the p-grid is added (a document echoes its own fields).
     """
 
     name: str
     graph_spec: dict
-    v_plus: tuple
-    v_minus: tuple
-    origin: object
-    generators: tuple
+    origin: object = 0
     law: PartitionLaw = BOND
     p_grid: tuple[Fraction, ...] = (Fraction(1, 2),)
     mode: str = "exact"
@@ -113,18 +110,18 @@ class Scenario:
             raise ScenarioFormatError(
                 f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
         if self.mode == "mc":
-            _check_size(self.graph_spec, mode="mc")
+            _check_size(self)
 
 
-def _check_size(spec, law: PartitionLaw = BOND, mode: str = "exact",
-                cap_bits: int = exact.DEFAULT_CAP_BITS, **_) -> None:
+def _check_size(sc: Scenario) -> None:
     """Refuse, before it is built, a graph too large for the run: past the
     sampler's limit in Monte Carlo mode, past the enumeration cap in exact
     mode, where the units are the vertices under the site law and the
-    edges otherwise.  A constructor passes its settings as they are."""
-    vertices, edges = graphs.spec_size(spec)
-    if mode != "mc":
-        exact.check_cap(vertices if law.kind == "site" else edges, cap_bits)
+    edges otherwise."""
+    vertices, edges = graphs.spec_size(sc.graph_spec)
+    if sc.mode != "mc":
+        exact.check_cap(vertices if sc.law.kind == "site" else edges,
+                        sc.cap_bits)
     elif vertices + edges > (limit := mc.max_graph_size()):
         raise ScenarioError(
             f"Monte Carlo graph has {vertices} vertices and {edges} edges; "
@@ -162,13 +159,12 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, Mapping):
         raise ScenarioFormatError(f"mc must be an object, got {mc_doc!r}")
+    relation = Relation("", "", v_plus, v_minus, _parsed(
+        "generators", tuple, doc.get("generators", [])))
     return Scenario(
         name=doc.get("name", name),
         graph_spec=graph_spec,
-        v_plus=v_plus,
-        v_minus=v_minus,
         origin=origin,
-        generators=_parsed("generators", tuple, doc.get("generators", [])),
         law=_parsed("law", parse_law, doc.get("law", "bond")),
         p_grid=parse_p_grid(doc.get("p_grid", ["1/2"])),
         mode=doc.get("mode", "exact"),
@@ -176,6 +172,7 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         mc_seed=_parsed("mc seed", int, mc_doc.get("seed", 0)),
         cap_bits=_parsed("cap_bits", int,
                          doc.get("cap_bits", exact.DEFAULT_CAP_BITS)),
+        relations=(relation,),
     )
 
 
@@ -194,8 +191,7 @@ def _parsed_pairs(sc: Scenario, g: Graph):
     """(relation, pair, generators) for each pair the scenario compares."""
     origin = resolve_vertex(g, sc.origin)
     parsed = []
-    for rel in sc.relations or (
-            Relation("", "", sc.v_plus, sc.v_minus, sc.generators),):
+    for rel in sc.relations:
         pair = groups.make_pair(
             g,
             [resolve_vertex(g, v) for v in rel.v_plus],
@@ -334,33 +330,26 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     live = [(rel, pair) for rel, pair, conditions in compared
             if conditions.ok or not require_conditions]
     if live:
-        targets = tuple(resolve_vertex(g, t) for rel, _ in live
-                        for t in (rel.c_far, rel.c_near) if t is not None)
-        observed = exact.Observables(live[0][1].origin,
-                                     tuple(pair for _, pair in live), targets)
-        if sc.mode == "exact":
-            sweep = exact.enumerate_joint(g, observed, sc.law,
-                                          cap_bits=sc.cap_bits)
-        else:
-            sampled = [mc.estimate_joint(g, observed, p, sc.mc_n, sc.mc_seed,
-                                         threads=threads)
-                       for p in sc.p_grid]
+        observed = _observe(
+            sc, g, [pair for _, pair in live],
+            [resolve_vertex(g, t) for rel, _ in live
+             for t in (rel.c_far, rel.c_near) if t is not None], threads)
     blocks = []
     for rel, pair, conditions in compared:
         block = {"conditions": conditions.to_json_dict()}
         if require_conditions and not conditions.ok:
             block.update(results=[], verdict=PRECONDITION_FAILED)
         elif sc.mode == "exact":
-            poly = sweep.joint(pair)
+            poly = observed.joint(pair)
             results, verdict = exact_p_results(poly, sc.p_grid, conditions.ok)
             if rel.c_far is not None:
-                _add_relation_slack(results, sc.p_grid, sweep, g, rel)
+                _add_relation_slack(results, sc.p_grid, observed, g, rel)
             block.update(theorem_instance=conditions.ok, results=results,
                          verdict=verdict, config_count=poly.total_configs(),
                          polynomial=poly.to_json_dict())
         else:
             results, verdict = mc_p_results(
-                [sweep.joint(pair) for sweep in sampled], sc.p_grid, level)
+                [sweep.joint(pair) for sweep in observed], sc.p_grid, level)
             block.update(theorem_instance=conditions.ok, results=results,
                          verdict=verdict)
         blocks.append(block)
@@ -369,18 +358,37 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     extra = {"law": sc.law.to_json_dict()}
     if sc.mode == "mc":
         extra["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed, "level": level}
-    echo = scenario_echo(sc) if sc.echo is None else {
-        **sc.echo, "p_grid": [format_fraction(p) for p in sc.p_grid]}
-    if sc.relations:
+    if len(compared) == 1 and not compared[0][0].name:
+        del blocks[0]["verdict"]
+        extra.update(blocks[0])
+    else:
         extra["relations"] = [
             {"name": rel.name, "statement": rel.statement,
              "v_plus": list(rel.v_plus), "v_minus": list(rel.v_minus),
              **block}
             for (rel, _, _), block in zip(compared, blocks)]
-    else:
-        del blocks[0]["verdict"]
-        extra.update(blocks[0])
-    return _envelope(sc.kind, echo, sc.mode, verdict, started, **extra)
+    return _envelope(sc.kind, _echo(sc), sc.mode, verdict, started, **extra)
+
+
+def _observe(sc: Scenario, g: Graph, pairs, targets, threads: int):
+    """What one exact run (a ``ClusterSweep``), or one sampler pass per p (a
+    list of ``EmpiricalSweep``), observes of the origin's cluster: the sets
+    of ``pairs`` and the connection to each of ``targets``."""
+    observed = exact.Observables(resolve_vertex(g, sc.origin), tuple(pairs),
+                                 tuple(targets))
+    if sc.mode == "exact":
+        return exact.enumerate_joint(g, observed, sc.law, cap_bits=sc.cap_bits)
+    return [mc.estimate_joint(g, observed, p, sc.mc_n, sc.mc_seed,
+                              threads=threads)
+            for p in sc.p_grid]
+
+
+def _echo(sc: Scenario) -> dict:
+    """The report's scenario block: a constructor's echo with the p-grid,
+    or else the scenario's own fields."""
+    if sc.echo is None:
+        return scenario_echo(sc)
+    return {**sc.echo, "p_grid": [format_fraction(p) for p in sc.p_grid]}
 
 
 def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
@@ -398,13 +406,15 @@ def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
 
 
 def scenario_echo(sc: Scenario) -> dict:
+    """The fields of a single-relation scenario, as its document has them."""
+    rel, = sc.relations
     return {
         "name": sc.name,
         "graph": sc.graph_spec,
-        "v_plus": list(sc.v_plus),
-        "v_minus": list(sc.v_minus),
+        "v_plus": list(rel.v_plus),
+        "v_minus": list(rel.v_minus),
         "origin": sc.origin,
-        "generators": list(sc.generators),
+        "generators": list(rel.generators),
         "law": sc.law.to_json_dict(),
         "p_grid": [format_fraction(p) for p in sc.p_grid],
         "mode": sc.mode,
@@ -508,35 +518,35 @@ def _lifted_base_perms(base_spec: Mapping, base: Graph) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# scenario constructors: bunkbed, layered, z2
+# scenario constructors: bunkbed, layered, z2, hypercube
 
 
-# Each constructor takes the p-grid and passes ``settings`` (mode, mc_n,
-# mc_seed, cap_bits) on to the Scenario.
+# Each constructor builds its Scenario from the p-grid and ``settings``
+# (mode, mc_n, mc_seed, cap_bits) first, so that the Scenario checks them.
+# Then it checks the graph's size from its spec, and only then builds the
+# base and fills in the origin and the relations.
 
 
 def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
                      law="bond", **settings) -> Scenario:
     """Two stacked copies of the base: compare the origin's layer with the
     other layer under the lifted base symmetries and the layer swap."""
-    law = _parsed("law", parse_law, law)
-    _check_size({"builder": "bunkbed", "base": base_spec}, law, **settings)
-    base = _parsed("base graph", build_graph, base_spec)
-    return Scenario(
+    sc = Scenario(
         name="bunkbed",
-        graph_spec={"builder": "bunkbed", "base": dict(base_spec)},
-        v_plus=_layer_labels(base, [0]),
-        v_minus=_layer_labels(base, [1]),
-        origin=[*base.labels[0], 0],
-        generators=tuple(_lifted_base_perms(base_spec, base)
-                         + [{"name": "layer_swap"}]),
-        law=law,
+        graph_spec={"builder": "bunkbed", "base": base_spec},
+        law=_parsed("law", parse_law, law),
         p_grid=parse_p_grid(p_grid),
         kind="bunkbed",
-        echo={"name": "bunkbed", "base": dict(base_spec),
+        echo={"name": "bunkbed", "base": base_spec,
               "v_plus": "base x {0}", "v_minus": "base x {1}", "origin": 0},
         **settings,
     )
+    _check_size(sc)
+    base = _parsed("base graph", build_graph, base_spec)
+    gens = _lifted_base_perms(base_spec, base) + [{"name": "layer_swap"}]
+    return replace(sc, origin=[*base.labels[0], 0], relations=(Relation(
+        "", "", _layer_labels(base, [0]), _layer_labels(base, [1]),
+        tuple(gens)),))
 
 
 def _layer_labels(base: Graph, layers: Sequence[int]) -> tuple:
@@ -586,8 +596,16 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     Rotations by the pattern period and the reflection through k/2 provide
     the symmetries on the cycle coordinate.
     """
-    _check_size({"builder": "cylinder", "base": base_spec, "m": m},
-                **settings)
+    sc = Scenario(
+        name="layered",
+        graph_spec={"builder": "cylinder", "base": base_spec, "m": m},
+        p_grid=parse_p_grid(p_grid),
+        kind="layered",
+        echo={"name": "layered", "base": base_spec, "m": m,
+              "choice": choice, "k": k, "period": period},
+        **settings,
+    )
+    _check_size(sc)
     base = _parsed("base graph", build_graph, base_spec)
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
     axis = len(base.labels[0])  # the cycle coordinate of the cylinder
@@ -595,20 +613,12 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     if choice in ("b", "c"):
         gens.append({"name": "axis_rotation", "axis": axis, "step": period})
     gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
-    return Scenario(
-        name="layered",
-        graph_spec={"builder": "cylinder", "base": dict(base_spec), "m": m},
-        v_plus=_layer_labels(base, plus_layers),
-        v_minus=_layer_labels(base, minus_layers),
-        origin=[*base.labels[0], 0],
-        generators=tuple(gens),
-        p_grid=parse_p_grid(p_grid),
-        kind="layered",
-        echo={"name": "layered", "base": dict(base_spec), "m": m,
-              "choice": choice, "k": k, "period": period,
-              "plus_layers": plus_layers, "minus_layers": minus_layers},
-        **settings,
-    )
+    return replace(
+        sc, origin=[*base.labels[0], 0],
+        echo={**sc.echo, "plus_layers": plus_layers,
+              "minus_layers": minus_layers},
+        relations=(Relation("", "", _layer_labels(base, plus_layers),
+                            _layer_labels(base, minus_layers), tuple(gens)),))
 
 
 def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
@@ -616,8 +626,19 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
     """Connection-probability relations of the square lattice, realized on
     the size x size torus.  Results are torus statements; growing the torus
     provides evidence toward, not proof of, the planar statement."""
+    sc = Scenario(
+        name="z2-on-torus",
+        graph_spec={"builder": "torus", "n": size, "m": size},
+        origin=[0, 0],
+        p_grid=parse_p_grid(p_grid),
+        kind="z2",
+        echo={"name": "z2-on-torus", "size": size, "note":
+              "finite-torus instance; planar claims are not implied"},
+        **settings,
+    )
     if size < 3:
         raise ScenarioError(f"torus size must be >= 3, got {size}")
+    _check_size(sc)
     diag = {"name": "swap_axes", "a": 0, "b": 1}
     # reflection across the diagonal through (1, 0): (x, y) -> (y + 1, x - 1)
     diag_shifted = {"name": "compose", "of": [
@@ -625,7 +646,7 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
         {"name": "axis_rotation", "axis": 1, "step": -1},
         diag,
     ]}
-    relations = (
+    return replace(sc, relations=(
         Relation("relation-1", "1 + c(1,1) >= 2 c(1,0)",
                  v_plus=([0, 0], [1, 1]), v_minus=([1, 0], [0, 1]),
                  generators=(diag, {"name": "axis_reflection", "axis": 0,
@@ -636,24 +657,30 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
                  generators=({"name": "axis_reflection", "axis": 0,
                               "center2": 2}, diag_shifted),
                  c_far=[2, 0], c_near=[1, 1]),
-    )
+    ))
+
+
+def hypercube_scenario(d: int, p_grid: Sequence = ("1/2",),
+                       **settings) -> Scenario:
+    """The d-cube, with the origin at vertex 0.  In exact mode its relations
+    are the instance pairs of the inequalities, one per entry of
+    ``_hypercube_walk``; the Monte Carlo report reads only the connection
+    probabilities."""
     sc = Scenario(
-        name="z2-on-torus",
-        graph_spec={"builder": "torus", "n": size, "m": size},
-        v_plus=(),
-        v_minus=(),
-        origin=[0, 0],
-        generators=(),
+        name="hypercube",
+        graph_spec={"builder": "hypercube", "d": d},
         p_grid=parse_p_grid(p_grid),
-        kind="z2",
-        echo={"name": "z2-on-torus", "size": size, "note":
-              "finite-torus instance; planar claims are not implied"},
-        relations=relations,
+        kind="hypercube",
+        echo={"name": "hypercube", "d": d},
         **settings,
     )
-    if sc.mode == "exact":
-        _check_size(sc.graph_spec, sc.law, cap_bits=sc.cap_bits)
-    return sc
+    _check_size(sc)
+    if sc.mode == "mc":
+        return sc
+    g = _parsed("graph", build_graph, sc.graph_spec)
+    return replace(sc, relations=tuple(
+        _hypercube_relation(g, k, l, construction)
+        for k, l, construction in _hypercube_walk(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -686,92 +713,71 @@ def discrete_derivative(values: Sequence, k: int, l: int):
     return total
 
 
-def _hypercube_parity_sets(g: Graph, d: int, k: int, l: int):
-    """The three set constructions behind the inequalities for one (k, l).
-
-    Returns (construction name, v_plus, v_minus, generators) triples; the
-    expectation gap of each equals a signed combination of c-values, which
-    the report cross-checks exactly.
-    """
-    def parity(label, upto):
-        return sum(label[:upto]) % 2
-
-    out = []
-    sub = [v for v in range(g.n_vertices)
-           if all(c == 0 for c in g.labels[v][k + l:])]
-    v_plus = [v for v in sub if parity(g.labels[v], k) == 0]
-    v_minus = [v for v in sub if parity(g.labels[v], k) == 1]
-    gens = [groups.axis_reflection(g, axis=i, center2=1)
-            for i in range(k + l)]
-    out.append(("double_sum", v_plus, v_minus, gens))
-
-    if l >= 1:
-        zero_block = [v for v in range(g.n_vertices)
-                      if all(c == 0 for c in g.labels[v][k:])]
-        one_block = [v for v in range(g.n_vertices)
-                     if all(c == 1 for c in g.labels[v][k:k + l])
-                     and all(c == 0 for c in g.labels[v][k + l:])]
-
-        def block_flip(lab):
-            return tuple(
-                1 - c if k <= i < k + l else c for i, c in enumerate(lab))
-
-        flip = groups.perm_from_label_map(g, block_flip)
-        gens_b = [groups.axis_reflection(g, axis=i, center2=1)
-                  for i in range(k)] + [flip]
-        even0 = [v for v in zero_block if parity(g.labels[v], k) == 0]
-        odd0 = [v for v in zero_block if parity(g.labels[v], k) == 1]
-        even1 = [v for v in one_block if parity(g.labels[v], k) == 0]
-        odd1 = [v for v in one_block if parity(g.labels[v], k) == 1]
-        out.append(("alternating_block", even0 + odd1, odd0 + even1, gens_b))
-        out.append(("aligned_block", even0 + even1, odd0 + odd1, gens_b))
-    return out
+_CONSTRUCTIONS = ("double_sum", "alternating_block", "aligned_block")
 
 
-def _hypercube_instances(g: Graph, d: int):
-    """(k, l, construction, pair, generators) for every instance."""
-    return [(k, l, name, groups.make_pair(g, v_plus, v_minus, origin=0), gens)
-            for k in range(1, d + 1) for l in range(d - k + 1)
-            for name, v_plus, v_minus, gens in _hypercube_parity_sets(g, d, k, l)]
+def _hypercube_walk(d: int) -> list[tuple[int, int, str]]:
+    """(k, l, construction) of every instance on the d-cube, in the order of
+    the scenario's relations and of the report; the two block constructions
+    need l >= 1."""
+    return [(k, l, name) for k in range(1, d + 1) for l in range(d - k + 1)
+            for name in _CONSTRUCTIONS[:3 if l else 1]]
 
 
-def hypercube_inequality_report(
-    d: int,
-    p_grid: Sequence = ("1/2",),
-    mode: str = "exact",
-    cap_bits: int = exact.DEFAULT_CAP_BITS,
-    mc_n: int = 100_000,
-    mc_seed: int = 0,
-    level: float = 0.95,
-    threads: int = 1,
-) -> dict:
-    """All inequality families on the d-cube for every k + l <= d.
+def _hypercube_relation(g: Graph, k: int, l: int,
+                        construction: str) -> Relation:
+    """The set pair behind one inequality at (k, l): its expectation gap
+    equals ``_c_value_gap(construction, k, l, c)``, which the report
+    cross-checks exactly."""
+    def by_parity(vertices):
+        """(even, odd) by the parity of the first k coordinates."""
+        return tuple([v for v in vertices if sum(g.labels[v][:k]) % 2 == odd]
+                     for odd in (0, 1))
 
-    Exact mode also rebuilds each inequality as an expectation gap of an
-    explicit symmetric set pair and checks that the gap equals the c-value
-    combination exactly (and that the symmetry conditions hold for it).
-    The c-values and every instance pair come from one sweep; in Monte
-    Carlo mode every c-value at one p comes from one sampler pass.
+    # the vertices that are 0 past coordinate k + l
+    sub = [v for v, lab in enumerate(g.labels) if not any(lab[k + l:])]
+    if construction == "double_sum":
+        v_plus, v_minus = by_parity(sub)
+        return Relation(construction, "", tuple(v_plus), tuple(v_minus), tuple(
+            groups.axis_reflection(g, axis=i, center2=1)
+            for i in range(k + l)))
+
+    even0, odd0 = by_parity([v for v in sub if not any(g.labels[v][k:])])
+    even1, odd1 = by_parity([v for v in sub if all(g.labels[v][k:k + l])])
+    if construction == "alternating_block":
+        v_plus, v_minus = even0 + odd1, odd0 + even1
+    else:
+        v_plus, v_minus = even0 + even1, odd0 + odd1
+
+    def block_flip(lab):
+        return tuple(1 - c if k <= i < k + l else c for i, c in enumerate(lab))
+
+    gens = [groups.axis_reflection(g, axis=i, center2=1) for i in range(k)]
+    gens.append(groups.perm_from_label_map(g, block_flip))
+    return Relation(construction, "", tuple(v_plus), tuple(v_minus),
+                    tuple(gens))
+
+
+def hypercube_inequality_report(sc: Scenario, threads: int = 1,
+                                level: float = 0.95) -> dict:
+    """All inequality families on the d-cube of a ``hypercube_scenario``,
+    for every k + l <= d.
+
+    Exact mode also checks each inequality as the expectation gap of its
+    instance pair: the gap must equal the c-value combination exactly, and
+    the pair must meet the symmetry conditions.  The c-values and every
+    instance pair come from one exact run; in Monte Carlo mode every c-value
+    at one p comes from one sampler pass.
     """
     started = time.perf_counter()
-    if mode not in ("exact", "mc"):
-        raise ScenarioFormatError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    p_grid = parse_p_grid(p_grid)
-    if mode == "mc" and mc_n < 1:
-        raise ScenarioFormatError(f"need n >= 1 Monte Carlo samples, got {mc_n}")
-    echo = {"name": "hypercube", "d": d,
-            "p_grid": [format_fraction(p) for p in p_grid]}
-    _check_size({"builder": "hypercube", "d": d}, BOND, mode, cap_bits)
-    g = graphs.hypercube_graph(d)
-    results = []
+    g = _parsed("graph", build_graph, sc.graph_spec)
+    d = sc.graph_spec["d"]
+    compared = _compared_pairs(sc, g, sweeps=sc.mode == "exact")
     verdicts = []
     extra = {}
-    if mode == "exact":
-        instances = _hypercube_instances(g, d)
-        sweep = exact.enumerate_joint(
-            g, exact.Observables(0, tuple(inst[3] for inst in instances),
-                                 tuple(range(g.n_vertices))),
-            BOND, cap_bits=cap_bits)
+    if sc.mode == "exact":
+        sweep = _observe(sc, g, [pair for _, pair, _ in compared],
+                         range(g.n_vertices), threads)
         # coordinate permutations fix the origin, so every vertex at one
         # distance must have the same connection counts
         by_distance: dict[int, list] = {}
@@ -782,27 +788,22 @@ def hypercube_inequality_report(
         extra["invariance"] = invariance
         if not invariance:
             verdicts.append(VIOLATION)
-        polys = []  # the symmetry checks wait for the sweep's cap check
-        for k, l, name, pair, gens in instances:
-            chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
-            conditions = groups.check_symmetry_conditions(g, chain, pair)
-            polys.append((k, l, name, conditions, sweep.joint(pair)))
-        for p in p_grid:
-            c = [exact.count_numerator(by_distance[i][0], g.n_edges, p)
-                 for i in range(d + 1)]
-            results.append(_exact_hypercube_entry(
-                d, p, c, p.denominator ** g.n_edges, polys))
+        polys = [(k, l, name, conditions, sweep.joint(pair))
+                 for (k, l, name), (_, pair, conditions)
+                 in zip(_hypercube_walk(d), compared, strict=True)]
+        results = [_exact_hypercube_entry(
+            d, p, [exact.count_numerator(by_distance[i][0], g.n_edges, p)
+                   for i in range(d + 1)],
+            p.denominator ** g.n_edges, polys) for p in sc.p_grid]
     else:
-        extra["mc"] = {"n": mc_n, "seed": mc_seed, "level": level}
+        extra["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed, "level": level}
         reps = tuple(g.index_of((1,) * i + (0,) * (d - i))
                      for i in range(d + 1))
-        observed = exact.Observables(0, targets=reps)
-        for p in p_grid:
-            sweep = mc.estimate_joint(g, observed, p, mc_n, mc_seed,
-                                      threads=threads)
-            results.append(_mc_hypercube_entry(d, p, sweep, reps, level))
+        results = [_mc_hypercube_entry(d, p, sweep, reps, level)
+                   for p, sweep in zip(sc.p_grid,
+                                       _observe(sc, g, (), reps, threads))]
     verdicts += [entry["verdict"] for entry in results]
-    return _envelope("hypercube", echo, mode, worst_verdict(verdicts),
+    return _envelope(sc.kind, _echo(sc), sc.mode, worst_verdict(verdicts),
                      started, results=results, **extra)
 
 
@@ -1009,8 +1010,8 @@ def group_theorem_battery(name: str, trials: int = 100, seed: int = 0) -> dict:
 def _relation_scenario(sc: Scenario, index: int) -> Scenario:
     """One relation of a constructed scenario as a single-pair scenario."""
     rel = sc.relations[index]
-    return replace(sc, v_plus=rel.v_plus, v_minus=rel.v_minus,
-                   generators=rel.generators, relations=())
+    return replace(sc, relations=(
+        Relation("", "", rel.v_plus, rel.v_minus, rel.generators),))
 
 
 _THIRDS = ("1/3", "1/2")

@@ -69,7 +69,8 @@ def test_criterion_1_bunkbed_exactness():
 
 def test_criterion_2_hypercube_inequalities():
     started = time.perf_counter()
-    report = scenarios.hypercube_inequality_report(3, GRID3, mode="exact")
+    report = scenarios.hypercube_inequality_report(
+        scenarios.hypercube_scenario(3, GRID3, mode="exact"))
     elapsed = time.perf_counter() - started
     ok = report["verdict"] == "pass" and report["invariance"] is True
     for entry in report["results"]:
@@ -192,8 +193,10 @@ def test_criterion_8_property_suites():
         from symperc.graphs import build_graph
 
         g = build_graph(sc.graph_spec)
-        pair = make_pair(g, [scenarios.resolve_vertex(g, v) for v in sc.v_plus],
-                         [scenarios.resolve_vertex(g, v) for v in sc.v_minus],
+        rel = sc.relations[0]
+        pair = make_pair(g,
+                         [scenarios.resolve_vertex(g, v) for v in rel.v_plus],
+                         [scenarios.resolve_vertex(g, v) for v in rel.v_minus],
                          scenarios.resolve_vertex(g, sc.origin))
         poly = pair_joint(enumerate_joint, g, pair, sc.law,
                           cap_bits=sc.cap_bits)

@@ -90,9 +90,11 @@ def _shape_reports() -> dict:
         "z2": scenarios.run_scenario(scenarios.z2_scenario(3, ["1/2"]),
                                      require_conditions=True),
         "verify-identity": scenarios.verify_identity_report(bunkbed),
-        "hypercube": scenarios.hypercube_inequality_report(2, ["1/3", "1/2"]),
+        "hypercube": scenarios.hypercube_inequality_report(
+            scenarios.hypercube_scenario(2, ["1/3", "1/2"])),
         **{f"hypercube-mc-n{n}": scenarios.hypercube_inequality_report(
-            2, ["1/2"], mode="mc", mc_n=n) for n in (1, 300)},
+            scenarios.hypercube_scenario(2, ["1/2"], mode="mc", mc_n=n))
+           for n in (1, 300)},
         "group-battery": scenarios.group_theorem_battery("d4-on-c4", 20, 3),
         "check-symmetry": scenarios.check_symmetry_report(bunkbed),
     }
@@ -212,6 +214,64 @@ def test_cap_checked_before_the_graph_is_built(argv, units, monkeypatch,
     assert capsys.readouterr().err == (
         f"precondition failure: enumeration needs 2^{units} "
         "configurations, cap is 2^26\n")
+
+
+_BAD_P = "bad p '0': probability must lie strictly between 0 and 1, got 0"
+_BAD_N = "need n >= 1 Monte Carlo samples, got 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["bunkbed", "--base", "cycle:200", "--p", "0"], _BAD_P,
+                 id="bunkbed-p"),
+    pytest.param(["layered", "--base", "cycle:20", "--m", "40", "--choice",
+                  "b", "--k", "1", "--period", "2", "--p", "0"], _BAD_P,
+                 id="layered-p"),
+    pytest.param(["bunkbed", "--base", "hypercube:40", "--mode", "mc", "--n",
+                  "0"], _BAD_N, id="bunkbed-n"),
+    pytest.param(["z2", "--size", "40", "--p", "0"], _BAD_P, id="z2-p"),
+    pytest.param(["hypercube", "--d", "40", "--mode", "mc", "--n", "0"],
+                 _BAD_N, id="hypercube-n"),
+])
+def test_bad_flag_reported_before_the_graph_size(argv, message, monkeypatch,
+                                                 capsys):
+    # every instance subcommand checks its flags before the size of its
+    # graph, and builds no graph for a run it refuses
+    built = []
+    for name in ("hypercube_graph", "torus_graph"):
+        monkeypatch.setattr(graphs, name,
+                            lambda *args, name=name: built.append(name))
+    monkeypatch.setattr(scenarios, "build_graph",
+                        lambda *args: built.append("build_graph"))
+    assert main(argv) == 4
+    assert built == []
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
+# The flags of each subcommand; a change to the shared option list must not
+# add or lose one.
+_FLAGS = {"--csv", "--json", "--p", "--threads"}
+_INSTANCE_FLAGS = _FLAGS | {"--cap", "--level", "--mode", "--n", "--seed"}
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("bunkbed", _INSTANCE_FLAGS | {"--base", "--law"}),
+    ("check-symmetry", {"--json", "--scenario"}),
+    ("enumerate", _FLAGS | {"--cap", "--scenario"}),
+    ("hypercube", _INSTANCE_FLAGS | {"--d"}),
+    ("layered", _INSTANCE_FLAGS | {"--base", "--choice", "--k", "--m",
+                                   "--period"}),
+    ("mc", _FLAGS | {"--level", "--n", "--scenario", "--seed"}),
+    ("verify-group-theorem", {"--csv", "--group", "--json", "--seed",
+                              "--trials"}),
+    ("verify-identity", _FLAGS | {"--cap", "--scenario"}),
+    ("z2", _INSTANCE_FLAGS | {"--size"}),
+])
+def test_subcommand_flags(name, flags):
+    from symperc.cli import cli
+
+    params = cli.commands[name].params
+    assert sorted(opt for param in params for opt in param.opts) == sorted(
+        flags)
 
 
 @pytest.mark.parametrize("argv, units", [

@@ -499,9 +499,10 @@ def _builtin_cases():
     for name, doc in sorted(scenarios.builtin_scenarios().items()):
         sc = scenarios.parse_scenario(doc, name)
         g = build_graph(sc.graph_spec)
+        rel = sc.relations[0]
         pair = make_pair(
-            g, [scenarios.resolve_vertex(g, v) for v in sc.v_plus],
-            [scenarios.resolve_vertex(g, v) for v in sc.v_minus],
+            g, [scenarios.resolve_vertex(g, v) for v in rel.v_plus],
+            [scenarios.resolve_vertex(g, v) for v in rel.v_minus],
             scenarios.resolve_vertex(g, sc.origin))
         # the 2^18-configuration tori are swept under their own law only
         for law in LAWS if g.n_edges <= 12 else (sc.law,):

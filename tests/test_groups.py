@@ -342,10 +342,12 @@ def _constructor_cases():
                              f"{rel.name}")
                 for rel, pair, gens in scenarios._parsed_pairs(sc, g)]
     for d in range(1, 5):
+        sc = scenarios.hypercube_scenario(d, cap_bits=32)
         g = hypercube_graph(d)
         out += [pytest.param(g, gens, pair, id=f"hypercube:{d}:{k}{l}{name}")
-                for k, l, name, pair, gens
-                in scenarios._hypercube_instances(g, d)]
+                for (k, l, name), (_, pair, gens)
+                in zip(scenarios._hypercube_walk(d),
+                       scenarios._parsed_pairs(sc, g), strict=True)]
     return out
 
 

@@ -76,7 +76,8 @@ def test_single_vertex_graph_degenerate_enumeration():
 
 
 def test_hypercube_report_d1():
-    rep = scenarios.hypercube_inequality_report(1, ["1/3"], mode="exact")
+    rep = scenarios.hypercube_inequality_report(
+        scenarios.hypercube_scenario(1, ["1/3"], mode="exact"))
     assert rep["verdict"] == "pass"
     entry = rep["results"][0]
     assert entry["c_values"] == ["1", "1/3"]

@@ -23,6 +23,7 @@ from symperc.scenarios import (
     discrete_derivative,
     group_theorem_battery,
     hypercube_inequality_report,
+    hypercube_scenario,
     layered_scenario,
     load_scenario,
     parse_scenario,
@@ -55,7 +56,7 @@ def instance_report(sc):
 
 def hypercube_c_values(d, p):
     """c_0..c_d as the exact hypercube report gives them."""
-    rep = hypercube_inequality_report(d, [p])
+    rep = hypercube_inequality_report(hypercube_scenario(d, [p]))
     assert rep["invariance"] is True
     return tuple(F(c) for c in rep["results"][0]["c_values"])
 
@@ -93,7 +94,8 @@ def test_discrete_derivative_examples():
 
 
 def test_hypercube_report_d3_exact():
-    rep = hypercube_inequality_report(3, ["1/4", "1/2", "3/4"])
+    rep = hypercube_inequality_report(
+        hypercube_scenario(3, ["1/4", "1/2", "3/4"]))
     assert rep["verdict"] == PASS
     assert rep["invariance"] is True
     for entry in rep["results"]:
@@ -112,7 +114,8 @@ def test_hypercube_report_d3_exact():
 
 
 def test_hypercube_report_monotone_c_values():
-    rep = hypercube_inequality_report(3, ["1/10", "1/2", "9/10"])
+    rep = hypercube_inequality_report(
+        hypercube_scenario(3, ["1/10", "1/2", "9/10"]))
     grids = [[F(x) for x in entry["c_values"]] for entry in rep["results"]]
     for i in range(4):
         series = [row[i] for row in grids]
@@ -120,8 +123,8 @@ def test_hypercube_report_monotone_c_values():
 
 
 def test_hypercube_mc_mode_consistent():
-    rep = hypercube_inequality_report(2, ["1/2"], mode="mc", mc_n=20_000,
-                                      mc_seed=3)
+    rep = hypercube_inequality_report(
+        hypercube_scenario(2, ["1/2"], mode="mc", mc_n=20_000, mc_seed=3))
     assert rep["verdict"] in (PASS,)
     entry = rep["results"][0]
     exact_c = hypercube_c_values(2, HALF)
@@ -134,8 +137,8 @@ def test_hypercube_mc_stderr_accounts_for_coupling():
     # every c_i comes from the same samples, so a row's standard error is
     # that of its combination of one sample's connection indicators
     d, n, seed = 3, 2000, 5
-    rep = hypercube_inequality_report(d, ["1/2"], mode="mc", mc_n=n,
-                                      mc_seed=seed)
+    rep = hypercube_inequality_report(
+        hypercube_scenario(d, ["1/2"], mode="mc", mc_n=n, mc_seed=seed))
     g = hypercube_graph(d)
     reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
     hits = []
@@ -160,14 +163,15 @@ def test_hypercube_mc_stderr_accounts_for_coupling():
 def test_hypercube_mc_rows_cover_the_exact_values():
     # each row's 95% interval estimate +/- z stderr must cover the exact
     # d=3 value in at least 85% of 40 independent seeds
-    exact_rows = hypercube_inequality_report(3, ["1/2"])["results"][0]["rows"]
+    exact_rows = hypercube_inequality_report(
+        hypercube_scenario(3, ["1/2"]))["results"][0]["rows"]
     truth = [float(F(row["double_sum"])) for row in exact_rows]
     z = statistics.NormalDist().inv_cdf(0.975)
     covered = [0] * len(truth)
     seeds = range(40)
     for seed in seeds:
-        rep = hypercube_inequality_report(3, ["1/2"], mode="mc", mc_n=2000,
-                                          mc_seed=seed)
+        rep = hypercube_inequality_report(hypercube_scenario(
+            3, ["1/2"], mode="mc", mc_n=2000, mc_seed=seed))
         rows = rep["results"][0]["rows"]
         assert [(r["k"], r["l"]) for r in rows] == [
             (r["k"], r["l"]) for r in exact_rows]
@@ -179,7 +183,8 @@ def test_hypercube_mc_rows_cover_the_exact_values():
 
 def test_hypercube_cap():
     with pytest.raises(exact.CapExceeded):
-        hypercube_inequality_report(4, ["1/2"])  # 32 edges over default cap
+        # 32 edges over default cap
+        hypercube_inequality_report(hypercube_scenario(4, ["1/2"]))
 
 
 def test_hypercube_refuses_an_unknown_mode_before_building(monkeypatch):
@@ -189,15 +194,19 @@ def test_hypercube_refuses_an_unknown_mode_before_building(monkeypatch):
     monkeypatch.setattr(graphs, "hypercube_graph", unbuilt)
     with pytest.raises(ScenarioFormatError,
                        match="mode must be 'exact' or 'mc', got 'bogus'"):
-        hypercube_inequality_report(2, ["1/2"], mode="bogus", mc_n=100)
+        hypercube_inequality_report(
+            hypercube_scenario(2, ["1/2"], mode="bogus", mc_n=100))
 
 
 def test_hypercube_report_equals_the_fraction_oracle():
     d, grid = 3, (HALF, F(61, 89), F(2, 97), F(88, 89))
-    report = hypercube_inequality_report(d, grid)
+    sc = hypercube_scenario(d, grid)
+    report = hypercube_inequality_report(sc)
     g = hypercube_graph(d)
     polys = []
-    for k, l, name, pair, gens in scenarios._hypercube_instances(g, d):
+    for (k, l, name), (_, pair, gens) in zip(
+            scenarios._hypercube_walk(d), scenarios._parsed_pairs(sc, g),
+            strict=True):
         chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
         polys.append((k, l, name,
                       groups.check_symmetry_conditions(g, chain, pair),
@@ -585,7 +594,7 @@ def _without_elapsed(report):
     lambda: instance_report(layered_scenario(
         {"builder": "path", "n": 1}, m=8, choice="b", k=1, period=2)),
     lambda: instance_report(z2_scenario(3, ["1/2"])),
-    lambda: hypercube_inequality_report(3, ["1/3", "1/2"]),
+    lambda: hypercube_inequality_report(hypercube_scenario(3, ["1/3", "1/2"])),
 ], ids=[*builtin_scenarios(), "bunkbed", "layered", "z2", "hypercube"])
 def test_reports_are_deterministic(make):
     assert _without_elapsed(make()) == _without_elapsed(make())
