@@ -20,20 +20,27 @@ configurations whose origin cluster is S, by the number k of open units:
   the sets per key; each distinct key then adds its count times its
   polynomial to its row once;
 * random cluster: y·C_S(x)·Z_{V∖S}(x, y), with y counting partition
-  cells and Z_T the edge sets of G[T] by open edges and cells.  A
-  connected T splits off the cell of its lowest vertex,
-  Z_T = Σ y·C_U·Z_{T∖U} over connected U ∋ min T inside T (the
-  vertex-exponential random-cluster evaluation of Björklund, Husfeldt,
-  Kaski and Koivisto), and any other T is the product over its
-  components; one memo keeps Z_T for every T met.
+  cells and Z_T the edge sets of G[T] by open edges and cells.  One pass
+  over every connected set, taken in order of size, builds C_S, split by
+  the component of any fixed vertex of S.  A connected T splits off the
+  cell of its lowest vertex, Z_T = Σ y·C_U·Z_{T∖U} over connected
+  U ∋ min T inside T (the vertex-exponential random-cluster evaluation of
+  Björklund, Husfeldt, Kaski and Koivisto), and any other T is the product
+  over its components; one memo keeps Z_T for every T met.
 
-Two rules keep sparse graphs from costing more than a brute-force sweep: a
-vertex v ≠ o with one neighbour in S forces its edge open, so
-C_S = x·C_{S∖v}, and sub-clusters are enumerated as connected sets, never
-as all subsets.  Each S adds its polynomial to the row of its packed
-intersection sizes.  One run per (graph, origin, law) keeps these rows;
-each pair and target sums them per projected key and unpacks every key
-once.  Unpacked, they equal the brute-force sweep's counts, the tests' oracle.
+Two rules keep sparse graphs from costing more than a brute-force sweep.
+A vertex v with one neighbour in S forces its edge open, so
+C_S = x·C_{S∖v}, where S∖v is smaller and already built (under the bond
+law v ≠ o, since every set holds the origin); likewise
+Z_T = (x+y)·Z_{T∖v}, v's edge open or v a cell of its own, and an isolated
+v gives y·Z_{T∖v}.  And sub-clusters are enumerated as connected sets,
+never as all subsets: those of o under the bond law, and under the
+random-cluster law those of a vertex with the fewest neighbours in S,
+which tend to be the fewest.  Each S adds its polynomial to the row of its
+packed intersection sizes.  One run per (graph, origin, law) keeps these
+rows; each pair and target sums them per projected key and unpacks every
+key once.  Unpacked, they equal the brute-force sweep's counts, the tests'
+oracle.
 
 The counts are evaluated at as many parameters as needed, in integers over
 one common denominator.  At p = n/d a configuration with k of its units
@@ -71,7 +78,7 @@ denominator, and identity checks mean exact zero.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -366,24 +373,30 @@ def _component(nbr, start: int, within: int) -> int:
     return comp
 
 
-def _spanning_polys(nbr, root: int, allowed: int, bits: int,
+def _spanning_polys(nbr, sets: Iterable[int], root: int | None, bits: int,
                     powers: list[int], census: list[int]
                     ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
-    """For every connected S with root ∈ S ⊆ allowed: C_S(x), packed, which
-    counts the connected spanning subgraphs of G[S] by edge number; and
-    e(S) with the sum of ``census[v]`` over S.
+    """For every S of ``sets``, taken in order of size: C_S(x), packed,
+    which counts the connected spanning subgraphs of G[S] by edge number;
+    and e(S) with the sum of ``census[v]`` over S.  ``sets`` holds every
+    connected set that holds ``root``, or every connected set when the root
+    is None.
 
-    Splitting the edge sets of G[S] by the root's component U gives
-    (1+x)^e(S) = Σ C_U (1+x)^e(S∖U) over the connected U ∋ root inside S,
-    so C_S is (1+x)^e(S) less the terms with U ⊊ S.  A vertex v ≠ root
-    with one neighbour in S short-cuts this: its edge must be open, so
-    C_S = x C_{S∖v}.
+    A vertex v ≠ root with one neighbour in S must have its edge open, so
+    C_S = x C_{S∖v}, and S∖v is a smaller one of ``sets``.  Any other S
+    splits its edge sets by the component U of one fixed vertex v ∈ S:
+    (1+x)^e(S) = Σ C_U (1+x)^e(S∖U) over the connected U ∋ v inside S, so
+    C_S is (1+x)^e(S) less the terms with U ⊊ S.  v is the root when there
+    is one, as every U must be one of ``sets``; else it is the lowest of the
+    vertices with the fewest neighbours in S, whose sub-clusters tend to be
+    the fewest to walk.
     """
     polys: dict[int, int] = {}
     extent: dict[int, tuple[int, int]] = {}
-    rbit = 1 << root
-    for s in sorted(_connected_sets(nbr, root, allowed), key=int.bit_count):
+    rbit = 0 if root is None else 1 << root
+    for s in sorted(sets, key=int.bit_count):
         degrees = total = 0
+        fewest = len(nbr)
         rest = s
         while rest:
             low = rest & -rest
@@ -397,14 +410,17 @@ def _spanning_polys(nbr, root: int, allowed: int, bits: int,
                 break
             degrees += d
             total += census[v]
+            if d < fewest:
+                fewest, vbit = d, low
         else:
             inner = degrees >> 1
+            vbit = rbit or vbit
             # t counts the edges of G[S] with an endpoint in U; the C_U of
             # one t share their factor (1+x)^(e(S)−t), so they are summed
             # first and multiplied once
             acc = [0] * (inner + 1)
-            start = nbr[root] & s
-            stack = [(rbit, start, s ^ rbit, start.bit_count())]
+            start = nbr[vbit.bit_length() - 1] & s
+            stack = [(vbit, start, s ^ vbit, start.bit_count())]
             pop, push = stack.pop, stack.append
             while stack:
                 u, frontier, allow, t = pop()
@@ -498,34 +514,47 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
     sizes_field = (1 << shift) - 1
     census = [w + (len(nb) << shift) for w, nb in zip(weights, g.adjacency)]
     if law.kind == "bond":
-        polys, extent = _spanning_polys(nbr, origin, everything, bits, powers,
-                                        census)
+        polys, extent = _spanning_polys(
+            nbr, _connected_sets(nbr, origin, everything), origin, bits,
+            powers, census)
     else:
-        polys, extent = {}, {}
-        for r in range(n):  # every connected set, rooted at its lowest vertex
-            rooted = _spanning_polys(nbr, r, everything >> r << r, bits,
-                                     powers, census)
-            polys.update(rooted[0])
-            extent.update(rooted[1])
+        # every connected set, found once from its lowest vertex
+        polys, extent = _spanning_polys(
+            nbr, (s for r in range(n)
+                  for s in _connected_sets(nbr, r, everything >> r << r)),
+            None, bits, powers, census)
         ystride = bits * (m + 1)
         memo = {0: 1}
 
         def partition_poly(t: int) -> int:
             """Z_T(x, y): the edge sets of G[T] by open edges and cells;
-            memoized for every T.  A connected T splits off the cell U of
-            its lowest vertex, any other T is the product over its
-            components."""
+            memoized for every T.  A vertex v with one neighbour in T gives
+            Z_T = (x+y)·Z_{T∖v}, its edge open or v a cell of its own, and
+            an isolated one y·Z_{T∖v}.  Otherwise a connected T splits off
+            the cell U of its lowest vertex, and any other T is the product
+            over its components."""
             z = memo.get(t)
             if z is None:
-                low = t & -t
-                comp = _component(nbr, low, t)
-                if comp != t:
-                    z = partition_poly(comp) * partition_poly(t ^ comp)
+                rest = t
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    d = (nbr[low.bit_length() - 1] & t).bit_count()
+                    if d < 2:
+                        z = partition_poly(t ^ low)
+                        z = (z << ystride) + (z << bits if d else 0)
+                        break
                 else:
-                    z = 0
-                    for u in _connected_sets(nbr, low.bit_length() - 1, t):
-                        z += polys[u] * partition_poly(t ^ u)
-                    z <<= ystride
+                    low = t & -t
+                    comp = _component(nbr, low, t)
+                    if comp != t:
+                        z = partition_poly(comp) * partition_poly(t ^ comp)
+                    else:
+                        z = 0
+                        for u in _connected_sets(nbr, low.bit_length() - 1,
+                                                 t):
+                            z += polys[u] * partition_poly(t ^ u)
+                        z <<= ystride
                 memo[t] = z
             return z
 

@@ -16,11 +16,12 @@ whole block).
 
 from __future__ import annotations
 
+import sys
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 from statistics import NormalDist
 
 from . import exact, graphs, groups, mc
@@ -111,6 +112,38 @@ class Scenario:
                 f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
         if self.mode == "mc":
             _check_size(self)
+        _check_digits(self)
+
+
+def _check_digits(sc: Scenario) -> None:
+    """Refuse a p or q whose report could not be written: Python turns an
+    int into text only up to ``sys.get_int_max_str_digits()`` digits (4300
+    by default).
+
+    A report writes p and q themselves.  An exact run that the cap admits
+    also writes reduced fractions over d^units at p = n/d, or under the
+    random-cluster law over a sum of at most 2^units weights
+    n^k·(d−n)^(units−k)·qn^c·qd^(cells−c), with at most one cell per
+    vertex.  The checks scale these by an lcm of pair sizes up to
+    2·vertices, which is below 2^(3·vertices), and a value's numerator is
+    at most vertices^3 times its denominator.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:  # no limit, or a Python without one
+        return
+    p_bits = max(p.denominator.bit_length() for p in sc.p_grid)
+    q = sc.law.q or 1
+    q_bits = max(q.numerator, q.denominator).bit_length()
+    bits = max(p_bits, q_bits)
+    vertices, edges = graphs.spec_size(sc.graph_spec)
+    units = vertices if sc.law.kind == "site" else edges
+    if sc.mode == "exact" and units <= sc.cap_bits:  # else the cap refuses
+        bits = max(bits, units * (p_bits + 1) + vertices * (q_bits + 3)
+                   + 3 * vertices.bit_length())
+    if (digits := int(bits * log10(2)) + 1) > limit:
+        raise ScenarioFormatError(
+            f"p or q too long to report exactly: its values need up to "
+            f"{digits} digits, and at most {limit} can be written")
 
 
 def _check_size(sc: Scenario) -> None:

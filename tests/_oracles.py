@@ -16,6 +16,13 @@ vertex, where the package carries each S's sizes and boundary along one
 branching pass.  ``cyclic_site_cases`` draws its graphs, which have cycles
 and up to 16 vertices, past the reach of the 2^units sweeps.
 
+``per_root_rc_rows`` builds the random-cluster law's packed rows root by
+root: the C_S of the sets whose lowest vertex is r, for r = 0, 1, ...,
+cutting no set at that vertex and walking every sub-cluster from it, one
+term per sub-cluster, and Z_T with no pendant rule.  The package builds
+every C_S in one pass ordered by size, cuts a vertex with one neighbour
+wherever it sits, and walks from a vertex with the fewest neighbours.
+
 The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
 and the three checks) chain Fraction sums term by term, where the package's
 integer cores (``joint_numerators``, ``count_numerator`` and the four
@@ -64,6 +71,8 @@ from hypothesis import strategies as st
 from symperc.exact import (
     IntegerPmf,
     Observables,
+    _component,
+    _connected_sets,
     count_numerator,
     expected_numerators,
     margin_numerators,
@@ -466,6 +475,85 @@ def per_set_site_rows(g, origin, masks):
                 powers[free] << (bits * s.bit_count()))
             grown.update(s | 1 << v for v in range(n) if boundary >> v & 1)
         level = grown
+    return rows
+
+
+def _rooted_spanning_polys(nbr, root, allowed, bits, powers, census):
+    """C_S(x) and (e(S), Σ census[v] over S) for every connected S with
+    root ∈ S ⊆ allowed, in order of size: a vertex v ≠ root with one
+    neighbour in S gives C_S = x·C_{S∖v}, and any other S walks its
+    connected sub-clusters U ∋ root,
+    C_S = (1+x)^e(S) − Σ C_U·(1+x)^e(S∖U) over U ⊊ S, one term per U."""
+    polys, extent = {}, {}
+    rbit = 1 << root
+    for s in sorted(_connected_sets(nbr, root, allowed), key=int.bit_count):
+        members = [v for v in range(len(nbr)) if s >> v & 1]
+        degrees = [(nbr[v] & s).bit_count() for v in members]
+        pendant = [v for v, d in zip(members, degrees)
+                   if d == 1 and v != root]
+        if pendant:
+            v = pendant[0]
+            polys[s] = polys[s ^ 1 << v] << bits
+            inner, total = extent[s ^ 1 << v]
+            extent[s] = (inner + 1, total + census[v])
+            continue
+        inner = sum(degrees) // 2
+        poly = powers[inner]
+        for u in _connected_sets(nbr, root, s):
+            if u != s:
+                rest = s & ~u
+                outside = sum((nbr[v] & rest).bit_count()
+                              for v in range(len(nbr)) if rest >> v & 1) // 2
+                poly -= polys[u] * powers[outside]
+        polys[s] = poly
+        extent[s] = (inner, sum(census[v] for v in members))
+    return polys, extent
+
+
+def per_root_rc_rows(g, origin, masks):
+    """The packed random-cluster rows of ``exact._origin_cluster_rows``,
+    keyed as there with ``width = n.bit_length()`` and fields of m+2 bits,
+    built one root at a time: C_S for the connected sets rooted at their
+    lowest vertex, root by root in ascending order, and
+    Z_T(x, y) memoized for every T, a connected T splitting off the cell of
+    its lowest vertex and any other T the product over its components.
+    The origin's cluster S is one cell: y·C_S·Z_{V∖S}."""
+    n, m = g.n_vertices, g.n_edges
+    width, bits = n.bit_length(), m + 2
+    ystride = bits * (m + 1)
+    nbr = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+    weights = [sum(1 << (i * width) for i, mask in enumerate(masks)
+                   if mask >> v & 1) for v in range(n)]
+    powers = [1]  # (1 + x)^e
+    for _ in range(m):
+        powers.append(powers[-1] + (powers[-1] << bits))
+    everything = (1 << n) - 1
+    polys, extent = {}, {}
+    for r in range(n):
+        rooted = _rooted_spanning_polys(nbr, r, everything >> r << r, bits,
+                                        powers, weights)
+        polys.update(rooted[0])
+        extent.update(rooted[1])
+    memo = {0: 1}
+
+    def partition_poly(t):
+        if t not in memo:
+            low = t & -t
+            comp = _component(nbr, low, t)
+            if comp != t:
+                z = partition_poly(comp) * partition_poly(t ^ comp)
+            else:
+                z = sum(polys[u] * partition_poly(t ^ u)
+                        for u in _connected_sets(nbr, low.bit_length() - 1, t))
+                z <<= ystride
+            memo[t] = z
+        return memo[t]
+
+    rows = {}
+    for s, (_, sizes) in extent.items():
+        if s >> origin & 1:
+            rows[sizes] = rows.get(sizes, 0) + (
+                polys[s] * partition_poly(everything ^ s) << ystride)
     return rows
 
 

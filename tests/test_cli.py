@@ -430,6 +430,38 @@ def test_bad_numbers_exit_four_without_traceback(argv, tmp_path, capsys):
         assert err == "scenario error: p_grid must not be empty\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bunkbed", "--base", "cycle:4", "--p", "1e-5000"],
+    ["bunkbed", "--base", "cycle:4", "--p", "1e-5000", "--mode", "mc"],
+    # p itself fits, but d^units at p = 1/d has 4800 digits
+    ["bunkbed", "--base", "cycle:4", "--p", "1e-400"],
+    ["bunkbed", "--base", "cycle:4", "--law", "rc:1e5000"],
+    ["enumerate", "--scenario", "builtin:bunkbed-path2-rc2", "--p",
+     "1/2,1e-5000"],
+    ["mc", "--scenario", "builtin:bunkbed-path2", "--p", "1e-5000"],
+])
+def test_parameters_too_long_to_write_exit_four(argv, capsys):
+    # by default Python writes no int of more than 4300 digits as text, so
+    # the report of such a p or q could not be written: it is refused up
+    # front
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("scenario error: p or q too long to report exactly")
+
+
+@pytest.mark.parametrize("argv, zeros", [
+    (["bunkbed", "--base", "cycle:4", "--p", "1e-300", "--law", "rc:2"], 300),
+    (["bunkbed", "--base", "cycle:4", "--p", "1e-4000", "--mode", "mc",
+      "--n", "10"], 4000),
+])
+def test_long_parameters_that_fit_are_written(argv, zeros, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["p_grid"] == [
+        "1/1" + "0" * zeros]
+
+
 @pytest.mark.parametrize("argv, err", [
     (["enumerate", "--scenario", {"graph": {"builder": "cycle", "n": 2}}],
      "cycle needs n >= 3"),

@@ -19,6 +19,7 @@ from symperc.exact import (
 from symperc.graphs import (
     build_graph,
     bunkbed_graph,
+    complete_graph,
     cycle_graph,
     explicit_graph,
     hypercube_graph,
@@ -38,6 +39,7 @@ from _oracles import (
     integer_pmf,
     observed_graphs,
     pair_joint,
+    per_root_rc_rows,
     per_set_site_rows,
     probabilities,
     ratio,
@@ -566,6 +568,26 @@ def test_site_tally_fields_hold_clusters_of_more_than_255_vertices():
         0, (make_pair(g, range(0, 300, 2), range(1, 300, 2), 0),), (299,))
     sweep = enumerate_joint(g, observed, SITE, cap_bits=400)
     assert sweep.rows == per_set_site_rows(g, 0, sweep.masks)
+
+
+@pytest.mark.parametrize("g, bunkbed", [
+    (bunkbed_graph(cycle_graph(6)), True),
+    (bunkbed_graph(cycle_graph(7)), True),
+    (torus_graph(3, 3), False),
+    (complete_graph(5), False),
+    (hypercube_graph(3), False),
+    # every connected set is a run of the path, cut at its lowest vertex,
+    # which the per-root pass never cuts; no set is walked
+    (path_graph(12), False),
+], ids=["bunkbed-c6", "bunkbed-c7", "torus3x3", "k5", "q3", "path12"])
+def test_rc_rows_equal_the_per_root_pass(g, bunkbed):
+    # every vertex as a target, and a bunkbed's two layers as the pair
+    layers = [[v for v, lab in enumerate(g.labels) if lab[-1] == layer]
+              for layer in (0, 1)]
+    observed = Observables(0, (make_pair(g, *layers, 0),) if bunkbed else (),
+                           tuple(range(g.n_vertices)))
+    sweep = enumerate_joint(g, observed, random_cluster_law(2))
+    assert sweep.rows == per_root_rc_rows(g, 0, sweep.masks)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
