@@ -49,7 +49,6 @@ from .groups import (
 from .mc import (
     EmpiricalJoint,
     EmpiricalSweep,
-    McEstimate,
     estimate_joint,
     mc_domination_verdict,
 )

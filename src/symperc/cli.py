@@ -285,9 +285,11 @@ p_opt = click.option("--p", "p_list", default=None,
                      help="comma-separated rationals, e.g. 1/4,1/2,3/4")
 mode_opt = click.option("--mode", type=click.Choice(["exact", "mc"]),
                         default="exact")
-n_opt = click.option("--n", "mc_n", type=int, default=100_000,
-                     help="Monte Carlo sample count")
-seed_opt = click.option("--seed", type=int, default=0)
+# An absent --n, --seed or --cap (None) keeps the scenario's own value.
+n_opt = click.option("--n", "mc_n", type=int, default=None,
+                     help="Monte Carlo sample count  [default: 100000]")
+seed_opt = click.option("--seed", type=int, default=None,
+                        help="Monte Carlo seed  [default: 0]")
 
 
 def _check_threads(ctx, param, value):
@@ -302,9 +304,9 @@ threads_opt = click.option("--threads", type=int, default=1,
                                 "(exact mode ignores it)")
 json_opt = click.option("--json", "json_path", type=click.Path(), default=None)
 csv_opt = click.option("--csv", "csv_path", type=click.Path(), default=None)
-cap_opt = click.option("--cap", "cap_bits", type=int,
-                       default=exact.DEFAULT_CAP_BITS,
-                       help="enumeration cap in bits (2^cap configurations)")
+cap_opt = click.option("--cap", "cap_bits", type=int, default=None,
+                       help="enumeration cap in bits (2^cap configurations)"
+                            f"  [default: {exact.DEFAULT_CAP_BITS}]")
 level_opt = click.option("--level", type=click.Choice(["0.95", "0.99"]),
                          default="0.95", help="confidence level")
 
@@ -396,7 +398,7 @@ def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads, json_path,
 @click.option("--group", "group_name", required=True,
               help="named action: d4-on-c4 or bunkbed-c3")
 @click.option("--trials", type=click.IntRange(min=0), default=100)
-@seed_opt
+@click.option("--seed", type=int, default=0)
 @json_opt
 @csv_opt
 def cmd_verify_group_theorem(group_name, trials, seed, json_path, csv_path):
@@ -412,9 +414,9 @@ def cmd_verify_group_theorem(group_name, trials, seed, json_path, csv_path):
 def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
                   json_path, csv_path):
     """Connection-probability inequalities on the d-dimensional hypercube."""
-    sc = scenarios.hypercube_scenario(d, _parse_p_list(p_list), mode=mode,
-                                      cap_bits=cap_bits, mc_n=mc_n,
-                                      mc_seed=seed)
+    sc = scenarios.hypercube_scenario(
+        d, _parse_p_list(p_list), mode=mode,
+        **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
     report = scenarios.hypercube_inequality_report(sc, threads, float(level))
     return finish(report, json_path, csv_path)
 
@@ -426,8 +428,9 @@ def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
 def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
            json_path, csv_path):
     """Square-lattice connection relations realized on a torus."""
-    sc = scenarios.z2_scenario(size, _parse_p_list(p_list), mode=mode,
-                               cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed)
+    sc = scenarios.z2_scenario(
+        size, _parse_p_list(p_list), mode=mode,
+        **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
     return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
@@ -442,7 +445,7 @@ def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
     """Compare the two layers of base x edge."""
     sc = scenarios.bunkbed_scenario(
         _parse_base(base), _parse_p_list(p_list), law_text, mode=mode,
-        cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed)
+        **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
     return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
@@ -460,7 +463,7 @@ def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
     """Residue-class layer comparison on the cylinder base x cycle(m)."""
     sc = scenarios.layered_scenario(
         _parse_base(base), m, choice, k, period, _parse_p_list(p_list),
-        mode=mode, cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed)
+        mode=mode, **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
     return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
@@ -473,21 +476,20 @@ def _finish_instance(sc: scenarios.Scenario, threads, level, json_path,
     return finish(report, json_path, csv_path)
 
 
-def _override(sc: scenarios.Scenario, p_list=None, cap_bits=None, mode=None,
-              mc_n=None, mc_seed=None) -> scenarios.Scenario:
+def _given(**flags) -> dict:
+    """The flags actually given; an absent one (None) keeps the scenario's
+    own value."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
+def _override(sc: scenarios.Scenario, p_list=None,
+              **flags) -> scenarios.Scenario:
+    """``sc`` with the given flags in place of its own fields."""
     from dataclasses import replace
 
-    changes = {}
+    changes = _given(**flags)
     if p_list is not None:
         changes["p_grid"] = scenarios.parse_p_grid(_parse_p_list(p_list))
-    if cap_bits is not None:
-        changes["cap_bits"] = cap_bits
-    if mode is not None:
-        changes["mode"] = mode
-    if mc_n is not None:
-        changes["mc_n"] = mc_n
-    if mc_seed is not None:
-        changes["mc_seed"] = mc_seed
     return replace(sc, **changes)
 
 

@@ -33,13 +33,15 @@ connection event is a function of that restriction.  Because sample i is
 the same cluster whichever sets are observed, a projection of the shared
 pass gives exactly the counts a separate pass per pair or target would.
 It is also the only way in: a connection estimate is the projection
-``connection(v, level)`` of a pass that observes the target, and every
-sampled mean other than a proportion takes its standard error from one
-formula, :func:`_mean_stderr`.
+``connection(v, level)`` of a pass that observes the target.
 
-Verdicts about the domination margins are deliberately three-valued:
-sampling cannot prove the inequality, so a verdict is ``pass`` (consistent
-with it at the stated level), ``violation`` or ``inconclusive``.
+Every sampled mean other than a proportion takes its standard error from
+one formula, :func:`_mean_stderr`, its normal quantile from
+:func:`z_value` (Bonferroni over the tests judged together) and its
+report record and verdict from one interval function, :func:`interval`.
+Verdicts are deliberately three-valued: sampling cannot prove an
+inequality, so a verdict is ``pass`` (consistent with it at the stated
+level), ``violation`` or ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 PASS = "pass"
 VIOLATION = "violation"
 INCONCLUSIVE = "inconclusive"
-_SEVERITY = {PASS: 0, INCONCLUSIVE: 1, VIOLATION: 2}
 
 # A margin lives in [-1, 1]; intervals wider than this resolve nothing.
 MAX_INFORMATIVE_HALF_WIDTH = 0.25
@@ -122,27 +123,6 @@ def open_threshold(p: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class McEstimate:
-    n_samples: int
-    estimate: float
-    stderr: float
-    level: float
-    lo: float
-    hi: float
-
-    def to_json_dict(self) -> dict:
-        return interval_record(self.estimate, self.stderr, self.lo, self.hi)
-
-
-def interval_record(estimate: float, stderr: float, lo: float,
-                    hi: float) -> dict:
-    """A report's Monte Carlo value: the estimate, its standard error and
-    its confidence interval, with an infinite stderr or end as null."""
-    stderr, lo, hi = (x if math.isfinite(x) else None for x in (stderr, lo, hi))
-    return {"estimate": estimate, "stderr": stderr, "ci": [lo, hi]}
-
-
-@dataclass(frozen=True)
 class EmpiricalJoint:
     """Sampled counterpart of the exact joint law: outcome -> sample count."""
 
@@ -156,15 +136,37 @@ class EmpiricalJoint:
             raise ValueError("the origin's cluster always meets v_plus")
 
 
-def _z_value(level: float) -> float:
+def z_value(level: float, tests: int = 1) -> float:
+    """The two-sided normal quantile at ``level``, Bonferroni-corrected for
+    ``tests`` intervals judged together."""
     if level not in _ALLOWED_LEVELS:
         raise ValueError(f"interval level must be one of {_ALLOWED_LEVELS}")
-    return NormalDist().inv_cdf((1 + level) / 2)
+    return NormalDist().inv_cdf(1 - (1 - level) / (2 * tests))
+
+
+def interval(value: float, stderr: float, z: float) -> tuple[dict, str]:
+    """A report's Monte Carlo value, ``value +/- z * stderr``, and the
+    verdict on "the quantity is >= 0".
+
+    The record is the estimate, its standard error and its confidence
+    interval, with an infinite stderr or end as null.  The verdict is a
+    violation when the interval lies entirely below zero; otherwise a pass
+    (consistent with the inequality) when it is narrow enough to be
+    informative and inconclusive when it is not.
+    """
+    half = z * stderr
+    lo, hi = value - half, value + half
+    if hi < 0:
+        verdict = VIOLATION
+    else:
+        verdict = PASS if half <= MAX_INFORMATIVE_HALF_WIDTH else INCONCLUSIVE
+    stderr, lo, hi = (x if math.isfinite(x) else None for x in (stderr, lo, hi))
+    return {"estimate": value, "stderr": stderr, "ci": [lo, hi]}, verdict
 
 
 def wilson_interval(hits: int, n: int, level: float) -> tuple[float, float]:
     """Wilson score interval for a Bernoulli proportion."""
-    z = _z_value(level)
+    z = z_value(level)
     phat = hits / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -403,12 +405,16 @@ class EmpiricalSweep:
         self._check_observed(1 << v)
         return sum(cnt for key, cnt in self.bins.items() if key >> v & 1)
 
-    def connection(self, v: int, level: float = 0.95) -> McEstimate:
-        """Wilson-interval estimate of the probability that v joins the
-        origin's cluster (certain at the origin itself)."""
+    def connection(self, v: int, level: float = 0.95) -> dict:
+        """The report record of the probability that v joins the origin's
+        cluster, with its Wilson interval (certain at the origin itself)."""
         if v == self.origin:
-            return McEstimate(self.n_samples, 1.0, 0.0, level, 1.0, 1.0)
-        return _proportion(self.hits(v), self.n_samples, level)
+            return {"estimate": 1.0, "stderr": 0.0, "ci": [1.0, 1.0]}
+        hits, n = self.hits(v), self.n_samples
+        lo, hi = wilson_interval(hits, n, level)
+        phat = hits / n
+        return {"estimate": phat, "stderr": math.sqrt(phat * (1 - phat) / n),
+                "ci": [lo, hi]}
 
     def mean_stderr(self, statistic) -> tuple[float, float]:
         """Mean and standard error of ``statistic(key)``, a function of one
@@ -471,90 +477,37 @@ def _mean_stderr(n: int, weighted) -> tuple[float, float]:
     return mean, math.sqrt(var / (n - 1)) if n > 1 else float("inf")
 
 
-def interval_verdict(mean: float, half: float) -> str:
-    """Verdict on "the quantity is >= 0" from an interval mean +/- half: a
-    violation when it lies entirely below zero; otherwise a pass (consistent
-    with the inequality) when it is narrow enough to be informative and
-    inconclusive when it is not."""
-    if mean + half < 0:
-        return VIOLATION
-    return PASS if half <= MAX_INFORMATIVE_HALF_WIDTH else INCONCLUSIVE
-
-
-def _proportion(hits: int, n: int, level: float) -> McEstimate:
-    """Wilson-interval estimate of a Bernoulli proportion."""
-    lo, hi = wilson_interval(hits, n, level)
-    phat = hits / n
-    return McEstimate(n, phat, math.sqrt(phat * (1 - phat) / n), level, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # summaries of an empirical joint
 
 
 def empirical_expected_sizes(emp: EmpiricalJoint,
-                             level: float = 0.95) -> tuple[McEstimate, McEstimate]:
-    """Normal-approximation estimates of the two expected sizes."""
-    z = _z_value(level)
+                             level: float = 0.95) -> tuple[dict, dict]:
+    """Normal-approximation records of the two expected sizes."""
+    z = z_value(level)
     out = []
     for coord in (0, 1):
         mean, stderr = _mean_stderr(emp.n_samples, (
             (key[coord], cnt) for key, cnt in emp.counts.items()))
-        out.append(McEstimate(emp.n_samples, mean, stderr, level,
-                              mean - z * stderr, mean + z * stderr))
+        out.append(interval(mean, stderr, z)[0])
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class ThresholdVerdict:
-    threshold: int
-    margin: float
-    stderr: float
-    lo: float
-    hi: float
-    verdict: str
-
-
-@dataclass(frozen=True)
-class DominationVerdict:
-    rows: tuple[ThresholdVerdict, ...]
-    level: float
-    overall: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.overall,
-            "thresholds": [
-                {"t": r.threshold,
-                 "margin": interval_record(r.margin, r.stderr, r.lo, r.hi),
-                 "verdict": r.verdict}
-                for r in self.rows
-            ],
-        }
-
-
 def mc_domination_verdict(emp: EmpiricalJoint,
-                          level: float = 0.95) -> DominationVerdict:
-    """Per-threshold :func:`interval_verdict` on the tail margins.
+                          level: float = 0.95) -> list[tuple[dict, str]]:
+    """The (margin record, verdict) of each threshold t = 1, 2, ...
 
     Margins are paired differences (both indicators from the same sample),
     with a Bonferroni union bound across thresholds so the stated level
     covers all of them jointly.
     """
-    _z_value(level)
-    n = emp.n_samples
     max_a = max((a for (a, _) in emp.counts), default=0)
     max_b = max((b for (_, b) in emp.counts), default=0)
     t_max = max(max_a, max_b, 1)
-    alpha = (1 - level) / t_max
-    z = NormalDist().inv_cdf(1 - alpha / 2)
-
+    z = z_value(level, t_max)
     rows = []
     for t in range(1, t_max + 1):
-        mean, stderr = _mean_stderr(n, (
+        mean, stderr = _mean_stderr(emp.n_samples, (
             ((a >= t) - (b >= t), cnt) for (a, b), cnt in emp.counts.items()))
-        half = z * stderr
-        rows.append(ThresholdVerdict(t, mean, stderr, mean - half,
-                                     mean + half, interval_verdict(mean, half)))
-    overall = max((r.verdict for r in rows), key=_SEVERITY.__getitem__)
-    return DominationVerdict(rows=tuple(rows), level=level, overall=overall)
+        rows.append(interval(mean, stderr, z))
+    return rows

@@ -22,7 +22,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, log10
-from statistics import NormalDist
 
 from . import exact, graphs, groups, mc
 from .exact import BOND, PartitionLaw, parse_law
@@ -288,7 +287,8 @@ def exact_p_results(
             "expected_plus": format_ratio(e_plus, pmf.den),
             "expected_minus": format_ratio(e_minus, pmf.den),
             "expectation_gap": format_ratio(e_plus - e_minus, pmf.den),
-            "domination": _domination_block(margins, pmf.den),
+            "domination": _domination_block(
+                (format_ratio(m, pmf.den), _sign_verdict(m)) for m in margins),
             "identity_residuals": {k: format_ratio(v, res_den)
                                    for k, v in residuals.items()},
             "identity_zero": identity_zero,
@@ -300,13 +300,12 @@ def exact_p_results(
     return results, worst_verdict(row["verdict"] for row in results)
 
 
-def _domination_block(margins: Sequence[int], den: int) -> dict:
-    """The exact domination block, shaped as the Monte Carlo one: each
-    threshold's margin, ``margins[t - 1] / den``, is judged by its own
-    sign."""
-    thresholds = [{"t": t, "margin": format_ratio(m, den),
-                   "verdict": _sign_verdict(m)}
-                  for t, m in enumerate(margins, 1)]
+def _domination_block(rows) -> dict:
+    """The domination block of one p in either mode, from each threshold's
+    (margin, verdict), t = 1, 2, ...: an exact margin is judged by its
+    sign, a Monte Carlo one by its interval."""
+    thresholds = [{"t": t, "margin": margin, "verdict": verdict}
+                  for t, (margin, verdict) in enumerate(rows, 1)]
     return {"verdict": worst_verdict(row["verdict"] for row in thresholds),
             "thresholds": thresholds}
 
@@ -320,13 +319,13 @@ def mc_p_results(
     results = []
     for p, emp in zip(p_grid, joints):
         est_plus, est_minus = mc.empirical_expected_sizes(emp, level)
-        dom = mc.mc_domination_verdict(emp, level)
+        dom = _domination_block(mc.mc_domination_verdict(emp, level))
         results.append({
             "p": format_fraction(p),
-            "expected_plus": est_plus.to_json_dict(),
-            "expected_minus": est_minus.to_json_dict(),
-            "domination": dom.to_json_dict(),
-            "verdict": dom.overall,
+            "expected_plus": est_plus,
+            "expected_minus": est_minus,
+            "domination": dom,
+            "verdict": dom["verdict"],
         })
     return results, worst_verdict(row["verdict"] for row in results)
 
@@ -931,20 +930,17 @@ def _mc_hypercube_entry(d, p, sweep, reps, level) -> dict:
     union-bound interval its verdict is judged on.
     """
     estimates = [sweep.connection(v, level) for v in reps]
-    n_rows = (d + 1) * (d + 2)  # rough row count for the union bound
-    z = NormalDist().inv_cdf(1 - (1 - level) / (2 * n_rows))
-    c = [e.estimate for e in estimates]
+    # two verdicts per (k, l), the union bound's count of tests
+    z = mc.z_value(level, (d + 1) * (d + 2))
+    c = [e["estimate"] for e in estimates]
     indicators = {key: [key >> v & 1 for v in reps] for key in sweep.bins}
 
     def measure(stat):
-        value = stat(c)
         _, err = sweep.mean_stderr(lambda key: stat(indicators[key]))
-        half = z * err
-        return (mc.interval_record(value, err, value - half, value + half),
-                mc.interval_verdict(value, half))
+        return mc.interval(stat(c), err, z)
 
     rows = _hypercube_rows(d, c, measure)
-    return _hypercube_entry(p, [e.to_json_dict() for e in estimates], rows)
+    return _hypercube_entry(p, estimates, rows)
 
 
 # ---------------------------------------------------------------------------

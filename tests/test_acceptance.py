@@ -150,11 +150,12 @@ def test_criterion_6_mc_exact_consistency():
 
     conn = mc.estimate_joint(g, exact.Observables(0, targets=(3,)), HALF, n,
                              seed).connection(3, level=0.99)
-    ok = conn.lo <= 7 / 16 <= conn.hi
+    ok = conn["ci"][0] <= 7 / 16 <= conn["ci"][1]
 
     emp = pair_joint(mc.estimate_joint, g, pair, HALF, n, seed)
     est_plus, _ = mc.empirical_expected_sizes(emp)
-    ok = ok and abs(est_plus.estimate - 25 / 16) <= 3 * est_plus.stderr
+    ok = ok and (abs(est_plus["estimate"] - 25 / 16)
+                 <= 3 * est_plus["stderr"])
 
     rerun = pair_joint(mc.estimate_joint, g, pair, HALF, n, seed)
     relaid = pair_joint(mc.estimate_joint, g, pair, HALF, n, seed,

@@ -192,6 +192,66 @@ def test_cap_flag_exit_three():
     assert main(["hypercube", "--d", "4", "--p", "1/2"]) == 3
 
 
+def _cycle28_file(tmp_path) -> str:
+    # 28 edges, past the default cap of 2^26; the reflection through the
+    # edge 01 swaps the two sets
+    path = tmp_path / "cycle28.json"
+    path.write_text(json.dumps({
+        "name": "cycle28", "graph": {"builder": "cycle", "n": 28},
+        "origin": 0, "v_plus": [0], "v_minus": [1],
+        "generators": [{"perm": [(1 - i) % 28 for i in range(28)]}],
+        "cap_bits": 28}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-identity"])
+def test_scenario_file_cap_holds_unless_cap_is_given(command, tmp_path,
+                                                     capsys):
+    doc = _cycle28_file(tmp_path)
+    out = tmp_path / "report.json"
+    assert main([command, "--scenario", doc, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["config_count"] == 2**28
+    capsys.readouterr()
+    assert main([command, "--scenario", doc, "--cap", "26"]) == 3
+    assert "cap is 2^26" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref, flags, n, seed", [
+    (None, [], 50, 42),
+    (None, ["--seed", "5"], 50, 5),
+    (None, ["--n", "30"], 30, 42),
+    (None, ["--n", "30", "--seed", "0"], 30, 0),
+    ("builtin:mc-bunkbed-path2", ["--n", "10"], 10, 42),
+    ("builtin:mc-bunkbed-path2", ["--n", "10", "--seed", "5"], 10, 5),
+])
+def test_scenario_n_and_seed_hold_unless_given(ref, flags, n, seed,
+                                               tmp_path):
+    doc = ref or _scenario_file(tmp_path, mode="mc", mc={"n": 50, "seed": 42})
+    out = tmp_path / "report.json"
+    assert main(["mc", "--scenario", doc, *flags, "--json", str(out)]) in (0, 2)
+    assert json.loads(out.read_text())["mc"] == {"n": n, "seed": seed,
+                                                 "level": 0.95}
+
+
+# Each entry is one Monte Carlo run (its argv and exit code) with the
+# results blocks it wrote: every estimate, stderr, interval and verdict.
+# A change to the interval method updates this file on purpose.
+_MC_INTERVALS = json.loads(
+    Path(__file__).with_name("mc_interval_reference.json").read_text())
+
+
+@pytest.mark.parametrize("run", _MC_INTERVALS,
+                         ids=lambda run: " ".join(run["argv"]))
+def test_mc_interval_records_match_the_reference(run, tmp_path):
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*run["argv"], "--json", str(out)])
+    report = json.loads(out.read_text())
+    results = (report["results"] if "results" in report else
+               {rel["name"]: rel["results"] for rel in report["relations"]})
+    assert (code, results) == (run["exit"], run["results"])
+
+
 @pytest.mark.parametrize("argv, units", [
     (["hypercube", "--d", "11"], 11 * 2**10),
     (["z2", "--size", "40"], 2 * 40 * 40),

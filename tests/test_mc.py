@@ -24,6 +24,7 @@ from symperc.mc import (
     unit_word,
     wilson_interval,
 )
+from symperc.scenarios import worst_verdict
 
 from _oracles import (
     count_probability,
@@ -332,23 +333,25 @@ def estimate_connection(g, o, v, p, n, seed, level=0.95):
 def test_connection_estimate_within_99_ci_of_exact():
     g, pair = c4_bunkbed()
     est = estimate_connection(g, 0, 3, HALF, 100_000, seed=42, level=0.99)
-    assert est.lo <= 7 / 16 <= est.hi
+    lo, hi = est["ci"]
+    assert lo <= 7 / 16 <= hi
     est_adj = estimate_connection(g, 0, 2, HALF, 100_000, seed=42, level=0.99)
-    assert est_adj.lo <= 9 / 16 <= est_adj.hi
+    lo, hi = est_adj["ci"]
+    assert lo <= 9 / 16 <= hi
 
 
 def test_empirical_mean_close_to_exact():
     g, pair = c4_bunkbed()
     emp = pair_joint(estimate_joint, g, pair, HALF, 100_000, seed=42)
     est_plus, est_minus = mc.empirical_expected_sizes(emp)
-    assert abs(est_plus.estimate - 25 / 16) <= 3 * est_plus.stderr
-    assert abs(est_minus.estimate - 1.0) <= 3 * est_minus.stderr
+    assert abs(est_plus["estimate"] - 25 / 16) <= 3 * est_plus["stderr"]
+    assert abs(est_minus["estimate"] - 1.0) <= 3 * est_minus["stderr"]
 
 
 def test_degenerate_self_connection():
     g = cycle_graph(4)
     est = estimate_connection(g, 2, 2, HALF, 10, seed=0)
-    assert est.estimate == 1.0 and (est.lo, est.hi) == (1.0, 1.0)
+    assert est["estimate"] == 1.0 and est["ci"] == [1.0, 1.0]
 
 
 def test_wilson_interval_reference_value():
@@ -362,12 +365,13 @@ def test_wilson_interval_reference_value():
 def test_domination_verdicts():
     g, pair = c4_bunkbed()
     emp = pair_joint(estimate_joint, g, pair, HALF, 50_000, seed=8)
-    verdict = mc_domination_verdict(emp)
-    assert verdict.overall == PASS
-    assert all(r.verdict == PASS for r in verdict.rows)
+    rows = mc_domination_verdict(emp)
+    assert worst_verdict(v for _, v in rows) == PASS
+    assert all(v == PASS for _, v in rows)
 
     tiny = pair_joint(estimate_joint, g, pair, HALF, 10, seed=8)
-    assert mc_domination_verdict(tiny).overall == INCONCLUSIVE
+    assert worst_verdict(
+        v for _, v in mc_domination_verdict(tiny)) == INCONCLUSIVE
 
 
 def test_domination_violation_detected():
@@ -381,10 +385,10 @@ def test_domination_violation_detected():
         - sum(prob for (_, b), prob in pmf.items() if b >= 2))
     assert true_margin == F(-1, 8)
     emp = pair_joint(estimate_joint, g, pair, HALF, 100_000, seed=7)
-    verdict = mc_domination_verdict(emp)
-    assert verdict.overall == VIOLATION
-    row = next(r for r in verdict.rows if r.threshold == 2)
-    assert row.verdict == VIOLATION and row.hi < 0
+    rows = mc_domination_verdict(emp)
+    assert worst_verdict(v for _, v in rows) == VIOLATION
+    margin, verdict = rows[2 - 1]  # threshold t = 2
+    assert verdict == VIOLATION and margin["ci"][1] < 0
 
 
 def test_small_p_connection_ordering_on_torus():
@@ -394,8 +398,8 @@ def test_small_p_connection_ordering_on_torus():
     far = g.index_of((2, 0))
     est_near = estimate_connection(g, 0, near, F(1, 10), 30_000, seed=5)
     est_far = estimate_connection(g, 0, far, F(1, 10), 30_000, seed=5)
-    assert est_near.estimate > est_far.estimate
-    assert est_near.lo > est_far.hi  # non-overlapping intervals
+    assert est_near["estimate"] > est_far["estimate"]
+    assert est_near["ci"][0] > est_far["ci"][1]  # non-overlapping intervals
 
 
 def test_calibration_coverage():
@@ -410,7 +414,8 @@ def test_calibration_coverage():
     runs = 200
     for seed in range(runs):
         est = estimate_connection(g, 0, 3, HALF, 1000, seed=seed, level=0.95)
-        if est.lo <= float(exact_value) <= est.hi:
+        lo, hi = est["ci"]
+        if lo <= float(exact_value) <= hi:
             covered += 1
     assert covered >= 0.90 * runs
 

@@ -523,8 +523,8 @@ def test_cross_mode_agreement():
     e_plus, e_minus = expected(exact.joint_numerators(poly, HALF))
     emp = pair_joint(mc.estimate_joint, g, pair, HALF, 50_000, seed=12)
     est_plus, est_minus = mc.empirical_expected_sizes(emp, level=0.99)
-    assert est_plus.lo <= float(e_plus) <= est_plus.hi
-    assert est_minus.lo <= float(e_minus) <= est_minus.hi
+    assert est_plus["ci"][0] <= float(e_plus) <= est_plus["ci"][1]
+    assert est_minus["ci"][0] <= float(e_minus) <= est_minus["ci"][1]
 
 
 # ---------------------------------------------------------------------------
