@@ -1,8 +1,9 @@
 """Verification lab for cluster-size comparison on symmetric graphs.
 
 Exposes the building blocks: graph builders, permutation-group machinery
-with the symmetry-condition checker, the exact enumeration engine, the
-Monte Carlo engine, and the scenario harnesses behind the CLI.
+with the symmetry-condition checker, the exact enumeration engine, and the
+scenario harnesses behind the CLI.  The Monte Carlo engine is
+:mod:`symperc.mc`, loaded on first use.
 """
 
 from .exact import (
@@ -45,12 +46,6 @@ from .groups import (
     stabilizer_orbit,
     verify_double_counting,
     verify_orbit_product,
-)
-from .mc import (
-    EmpiricalJoint,
-    EmpiricalSweep,
-    estimate_joint,
-    mc_domination_verdict,
 )
 from .scenarios import (
     Scenario,

@@ -12,14 +12,13 @@ writes the full JSON report and a flat CSV, and exits with a stable code:
 
 from __future__ import annotations
 
-import csv
+import argparse
 import json
 import math
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-
-import click
 
 from . import exact, scenarios
 from .exact import CapExceeded
@@ -36,6 +35,10 @@ from .scenarios import (
 
 EXIT_CODES = {PASS: 0, VIOLATION: 1, INCONCLUSIVE: 2, PRECONDITION_FAILED: 3}
 USAGE_ERROR = 4
+
+
+class UsageError(Exception):
+    """A bad command line or an output path that cannot be written."""
 
 
 def to_stable_json(report: dict) -> str:
@@ -112,6 +115,8 @@ def write_outputs(report: dict, json_path: str | None,
         if json_path:
             Path(json_path).write_text(to_stable_json(report))
         if csv_path:
+            import csv
+
             with open(csv_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(
@@ -119,7 +124,7 @@ def write_outputs(report: dict, json_path: str | None,
                      "verdict"])
                 writer.writerows(csv_rows(report))
     except OSError as exc:
-        raise click.UsageError(f"cannot write output: {exc}") from None
+        raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _scenario_name(report: dict) -> str:
@@ -182,9 +187,7 @@ def csv_rows(report: dict) -> list[list]:
 
 
 def print_human(report: dict) -> None:
-    # Pass the current sys.stdout: click.echo's default stream cache would
-    # keep every redirected stdout, and all its text, alive.
-    click.echo("\n".join(_human_lines(report)), file=sys.stdout)
+    print("\n".join(_human_lines(report)), flush=True)
 
 
 def _human_lines(report: dict) -> list[str]:
@@ -279,63 +282,6 @@ def _parse_base(text: str):
         f"bad base spec {text!r}; use e.g. 'cycle:5' or a JSON object")
 
 
-scenario_opt = click.option("--scenario", "scenario_ref", required=True,
-                            help="scenario file path or builtin:NAME")
-p_opt = click.option("--p", "p_list", default=None,
-                     help="comma-separated rationals, e.g. 1/4,1/2,3/4")
-mode_opt = click.option("--mode", type=click.Choice(["exact", "mc"]),
-                        default="exact")
-# An absent --n, --seed or --cap (None) keeps the scenario's own value.
-n_opt = click.option("--n", "mc_n", type=int, default=None,
-                     help="Monte Carlo sample count  [default: 100000]")
-seed_opt = click.option("--seed", type=int, default=None,
-                        help="Monte Carlo seed  [default: 0]")
-
-
-def _check_threads(ctx, param, value):
-    if value < 1:
-        raise ScenarioFormatError(f"need --threads >= 1, got {value}")
-    return value
-
-
-threads_opt = click.option("--threads", type=int, default=1,
-                           callback=_check_threads,
-                           help="worker cap for Monte Carlo sampling "
-                                "(exact mode ignores it)")
-json_opt = click.option("--json", "json_path", type=click.Path(), default=None)
-csv_opt = click.option("--csv", "csv_path", type=click.Path(), default=None)
-cap_opt = click.option("--cap", "cap_bits", type=int, default=None,
-                       help="enumeration cap in bits (2^cap configurations)"
-                            f"  [default: {exact.DEFAULT_CAP_BITS}]")
-level_opt = click.option("--level", type=click.Choice(["0.95", "0.99"]),
-                         default="0.95", help="confidence level")
-
-
-def _instance_options(fn):
-    """The options shared by the subcommands that construct their
-    scenario, in the order listed."""
-    for option in reversed((p_opt, mode_opt, cap_opt, n_opt, seed_opt,
-                            level_opt, threads_opt, json_opt, csv_opt)):
-        fn = option(fn)
-    return fn
-
-
-@click.group()
-def cli():
-    """Verification lab for cluster-size comparison under symmetry.
-
-    Scenario-driven subcommands accept --scenario builtin:NAME; run
-    `symperc enumerate --help` for the builtin corpus.
-    """
-
-
-def _builtin_help() -> str:
-    return ", ".join(sorted(scenarios.BUILTINS))
-
-
-@cli.command("check-symmetry")
-@scenario_opt
-@json_opt
 def cmd_check_symmetry(scenario_ref, json_path):
     """Run only the symmetry-condition check for a scenario."""
     sc = scenarios.load_scenario(scenario_ref)
@@ -343,13 +289,6 @@ def cmd_check_symmetry(scenario_ref, json_path):
     return finish(report, json_path, None)
 
 
-@cli.command("enumerate", epilog="Builtin scenarios: " + _builtin_help())
-@scenario_opt
-@p_opt
-@cap_opt
-@threads_opt
-@json_opt
-@csv_opt
 def cmd_enumerate(scenario_ref, p_list, cap_bits, threads, json_path,
                   csv_path):
     """Exact pipeline: count the origin's clusters by a subset DP over
@@ -360,15 +299,6 @@ def cmd_enumerate(scenario_ref, p_list, cap_bits, threads, json_path,
     return finish(report, json_path, csv_path)
 
 
-@cli.command("mc")
-@scenario_opt
-@p_opt
-@n_opt
-@seed_opt
-@level_opt
-@threads_opt
-@json_opt
-@csv_opt
 def cmd_mc(scenario_ref, p_list, mc_n, seed, level, threads, json_path,
            csv_path):
     """Monte Carlo pipeline with reproducible seeding."""
@@ -378,13 +308,6 @@ def cmd_mc(scenario_ref, p_list, mc_n, seed, level, threads, json_path,
     return finish(report, json_path, csv_path)
 
 
-@cli.command("verify-identity")
-@scenario_opt
-@p_opt
-@cap_opt
-@threads_opt
-@json_opt
-@csv_opt
 def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads, json_path,
                         csv_path):
     """Check the reweighting identity and the ratio identity exactly."""
@@ -394,23 +317,15 @@ def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads, json_path,
     return finish(report, json_path, csv_path)
 
 
-@cli.command("verify-group-theorem")
-@click.option("--group", "group_name", required=True,
-              help="named action: d4-on-c4 or bunkbed-c3")
-@click.option("--trials", type=click.IntRange(min=0), default=100)
-@click.option("--seed", type=int, default=0)
-@json_opt
-@csv_opt
 def cmd_verify_group_theorem(group_name, trials, seed, json_path, csv_path):
     """Exhaustive orbit/stabilizer identities plus sampled set-pair
     double counting."""
+    if trials < 0:
+        raise UsageError(f"need --trials >= 0, got {trials}")
     report = scenarios.group_theorem_battery(group_name, trials, seed)
     return finish(report, json_path, csv_path)
 
 
-@cli.command("hypercube")
-@click.option("--d", "d", type=int, required=True)
-@_instance_options
 def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
                   json_path, csv_path):
     """Connection-probability inequalities on the d-dimensional hypercube."""
@@ -421,10 +336,6 @@ def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
     return finish(report, json_path, csv_path)
 
 
-@cli.command("z2")
-@click.option("--size", type=int, default=3,
-              help="torus side length (>= 3)")
-@_instance_options
 def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
            json_path, csv_path):
     """Square-lattice connection relations realized on a torus."""
@@ -434,12 +345,6 @@ def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
     return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
-@cli.command("bunkbed")
-@click.option("--base", required=True,
-              help="base graph, e.g. cycle:5 or a JSON spec")
-@click.option("--law", "law_text", default="bond",
-              help="bond | site | rc:Q")
-@_instance_options
 def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
                 threads, json_path, csv_path):
     """Compare the two layers of base x edge."""
@@ -449,15 +354,6 @@ def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
     return _finish_instance(sc, threads, level, json_path, csv_path)
 
 
-@cli.command("layered")
-@click.option("--base", required=True,
-              help="base graph, e.g. path:1 for a bare cycle")
-@click.option("--m", "m", type=int, required=True, help="cycle length")
-@click.option("--choice", type=click.Choice(["a", "b", "c"]), required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--period", type=int, default=None,
-              help="residue period n (choices b and c)")
-@_instance_options
 def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
                 seed, level, threads, json_path, csv_path):
     """Residue-class layer comparison on the cylinder base x cycle(m)."""
@@ -493,22 +389,117 @@ def _override(sc: scenarios.Scenario, p_list=None,
     return replace(sc, **changes)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print its usage and
+    exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+# Flags as (name, add_argument keywords).  An absent --n, --seed or --cap
+# (None) keeps the scenario's own value.
+_SCENARIO = ("--scenario", dict(dest="scenario_ref", metavar="REF",
+                                required=True,
+                                help="scenario file path or builtin:NAME"))
+_P = ("--p", dict(dest="p_list", metavar="LIST",
+                  help="comma-separated rationals, e.g. 1/4,1/2,3/4"))
+_MODE = ("--mode", dict(choices=("exact", "mc"), default="exact"))
+_CAP = ("--cap", dict(dest="cap_bits", type=int, metavar="BITS",
+                      help="enumeration cap in bits (2^cap configurations)"
+                           f"  [default: {exact.DEFAULT_CAP_BITS}]"))
+_N = ("--n", dict(dest="mc_n", type=int, metavar="N",
+                  help="Monte Carlo sample count  [default: 100000]"))
+_SEED = ("--seed", dict(type=int, metavar="SEED",
+                        help="Monte Carlo seed  [default: 0]"))
+_LEVEL = ("--level", dict(choices=("0.95", "0.99"), default="0.95",
+                          help="confidence level"))
+_THREADS = ("--threads", dict(type=int, default=1, metavar="N",
+                              help="worker cap for Monte Carlo sampling "
+                                   "(exact mode ignores it)"))
+_JSON = ("--json", dict(dest="json_path", metavar="PATH"))
+_CSV = ("--csv", dict(dest="csv_path", metavar="PATH"))
+# The flags of the subcommands that construct their scenario.
+_INSTANCE = (_P, _MODE, _CAP, _N, _SEED, _LEVEL, _THREADS, _JSON, _CSV)
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call."""
+    parser = _Parser(
+        prog="symperc", allow_abbrev=False,
+        description="Verification lab for cluster-size comparison under "
+                    "symmetry.  Scenario-driven subcommands accept "
+                    "--scenario builtin:NAME; run `symperc enumerate "
+                    "--help` for the builtin corpus.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, run, flags in (
+        ("check-symmetry", cmd_check_symmetry, (_SCENARIO, _JSON)),
+        ("enumerate", cmd_enumerate,
+         (_SCENARIO, _P, _CAP, _THREADS, _JSON, _CSV)),
+        ("mc", cmd_mc,
+         (_SCENARIO, _P, _N, _SEED, _LEVEL, _THREADS, _JSON, _CSV)),
+        ("verify-identity", cmd_verify_identity,
+         (_SCENARIO, _P, _CAP, _THREADS, _JSON, _CSV)),
+        ("verify-group-theorem", cmd_verify_group_theorem, (
+            ("--group", dict(dest="group_name", metavar="NAME",
+                             required=True,
+                             help="named action: d4-on-c4 or bunkbed-c3")),
+            ("--trials", dict(type=int, default=100, metavar="N")),
+            ("--seed", dict(type=int, default=0)),
+            _JSON, _CSV)),
+        ("hypercube", cmd_hypercube,
+         (("--d", dict(type=int, required=True)), *_INSTANCE)),
+        ("z2", cmd_z2, (("--size", dict(
+            type=int, default=3, help="torus side length (>= 3)")),
+            *_INSTANCE)),
+        ("bunkbed", cmd_bunkbed, (
+            ("--base", dict(required=True,
+                            help="base graph, e.g. cycle:5 or a JSON spec")),
+            ("--law", dict(dest="law_text", default="bond",
+                           help="bond | site | rc:Q")),
+            *_INSTANCE)),
+        ("layered", cmd_layered, (
+            ("--base", dict(required=True,
+                            help="base graph, e.g. path:1 for a bare "
+                                 "cycle")),
+            ("--m", dict(type=int, required=True, help="cycle length")),
+            ("--choice", dict(choices=("a", "b", "c"), required=True)),
+            ("--k", dict(type=int, required=True)),
+            ("--period", dict(type=int,
+                              help="residue period n (choices b and c)")),
+            *_INSTANCE)),
+    ):
+        doc = " ".join(run.__doc__.split())
+        sub = commands.add_parser(name, help=doc, description=doc,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+    commands.choices["enumerate"].epilog = (
+        "Builtin scenarios: " + ", ".join(sorted(scenarios.BUILTINS)))
+    return parser
+
+
 def main(argv=None) -> int:
     """Dispatch and map every failure class to its stable exit code."""
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-        return int(result) if result is not None else 0
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", file=sys.stderr)
-        return USAGE_ERROR
-    except click.ClickException as exc:
-        exc.show()
+        args = vars(_parser().parse_args(argv))
+        run = args.pop("run")
+        if args.get("threads", 1) < 1:
+            raise ScenarioFormatError(
+                f"need --threads >= 1, got {args['threads']}")
+        return run(**args)
+    except SystemExit as exc:  # --help, once printed
+        return exc.code
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ScenarioFormatError, GraphSpecError, GeneratorSpecError) as exc:
-        click.echo(f"scenario error: {exc}", file=sys.stderr)
+        print(f"scenario error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ScenarioError, CapExceeded, GraphError, GroupError) as exc:
-        click.echo(f"precondition failure: {exc}", file=sys.stderr)
+        print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_CODES[PRECONDITION_FAILED]
 
 

@@ -91,6 +91,11 @@ from .rationals import format_fraction, parse_fraction
 
 DEFAULT_CAP_BITS = 26
 
+# The verdicts of a check; only a Monte Carlo interval can be inconclusive.
+PASS = "pass"
+VIOLATION = "violation"
+INCONCLUSIVE = "inconclusive"
+
 
 class CapExceeded(RuntimeError):
     """The configuration space is larger than the enumeration cap."""

@@ -23,7 +23,6 @@ identity; and the double-counting identity on orbits of set pairs.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -636,6 +635,8 @@ def random_family_pairs(v_plus: Sequence[int], v_minus: Sequence[int],
     """Reproducible sample of set pairs with sides of size <=
     ``_FAMILY_SIDE_MAX`` (empty sides included, so the degenerate branch
     gets exercised)."""
+    import random  # only this battery samples; no other run pays for it
+
     rng = random.Random(seed)
     out = []
     for _ in range(trials):

@@ -55,17 +55,13 @@ from fractions import Fraction
 from functools import lru_cache
 from statistics import NormalDist
 
-from .exact import Observables
+from .exact import INCONCLUSIVE, PASS, VIOLATION, Observables
 from .graphs import Graph
 from .groups import VertexSetPair
 from .rationals import parse_fraction
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-PASS = "pass"
-VIOLATION = "violation"
-INCONCLUSIVE = "inconclusive"
 
 # A margin lives in [-1, 1]; intervals wider than this resolve nothing.
 MAX_INFORMATIVE_HALF_WIDTH = 0.25

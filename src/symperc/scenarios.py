@@ -16,6 +16,7 @@ whole block).
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 import time
 from collections.abc import Mapping, Sequence
@@ -23,15 +24,40 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, log10
 
-from . import exact, graphs, groups, mc
-from .exact import BOND, PartitionLaw, parse_law
+from . import exact, graphs, groups
+from .exact import (
+    BOND,
+    INCONCLUSIVE,
+    PASS,
+    VIOLATION,
+    PartitionLaw,
+    parse_law,
+)
 from .graphs import Graph, GraphError, build_graph
 from .groups import Perm
 from .rationals import format_fraction, format_ratio, parse_probability
 
+
+def _lazy_module(name: str):
+    """The module ``name``, executed on its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The sampler, loaded by the first Monte Carlo run: an exact run, most
+# reports, would otherwise pay for it (and for ``statistics``) at start-up.
+mc = _lazy_module(f"{__package__}.mc")
+
 SCHEMA = "symperc-report/3"
 
-PASS, VIOLATION, INCONCLUSIVE = mc.PASS, mc.VIOLATION, mc.INCONCLUSIVE
 PRECONDITION_FAILED = "precondition_failed"
 
 _SEVERITY = {PASS: 0, INCONCLUSIVE: 1, VIOLATION: 2, PRECONDITION_FAILED: 3}

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import inspect
@@ -327,10 +328,13 @@ _INSTANCE_FLAGS = _FLAGS | {"--cap", "--level", "--mode", "--n", "--seed"}
     ("z2", _INSTANCE_FLAGS | {"--size"}),
 ])
 def test_subcommand_flags(name, flags):
-    from symperc.cli import cli
+    from symperc.cli import _parser
 
-    params = cli.commands[name].params
-    assert sorted(opt for param in params for opt in param.opts) == sorted(
+    commands, = (action for action in _parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    actions = commands.choices[name]._actions
+    assert sorted(opt for action in actions for opt in action.option_strings
+                  if not isinstance(action, argparse._HelpAction)) == sorted(
         flags)
 
 
@@ -413,6 +417,47 @@ def test_usage_errors_exit_four():
     assert main(["no-such-command"]) == 4
     assert main(["bunkbed", "--base", "mystery", "--p", "1/2"]) == 4
     assert main(["enumerate", "--scenario", "/does/not/exist.json"]) == 4
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    ([], "usage error: "),
+    (["enumerate"], "usage error: "),
+    (["no-such-command"], "usage error: "),
+    (["check-symmetry", "--scenario", "builtin:bunkbed-path2", "--no-such"],
+     "usage error: "),
+    # no option is taken from a prefix of its name
+    (["check-symmetry", "--scen", "builtin:bunkbed-path2"], "usage error: "),
+    (["hypercube", "--d", "x"], "usage error: "),
+    (["hypercube", "--d", "2", "--mode", "z"], "usage error: "),
+    (["mc", "--scenario", "builtin:bunkbed-path2", "--level", "0.5"],
+     "usage error: "),
+    (["layered", "--base", "path:1", "--m", "6", "--choice", "z", "--k", "1"],
+     "usage error: "),
+    (["verify-group-theorem", "--group", "d4-on-c4", "--trials", "-1"],
+     "usage error: "),
+    (["mc", "--scenario", "builtin:bunkbed-path2", "--threads", "-3"],
+     "scenario error: "),
+])
+def test_command_line_refusals_are_one_line(argv, prefix, capsys):
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["enumerate", "--help"], ["layered", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: symperc") and err == ""
+
+
+def test_option_equals_value(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["check-symmetry", "--scenario=builtin:bunkbed-cycle3",
+                 f"--json={out}"]) == 0
+    assert json.loads(out.read_text())["verdict"] == "pass"
 
 
 def test_csv_exact_columns(tmp_path):

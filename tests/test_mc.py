@@ -302,16 +302,42 @@ def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
         pair_joint(estimate_joint, g, pair, HALF, 100, seed=4, threads=0)
 
 
+# Runs in a fresh interpreter in which ``import click`` fails, and prints
+# what has been loaded after an exact run and after a Monte Carlo run.
+_LOADED_PROBE = """
+import contextlib, io, sys
+sys.modules["click"] = None
+from symperc.cli import main
+
+def loaded():
+    names = [name for name in ("click", "csv", "statistics",
+                               "multiprocessing") if sys.modules.get(name)]
+    sampler = sys.modules.get("symperc.mc")
+    # the module's own namespace, read without triggering a lazy load
+    if sampler is not None and "estimate_joint" in object.__getattribute__(
+            sampler, "__dict__"):
+        names.append("symperc.mc")
+    return names
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check-symmetry", "--scenario",
+                 "builtin:bunkbed-path2"]) == 0
+    exact = loaded()
+    assert main(["bunkbed", "--base", "path:2", "--mode", "mc",
+                 "--n", "50"]) in (0, 2)
+print(exact, loaded())
+"""
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
-    # A one-process run never starts a pool, so it should not pay for
-    # importing multiprocessing at start-up.
+    # A one-process run never starts a pool, and an exact run never
+    # samples, so neither pays at start-up for multiprocessing, the sampler
+    # or statistics; no run needs click, nor one without --csv the csv module.
     src = os.path.dirname(os.path.dirname(mc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, symperc.cli; print('multiprocessing' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _LOADED_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] ['statistics', 'symperc.mc']"
 
 
 def test_sampler_stream_is_pinned_across_workers():
