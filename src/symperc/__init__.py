@@ -32,20 +32,12 @@ from .graphs import (
 )
 from .groups import (
     FamilyPair,
-    GroupSplit,
-    PermGroup,
     StabilizerChain,
     SymmetryReport,
     VertexSetPair,
     check_symmetry_conditions,
-    generate_group,
     is_automorphism,
-    orbit,
-    split_group,
     stabilizer_chain,
-    stabilizer_orbit,
-    verify_double_counting,
-    verify_orbit_product,
 )
 from .scenarios import (
     Scenario,

@@ -4,20 +4,17 @@ A permutation is a plain tuple ``p`` of length n with ``p[i]`` the image of
 vertex i.  Composition follows ``(g o h)(x) = g(h(x))``: ``compose(g, h)``
 applies h first.
 
-A group is held in one of two forms.  A :class:`StabilizerChain` is a base
-and strong generating set built by deterministic Schreier–Sims; it never
-lists the elements, and its order is the product of the basic orbit
-lengths.  A :class:`PermGroup` is the explicit element list (closure of the
-generators), which only the group-theorem battery (``verify-group-theorem``)
-needs: it sums over elements to check the orbit product and
-double-counting lemmas.  The closure cap, ``DEFAULT_CLOSURE_CAP`` elements
-by default, therefore bounds only that battery.
+A group is held in one form: a :class:`StabilizerChain`, a base and strong
+generating set built by deterministic Schreier–Sims.  It never lists the
+elements, and its order is the product of the basic orbit lengths.
 
-The module also houses the verification side: the three symmetry conditions
-a group must satisfy for the cluster-domination pipeline (set preservation,
-transitivity on the union, and symmetry of cross stabilizer-orbit sizes),
-decided from the generators and a stabilizer chain; the orbit product
-identity; and the double-counting identity on orbits of set pairs.
+The module also houses the verification side, decided from generators and
+stabilizer chains: the three symmetry conditions a group must satisfy for
+the cluster-domination pipeline (set preservation, transitivity on the
+union, and symmetry of cross stabilizer-orbit sizes), and the counting
+lemmas behind them (:func:`lemma_failures`): the orbit product identity,
+swap symmetry, stabilizer symmetry in the set-preserving subgroup, and the
+double-counting identity on orbits of set pairs.
 """
 
 from __future__ import annotations
@@ -27,11 +24,9 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, as_vertex_set
 
 Perm = tuple[int, ...]
-
-DEFAULT_CLOSURE_CAP = 10**6
 
 
 class GroupError(ValueError):
@@ -40,10 +35,6 @@ class GroupError(ValueError):
 
 class GeneratorSpecError(GroupError):
     """A malformed generator spec: an unknown name or not a spec at all."""
-
-
-class ClosureCapExceeded(GroupError):
-    """Generator closure grew past the configured element cap."""
 
 
 class NonAutomorphismElement(GroupError):
@@ -112,96 +103,6 @@ def perm_from_label_map(g: Graph, fn) -> Perm:
         except GraphError as exc:
             raise GroupError(f"label map leaves the vertex set: {exc}") from None
     return _check_perm(image, g.n_vertices)
-
-
-# ---------------------------------------------------------------------------
-# group closure
-
-
-@dataclass(frozen=True)
-class PermGroup:
-    """Generators plus the full element list (deterministic discovery order:
-    breadth-first from the identity, generators applied in input order).
-
-    Only the group-theorem battery closes a group; everything else works
-    from a :class:`StabilizerChain`."""
-
-    n_points: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _checked_generators(gens: Sequence[Sequence[int]],
-                        n_points: int | None) -> tuple[int, list[Perm]]:
-    if gens:
-        n = len(gens[0])
-    elif n_points is not None:
-        n = n_points
-    else:
-        raise GroupError("empty generator list needs an explicit n_points")
-    return n, [_check_perm(p, n) for p in gens]
-
-
-def generate_group(
-    gens: Sequence[Sequence[int]],
-    cap: int = DEFAULT_CLOSURE_CAP,
-    n_points: int | None = None,
-) -> PermGroup:
-    """Close a generator list under composition.
-
-    The element list starts at the identity and grows breadth-first, applying
-    generators in input order, so the order is reproducible.  ``n_points`` is
-    only needed when ``gens`` is empty.
-    """
-    if cap < 1:
-        raise GroupError(f"closure cap must be >= 1, got {cap}")
-    n, checked = _checked_generators(gens, n_points)
-
-    ident = identity_perm(n)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for gen in checked:
-                h = compose(gen, e)
-                if h not in seen:
-                    if len(seen) + 1 > cap:
-                        raise ClosureCapExceeded(
-                            f"group closure exceeds cap of {cap} elements"
-                        )
-                    seen.add(h)
-                    elements.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return PermGroup(n_points=n, generators=tuple(checked),
-                     elements=tuple(elements))
-
-
-def orbit(grp: PermGroup, x: int) -> tuple[int, ...]:
-    """All images of x under the group."""
-    return tuple(sorted({e[x] for e in grp.elements}))
-
-
-def stabilizer_orbit(grp: PermGroup, v: int, w: int) -> tuple[int, ...]:
-    """Images of w under the elements fixing v."""
-    return tuple(sorted({e[w] for e in grp.elements if e[v] == v}))
-
-
-def verify_orbit_product(grp: PermGroup, x: int, y: int) -> tuple[int, int]:
-    """Count both sides of the pair-orbit product identity.
-
-    Returns (number of distinct image pairs of (x, y),
-             orbit size of x times stabilizer orbit size of y at x).
-    The two counts agree for every group action.
-    """
-    pairs = {(e[x], e[y]) for e in grp.elements}
-    return len(pairs), len(orbit(grp, x)) * len(stabilizer_orbit(grp, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +245,17 @@ class StabilizerChain:
         return math.prod(len(lvl.inverses) for lvl in self.levels)
 
 
+def _checked_generators(gens: Sequence[Sequence[int]],
+                        n_points: int | None) -> tuple[int, list[Perm]]:
+    if gens:
+        n = len(gens[0])
+    elif n_points is not None:
+        n = n_points
+    else:
+        raise GroupError("empty generator list needs an explicit n_points")
+    return n, [_check_perm(p, n) for p in gens]
+
+
 def stabilizer_chain(gens: Sequence[Sequence[int]],
                      n_points: int | None = None) -> StabilizerChain:
     """Base and strong generating set of the group the generators generate.
@@ -395,6 +307,28 @@ def _rooted(chain: StabilizerChain, v: int, reps: Sequence[int],
     return levels[0].inverses, _orbit_reps(stab_gens, n)
 
 
+def _orbitals(chain: StabilizerChain, reps: Sequence[int],
+              points: Iterable[int]) -> tuple[dict[int, tuple], Counter[int]]:
+    """Each point v maps to (u_v^-1, ids), read off a chain rooted in v's
+    orbit: the Stab(v)-orbit of w has the id ``ids[u_v^-1(w)]``, that of the
+    Stab(root)-orbit of u_v^-1(w), made unique across roots, and its size
+    is ``sizes`` of that id.  ``reps`` are the group's orbit
+    representatives."""
+    roots: dict[int, tuple] = {}
+    view = {}
+    sizes: Counter[int] = Counter()
+    for v in points:
+        if reps[v] not in roots:
+            inverses, stab_reps = _rooted(chain, v, reps)
+            offset = len(roots) * chain.n_points
+            ids = [offset + x for x in stab_reps]
+            sizes.update(ids)
+            roots[reps[v]] = (inverses, ids)
+        inverses, ids = roots[reps[v]]
+        view[v] = (inverses[v], ids)
+    return view, sizes
+
+
 # ---------------------------------------------------------------------------
 # vertex set pairs and the symmetry conditions
 
@@ -421,8 +355,6 @@ class VertexSetPair:
 
 def make_pair(g: Graph, v_plus: Iterable[int], v_minus: Iterable[int],
               origin: int) -> VertexSetPair:
-    from .graphs import as_vertex_set
-
     return VertexSetPair(
         v_plus=as_vertex_set(g, v_plus),
         v_minus=as_vertex_set(g, v_minus),
@@ -481,7 +413,8 @@ def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
 
     Raises :class:`NonAutomorphismElement` unless every generator is an
     automorphism of ``g``; the first bad generator is also the first bad
-    element in the breadth-first element order of :func:`generate_group`.
+    element in the breadth-first element order of the closure oracle in
+    ``tests/_oracles.py``.
     """
     if chain.n_points != g.n_vertices:
         raise GroupError("group acts on a different number of points")
@@ -511,22 +444,7 @@ def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
             transitive = False
             notes.append(f"vertices {missing} unreachable from vertex {seed}")
 
-    # Each point of the union maps to (u_v^-1, orbital ids): the id of the
-    # pair (v, w) is that of the Stab(root)-orbit of u_v^-1(w), made unique
-    # across roots, so the cross pairs are two lookups each.
-    roots: dict[int, tuple] = {}
-    view = {}
-    sizes: Counter[int] = Counter()
-    for v in pair.v_plus + pair.v_minus:
-        if reps[v] not in roots:
-            inverses, stab_reps = _rooted(chain, v, reps)
-            offset = len(roots) * g.n_vertices
-            ids = [offset + x for x in stab_reps]
-            sizes.update(ids)
-            roots[reps[v]] = (inverses, ids)
-        inverses, ids = roots[reps[v]]
-        view[v] = (inverses[v], ids)
-
+    view, sizes = _orbitals(chain, reps, pair.v_plus + pair.v_minus)
     stabilizer_symmetric = swap_transitive = True
     for v in pair.v_plus:
         inv_v, ids_v = view[v]
@@ -553,44 +471,8 @@ def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
     )
 
 
-@dataclass(frozen=True)
-class GroupSplit:
-    """Partition of the elements into set-preservers and set-swappers.
-
-    ``swap`` is the first swapper in the group's deterministic element
-    order; the swappers are exactly ``swap`` composed with each preserver.
-    """
-
-    preservers: tuple[Perm, ...]
-    swappers: tuple[Perm, ...]
-    swap: Perm
-
-
-def split_group(grp: PermGroup, pair: VertexSetPair) -> GroupSplit:
-    plus, minus = set(pair.v_plus), set(pair.v_minus)
-    preservers: list[Perm] = []
-    swappers: list[Perm] = []
-    for e in grp.elements:
-        img_plus = {e[v] for v in plus}
-        img_minus = {e[v] for v in minus}
-        if img_plus == plus and img_minus == minus:
-            preservers.append(e)
-        elif img_plus == minus and img_minus == plus:
-            swappers.append(e)
-        else:
-            raise GroupError(
-                "split requires every element to preserve or swap the sets"
-            )
-    if not swappers:
-        raise NoSwapper(
-            "no element swaps the sets (transitivity fails or v_minus is empty)"
-        )
-    return GroupSplit(preservers=tuple(preservers), swappers=tuple(swappers),
-                      swap=swappers[0])
-
-
 # ---------------------------------------------------------------------------
-# double counting on orbits of set pairs
+# the counting lemmas, from generators and chains
 
 
 @dataclass(frozen=True)
@@ -599,31 +481,6 @@ class FamilyPair:
 
     a_plus: frozenset[int]
     a_minus: frozenset[int]
-
-
-def pair_orbit(elements: Sequence[Perm],
-               pair: FamilyPair) -> set[tuple[frozenset[int], frozenset[int]]]:
-    """Distinct componentwise images of the set pair under the elements."""
-    return {
-        (frozenset(e[x] for x in pair.a_plus),
-         frozenset(e[x] for x in pair.a_minus))
-        for e in elements
-    }
-
-
-def verify_double_counting(elements: Sequence[Perm], pair: FamilyPair,
-                           o: int, o_prime: int) -> tuple[int, int]:
-    """Count both sides of the double-counting identity.
-
-    lhs = (#orbit members whose first set contains o) * |a_minus|,
-    rhs = (#orbit members whose second set contains o_prime) * |a_plus|.
-    Equality holds whenever the elements form a group acting transitively on
-    each side with symmetric cross stabilizer-orbit sizes.
-    """
-    members = pair_orbit(elements, pair)
-    hits_o = sum(1 for first, _ in members if o in first)
-    hits_o_prime = sum(1 for _, second in members if o_prime in second)
-    return hits_o * len(pair.a_minus), hits_o_prime * len(pair.a_plus)
 
 
 # The most vertices on each side of a sampled set pair.
@@ -647,6 +504,106 @@ def random_family_pairs(v_plus: Sequence[int], v_minus: Sequence[int],
             a_minus=frozenset(rng.sample(list(v_minus), kb)),
         ))
     return out
+
+
+def _preserving_subgroup(gens: Sequence[Perm],
+                         pair: VertexSetPair) -> list[Perm]:
+    """Generators of the subgroup H that maps each set onto itself.
+
+    H has index 2: the Schreier generators over the transversal {1, s}, s
+    the first generator that swaps the sets, are g and s^-1 g s for a
+    preserving g, and s^-1 g and g s for a swapping one."""
+    plus, minus = set(pair.v_plus), set(pair.v_minus)
+    swapping = []
+    for e in gens:
+        img_plus = {e[v] for v in plus}
+        img_minus = {e[v] for v in minus}
+        if img_plus == minus and img_minus == plus:
+            swapping.append(True)
+        elif img_plus == plus and img_minus == minus:
+            swapping.append(False)
+        else:
+            raise GroupError(
+                "split requires every element to preserve or swap the sets")
+    if True not in swapping:
+        raise NoSwapper(
+            "no element swaps the sets (transitivity fails or v_minus is empty)"
+        )
+    s = gens[swapping.index(True)]
+    s_inv = invert(s)
+    return [h for e, swaps in zip(gens, swapping)
+            for h in ((_mul(s_inv, e), _mul(e, s)) if swaps
+                      else (e, _mul(s_inv, _mul(e, s))))]
+
+
+def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
+                   seed: int) -> tuple[int, int, int, int]:
+    """Failures of the four counting lemmas, each found from generators and
+    stabilizer chains, never by listing the elements.
+
+    Over all n² pairs (x, y): the orbit product identity, the size of the
+    orbit of (x, y) on V × V (a generator search on the points x·n + y)
+    against |Γx|·|Stab(x)·y| (generator orbits and the chain); and swap
+    symmetry, |Stab(x)·y| = |Stab(y)·x| wherever (y, x) lies in the orbit
+    of (x, y).  Over the cross pairs: stabilizer symmetry in the subgroup H
+    that preserves the sets, read off H's own chain.  Over ``trials``
+    sampled set pairs (:func:`random_family_pairs`): double counting on the
+    orbit of each under H, found by a search with H's generators and kept
+    for every member of it.
+
+    Raises :class:`GroupError` when a generator neither preserves nor swaps
+    the sets, and :class:`NoSwapper` when none swaps them.
+    """
+    n, gens = chain.n_points, chain.generators
+    reps = _orbit_reps(gens, n)
+    pair_reps = _orbit_reps(
+        [tuple(s[x] * n + s[y] for x in range(n) for y in range(n))
+         for s in gens], n * n)
+    orbit_sizes, pair_orbit_sizes = Counter(reps), Counter(pair_reps)
+
+    def stab_size(orbitals, v, w):
+        view, sizes = orbitals
+        inv_v, ids = view[v]
+        return sizes[ids[inv_v[w]]]
+
+    whole = _orbitals(chain, reps, range(n))
+    product = swap = 0
+    for x in range(n):
+        for y in range(n):
+            size = stab_size(whole, x, y)
+            product += (pair_orbit_sizes[pair_reps[x * n + y]]
+                        != orbit_sizes[reps[x]] * size)
+            swap += (pair_reps[x * n + y] == pair_reps[y * n + x]
+                     and size != stab_size(whole, y, x))
+
+    h_gens = _preserving_subgroup(gens, pair)
+    sub = _orbitals(stabilizer_chain(h_gens, n_points=n),
+                    _orbit_reps(h_gens, n), pair.v_plus + pair.v_minus)
+    stab = sum(stab_size(sub, v, w) != stab_size(sub, w, v)
+               for v in pair.v_plus for w in pair.v_minus)
+
+    o, o_prime = pair.origin, pair.v_minus[0]
+    counted: dict[tuple, tuple[int, int]] = {}
+    double = 0
+    for fp in random_family_pairs(pair.v_plus, pair.v_minus, trials, seed):
+        key = (fp.a_plus, fp.a_minus)
+        if key not in counted:
+            members = {key}
+            frontier = [key]
+            while frontier:
+                a, b = frontier.pop()
+                for h in h_gens:
+                    image = (frozenset(map(h.__getitem__, a)),
+                             frozenset(map(h.__getitem__, b)))
+                    if image not in members:
+                        members.add(image)
+                        frontier.append(image)
+            counted.update(dict.fromkeys(members, (
+                sum(o in a for a, _ in members) * len(fp.a_minus),
+                sum(o_prime in b for _, b in members) * len(fp.a_plus))))
+        lhs, rhs = counted[key]
+        double += lhs != rhs
+    return product, stab, swap, double
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,17 @@ where the package grows every sample of a chunk at once, one bit each.
 ``reach`` sets, one string of bits per sample, where the package packs
 eight vertices into one byte per sample; ``reach_cases`` draws its inputs.
 
-``exhaustive_symmetry_report`` decides the symmetry conditions by scanning
-the closed element list, where the package works from generators and a
-stabilizer chain; ``symmetry_cases`` draws graphs, generator sets and pairs
-for it, failing cases included.
+The group oracles close the generators into an explicit element list
+(``generate_group``, a ``PermGroup``) and scan it, where the package works
+from generators and stabilizer chains and never lists the elements.
+``exhaustive_symmetry_report`` decides the symmetry conditions that way;
+``element_battery`` counts the failures of the four counting lemmas behind
+``verify-group-theorem`` by summing over elements (``orbit``,
+``stabilizer_orbit``, ``verify_orbit_product``, ``split_group``,
+``pair_orbit`` and ``verify_double_counting``).  ``symmetry_cases`` draws
+graphs, generator sets and pairs for them, failing cases included, and
+``split_cases`` draws groups that preserve or swap their two sets, so the
+lemmas are reached and can fail.
 
 ``distance`` and ``relabel_graph`` are graph helpers that only the tests
 use.
@@ -60,7 +67,7 @@ use.
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -86,14 +93,20 @@ from symperc.scenarios import (
     _hypercube_rows,
     discrete_derivative,
 )
-from symperc.graphs import distances_from, explicit_graph
+from symperc.graphs import complete_graph, distances_from, explicit_graph
 from symperc.groups import (
+    GroupError,
     NonAutomorphismElement,
+    NoSwapper,
     SymmetryReport,
-    generate_group,
+    _checked_generators,
+    check_symmetry_conditions,
+    compose,
+    identity_perm,
     is_automorphism,
     make_pair,
-    stabilizer_orbit,
+    random_family_pairs,
+    stabilizer_chain,
 )
 
 
@@ -829,6 +842,195 @@ def cyclic_site_cases(draw):
     return explicit_graph(n, sorted(edges)), origin, tuple(masks)
 
 
+DEFAULT_CLOSURE_CAP = 10**6
+
+
+class ClosureCapExceeded(GroupError):
+    """Generator closure grew past the configured element cap."""
+
+
+@dataclass(frozen=True)
+class PermGroup:
+    """Generators plus the full element list (deterministic discovery order:
+    breadth-first from the identity, generators applied in input order)."""
+
+    n_points: int
+    generators: tuple
+    elements: tuple
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+
+def generate_group(gens, cap=DEFAULT_CLOSURE_CAP, n_points=None):
+    """Close a generator list under composition.
+
+    The element list starts at the identity and grows breadth-first, applying
+    generators in input order, so the order is reproducible.  ``n_points`` is
+    only needed when ``gens`` is empty.
+    """
+    if cap < 1:
+        raise GroupError(f"closure cap must be >= 1, got {cap}")
+    n, checked = _checked_generators(gens, n_points)
+
+    ident = identity_perm(n)
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for gen in checked:
+                h = compose(gen, e)
+                if h not in seen:
+                    if len(seen) + 1 > cap:
+                        raise ClosureCapExceeded(
+                            f"group closure exceeds cap of {cap} elements"
+                        )
+                    seen.add(h)
+                    elements.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return PermGroup(n_points=n, generators=tuple(checked),
+                     elements=tuple(elements))
+
+
+def orbit(grp, x):
+    """All images of x under the group."""
+    return tuple(sorted({e[x] for e in grp.elements}))
+
+
+def stabilizer_orbit(grp, v, w):
+    """Images of w under the elements fixing v."""
+    return tuple(sorted({e[w] for e in grp.elements if e[v] == v}))
+
+
+def verify_orbit_product(grp, x, y):
+    """Count both sides of the pair-orbit product identity.
+
+    Returns (number of distinct image pairs of (x, y),
+             orbit size of x times stabilizer orbit size of y at x).
+    The two counts agree for every group action.
+    """
+    pairs = {(e[x], e[y]) for e in grp.elements}
+    return len(pairs), len(orbit(grp, x)) * len(stabilizer_orbit(grp, x, y))
+
+
+@dataclass(frozen=True)
+class GroupSplit:
+    """Partition of the elements into set-preservers and set-swappers.
+
+    ``swap`` is the first swapper in the group's deterministic element
+    order; the swappers are exactly ``swap`` composed with each preserver.
+    """
+
+    preservers: tuple
+    swappers: tuple
+    swap: tuple
+
+
+def split_group(grp, pair):
+    plus, minus = set(pair.v_plus), set(pair.v_minus)
+    preservers = []
+    swappers = []
+    for e in grp.elements:
+        img_plus = {e[v] for v in plus}
+        img_minus = {e[v] for v in minus}
+        if img_plus == plus and img_minus == minus:
+            preservers.append(e)
+        elif img_plus == minus and img_minus == plus:
+            swappers.append(e)
+        else:
+            raise GroupError(
+                "split requires every element to preserve or swap the sets"
+            )
+    if not swappers:
+        raise NoSwapper(
+            "no element swaps the sets (transitivity fails or v_minus is empty)"
+        )
+    return GroupSplit(preservers=tuple(preservers), swappers=tuple(swappers),
+                      swap=swappers[0])
+
+
+def pair_orbit(elements, pair):
+    """Distinct componentwise images of the set pair under the elements."""
+    return {
+        (frozenset(e[x] for x in pair.a_plus),
+         frozenset(e[x] for x in pair.a_minus))
+        for e in elements
+    }
+
+
+def verify_double_counting(elements, pair, o, o_prime):
+    """Count both sides of the double-counting identity.
+
+    lhs = (#orbit members whose first set contains o) * |a_minus|,
+    rhs = (#orbit members whose second set contains o_prime) * |a_plus|.
+    Equality holds whenever the elements form a group acting transitively on
+    each side with symmetric cross stabilizer-orbit sizes.
+    """
+    members = pair_orbit(elements, pair)
+    hits_o = sum(1 for first, _ in members if o in first)
+    hits_o_prime = sum(1 for _, second in members if o_prime in second)
+    return hits_o * len(pair.a_minus), hits_o_prime * len(pair.a_plus)
+
+
+def element_battery(g, gens, pair, trials, seed):
+    """``scenarios._group_battery`` by sums over the closed group's
+    elements: the same report fields."""
+    grp = generate_group(gens, n_points=g.n_vertices)
+    conditions = check_symmetry_conditions(
+        g, stabilizer_chain(gens, n_points=g.n_vertices), pair)
+
+    orbit_product_failures = []
+    for x in range(g.n_vertices):
+        for y in range(g.n_vertices):
+            lhs, rhs = verify_orbit_product(grp, x, y)
+            if lhs != rhs:
+                orbit_product_failures.append((x, y, lhs, rhs))
+
+    split = split_group(grp, pair)
+    sub = PermGroup(n_points=g.n_vertices, generators=(),
+                    elements=split.preservers)
+    stab_failures = []
+    for v in pair.v_plus:
+        for w in pair.v_minus:
+            if len(stabilizer_orbit(sub, v, w)) != len(
+                    stabilizer_orbit(sub, w, v)):
+                stab_failures.append((v, w))
+
+    swap_failures = []
+    for x in range(g.n_vertices):
+        for y in range(g.n_vertices):
+            if any(e[x] == y and e[y] == x for e in grp.elements):
+                if len(stabilizer_orbit(grp, x, y)) != len(
+                        stabilizer_orbit(grp, y, x)):
+                    swap_failures.append((x, y))
+
+    pairs = random_family_pairs(pair.v_plus, pair.v_minus, trials, seed)
+    o_prime = pair.v_minus[0]
+    double_failures = 0
+    for fp in pairs:
+        lhs, rhs = verify_double_counting(split.preservers, fp,
+                                          pair.origin, o_prime)
+        if lhs != rhs:
+            double_failures += 1
+
+    return {
+        "conditions": conditions.to_json_dict(),
+        "group_order": grp.order,
+        "orbit_product_pairs": g.n_vertices ** 2,
+        "orbit_product_failures": len(orbit_product_failures),
+        "stabilizer_symmetry_failures": len(stab_failures),
+        "swap_symmetry_failures": len(swap_failures),
+        "double_counting_trials": trials,
+        "double_counting_failures": double_failures,
+        "all_exact": not (orbit_product_failures or stab_failures
+                          or swap_failures or double_failures),
+    }
+
+
 def exhaustive_symmetry_report(g, grp, pair):
     """``groups.check_symmetry_conditions`` by a sweep over the elements of
     the closed group ``grp``, each cross pair rescanning the element list."""
@@ -920,3 +1122,32 @@ def symmetry_cases(draw):
     pair = make_pair(g, [v for v in range(n) if side[v] == 1 or v == o],
                      [v for v in range(n) if side[v] == 2 and v != o], o)
     return g, gens, pair
+
+
+@st.composite
+def split_cases(draw):
+    """A graph, generators and a vertex-set pair that every generator
+    preserves or swaps, one at least swapping.
+
+    v_plus is 0..m-1 and v_minus m..2m-1, up to two more points lie
+    outside both, and each generator permutes the three blocks on their
+    own or exchanges the two sets, so the set-preserving subgroup need not
+    act transitively and the lemmas can fail.  The graph is complete, so
+    every generator is an automorphism.
+    """
+    m = draw(st.integers(1, 3))
+    rest = draw(st.integers(0, 2))
+    n = 2 * m + rest
+
+    def block(lo, size):
+        return [lo + x for x in draw(st.permutations(range(size)))]
+
+    gens = []
+    for swaps in [True] + draw(st.lists(st.booleans(), max_size=3)):
+        plus, minus = block(0, m), block(m, m)
+        gens.append(tuple((minus + plus) if swaps else (plus + minus))
+                    + tuple(block(2 * m, rest)))
+    g = complete_graph(n)
+    o = draw(st.integers(0, m - 1))
+    return g, draw(st.permutations(gens)), make_pair(
+        g, range(m), range(m, 2 * m), o)

@@ -1,8 +1,24 @@
 import random
 
 import pytest
-from _oracles import exhaustive_symmetry_report, symmetry_cases
+from _oracles import (
+    DEFAULT_CLOSURE_CAP,
+    ClosureCapExceeded,
+    PermGroup,
+    element_battery,
+    exhaustive_symmetry_report,
+    generate_group,
+    orbit,
+    pair_orbit,
+    split_cases,
+    split_group,
+    stabilizer_orbit,
+    symmetry_cases,
+    verify_double_counting,
+    verify_orbit_product,
+)
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symperc import groups, scenarios
 from symperc.graphs import (
@@ -13,26 +29,17 @@ from symperc.graphs import (
     path_graph,
 )
 from symperc.groups import (
-    DEFAULT_CLOSURE_CAP,
-    ClosureCapExceeded,
     FamilyPair,
     GroupError,
     NonAutomorphismElement,
     NoSwapper,
     check_symmetry_conditions,
     compose,
-    generate_group,
     identity_perm,
     invert,
     is_automorphism,
     make_pair,
-    orbit,
-    pair_orbit,
-    split_group,
     stabilizer_chain,
-    stabilizer_orbit,
-    verify_double_counting,
-    verify_orbit_product,
 )
 
 ROT4 = (1, 2, 3, 0)        # i -> i+1 mod 4
@@ -211,8 +218,8 @@ def test_double_counting_degenerate_and_singletons():
     g, grp = bunkbed_c3_group()
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
     split = split_group(grp, pair)
-    sub = groups.PermGroup(n_points=g.n_vertices, generators=(),
-                           elements=split.preservers)
+    sub = PermGroup(n_points=g.n_vertices, generators=(),
+                    elements=split.preservers)
     for x in pair.v_plus:
         for y in pair.v_minus:
             singles = FamilyPair(frozenset({x}), frozenset({y}))
@@ -257,8 +264,8 @@ def test_equal_size_transitive_sets_have_symmetric_stabilizers():
     cases.append((generate_group(gens), (0, 2), (1, 3)))
     g6, grp6 = bunkbed_c3_group()
     split = split_group(grp6, make_pair(g6, [0, 2, 4], [1, 3, 5], 0))
-    sub = groups.PermGroup(n_points=6, generators=(),
-                           elements=split.preservers)
+    sub = PermGroup(n_points=6, generators=(),
+                    elements=split.preservers)
     cases.append((sub, (0, 2, 4), (1, 3, 5)))
     for grp, plus, minus in cases:
         for v in plus:
@@ -320,6 +327,17 @@ def test_symmetry_report_equals_the_exhaustive_oracle(case):
     assert _report_or_error(check_symmetry_conditions, g, chain, pair) == want
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(symmetry_cases(), split_cases()), st.integers(0, 20),
+       st.integers(0, 2**16))
+def test_group_battery_equals_the_element_oracle_on_drawn_groups(
+        case, trials, seed):
+    # every report field, or the oracle's error with the oracle's text
+    args = (*case, trials, seed)
+    assert _report_or_error(scenarios._group_battery, *args) == (
+        _report_or_error(element_battery, *args))
+
+
 def _constructor_cases():
     cases = {f"builtin:{name}": scenarios.load_scenario(f"builtin:{name}")
              for name in sorted(scenarios.BUILTINS)}
@@ -360,6 +378,14 @@ def test_symmetry_report_equals_the_oracle_on_every_report(g, gens, pair):
         exhaustive_symmetry_report(g, grp, pair))
 
 
+@pytest.mark.parametrize("g, gens, pair", _constructor_cases())
+def test_group_battery_equals_the_element_oracle_on_every_report(g, gens,
+                                                                 pair):
+    args = (g, gens, pair, 20, 1)
+    assert _report_or_error(scenarios._group_battery, *args) == (
+        _report_or_error(element_battery, *args))
+
+
 def test_group_past_the_closure_cap_is_checked_without_closing_it():
     # K_10 under <(0 1), (0 1 ... 9)>: the full symmetric group, 10! elements
     g = complete_graph(10)
@@ -375,16 +401,3 @@ def test_group_past_the_closure_cap_is_checked_without_closing_it():
         swap_transitive=True, sets_finite=True, group_order=3_628_800,
         notes=("an element maps a set off the pair {v_plus, v_minus}",))
 
-
-def test_group_theorem_battery_still_enumerates_under_the_cap(monkeypatch):
-    closed = []
-
-    def spy(gens, cap=DEFAULT_CLOSURE_CAP, n_points=None):
-        grp = generate_group(gens, cap, n_points)
-        closed.append((cap, grp.order))
-        return grp
-
-    monkeypatch.setattr(groups, "generate_group", spy)
-    for name in ("d4-on-c4", "bunkbed-c3"):
-        assert scenarios.group_theorem_battery(name, trials=5)["all_exact"]
-    assert closed == [(DEFAULT_CLOSURE_CAP, 8), (DEFAULT_CLOSURE_CAP, 12)]

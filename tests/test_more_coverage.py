@@ -22,9 +22,14 @@ from symperc.graphs import (
     path_graph,
     torus_graph,
 )
-from symperc.groups import generate_group, make_pair, verify_orbit_product
+from symperc.groups import make_pair
 
-from _oracles import pair_joint, probabilities
+from _oracles import (
+    generate_group,
+    pair_joint,
+    probabilities,
+    verify_orbit_product,
+)
 
 HALF = F(1, 2)
 

@@ -546,9 +546,20 @@ def test_group_battery_conditions_equal_the_exhaustive_oracle(name):
     # the battery decides the conditions from its generators; the oracle
     # scans every element of the closed group
     g, gens, pair = scenarios._named_group(name)
-    grp = groups.generate_group(gens, n_points=g.n_vertices)
+    grp = oracle.generate_group(gens, n_points=g.n_vertices)
     assert group_theorem_battery(name)["conditions"] == (
         oracle.exhaustive_symmetry_report(g, grp, pair).to_json_dict())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("trials", [0, 1, 100])
+@pytest.mark.parametrize("name", ["d4-on-c4", "bunkbed-c3"])
+def test_group_battery_equals_the_element_oracle(name, trials, seed):
+    # the battery works from generator orbits and stabilizer chains; the
+    # oracle sums over every element of the closed group
+    rep = group_theorem_battery(name, trials, seed)
+    want = oracle.element_battery(*scenarios._named_group(name), trials, seed)
+    assert {key: rep[key] for key in want} == want
 
 
 def test_group_battery_unknown_name():
