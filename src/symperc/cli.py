@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -127,11 +128,6 @@ def write_outputs(report: dict, json_path: str | None,
         raise UsageError(f"cannot write output: {exc}") from None
 
 
-def _scenario_name(report: dict) -> str:
-    sc = report.get("scenario", {})
-    return str(sc.get("name", report.get("kind", "scenario")))
-
-
 def _cells(value, unbounded=("", "")) -> tuple:
     """A result value as (value, lo, hi): an exact "num/den" string has no
     interval, and a Monte Carlo record's null end becomes ``unbounded``."""
@@ -144,7 +140,7 @@ def _cells(value, unbounded=("", "")) -> tuple:
 
 def csv_rows(report: dict) -> list[list]:
     """Flatten a report into the stable CSV columns."""
-    name = _scenario_name(report)
+    name = report["scenario"]["name"]
     mode = report.get("mode", "")
     rows: list[list] = []
 
@@ -191,7 +187,7 @@ def print_human(report: dict) -> None:
 
 
 def _human_lines(report: dict) -> list[str]:
-    name = _scenario_name(report)
+    name = report["scenario"]["name"]
     lines = [f"{report.get('kind', 'report')}: {name}  "
              f"mode={report.get('mode', '?')}  verdict={report['verdict']}"]
     cond = report.get("conditions")
@@ -332,7 +328,7 @@ def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
     sc = scenarios.hypercube_scenario(
         d, _parse_p_list(p_list), mode=mode,
         **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    report = scenarios.hypercube_inequality_report(sc, threads, float(level))
+    report = scenarios.run_scenario(sc, threads, float(level))
     return finish(report, json_path, csv_path)
 
 
@@ -342,7 +338,8 @@ def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
     sc = scenarios.z2_scenario(
         size, _parse_p_list(p_list), mode=mode,
         **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    return _finish_instance(sc, threads, level, json_path, csv_path)
+    report = scenarios.run_scenario(sc, threads, float(level))
+    return finish(report, json_path, csv_path)
 
 
 def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
@@ -351,7 +348,8 @@ def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
     sc = scenarios.bunkbed_scenario(
         _parse_base(base), _parse_p_list(p_list), law_text, mode=mode,
         **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    return _finish_instance(sc, threads, level, json_path, csv_path)
+    report = scenarios.run_scenario(sc, threads, float(level))
+    return finish(report, json_path, csv_path)
 
 
 def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
@@ -360,15 +358,7 @@ def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
     sc = scenarios.layered_scenario(
         _parse_base(base), m, choice, k, period, _parse_p_list(p_list),
         mode=mode, **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    return _finish_instance(sc, threads, level, json_path, csv_path)
-
-
-def _finish_instance(sc: scenarios.Scenario, threads, level, json_path,
-                     csv_path) -> int:
-    """Run a constructed scenario, which claims theorem instances, so a pair
-    failing its symmetry check is a precondition failure."""
-    report = scenarios.run_scenario(sc, threads=threads, level=float(level),
-                                    require_conditions=True)
+    report = scenarios.run_scenario(sc, threads, float(level))
     return finish(report, json_path, csv_path)
 
 
@@ -381,8 +371,6 @@ def _given(**flags) -> dict:
 def _override(sc: scenarios.Scenario, p_list=None,
               **flags) -> scenarios.Scenario:
     """``sc`` with the given flags in place of its own fields."""
-    from dataclasses import replace
-
     changes = _given(**flags)
     if p_list is not None:
         changes["p_grid"] = scenarios.parse_p_grid(_parse_p_list(p_list))

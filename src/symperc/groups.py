@@ -13,7 +13,7 @@ stabilizer chains: the three symmetry conditions a group must satisfy for
 the cluster-domination pipeline (set preservation, transitivity on the
 union, and symmetry of cross stabilizer-orbit sizes), and the counting
 lemmas behind them (:func:`lemma_failures`): the orbit product identity,
-swap symmetry, stabilizer symmetry in the set-preserving subgroup, and the
+swap symmetry, stabilizer symmetry across the two sets, and the
 double-counting identity on orbits of set pairs.
 """
 
@@ -506,36 +506,6 @@ def random_family_pairs(v_plus: Sequence[int], v_minus: Sequence[int],
     return out
 
 
-def _preserving_subgroup(gens: Sequence[Perm],
-                         pair: VertexSetPair) -> list[Perm]:
-    """Generators of the subgroup H that maps each set onto itself.
-
-    H has index 2: the Schreier generators over the transversal {1, s}, s
-    the first generator that swaps the sets, are g and s^-1 g s for a
-    preserving g, and s^-1 g and g s for a swapping one."""
-    plus, minus = set(pair.v_plus), set(pair.v_minus)
-    swapping = []
-    for e in gens:
-        img_plus = {e[v] for v in plus}
-        img_minus = {e[v] for v in minus}
-        if img_plus == minus and img_minus == plus:
-            swapping.append(True)
-        elif img_plus == plus and img_minus == minus:
-            swapping.append(False)
-        else:
-            raise GroupError(
-                "split requires every element to preserve or swap the sets")
-    if True not in swapping:
-        raise NoSwapper(
-            "no element swaps the sets (transitivity fails or v_minus is empty)"
-        )
-    s = gens[swapping.index(True)]
-    s_inv = invert(s)
-    return [h for e, swaps in zip(gens, swapping)
-            for h in ((_mul(s_inv, e), _mul(e, s)) if swaps
-                      else (e, _mul(s_inv, _mul(e, s))))]
-
-
 def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
                    seed: int) -> tuple[int, int, int, int]:
     """Failures of the four counting lemmas, each found from generators and
@@ -545,42 +515,52 @@ def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
     orbit of (x, y) on V × V (a generator search on the points x·n + y)
     against |Γx|·|Stab(x)·y| (generator orbits and the chain); and swap
     symmetry, |Stab(x)·y| = |Stab(y)·x| wherever (y, x) lies in the orbit
-    of (x, y).  Over the cross pairs: stabilizer symmetry in the subgroup H
-    that preserves the sets, read off H's own chain.  Over ``trials``
-    sampled set pairs (:func:`random_family_pairs`): double counting on the
-    orbit of each under H, found by a search with H's generators and kept
-    for every member of it.
+    of (x, y).  Over the cross pairs: stabilizer symmetry,
+    |Stab(v)·w| = |Stab(w)·v|.  Over ``trials`` sampled set pairs
+    (:func:`random_family_pairs`): double counting on the orbit of each,
+    found by a search with the generators and kept for every member of it.
+
+    The last two lemmas concern the subgroup H that maps each set onto
+    itself, but the whole group gives the same counts: an element fixing a
+    vertex of the union cannot swap the sets, and a swapped image of a set
+    pair counts on neither side of the identity.
 
     Raises :class:`GroupError` when a generator neither preserves nor swaps
     the sets, and :class:`NoSwapper` when none swaps them.
     """
     n, gens = chain.n_points, chain.generators
+    plus, minus = set(pair.v_plus), set(pair.v_minus)
+    images = [({e[v] for v in plus}, {e[v] for v in minus}) for e in gens]
+    if any(image not in ((plus, minus), (minus, plus)) for image in images):
+        raise GroupError(
+            "split requires every element to preserve or swap the sets")
+    if (minus, plus) not in images:
+        raise NoSwapper(
+            "no element swaps the sets (transitivity fails or v_minus is empty)"
+        )
     reps = _orbit_reps(gens, n)
     pair_reps = _orbit_reps(
         [tuple(s[x] * n + s[y] for x in range(n) for y in range(n))
          for s in gens], n * n)
     orbit_sizes, pair_orbit_sizes = Counter(reps), Counter(pair_reps)
 
-    def stab_size(orbitals, v, w):
-        view, sizes = orbitals
+    view, sizes = _orbitals(chain, reps, range(n))
+
+    def stab_size(v, w):
+        """|Stab(v)·w|."""
         inv_v, ids = view[v]
         return sizes[ids[inv_v[w]]]
 
-    whole = _orbitals(chain, reps, range(n))
     product = swap = 0
     for x in range(n):
         for y in range(n):
-            size = stab_size(whole, x, y)
+            size = stab_size(x, y)
             product += (pair_orbit_sizes[pair_reps[x * n + y]]
                         != orbit_sizes[reps[x]] * size)
             swap += (pair_reps[x * n + y] == pair_reps[y * n + x]
-                     and size != stab_size(whole, y, x))
+                     and size != stab_size(y, x))
 
-    h_gens = _preserving_subgroup(gens, pair)
-    sub = _orbitals(stabilizer_chain(h_gens, n_points=n),
-                    _orbit_reps(h_gens, n), pair.v_plus + pair.v_minus)
-    stab = sum(stab_size(sub, v, w) != stab_size(sub, w, v)
-               for v in pair.v_plus for w in pair.v_minus)
+    stab = sum(stab_size(v, w) != stab_size(w, v) for v in plus for w in minus)
 
     o, o_prime = pair.origin, pair.v_minus[0]
     counted: dict[tuple, tuple[int, int]] = {}
@@ -592,9 +572,9 @@ def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
             frontier = [key]
             while frontier:
                 a, b = frontier.pop()
-                for h in h_gens:
-                    image = (frozenset(map(h.__getitem__, a)),
-                             frozenset(map(h.__getitem__, b)))
+                for e in gens:
+                    image = (frozenset(map(e.__getitem__, a)),
+                             frozenset(map(e.__getitem__, b)))
                     if image not in members:
                         members.add(image)
                         frontier.append(image)

@@ -1,11 +1,11 @@
 """Scenario pipeline: a scenario names a graph, an origin and its
 relations, each a pair of vertex sets compared under its own symmetry
 generators.  ``bunkbed_scenario``, ``layered_scenario``, ``z2_scenario``
-and ``hypercube_scenario`` construct scenarios.  ``run_scenario`` and
-``hypercube_inequality_report`` check the symmetry conditions of each
-compared pair, make one exact run that observes all of them (or one Monte
-Carlo pass per p) and evaluate their checks on it: the pair comparisons,
-or the cube's connection-probability inequalities.
+and ``hypercube_scenario`` construct scenarios, and ``parse_scenario``
+reads the document that ``scenario_echo`` writes.  ``run_scenario`` checks
+the symmetry conditions of each compared pair, makes one exact run that
+observes all of them (or one Monte Carlo pass per p) and evaluates their
+checks on it: the pair comparisons, or the cube's inequalities.
 
 Reports are plain JSON-ready dicts sharing one envelope.  A result has one
 shape in both modes: every exact quantity is a "num/den" string and every
@@ -56,7 +56,7 @@ def _lazy_module(name: str):
 # reports, would otherwise pay for it (and for ``statistics``) at start-up.
 mc = _lazy_module(f"{__package__}.mc")
 
-SCHEMA = "symperc-report/3"
+SCHEMA = "symperc-report/4"
 
 PRECONDITION_FAILED = "precondition_failed"
 
@@ -86,11 +86,10 @@ def _sign_verdict(value) -> str:
 
 @dataclass(frozen=True)
 class Relation:
-    """A pair compared on a scenario's graph under its own generators; the
-    one relation of a scenario document is unnamed.
+    """A pair compared on a scenario's graph under its own generators.
 
     Exact result rows also report the connection probabilities of the
-    targets ``c_far`` and ``c_near`` and the slack 1 + c_far - 2 c_near.
+    targets ``c_far`` and ``c_near``, if given, and 1 + c_far - 2 c_near.
     """
 
     name: str
@@ -104,11 +103,10 @@ class Relation:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One graph and origin with the relations compared on it.
-
-    A scenario document holds one unnamed relation; a constructor may name
-    several.  ``kind`` names the report and ``echo`` fills its scenario
-    block, to which the p-grid is added (a document echoes its own fields).
+    """One graph and origin, the relations compared on it and the settings
+    of the run: the document that ``scenario_echo`` writes.  ``report``
+    names the report, ``scenario`` or a constructor's; a ``hypercube``
+    scenario is the cube with origin 0, and its report derives the relations.
     """
 
     name: str
@@ -120,11 +118,21 @@ class Scenario:
     mc_n: int = 100_000
     mc_seed: int = 0
     cap_bits: int = exact.DEFAULT_CAP_BITS
-    kind: str = "scenario"
-    echo: dict | None = None
+    report: str = "scenario"
     relations: tuple[Relation, ...] = ()
 
     def __post_init__(self):
+        if self.report not in ("scenario", "bunkbed", "layered", "z2",
+                               "hypercube"):
+            raise ScenarioFormatError(
+                "report must be one of scenario, bunkbed, layered, z2, "
+                f"hypercube; got {self.report!r}")
+        if self.report == "hypercube" and (
+                self.graph_spec.get("builder") != "hypercube"
+                or self.origin != 0 or self.relations):
+            raise ScenarioFormatError(
+                "a hypercube report takes a hypercube graph with origin 0 "
+                "and lists no relations")
         if self.mode not in ("exact", "mc"):
             raise ScenarioFormatError(
                 f"mode must be 'exact' or 'mc', got {self.mode!r}")
@@ -207,20 +215,18 @@ def parse_p_grid(values) -> tuple[Fraction, ...]:
 
 
 def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
+    """The scenario of a document, the inverse of :func:`scenario_echo`."""
     try:
         graph_spec = dict(doc["graph"])
-        v_plus = tuple(doc["v_plus"])
-        v_minus = tuple(doc["v_minus"])
+        relations = _parsed_relations(doc)
         origin = doc["origin"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad or missing scenario field: {exc}") from None
     mc_doc = doc.get("mc", {})
     if not isinstance(mc_doc, Mapping):
         raise ScenarioFormatError(f"mc must be an object, got {mc_doc!r}")
-    relation = Relation("", "", v_plus, v_minus, _parsed(
-        "generators", tuple, doc.get("generators", [])))
     return Scenario(
-        name=doc.get("name", name),
+        name=str(doc.get("name", name)),
         graph_spec=graph_spec,
         origin=origin,
         law=_parsed("law", parse_law, doc.get("law", "bond")),
@@ -230,8 +236,34 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         mc_seed=_parsed("mc seed", int, mc_doc.get("seed", 0)),
         cap_bits=_parsed("cap_bits", int,
                          doc.get("cap_bits", exact.DEFAULT_CAP_BITS)),
-        relations=(relation,),
+        report=doc.get("report", "scenario"),
+        relations=relations,
     )
+
+
+def _parsed_relations(doc: Mapping) -> tuple[Relation, ...]:
+    """One unnamed relation from the top level, or the ``relations`` list;
+    a hypercube document gives neither."""
+    top_level = {key: doc[key] for key in ("v_plus", "v_minus", "generators")
+                 if key in doc}
+    if "relations" in doc and top_level:
+        raise ScenarioFormatError(
+            "relations are listed at the top level or under 'relations', "
+            "not both")
+    if "relations" not in doc and not top_level and (
+            doc.get("report") == "hypercube"):
+        return ()
+    entries = doc.get("relations", [top_level])
+    if not (isinstance(entries, list) and entries
+            and all(isinstance(entry, Mapping) for entry in entries)):
+        raise ScenarioFormatError(
+            f"relations must be a nonempty list of objects, got {entries!r}")
+    return tuple(
+        Relation(str(entry.get("name", "")), str(entry.get("statement", "")),
+                 tuple(entry["v_plus"]), tuple(entry["v_minus"]),
+                 _parsed("generators", tuple, entry.get("generators", [])),
+                 entry.get("c_far"), entry.get("c_near"))
+        for entry in entries)
 
 
 def resolve_vertex(g: Graph, item) -> int:
@@ -245,11 +277,11 @@ def resolve_vertex(g: Graph, item) -> int:
     raise ScenarioFormatError(f"bad vertex reference: {item!r}")
 
 
-def _parsed_pairs(sc: Scenario, g: Graph):
-    """(relation, pair, generators) for each pair the scenario compares."""
+def _parsed_pairs(sc: Scenario, g: Graph, relations=None):
+    """(relation, pair, generators) for each of ``relations`` or else ``sc``'s."""
     origin = resolve_vertex(g, sc.origin)
     parsed = []
-    for rel in sc.relations:
+    for rel in sc.relations if relations is None else relations:
         pair = groups.make_pair(
             g,
             [resolve_vertex(g, v) for v in rel.v_plus],
@@ -262,14 +294,14 @@ def _parsed_pairs(sc: Scenario, g: Graph):
     return parsed
 
 
-def _compared_pairs(sc: Scenario, g: Graph, sweeps: bool = False):
-    """(relation, pair, symmetry report) for each pair the scenario compares.
+def _compared_pairs(sc: Scenario, g: Graph, sweeps=False, relations=None):
+    """(relation, pair, symmetry report) for each pair of _parsed_pairs.
 
     Every pair and generator is parsed before any stabilizer chain is
     built.  When ``sweeps``, the exact run's cap is checked in between, so a
     run the cap refuses spends nothing on the chains or the symmetry checks.
     """
-    parsed = _parsed_pairs(sc, g)
+    parsed = _parsed_pairs(sc, g, relations)
     if sweeps:
         exact.check_cap(sc.law.units(g), sc.cap_bits)
     return [(rel, pair, groups.check_symmetry_conditions(
@@ -372,16 +404,20 @@ def _envelope(kind: str, scenario_echo: dict, mode: str, verdict: str,
 
 def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
                  require_conditions: bool = False) -> dict:
-    """Full pipeline for one scenario.
+    """Full pipeline for one scenario: the report it names.
 
-    Exact mode makes one exact run that observes every compared pair and every
-    connection target; each pair's joint law and each target's connection
-    counts are projections of it; Monte Carlo mode makes one sampler pass
-    per p that observes the same sets.  ``require_conditions`` skips a pair
-    whose symmetry check fails (used by the reports that claim a theorem
-    instance); otherwise the pair is evaluated and its report records that
-    no instance is claimed.
+    A ``hypercube`` scenario goes to :func:`hypercube_inequality_report`.
+    Otherwise exact mode makes one exact run that observes every compared
+    pair and every connection target; each pair's joint law and each
+    target's connection counts are projections of it; Monte Carlo mode
+    makes one sampler pass per p that observes the same sets.  Every report
+    but ``scenario``, and any one ``require_conditions``, claims theorem
+    instances: it skips a pair whose symmetry check fails.  Otherwise the
+    pair is evaluated and its report records that no instance is claimed.
     """
+    if sc.report == "hypercube":
+        return hypercube_inequality_report(sc, threads, level)
+    require_conditions = require_conditions or sc.report != "scenario"
     started = time.perf_counter()
     g = _parsed("graph", build_graph, sc.graph_spec)
     compared = _compared_pairs(sc, g, sweeps=sc.mode == "exact")
@@ -416,7 +452,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     extra = {"law": sc.law.to_json_dict()}
     if sc.mode == "mc":
         extra["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed, "level": level}
-    if len(compared) == 1 and not compared[0][0].name:
+    if _flat(sc):
         del blocks[0]["verdict"]
         extra.update(blocks[0])
     else:
@@ -425,7 +461,19 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
              "v_plus": list(rel.v_plus), "v_minus": list(rel.v_minus),
              **block}
             for (rel, _, _), block in zip(compared, blocks)]
-    return _envelope(sc.kind, _echo(sc), sc.mode, verdict, started, **extra)
+    return _envelope(sc.report, scenario_echo(sc), sc.mode, verdict, started,
+                     **extra)
+
+
+def _flat(sc: Scenario) -> bool:
+    """Whether the report's top level holds its only, unnamed, relation."""
+    return len(sc.relations) == 1 and not sc.relations[0].name
+
+
+def _check_flat(sc: Scenario, command: str) -> None:
+    if not _flat(sc):
+        raise ScenarioFormatError(
+            f"{command} takes a scenario with one unnamed relation")
 
 
 def _observe(sc: Scenario, g: Graph, pairs, targets, threads: int):
@@ -439,14 +487,6 @@ def _observe(sc: Scenario, g: Graph, pairs, targets, threads: int):
     return [mc.estimate_joint(g, observed, p, sc.mc_n, sc.mc_seed,
                               threads=threads)
             for p in sc.p_grid]
-
-
-def _echo(sc: Scenario) -> dict:
-    """The report's scenario block: a constructor's echo with the p-grid,
-    or else the scenario's own fields."""
-    if sc.echo is None:
-        return scenario_echo(sc)
-    return {**sc.echo, "p_grid": [format_fraction(p) for p in sc.p_grid]}
 
 
 def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
@@ -464,23 +504,36 @@ def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
 
 
 def scenario_echo(sc: Scenario) -> dict:
-    """The fields of a single-relation scenario, as its document has them."""
-    rel, = sc.relations
-    return {
+    """The document that :func:`parse_scenario` turns back into ``sc``, and
+    every report's scenario block.  A lone relation with no name, statement
+    or targets sits at its top level; other relations are listed."""
+    doc = {
         "name": sc.name,
+        "report": sc.report,
         "graph": sc.graph_spec,
-        "v_plus": list(rel.v_plus),
-        "v_minus": list(rel.v_minus),
         "origin": sc.origin,
-        "generators": list(rel.generators),
         "law": sc.law.to_json_dict(),
         "p_grid": [format_fraction(p) for p in sc.p_grid],
         "mode": sc.mode,
+        "cap_bits": sc.cap_bits,
+        "mc": {"n": sc.mc_n, "seed": sc.mc_seed},
     }
+    rels = sc.relations
+    if len(rels) == 1 and (rels[0].name, rels[0].statement, rels[0].c_far,
+                           rels[0].c_near) == ("", "", None, None):
+        doc.update(v_plus=list(rels[0].v_plus), v_minus=list(rels[0].v_minus),
+                   generators=list(rels[0].generators))
+    elif rels:
+        doc["relations"] = [
+            dict(vars(rel), v_plus=list(rel.v_plus),
+                 v_minus=list(rel.v_minus), generators=list(rel.generators))
+            for rel in rels]
+    return doc
 
 
 def check_symmetry_report(sc: Scenario) -> dict:
     started = time.perf_counter()
+    _check_flat(sc, "check-symmetry")
     g = _parsed("graph", build_graph, sc.graph_spec)
     conditions = _compared_pairs(sc, g)[0][2]
     verdict = PASS if conditions.ok else PRECONDITION_FAILED
@@ -495,6 +548,7 @@ _IDENTITY_FIELDS = ("p", "identity_residuals", "identity_zero", "ratio_lhs",
 def verify_identity_report(sc: Scenario) -> dict:
     """Exact identity residuals and the ratio identity; the symmetry
     conditions are a precondition here, not an optional extra."""
+    _check_flat(sc, "verify-identity")
     report = run_scenario(replace(sc, mode="exact"), require_conditions=True)
     results = []
     for row in report["results"]:
@@ -594,9 +648,7 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
         graph_spec={"builder": "bunkbed", "base": base_spec},
         law=_parsed("law", parse_law, law),
         p_grid=parse_p_grid(p_grid),
-        kind="bunkbed",
-        echo={"name": "bunkbed", "base": base_spec,
-              "v_plus": "base x {0}", "v_minus": "base x {1}", "origin": 0},
+        report="bunkbed",
         **settings,
     )
     _check_size(sc)
@@ -658,9 +710,7 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
         name="layered",
         graph_spec={"builder": "cylinder", "base": base_spec, "m": m},
         p_grid=parse_p_grid(p_grid),
-        kind="layered",
-        echo={"name": "layered", "base": base_spec, "m": m,
-              "choice": choice, "k": k, "period": period},
+        report="layered",
         **settings,
     )
     _check_size(sc)
@@ -673,8 +723,6 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
     return replace(
         sc, origin=[*base.labels[0], 0],
-        echo={**sc.echo, "plus_layers": plus_layers,
-              "minus_layers": minus_layers},
         relations=(Relation("", "", _layer_labels(base, plus_layers),
                             _layer_labels(base, minus_layers), tuple(gens)),))
 
@@ -689,9 +737,7 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
         graph_spec={"builder": "torus", "n": size, "m": size},
         origin=[0, 0],
         p_grid=parse_p_grid(p_grid),
-        kind="z2",
-        echo={"name": "z2-on-torus", "size": size, "note":
-              "finite-torus instance; planar claims are not implied"},
+        report="z2",
         **settings,
     )
     if size < 3:
@@ -720,25 +766,15 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
 
 def hypercube_scenario(d: int, p_grid: Sequence = ("1/2",),
                        **settings) -> Scenario:
-    """The d-cube, with the origin at vertex 0.  In exact mode its relations
-    are the instance pairs of the inequalities, one per entry of
-    ``_hypercube_walk``; the Monte Carlo report reads only the connection
-    probabilities."""
-    sc = Scenario(
+    """The d-cube, with the origin at vertex 0 and no relations listed: in
+    exact mode its report derives them from ``_hypercube_walk``."""
+    return Scenario(
         name="hypercube",
         graph_spec={"builder": "hypercube", "d": d},
         p_grid=parse_p_grid(p_grid),
-        kind="hypercube",
-        echo={"name": "hypercube", "d": d},
+        report="hypercube",
         **settings,
     )
-    _check_size(sc)
-    if sc.mode == "mc":
-        return sc
-    g = _parsed("graph", build_graph, sc.graph_spec)
-    return replace(sc, relations=tuple(
-        _hypercube_relation(g, k, l, construction)
-        for k, l, construction in _hypercube_walk(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +854,8 @@ def _hypercube_relation(g: Graph, k: int, l: int,
 
 def hypercube_inequality_report(sc: Scenario, threads: int = 1,
                                 level: float = 0.95) -> dict:
-    """All inequality families on the d-cube of a ``hypercube_scenario``,
-    for every k + l <= d.
+    """All inequality families on the d-cube of a ``hypercube`` scenario,
+    for every k + l <= d, with the cube's size checked before it is built.
 
     Exact mode also checks each inequality as the expectation gap of its
     instance pair: the gap must equal the c-value combination exactly, and
@@ -828,12 +864,14 @@ def hypercube_inequality_report(sc: Scenario, threads: int = 1,
     at one p comes from one sampler pass.
     """
     started = time.perf_counter()
+    _check_size(sc)
     g = _parsed("graph", build_graph, sc.graph_spec)
-    d = sc.graph_spec["d"]
-    compared = _compared_pairs(sc, g, sweeps=sc.mode == "exact")
+    d = len(g.labels[0])
     verdicts = []
     extra = {}
     if sc.mode == "exact":
+        compared = _compared_pairs(sc, g, relations=[
+            _hypercube_relation(g, *entry) for entry in _hypercube_walk(d)])
         sweep = _observe(sc, g, [pair for _, pair, _ in compared],
                          range(g.n_vertices), threads)
         # coordinate permutations fix the origin, so every vertex at one
@@ -861,8 +899,8 @@ def hypercube_inequality_report(sc: Scenario, threads: int = 1,
                    for p, sweep in zip(sc.p_grid,
                                        _observe(sc, g, (), reps, threads))]
     verdicts += [entry["verdict"] for entry in results]
-    return _envelope(sc.kind, _echo(sc), sc.mode, worst_verdict(verdicts),
-                     started, results=results, **extra)
+    return _envelope(sc.report, scenario_echo(sc), sc.mode,
+                     worst_verdict(verdicts), started, results=results, **extra)
 
 
 def _hypercube_rows(d: int, c: Sequence, measure) -> list[dict]:
@@ -1093,20 +1131,13 @@ def _builtin(name: str) -> Scenario:
         raise ScenarioFormatError(
             f"unknown builtin scenario {name!r}; available: "
             + ", ".join(sorted(BUILTINS)))
-    return replace(BUILTINS[name](), name=name, kind="scenario", echo=None)
+    return replace(BUILTINS[name](), name=name, report="scenario")
 
 
 def builtin_scenarios() -> dict[str, dict]:
     """Named scenario documents covering the acceptance corpus, so CI runs
-    need no hand-written files.  A document is its scenario's echo, with
-    the sample count and seed in Monte Carlo mode."""
-    out = {}
-    for name in BUILTINS:
-        sc = _builtin(name)
-        out[name] = scenario_echo(sc)
-        if sc.mode == "mc":
-            out[name]["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed}
-    return out
+    need no hand-written files.  A document is its scenario's echo."""
+    return {name: scenario_echo(_builtin(name)) for name in BUILTINS}
 
 
 def load_scenario(ref: str) -> Scenario:

@@ -27,7 +27,7 @@ def test_hypercube_exact_exit_zero(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdict"] == "pass"
-    assert report["schema"] == "symperc-report/3"
+    assert report["schema"] == "symperc-report/4"
 
 
 def test_json_reports_round_trip_byte_identically(tmp_path):
@@ -215,6 +215,96 @@ def test_scenario_file_cap_holds_unless_cap_is_given(command, tmp_path,
     capsys.readouterr()
     assert main([command, "--scenario", doc, "--cap", "26"]) == 3
     assert "cap is 2^26" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# a report's scenario block is the document that replays it
+
+_BUILTINS = sorted(scenarios.BUILTINS)
+_REPLAYED = [
+    *[["enumerate", "--scenario", f"builtin:{name}"] for name in _BUILTINS],
+    # every builtin that Monte Carlo mode takes: those of the bond law
+    *[["mc", "--scenario", f"builtin:{name}", "--n", "2000", "--level",
+       "0.99"] for name in _BUILTINS
+      if builtin_scenarios()[name]["law"] == {"kind": "bond"}],
+    ["mc", "--scenario", "builtin:mc-bunkbed-path2"],
+    ["bunkbed", "--base", "cycle:12", "--law", "site", "--p", "1/2"],
+    ["bunkbed", "--base", "cycle:8", "--law", "rc:2", "--p", "1/2"],
+    ["bunkbed", "--base", "cycle:4", "--law", "rc:2"],
+    ["bunkbed", "--base", "cycle:5", "--mode", "mc", "--n", "2000", "--seed",
+     "42"],
+    ["bunkbed", "--base", "path:3"],
+    ["layered", "--base", "path:1", "--m", "8", "--choice", "b", "--k", "1",
+     "--period", "2"],
+    ["layered", "--base", "path:2", "--m", "6", "--choice", "c", "--k", "1",
+     "--period", "3", "--mode", "mc", "--n", "2000", "--level", "0.99"],
+    ["z2", "--size", "3"],
+    ["z2", "--size", "5", "--mode", "mc", "--n", "1000", "--p", "1/2"],
+    ["hypercube", "--d", "3"],
+    ["hypercube", "--d", "2", "--mode", "mc", "--n", "1"],
+    ["hypercube", "--d", "3", "--mode", "mc", "--n", "2000", "--level",
+     "0.99"],
+]
+
+
+def _replay(report: dict, tmp_path) -> tuple[int, dict]:
+    """Run a report's scenario block as a document, under ``mc`` with the
+    report's level or under ``enumerate``."""
+    doc, out = tmp_path / "replay-doc.json", tmp_path / "replay.json"
+    doc.write_text(json.dumps(report["scenario"]))
+    argv = (["mc", "--scenario", str(doc), "--level",
+             str(report["mc"]["level"])] if report["mode"] == "mc"
+            else ["enumerate", "--scenario", str(doc)])
+    code = main([*argv, "--json", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("argv", _REPLAYED, ids=" ".join)
+def test_reports_replay_from_their_scenario_block(argv, tmp_path):
+    out = tmp_path / "report.json"
+    code = main([*argv, "--json", str(out)])
+    report = json.loads(out.read_text())
+    again_code, again = _replay(report, tmp_path)
+    assert again_code == code
+    for rep in (report, again):
+        rep.pop("elapsed_seconds")
+    assert to_stable_json(again) == to_stable_json(report)
+
+
+def test_flags_override_a_hypercube_document_before_its_cap(tmp_path,
+                                                            capsys):
+    # the 3-cube has 12 edges: a document capped at 11 is refused unless
+    # --cap lifts it, and then it runs as the hypercube report
+    doc = tmp_path / "cube.json"
+    doc.write_text(json.dumps({**scenarios.scenario_echo(
+        scenarios.hypercube_scenario(3)), "cap_bits": 11}))
+    assert main(["enumerate", "--scenario", str(doc)]) == 3
+    assert capsys.readouterr().err == (
+        "precondition failure: enumeration needs 2^12 configurations, cap is "
+        "2^11\n")
+    out = tmp_path / "report.json"
+    assert main(["enumerate", "--scenario", str(doc), "--cap", "12",
+                 "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["kind"] == "hypercube" and report["invariance"] is True
+    assert report["scenario"]["cap_bits"] == 12
+
+
+@pytest.mark.parametrize("command", ["check-symmetry", "verify-identity"])
+@pytest.mark.parametrize("argv", [["z2", "--size", "3"],
+                                  ["hypercube", "--d", "2"]])
+def test_one_pair_commands_refuse_other_documents(command, argv, tmp_path,
+                                                  capsys):
+    # a document of several relations, or of the cube, is one line on
+    # stderr and exit 4
+    out, doc = tmp_path / "report.json", tmp_path / "doc.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    doc.write_text(json.dumps(json.loads(out.read_text())["scenario"]))
+    capsys.readouterr()
+    assert main([command, "--scenario", str(doc)]) == 4
+    assert capsys.readouterr().err == (
+        f"scenario error: {command} takes a scenario with one unnamed "
+        "relation\n")
 
 
 @pytest.mark.parametrize("ref, flags, n, seed", [
@@ -674,12 +764,14 @@ def test_mc_one_sample_has_unbounded_intervals(tmp_path):
 # fuzzed scenario documents keep the exit-code contract
 
 _FUZZ_KEYS = ["name", "builder", "n", "m", "d", "base", "axis", "step",
-              "center2", "a", "b", "perm", "of", "kind", "q", "seed"]
+              "center2", "a", "b", "perm", "of", "kind", "q", "seed",
+              "v_plus", "v_minus", "generators", "c_far", "c_near"]
 _fuzz_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
     | st.text(max_size=3)
     | st.sampled_from(["1/2", "2", "bond", "site", "random_cluster", "cycle",
-                       "path", "compose", "axis_rotation", "base_perm"]),
+                       "path", "compose", "axis_rotation", "base_perm",
+                       "scenario", "bunkbed", "z2", "hypercube"]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner,
                                      max_size=3)),
@@ -735,13 +827,17 @@ def test_exit_one_reports_a_violation(argv, tmp_path):
 @settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["bunkbed-path2", "bunkbed-path2-rc2", "z2-n3-rel2",
-                        "layered-m6-a", "asym-path4"]),
+                        "layered-m6-a", "asym-path4", "z2"]),
        st.sampled_from([["enumerate"], ["check-symmetry"],
                         ["verify-identity"], ["mc", "--n", "300"]]),
        st.data())
 def test_fuzzed_scenarios_keep_the_exit_code_contract(name, command, data):
-    doc = builtin_scenarios()[name]
-    top = data.draw(st.sampled_from(sorted(doc) + ["cap_bits", "mc"]))
+    # a builtin's document, or the echo of `z2 --size 3` with its two
+    # relations
+    doc = builtin_scenarios().get(name) or scenarios.scenario_echo(
+        scenarios.z2_scenario(3))
+    top = data.draw(st.sampled_from(
+        sorted({*doc, "cap_bits", "mc", "relations", "report"})))
     doc = {**doc, top: _mutated(data, doc.get(top))}
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "doc.json"), Path(tmp, "report.json")

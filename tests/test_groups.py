@@ -338,7 +338,8 @@ def test_group_battery_equals_the_element_oracle_on_drawn_groups(
         _report_or_error(element_battery, *args))
 
 
-def _constructor_cases():
+def constructor_scenarios() -> dict:
+    """Every builtin and a spread of constructor runs, by name."""
     cases = {f"builtin:{name}": scenarios.load_scenario(f"builtin:{name}")
              for name in sorted(scenarios.BUILTINS)}
     for size in (3, 5):
@@ -353,19 +354,27 @@ def _constructor_cases():
                                  (8, "c", 1, 2), (6, "b", 2, 3)):
         cases[f"layered:{m}{choice}{k}"] = scenarios.layered_scenario(
             {"builder": "cycle", "n": 3}, m, choice, k, period, mode="mc")
-    out = []
-    for name, sc in cases.items():
-        g = scenarios.build_graph(sc.graph_spec)
-        out += [pytest.param(g, gens, pair, id=f"{name}{rel.name and ':'}"
-                             f"{rel.name}")
-                for rel, pair, gens in scenarios._parsed_pairs(sc, g)]
     for d in range(1, 5):
-        sc = scenarios.hypercube_scenario(d, cap_bits=32)
-        g = hypercube_graph(d)
-        out += [pytest.param(g, gens, pair, id=f"hypercube:{d}:{k}{l}{name}")
-                for (k, l, name), (_, pair, gens)
-                in zip(scenarios._hypercube_walk(d),
-                       scenarios._parsed_pairs(sc, g), strict=True)]
+        cases[f"hypercube:{d}"] = scenarios.hypercube_scenario(d, cap_bits=32)
+    return cases
+
+
+def _constructor_cases():
+    out = []
+    for name, sc in constructor_scenarios().items():
+        g = scenarios.build_graph(sc.graph_spec)
+        if sc.report != "hypercube":
+            out += [pytest.param(g, gens, pair, id=f"{name}{rel.name and ':'}"
+                                 f"{rel.name}")
+                    for rel, pair, gens in scenarios._parsed_pairs(sc, g)]
+            continue
+        # the cube report derives its relations
+        walk = scenarios._hypercube_walk(sc.graph_spec["d"])
+        relations = [scenarios._hypercube_relation(g, *entry) for entry in walk]
+        out += [pytest.param(g, gens, pair, id=f"{name}:{k}{l}{construction}")
+                for (k, l, construction), (_, pair, gens)
+                in zip(walk, scenarios._parsed_pairs(sc, g, relations),
+                       strict=True)]
     return out
 
 

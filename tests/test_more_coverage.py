@@ -107,8 +107,11 @@ def test_layered_choice_c_with_k_above_period():
         {"builder": "path", "n": 1}, m=8, choice="c", k=3, period=2,
         p_grid=["1/2"]), require_conditions=True)
     assert rep["verdict"] == "pass"
-    assert rep["scenario"]["plus_layers"] == [0, 3, 4, 7]
-    assert rep["scenario"]["minus_layers"] == [1, 2, 5, 6]
+    # the layers are the last coordinate of the echoed labels
+    assert sorted({lab[-1] for lab in rep["scenario"]["v_plus"]}) == [
+        0, 3, 4, 7]
+    assert sorted({lab[-1] for lab in rep["scenario"]["v_minus"]}) == [
+        1, 2, 5, 6]
 
 
 def test_z2_mc_mode_runs_consistent():

@@ -33,6 +33,7 @@ from symperc.scenarios import (
 )
 
 import _oracles as oracle
+from test_groups import constructor_scenarios
 from _oracles import (
     bond_connection,
     count_probability,
@@ -48,6 +49,12 @@ HALF = F(1, 2)
 def instance_report(sc):
     """Run a constructed scenario as its CLI subcommand does."""
     return run_scenario(sc, require_conditions=True)
+
+
+def layers(report, side):
+    """The layers of a set of a layered report: the last coordinate of the
+    labels its scenario block lists."""
+    return sorted({label[-1] for label in report["scenario"][side]})
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +211,10 @@ def test_hypercube_report_equals_the_fraction_oracle():
     report = hypercube_inequality_report(sc)
     g = hypercube_graph(d)
     polys = []
+    walk = scenarios._hypercube_walk(d)
+    relations = [scenarios._hypercube_relation(g, *entry) for entry in walk]
     for (k, l, name), (_, pair, gens) in zip(
-            scenarios._hypercube_walk(d), scenarios._parsed_pairs(sc, g),
-            strict=True):
+            walk, scenarios._parsed_pairs(sc, g, relations), strict=True):
         chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
         polys.append((k, l, name,
                       groups.check_symmetry_conditions(g, chain, pair),
@@ -386,8 +394,8 @@ def test_layered_single_vertex_m8_choice_b():
         p_grid=["1/4", "1/2", "3/4"]))
     assert rep["verdict"] == PASS
     assert rep["config_count"] == 2 ** 8
-    assert rep["scenario"]["plus_layers"] == [0, 2, 4, 6]
-    assert rep["scenario"]["minus_layers"] == [1, 3, 5, 7]
+    assert layers(rep, "v_plus") == [0, 2, 4, 6]
+    assert layers(rep, "v_minus") == [1, 3, 5, 7]
     for row in rep["results"]:
         assert row["domination"]["verdict"] == PASS and row["identity_zero"]
 
@@ -396,8 +404,8 @@ def test_layered_single_vertex_m6_choice_a():
     rep = instance_report(layered_scenario(
         {"builder": "path", "n": 1}, m=6, choice="a", k=3, p_grid=["1/2"]))
     assert rep["verdict"] == PASS
-    assert rep["scenario"]["plus_layers"] == [0]
-    assert rep["scenario"]["minus_layers"] == [3]
+    assert layers(rep, "v_plus") == [0]
+    assert layers(rep, "v_minus") == [3]
 
 
 def test_layered_choice_c():
@@ -405,8 +413,8 @@ def test_layered_choice_c():
         {"builder": "path", "n": 1}, m=8, choice="c", k=1, period=2,
         p_grid=["1/2"]))
     assert rep["verdict"] == PASS
-    assert rep["scenario"]["plus_layers"] == [0, 1, 4, 5]
-    assert rep["scenario"]["minus_layers"] == [2, 3, 6, 7]
+    assert layers(rep, "v_plus") == [0, 1, 4, 5]
+    assert layers(rep, "v_minus") == [2, 3, 6, 7]
 
 
 def test_layered_vertex_transitive_base():
@@ -459,10 +467,60 @@ def test_builtin_document_and_loader_agree(name):
     sc = parse_scenario(doc, name)
     assert load_scenario(f"builtin:{name}") == sc
     # document -> Scenario -> document is a fixed point
-    again = scenario_echo(sc)
-    if sc.mode == "mc":
-        again["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed}
-    assert again == doc
+    assert scenario_echo(sc) == doc
+
+
+@pytest.mark.parametrize("sc", constructor_scenarios().values(),
+                         ids=constructor_scenarios())
+def test_echo_parses_back_to_its_scenario(sc):
+    # Scenario -> document -> Scenario is a fixed point, also through JSON
+    import json
+
+    doc = scenario_echo(sc)
+    assert parse_scenario(doc) == sc
+    assert parse_scenario(json.loads(json.dumps(doc))) == sc
+
+
+_DOC = {"graph": {"builder": "path", "n": 2}, "v_plus": [0], "v_minus": [1],
+        "origin": 0}
+_REL = {"name": "r", "statement": "", "v_plus": [0], "v_minus": [1],
+        "generators": [[1, 0]], "c_far": None, "c_near": None}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"report": "cube"}, "report must be one of"),
+    ({"report": ["z2"]}, "report must be one of"),
+    ({"relations": [_REL]}, "not both"),
+    ({"relations": []}, "nonempty list of objects"),
+    ({"relations": [5]}, "nonempty list of objects"),
+    ({"relations": {"r": _REL}}, "nonempty list of objects"),
+    ({"relations": [{**_REL, "v_plus": 0}]}, "bad or missing scenario field"),
+    ({"report": "hypercube"}, "lists no relations"),
+    ({"report": "hypercube", "graph": {"builder": "hypercube", "d": 2},
+      "origin": 1}, "origin 0"),
+])
+def test_bad_relations_and_reports_are_format_errors(changes, message):
+    doc = {**_DOC, **changes}
+    if "relations" in changes and changes["relations"] != [_REL]:
+        for key in ("v_plus", "v_minus"):
+            del doc[key]
+    with pytest.raises(ScenarioFormatError, match=message):
+        parse_scenario(doc)
+
+
+def test_scenario_names_are_text():
+    # a report writes the name, so a name that is not a string reads as text
+    assert parse_scenario({**_DOC, "name": float("inf")}).name == "inf"
+
+
+def test_listed_relations_and_the_top_level_form_agree():
+    # one listed relation without name, statement or targets is the one
+    # relation of the top-level form, and is echoed in that form
+    listed = parse_scenario({"graph": _DOC["graph"], "origin": 0,
+                             "relations": [{"v_plus": [0], "v_minus": [1]}]})
+    assert listed == parse_scenario(_DOC)
+    assert scenario_echo(listed)["v_plus"] == [0]
+    assert "relations" not in scenario_echo(listed)
 
 
 def test_scenario_file_round_trip(tmp_path):
