@@ -12,17 +12,25 @@ The sampler grows every sample of a chunk at once, one bit per sample
 (multi-spin coding; Jacobs & Rebbi, J. Comput. Phys. 41, 1981): the set of
 samples whose cluster holds a vertex is one integer, and a FIFO of
 vertices carries across each edge only the samples that newly reached it.
-An edge's state is decided on first contact, and only for the samples
-that reached it: one word at a time, from each sample's first round
-hashed once per chunk, while the edge has been asked about for fewer than
-1/16 of the chunk's samples; after that for the whole chunk in one pass
-over 128-bit lanes of a big integer.  The first path keeps small clusters
-cheap, where most edges are never reached, and the second makes large
-ones cheap, where every edge is.  Every reached vertex and decided edge
-holds one chunk-wide set, so large graphs get smaller chunks.  On a 2-core
-x86-64 box with Python 3.11, at p = 1/2, this raised the sampling rate
-from about 3,700 to 11,900 samples/s on the 20x20 torus, from 153,000 to
-765,000 on the bunkbed of C5, and from 12,600 to 72,000 on Q6, as
+An edge's state is decided only for the samples that still need it, and
+one word at a time only when the growth stalls.  Words come from each
+sample's first round, hashed once per chunk.  Once an edge is known or
+needed for 1/16 of the chunk's samples, it is decided instead for the
+whole chunk in one pass over 128-bit lanes of a big integer, bought at
+the contact that gets it there.  Below that share the edge waits: once
+the FIFO runs dry, each waiting edge is decided for the samples that
+reached exactly one of its endpoints, and the growth resumes.  The words
+keep small clusters cheap, where most edges are never reached, and the
+lanes make large ones cheap, where every edge is.  Waiting lets the
+growth reach an edge's far endpoint by other paths first, and lets small
+waves add up to a lane pass: on 2,000 samples of the 20x20 torus at
+p = 1/2, deciding on first contact paid 47,852 words for edges that a
+lane pass then decided again, and waiting pays no word at all.  Every
+reached vertex and decided edge holds one chunk-wide set, so large graphs
+get smaller chunks.  On a 2-core x86-64 box with Python 3.11, at p = 1/2,
+the chunk growth raised the sampling rate from about 3,700 to 11,900
+samples/s on the 20x20 torus, from 153,000 to 765,000 on the bunkbed of
+C5, and from 12,600 to 72,000 on Q6, as
 ``perfbench/run.py --workload mc-sample --trace 1`` counts them.
 
 There is one sampling loop, :func:`estimate_joint`, and like the exact
@@ -49,6 +57,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,53 +287,96 @@ def _sample_chunk(args) -> Counter:
 
     Bit j of every set stands for sample lo + j: ``reach[x]`` holds the
     samples whose cluster contains x.  A FIFO of vertices, each with the
-    samples that newly reached it, carries only those across each edge.
-    An edge's state is decided on first contact, for the samples that need
-    it: one at a time while it has been asked about for fewer than 1/16 of
-    the chunk, then for the whole chunk in lanes, which costs about as much
-    as a few hundred one-at-a-time words.  Either way edge e is open in
-    sample i iff ``unit_word(seed, i, e) < threshold``.  Set differences
-    are written ``a & b ^ a``, not ``a & ~b``: on ints of thousands of bits
-    the complement is a negative int and costs about twice as much.
+    samples that newly reached it, carries only those across each edge,
+    and only where the edge's state is known; an edge still unknown for
+    some of them waits.  Deciding edge e = (u, v) for the whole chunk in
+    lanes costs about as much as a few hundred one-at-a-time words, so by
+    the 1/16 rule that lane pass is bought once e is known, or asked
+    about by ``reach[u] ^ reach[v]``, for 1/16 of the chunk: at the
+    contact that gets it there.  Single words wait until the FIFO runs
+    dry and the growth has stalled.  Then each waiting edge is decided
+    once, for the samples of ``reach[u] ^ reach[v]`` that it is not yet
+    known for (samples that reached both endpoints meanwhile need none),
+    the open ones cross, and the growth resumes.  Either way edge e is
+    open in sample i iff ``unit_word(seed, i, e) < threshold``, so the
+    clusters do not depend on the order of decisions.  Set differences
+    are written ``a & b ^ a``, not ``a & ~b``: on ints of thousands of
+    bits the complement is a negative int and costs about twice as much.
     """
-    inc, seed, threshold, o, observed, lo, hi = args
+    inc, edges, seed, threshold, o, observed, lo, hi = args
     stream = _ChunkStream(seed, threshold, lo, hi)
     size = stream.size
     everyone = (1 << size) - 1
     cutoff = size >> 4
-    n_edges = sum(map(len, inc)) // 2
-    known, opened = [0] * n_edges, [0] * n_edges
+    known, opened = [0] * len(edges), [0] * len(edges)
     reach, fresh = [0] * len(inc), [0] * len(inc)
     reach[o] = fresh[o] = everyone
     queue = deque([o])
     pop, push = queue.popleft, queue.append
-    while queue:
-        x = pop()
-        delta, fresh[x] = fresh[x], 0
-        for w, e in inc[x]:
-            need = delta & reach[w] ^ delta
-            if not need:
-                continue
-            unknown = need & known[e] ^ need
-            if unknown:
-                if (known[e] | unknown).bit_count() < cutoff:
-                    known[e] |= unknown
-                    opened[e] |= stream.open_each(e, unknown)
-                else:
-                    known[e] = everyone
-                    opened[e] = stream.open_lanes(e)
-            new = need & opened[e]
-            if new:
-                reach[w] |= new
-                if not fresh[w]:
-                    push(w)
-                fresh[w] |= new
+
+    def settle(e: int, stalled: bool) -> bool:
+        """Decide edge e for the samples that reached one endpoint and
+        that it is not known for, and carry the open ones across; before
+        a stall, only if that buys the lane pass."""
+        u, v = edges[e]
+        ru, rv = reach[u], reach[v]
+        split = ru ^ rv
+        unknown = split & known[e] ^ split
+        if unknown:
+            if (known[e] | unknown).bit_count() >= cutoff:
+                known[e] = everyone
+                opened[e] = stream.open_lanes(e)
+            elif not stalled:
+                return False
+            else:
+                known[e] |= unknown
+                opened[e] |= stream.open_each(e, unknown)
+        now = split & opened[e]
+        if now:
+            for x, new in ((u, now & rv), (v, now & ru)):
+                if new:
+                    reach[x] |= new
+                    if not fresh[x]:
+                        push(x)
+                    fresh[x] |= new
+        return True
+
+    # the waiting edges, in the order the growth met them
+    waiting: dict[int, None] = {}
+    while queue:  # until a stall opens no edge to a new sample
+        while queue:
+            x = pop()
+            delta, fresh[x] = fresh[x], 0
+            for w, e in inc[x]:
+                need = delta & reach[w] ^ delta
+                if not need:
+                    continue
+                # a lane pass stores ``everyone`` itself: no set operation
+                # is needed to see that the edge is known for everyone
+                if known[e] is not everyone and need & known[e] ^ need:
+                    # a first small contact waits without adding up the
+                    # demand: most edges of a small cluster get no other
+                    if (e in waiting or (known[e] | need).bit_count()
+                            >= cutoff) and settle(e, False):
+                        continue
+                    waiting[e] = None
+                new = need & opened[e]
+                if new:
+                    reach[w] |= new
+                    if not fresh[w]:
+                        push(w)
+                    fresh[w] |= new
+        for e in waiting:
+            settle(e, True)
+        waiting.clear()
     return _bins(reach, observed, size)
 
 
 # Bit k of a byte plane: a base-2 digit of one sample, as 0 or 1 << k.
 _DIGIT_TO_BIT = tuple(bytes.maketrans(b"01", bytes((0, 1 << k)))
                       for k in range(8))
+# Where the low byte of a native 2-byte word sits.
+_LOW_BYTE = 0 if sys.byteorder == "little" else 1
 
 
 def _bins(reach: list[int], observed: int, size: int) -> Counter:
@@ -332,17 +384,20 @@ def _bins(reach: list[int], observed: int, size: int) -> Counter:
 
     Only the observed vertices that some sample reached count; the others
     are absent from every key.  They go in groups of up to eight, and each
-    group becomes one byte per sample, bit k for its k-th vertex: each
-    vertex's ``reach`` set is written in base 2, its digits translated to
-    0 or 1 << k, and the group's vertices ORed together.  ``Counter``
-    counts the bytes, or the tuples of bytes across groups, in C, and a
-    table of 2^8 vertex masks per group decodes each distinct one.  At
-    p = 1/2 (2-core x86-64, Python 3.11) this takes 0.75 ms on a
-    4,096-sample chunk of the bunkbed of C5 and 3.4 ms on one of C200,
-    against 1.1 and 10 ms for the transpose of the ``reach`` sets into
-    one string per sample that it replaced; on 2,000 samples of the
-    20x20 torus with all 400 vertices observed and reached, about 12 ms
-    against 14 ms.
+    group becomes one byte plane, a byte per sample with bit k for its
+    k-th vertex: each vertex's ``reach`` set is written in base 2, its
+    digits translated to 0 or 1 << k, and the group's vertices ORed
+    together.  ``Counter`` counts in one pass in C the bytes of one
+    plane, the 2-byte words of a ``memoryview`` over two interleaved
+    planes, or else the tuples of bytes across the planes, and a table of
+    2^8 vertex masks per group decodes each distinct value.  At p = 1/2
+    (2-core x86-64, Python 3.11) the bins of a 4,096-sample chunk of the
+    bunkbed of C5 (two planes) take about 0.5 ms as words, against
+    0.72 ms as tuples and 1.1 ms for the transpose of the ``reach`` sets
+    into one string per sample that the planes replaced.  Four- and
+    8-byte words over three to eight planes were at most 5% faster than
+    tuples (bunkbeds of C12 to C32, all vertices observed), too little
+    for one more way to count.
     """
     verts = [v for v in range(len(reach)) if reach[v] and observed >> v & 1]
     if not verts:
@@ -363,6 +418,14 @@ def _bins(reach: list[int], observed: int, size: int) -> Counter:
     if len(planes) == 1:
         table = tables[0]
         return Counter({table[b]: cnt for b, cnt in Counter(planes[0]).items()})
+    if len(planes) == 2:
+        # the low group's byte first in the machine's byte order, so that
+        # each 2-byte word reads low | high << 8
+        words = bytearray(2 * size)
+        words[_LOW_BYTE::2], words[1 - _LOW_BYTE::2] = planes
+        low, high = tables
+        return Counter({low[word & 255] | high[word >> 8]: cnt for word, cnt
+                        in Counter(memoryview(words).cast("H")).items()})
     return Counter({sum(map(list.__getitem__, tables, row)): cnt
                     for row, cnt in Counter(zip(*planes)).items()})
 
@@ -439,7 +502,7 @@ def estimate_joint(g: Graph, observed: Observables, p, n: int,
     for mask in observed.masks():
         union |= mask
     size = chunk_size or _chunk_size_for(g)
-    jobs = [(inc, seed, threshold, observed.origin, union,
+    jobs = [(inc, g.edges, seed, threshold, observed.origin, union,
              lo, min(lo + size, n)) for lo in range(0, n, size)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     bins: Counter = Counter()

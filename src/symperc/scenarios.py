@@ -294,16 +294,13 @@ def _parsed_pairs(sc: Scenario, g: Graph, relations=None):
     return parsed
 
 
-def _compared_pairs(sc: Scenario, g: Graph, sweeps=False, relations=None):
+def _compared_pairs(sc: Scenario, g: Graph, relations=None):
     """(relation, pair, symmetry report) for each pair of _parsed_pairs.
 
     Every pair and generator is parsed before any stabilizer chain is
-    built.  When ``sweeps``, the exact run's cap is checked in between, so a
-    run the cap refuses spends nothing on the chains or the symmetry checks.
+    built.
     """
     parsed = _parsed_pairs(sc, g, relations)
-    if sweeps:
-        exact.check_cap(sc.law.units(g), sc.cap_bits)
     return [(rel, pair, groups.check_symmetry_conditions(
                 g, groups.stabilizer_chain(gens, n_points=g.n_vertices), pair))
             for rel, pair, gens in parsed]
@@ -414,13 +411,17 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     but ``scenario``, and any one ``require_conditions``, claims theorem
     instances: it skips a pair whose symmetry check fails.  Otherwise the
     pair is evaluated and its report records that no instance is claimed.
+    The graph's size is checked from its spec first, so a run over the cap
+    or the sampler's limit is refused before the graph is built or a pair
+    or generator is parsed on it.
     """
     if sc.report == "hypercube":
         return hypercube_inequality_report(sc, threads, level)
     require_conditions = require_conditions or sc.report != "scenario"
     started = time.perf_counter()
+    _check_size(sc)
     g = _parsed("graph", build_graph, sc.graph_spec)
-    compared = _compared_pairs(sc, g, sweeps=sc.mode == "exact")
+    compared = _compared_pairs(sc, g)
     live = [(rel, pair) for rel, pair, conditions in compared
             if conditions.ok or not require_conditions]
     if live:

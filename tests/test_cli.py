@@ -491,14 +491,33 @@ def test_mc_graph_size_checked_before_the_graph_is_built(
     ({"name": "compose", "of": 5}, 4, "scenario error: bad generator"),
     ({"name": "no-such"}, 4, "scenario error: unknown generator"),
 ])
-def test_generator_errors_keep_their_exit_code_past_the_cap(
-        generator, code, err, tmp_path, capsys):
-    # the generators are parsed before the cap is checked
-    path = _scenario_file(tmp_path, graph={"builder": "cycle", "n": 40},
-                          v_plus=[0], v_minus=[20], origin=0,
+def test_generator_errors_exit_four_under_the_cap(generator, code, err,
+                                                  tmp_path, capsys):
+    path = _scenario_file(tmp_path, graph={"builder": "cycle", "n": 20},
+                          v_plus=[0], v_minus=[10], origin=0,
                           generators=[generator])
     assert main(["enumerate", "--scenario", path]) == code
     assert capsys.readouterr().err.startswith(err)
+
+
+@pytest.mark.parametrize("generator", [
+    {"name": "axis_rotation"}, {"name": "compose", "of": 5},
+    {"name": "no-such"}])
+def test_cap_refuses_a_document_before_its_generators(generator, tmp_path,
+                                                      monkeypatch, capsys):
+    # the size comes from the spec, so a document both over the cap and
+    # with a bad generator exits 3 without building its graph
+    path = _scenario_file(tmp_path, graph={"builder": "cycle", "n": 40},
+                          v_plus=[0], v_minus=[20], origin=0,
+                          generators=[generator])
+    built = []
+    monkeypatch.setattr(scenarios, "build_graph",
+                        lambda *args: built.append("build_graph"))
+    assert main(["enumerate", "--scenario", path]) == 3
+    assert built == []
+    assert capsys.readouterr().err == (
+        "precondition failure: enumeration needs 2^40 configurations, "
+        "cap is 2^26\n")
 
 
 def test_usage_errors_exit_four():

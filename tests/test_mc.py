@@ -1,8 +1,9 @@
 import concurrent.futures
 import os
+import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from symperc import mc
 from symperc.exact import Observables, enumerate_joint, joint_numerators
-from symperc.graphs import bunkbed_graph, cycle_graph, path_graph, torus_graph
+from symperc.graphs import (bunkbed_graph, cycle_graph, explicit_graph,
+                             path_graph, torus_graph)
 from symperc.groups import make_pair
 from symperc.mc import (
     INCONCLUSIVE,
@@ -243,6 +245,19 @@ def test_byte_plane_bins_equal_the_transpose(case):
     assert sum(bins.values()) == size
 
 
+@pytest.mark.parametrize("groups", range(1, 5))
+def test_bins_by_group_count_equal_the_transpose(groups):
+    # one group of up to eight vertices is counted by bytes, two groups by
+    # 2-byte words, and more by tuples of bytes
+    rng = random.Random(groups)
+    size, n = 300, 8 * groups - groups % 3  # some groups hold fewer
+    reach = [rng.getrandbits(size) | 1 for _ in range(n)]
+    observed = (1 << n) - 1
+    bins = mc._bins(reach, observed, size)
+    assert bins == transpose_bins(reach, observed, size)
+    assert sum(bins.values()) == size
+
+
 def test_growth_mixes_hashing_paths_on_one_edge(monkeypatch, torus5_oracle):
     # an edge first asked about by a few samples is hashed one sample at a
     # time, and when more samples reach it, for the whole chunk at once
@@ -266,6 +281,103 @@ def test_growth_mixes_hashing_paths_on_one_edge(monkeypatch, torus5_oracle):
         paths.setdefault(step, []).append(path)
     assert any(seq[0] == "open_each" and seq[-1] == "open_lanes"
                for seq in paths.values())
+
+
+@st.composite
+def growth_cases(draw):
+    """A connected graph of 2-24 vertices (a random tree plus chords), an
+    origin and the observed vertices, each drawn with even odds."""
+    n = draw(st.integers(2, 24))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    seen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return explicit_graph(n, sorted(edges)), draw(st.integers(0, n - 1)), (
+        tuple(v for v in range(n) if seen[v]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(growth_cases(),
+       st.sampled_from([F(1, 20), F(1, 6), F(1, 3), HALF, F(4, 5)]))
+def test_waiting_edges_grow_the_oracle_clusters(case, p):
+    # chunks of 64 and 100 samples decide an edge for everyone once 4 or 6
+    # samples need it, so the small waves of these graphs leave edges
+    # waiting for the growth to stall
+    g, o, targets = case
+    n, seed = 250, 5
+    inc, threshold = lazy_incidence(g), open_threshold(p)
+    union = sum(1 << v for v in targets)
+    want = Counter(sample_cluster_mask(inc, seed, i, threshold, o) & union
+                   for i in range(n))
+    observed = Observables(o, targets=targets)
+    for chunk_size, threads in ((64, 1), (100, 1), (100, 2)):
+        sweep = estimate_joint(g, observed, p, n, seed,
+                               chunk_size=chunk_size, threads=threads)
+        assert sweep.bins == want
+
+
+@pytest.mark.parametrize("chunk_size", [64, 100])
+def test_waits_end_in_words_and_in_lane_passes(chunk_size, monkeypatch,
+                                               torus5_oracle):
+    # a stall is an empty FIFO: words are paid only there, some waits end
+    # in a lane pass, and some edges wait at several stalls
+    stalled = [False]
+
+    class Fifo(deque):
+        def __len__(self):
+            size = super().__len__()
+            stalled[0] = not size
+            return size
+
+    calls = []
+
+    def spy(name):
+        method = getattr(mc._ChunkStream, name)
+
+        def recorded(self, e, *args):
+            calls.append((e, name, stalled[0]))
+            return method(self, e, *args)
+        monkeypatch.setattr(mc._ChunkStream, name, recorded)
+
+    monkeypatch.setattr(mc, "deque", Fifo)
+    spy("open_each")
+    spy("open_lanes")
+    everything = Observables(0, targets=tuple(range(_TORUS5.n_vertices)))
+    sweep = estimate_joint(_TORUS5, everything, _P_MIXED, 1000, 2**70,
+                           chunk_size=chunk_size)
+    assert sweep.bins == Counter(torus5_oracle[:1000])
+    words = [e for e, name, _ in calls if name == "open_each"]
+    assert words and all(at_stall for _, name, at_stall in calls
+                         if name == "open_each")
+    assert any(at_stall for _, name, at_stall in calls
+               if name == "open_lanes")
+    assert max(Counter(words).values()) > 1
+
+
+def test_no_word_is_paid_for_an_edge_that_gets_a_lane_pass(monkeypatch):
+    # one 2,000-sample chunk of the critical 20x20 torus: a sampler that
+    # decided each edge on first contact paid 47,852 single words here for
+    # edges that a lane pass decided again later
+    words, laned = Counter(), set()
+    each, lanes = mc._ChunkStream.open_each, mc._ChunkStream.open_lanes
+
+    def counted_each(self, e, samples):
+        words[e] += samples.bit_count()
+        return each(self, e, samples)
+
+    def counted_lanes(self, e):
+        laned.add(e)
+        return lanes(self, e)
+
+    monkeypatch.setattr(mc._ChunkStream, "open_each", counted_each)
+    monkeypatch.setattr(mc._ChunkStream, "open_lanes", counted_lanes)
+    g = torus_graph(20, 20)
+    estimate_joint(g, Observables(0, targets=(1,)), HALF, 2000, 78289)
+    assert laned
+    assert sum(words[e] for e in laned) == 0
 
 
 def test_pool_is_clamped_to_jobs_and_cores(monkeypatch):
