@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -72,7 +71,7 @@ def _json_text(value, newline: str) -> str:
             + (_SCALARS[type(item)](item) if type(item) in _SCALARS
                else _json_text(item, inner))
             for key, item in sorted(value.items())]) + newline + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a record, a tuple subclass
         if not value:
             return "[]"
         inner = newline + "  "
@@ -374,7 +373,7 @@ def _override(sc: scenarios.Scenario, p_list=None,
     changes = _given(**flags)
     if p_list is not None:
         changes["p_grid"] = scenarios.parse_p_grid(_parse_p_list(p_list))
-    return replace(sc, **changes)
+    return sc._replace(**changes)
 
 
 class _Parser(argparse.ArgumentParser):

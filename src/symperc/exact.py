@@ -78,12 +78,11 @@ denominator, and identity checks mean exact zero.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import mul
-from typing import NamedTuple
 
 from .graphs import Graph
 from .groups import VertexSetPair
@@ -122,8 +121,7 @@ def check_cap(units: int, cap_bits: int) -> None:
 # partition laws
 
 
-@dataclass(frozen=True)
-class PartitionLaw:
+class PartitionLaw(namedtuple("PartitionLaw", "kind q", defaults=(None,))):
     """How a configuration is drawn and partitioned into clusters.
 
     * bond: edges open independently; clusters are components of the open
@@ -134,12 +132,15 @@ class PartitionLaw:
     * random_cluster: edge configurations weighted by
       p^open (1-p)^closed q^(number of components, isolated vertices
       included), normalized over all configurations.
+
+    ``kind`` is one of the three names above; ``q`` is the random-cluster
+    weight, a Fraction, and None for the other two.
     """
 
-    kind: str
-    q: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("bond", "site", "random_cluster"):
             raise ValueError(f"unknown law kind {self.kind!r}")
         if self.kind == "random_cluster":
@@ -147,6 +148,11 @@ class PartitionLaw:
                 raise ValueError("random_cluster law needs q > 0")
         elif self.q is not None:
             raise ValueError(f"{self.kind} law takes no q")
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, checked as the constructor checks."""
+        return type(self)(*super()._replace(**changes))
 
     def units(self, g: Graph) -> int:
         """The binary units of a configuration: vertices or edges."""
@@ -190,23 +196,19 @@ def parse_law(spec) -> PartitionLaw:
 # the joint outcome polynomial
 
 
-@dataclass(frozen=True)
-class JointOutcomePolynomial:
+class JointOutcomePolynomial(namedtuple("JointOutcomePolynomial", (
+        "units", "n_plus", "n_minus", "law", "counts", "component_counts"),
+        defaults=(None,))):
     """Exact counts of configurations by outcome and open-unit number.
 
     ``counts[(a, b)]`` is the vector (n_0, ..., n_units) with n_k the number
     of configurations having k open units and outcome (a, b).  For the
     random-cluster law ``component_counts[(a, b)]`` additionally resolves
     each n_k by the number of partition cells, which is what the q-weighting
-    needs at evaluation time.
+    needs at evaluation time; it is None under the other laws.
     """
 
-    units: int
-    n_plus: int
-    n_minus: int
-    law: PartitionLaw
-    counts: dict[tuple[int, int], tuple[int, ...]]
-    component_counts: dict[tuple[int, int], dict[tuple[int, int], int]] | None = None
+    __slots__ = ()
 
     def total_configs(self) -> int:
         return 1 << self.units
@@ -235,22 +237,27 @@ class JointOutcomePolynomial:
 # the one exact run: cluster intersection sizes with every observed set
 
 
-@dataclass(frozen=True)
-class Observables:
+class Observables(namedtuple("Observables", "origin pairs targets",
+                             defaults=((), ()))):
     """The vertex sets one exact run (or one Monte Carlo pass, see
     :func:`symperc.mc.estimate_joint`) observes of the origin's cluster.
 
     Each pair contributes its two sets and each connection target a
-    singleton; sets shared by several pairs are observed once.
+    singleton; sets shared by several pairs are observed once.  ``pairs``
+    is a tuple of :class:`VertexSetPair`, ``targets`` a tuple of vertices.
     """
 
-    origin: int
-    pairs: tuple[VertexSetPair, ...] = ()
-    targets: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(pair.origin != self.origin for pair in self.pairs):
             raise ValueError("every observed pair must share the origin")
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, checked as the constructor checks."""
+        return type(self)(*super()._replace(**changes))
 
     def masks(self) -> tuple[int, ...]:
         sets = [_vertex_mask(side) for pair in self.pairs
@@ -259,8 +266,8 @@ class Observables:
         return tuple(dict.fromkeys(sets))
 
 
-@dataclass(frozen=True)
-class ClusterSweep:
+class ClusterSweep(namedtuple("ClusterSweep",
+                              "units law origin masks width rows")):
     """Exact counts of configurations by the origin cluster's intersection
     sizes with each observed set and by open-unit number.
 
@@ -270,12 +277,7 @@ class ClusterSweep:
     joint polynomial and every target's connection counts are marginals.
     """
 
-    units: int
-    law: PartitionLaw
-    origin: int
-    masks: tuple[int, ...]
-    width: int
-    rows: dict[int, int]
+    __slots__ = ()
 
     def total_configs(self) -> int:
         return 1 << self.units
@@ -288,14 +290,15 @@ class ClusterSweep:
     def _marginal(self, fields):
         """Count vectors, and random-cluster (k, cells) counts, keyed by the
         sizes in the given fields."""
-        field, units = (1 << self.width) - 1, self.units
-        keep = sum(field << (i * self.width) for i in fields)
+        width, units = self.width, self.units
+        field = (1 << width) - 1
+        keep = sum(field << (i * width) for i in fields)
         summed: dict[int, int] = {}
         for sizes, poly in self.rows.items():
             summed[sizes & keep] = summed.get(sizes & keep, 0) + poly
         counts, components = {}, {}
         for sizes, poly in summed.items():
-            key = tuple(sizes >> (i * self.width) & field for i in fields)
+            key = tuple(sizes >> (i * width) & field for i in fields)
             vec, sub, index = [0] * (units + 1), {}, 0
             while poly:
                 if cnt := poly & ((1 << units + 2) - 1):
@@ -518,7 +521,8 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
     shift = sum(weights).bit_length()
     sizes_field = (1 << shift) - 1
     census = [w + (len(nb) << shift) for w, nb in zip(weights, g.adjacency)]
-    if law.kind == "bond":
+    bond = law.kind == "bond"
+    if bond:
         polys, extent = _spanning_polys(
             nbr, _connected_sets(nbr, origin, everything), origin, bits,
             powers, census)
@@ -569,7 +573,7 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
             continue
         poly = polys[s]
         sizes = total & sizes_field
-        if law.kind == "bond":
+        if bond:
             # the cut is closed; the F edges away from S are free
             touching = (total >> shift) - inner
             add(sizes, poly * powers[m - touching])
@@ -623,12 +627,11 @@ def _check_count_conservation(sweep: ClusterSweep) -> None:
 # evaluation and the exact checks, in integers over one common denominator
 
 
-class IntegerPmf(NamedTuple):
+class IntegerPmf(namedtuple("IntegerPmf", "den nums")):
     """A pmf as integer numerators over one positive denominator:
     P(a, b) = nums[(a, b)] / den.  The denominator need not be the least."""
 
-    den: int
-    nums: dict[tuple[int, int], int]
+    __slots__ = ()
 
 
 def _unit_weights(p: Fraction, units: int) -> list[int]:

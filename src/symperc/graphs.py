@@ -12,9 +12,9 @@ here and relied on by the exact engine for bit-exact reproducibility:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -28,33 +28,29 @@ class GraphSpecError(GraphError):
 VertexSet = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n_vertices labels edges adjacency")):
     """Immutable connected simple graph on vertices 0..n_vertices-1.
 
     ``labels[v]`` is the coordinate tuple assigned by the builder, e.g.
-    (i, j) on a torus or a 0/1 tuple on a hypercube.  ``adjacency[v]`` lists
+    (i, j) on a torus or a 0/1 tuple on a hypercube.  ``edges`` holds the
+    (u, v) pairs with u < v in sorted order.  ``adjacency[v]`` lists
     neighbors in increasing order.
-    """
 
-    n_vertices: int
-    labels: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    _label_index: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    Unlike the other records, a graph declares no ``__slots__``: its
+    instance dict holds the label index that :meth:`index_of` builds on
+    first use, outside the tuple and so outside equality, hash and repr.
+    """
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _label_index(self) -> dict[tuple[int, ...], int]:
+        return {lab: v for v, lab in enumerate(self.labels)}
+
     def index_of(self, label: Sequence[int]) -> int:
         """Vertex index carrying the given coordinate label."""
-        if not self._label_index:
-            self._label_index.update(
-                {lab: v for v, lab in enumerate(self.labels)}
-            )
         try:
             return self._label_index[tuple(label)]
         except KeyError:

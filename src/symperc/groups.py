@@ -20,9 +20,8 @@ double-counting identity on orbits of set pairs.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, as_vertex_set
 
@@ -226,19 +225,17 @@ def _schreier_sims(gens: Sequence[Perm], n: int, base: Sequence[int] = (),
     return levels
 
 
-@dataclass(frozen=True)
-class StabilizerChain:
+class StabilizerChain(namedtuple("StabilizerChain",
+                                  "n_points generators levels")):
     """A base and strong generating set of the group ``generators`` generate.
 
-    Level i holds the i-th base point, the strong generators fixing the base
-    points before it, and the inverse transversal of its basic orbit.  The
-    group order is the product of the basic orbit lengths; no element list
-    is ever built.
+    ``levels`` is a tuple of :class:`_Level`: level i holds the i-th base
+    point, the strong generators fixing the base points before it, and the
+    inverse transversal of its basic orbit.  The group order is the product
+    of the basic orbit lengths; no element list is ever built.
     """
 
-    n_points: int
-    generators: tuple[Perm, ...]
-    levels: tuple[_Level, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -333,20 +330,23 @@ def _orbitals(chain: StabilizerChain, reps: Sequence[int],
 # vertex set pairs and the symmetry conditions
 
 
-@dataclass(frozen=True)
-class VertexSetPair:
-    """The two disjoint vertex sets under comparison plus the origin, which
-    must sit in ``v_plus``."""
+class VertexSetPair(namedtuple("VertexSetPair", "v_plus v_minus origin")):
+    """The two disjoint vertex sets under comparison, tuples of vertices,
+    plus the origin, which must sit in ``v_plus``."""
 
-    v_plus: tuple[int, ...]
-    v_minus: tuple[int, ...]
-    origin: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if set(self.v_plus) & set(self.v_minus):
             raise GraphError("v_plus and v_minus must be disjoint")
         if self.origin not in self.v_plus:
             raise GraphError(f"origin {self.origin} must belong to v_plus")
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, checked as the constructor checks."""
+        return type(self)(*super()._replace(**changes))
 
     @property
     def union(self) -> tuple[int, ...]:
@@ -362,8 +362,10 @@ def make_pair(g: Graph, v_plus: Iterable[int], v_minus: Iterable[int],
     )
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(namedtuple("SymmetryReport", (
+        "set_preserving", "transitive", "stabilizer_symmetric",
+        "swap_transitive", "sets_finite", "group_order", "notes"),
+        defaults=((),))):
     """Outcome of the symmetry check, decided without listing the elements.
 
     ``set_preserving``: every element maps each of the two sets onto one of
@@ -374,14 +376,10 @@ class SymmetryReport:
     element exchanges v and w for every cross pair; ``sets_finite`` is
     trivially true here and recorded for completeness.  ``group_order`` is
     the product of the basic orbit lengths of a stabilizer chain.
+    ``notes`` is a tuple of strings, one per failed condition.
     """
-    set_preserving: bool
-    transitive: bool
-    stabilizer_symmetric: bool
-    swap_transitive: bool
-    sets_finite: bool
-    group_order: int
-    notes: tuple[str, ...] = ()
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -475,12 +473,11 @@ def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
 # the counting lemmas, from generators and chains
 
 
-@dataclass(frozen=True)
-class FamilyPair:
-    """A pair of finite subsets, one inside each of the two acted-on sets."""
+class FamilyPair(namedtuple("FamilyPair", "a_plus a_minus")):
+    """A pair of finite subsets (frozensets), one inside each of the two
+    acted-on sets."""
 
-    a_plus: frozenset[int]
-    a_minus: frozenset[int]
+    __slots__ = ()
 
 
 # The most vertices on each side of a sampled set pair.

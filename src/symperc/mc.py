@@ -58,8 +58,7 @@ import math
 import os
 import struct
 import sys
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from statistics import NormalDist
@@ -127,18 +126,23 @@ def open_threshold(p: Fraction) -> int:
     return (p.numerator << 64) // p.denominator
 
 
-@dataclass(frozen=True)
-class EmpiricalJoint:
-    """Sampled counterpart of the exact joint law: outcome -> sample count."""
+class EmpiricalJoint(namedtuple("EmpiricalJoint", "n_samples counts")):
+    """Sampled counterpart of the exact joint law: ``counts`` maps each
+    outcome (a, b) to its sample count."""
 
-    n_samples: int
-    counts: dict[tuple[int, int], int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sum(self.counts.values()) != self.n_samples:
             raise ValueError("empirical counts do not sum to n_samples")
         if any(a < 1 for (a, _b) in self.counts):
             raise ValueError("the origin's cluster always meets v_plus")
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, checked as the constructor checks."""
+        return type(self)(*super()._replace(**changes))
 
 
 def z_value(level: float, tests: int = 1) -> float:
@@ -430,8 +434,8 @@ def _bins(reach: list[int], observed: int, size: int) -> Counter:
                     for row, cnt in Counter(zip(*planes)).items()})
 
 
-@dataclass(frozen=True)
-class EmpiricalSweep:
+class EmpiricalSweep(namedtuple("EmpiricalSweep",
+                                "n_samples origin observed bins")):
     """Sampled counterpart of :class:`exact.ClusterSweep`.
 
     ``bins[key]`` counts the samples whose origin cluster, restricted to the
@@ -440,10 +444,7 @@ class EmpiricalSweep:
     of that restriction, so each is a projection of the bins.
     """
 
-    n_samples: int
-    origin: int
-    observed: int
-    bins: dict[int, int]
+    __slots__ = ()
 
     def _check_observed(self, mask: int) -> None:
         if mask & ~self.observed:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, log10
 
@@ -30,7 +30,6 @@ from .exact import (
     INCONCLUSIVE,
     PASS,
     VIOLATION,
-    PartitionLaw,
     parse_law,
 )
 from .graphs import Graph, GraphError, build_graph
@@ -84,44 +83,40 @@ def _sign_verdict(value) -> str:
 # scenarios
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", (
+        "name", "statement", "v_plus", "v_minus", "generators", "c_far",
+        "c_near"), defaults=(None, None))):
     """A pair compared on a scenario's graph under its own generators.
 
+    ``v_plus`` and ``v_minus`` are tuples of vertex references (indices or
+    labels), ``generators`` a tuple of generator specs or permutations.
     Exact result rows also report the connection probabilities of the
     targets ``c_far`` and ``c_near``, if given, and 1 + c_far - 2 c_near.
     """
 
-    name: str
-    statement: str
-    v_plus: tuple
-    v_minus: tuple
-    generators: tuple
-    c_far: object = None
-    c_near: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", (
+        "name", "graph_spec", "origin", "law", "p_grid", "mode", "mc_n",
+        "mc_seed", "cap_bits", "report", "relations"), defaults=(
+        0, BOND, (Fraction(1, 2),), "exact", 100_000, 0,
+        exact.DEFAULT_CAP_BITS, "scenario", ()))):
     """One graph and origin, the relations compared on it and the settings
     of the run: the document that ``scenario_echo`` writes.  ``report``
     names the report, ``scenario`` or a constructor's; a ``hypercube``
     scenario is the cube with origin 0, and its report derives the relations.
+
+    ``graph_spec`` is a graph spec dict, ``law`` a :class:`PartitionLaw`,
+    ``p_grid`` a tuple of Fractions and ``relations`` a tuple of
+    :class:`Relation`.  The graph's size is not checked here: the
+    constructors and the reports check it once, before they build a graph.
     """
 
-    name: str
-    graph_spec: dict
-    origin: object = 0
-    law: PartitionLaw = BOND
-    p_grid: tuple[Fraction, ...] = (Fraction(1, 2),)
-    mode: str = "exact"
-    mc_n: int = 100_000
-    mc_seed: int = 0
-    cap_bits: int = exact.DEFAULT_CAP_BITS
-    report: str = "scenario"
-    relations: tuple[Relation, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.report not in ("scenario", "bunkbed", "layered", "z2",
                                "hypercube"):
             raise ScenarioFormatError(
@@ -143,9 +138,12 @@ class Scenario:
         if self.mc_n < 1:
             raise ScenarioFormatError(
                 f"need n >= 1 Monte Carlo samples, got {self.mc_n}")
-        if self.mode == "mc":
-            _check_size(self)
         _check_digits(self)
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, checked as the constructor checks."""
+        return type(self)(*super()._replace(**changes))
 
 
 def _check_digits(sc: Scenario) -> None:
@@ -526,7 +524,7 @@ def scenario_echo(sc: Scenario) -> dict:
                    generators=list(rels[0].generators))
     elif rels:
         doc["relations"] = [
-            dict(vars(rel), v_plus=list(rel.v_plus),
+            dict(rel._asdict(), v_plus=list(rel.v_plus),
                  v_minus=list(rel.v_minus), generators=list(rel.generators))
             for rel in rels]
     return doc
@@ -534,6 +532,8 @@ def scenario_echo(sc: Scenario) -> dict:
 
 def check_symmetry_report(sc: Scenario) -> dict:
     started = time.perf_counter()
+    if sc.mode == "mc":  # refused past the sampler's limit, as its run is
+        _check_size(sc)
     _check_flat(sc, "check-symmetry")
     g = _parsed("graph", build_graph, sc.graph_spec)
     conditions = _compared_pairs(sc, g)[0][2]
@@ -550,7 +550,7 @@ def verify_identity_report(sc: Scenario) -> dict:
     """Exact identity residuals and the ratio identity; the symmetry
     conditions are a precondition here, not an optional extra."""
     _check_flat(sc, "verify-identity")
-    report = run_scenario(replace(sc, mode="exact"), require_conditions=True)
+    report = run_scenario(sc._replace(mode="exact"), require_conditions=True)
     results = []
     for row in report["results"]:
         ok = row["identity_zero"] and row["ratio_equal"]
@@ -655,7 +655,7 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
     _check_size(sc)
     base = _parsed("base graph", build_graph, base_spec)
     gens = _lifted_base_perms(base_spec, base) + [{"name": "layer_swap"}]
-    return replace(sc, origin=[*base.labels[0], 0], relations=(Relation(
+    return sc._replace(origin=[*base.labels[0], 0], relations=(Relation(
         "", "", _layer_labels(base, [0]), _layer_labels(base, [1]),
         tuple(gens)),))
 
@@ -722,8 +722,8 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     if choice in ("b", "c"):
         gens.append({"name": "axis_rotation", "axis": axis, "step": period})
     gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
-    return replace(
-        sc, origin=[*base.labels[0], 0],
+    return sc._replace(
+        origin=[*base.labels[0], 0],
         relations=(Relation("", "", _layer_labels(base, plus_layers),
                             _layer_labels(base, minus_layers), tuple(gens)),))
 
@@ -751,7 +751,7 @@ def z2_scenario(size: int, p_grid: Sequence = ("1/2",),
         {"name": "axis_rotation", "axis": 1, "step": -1},
         diag,
     ]}
-    return replace(sc, relations=(
+    return sc._replace(relations=(
         Relation("relation-1", "1 + c(1,1) >= 2 c(1,0)",
                  v_plus=([0, 0], [1, 1]), v_minus=([1, 0], [0, 1]),
                  generators=(diag, {"name": "axis_reflection", "axis": 0,
@@ -1078,7 +1078,7 @@ def _group_battery(g: Graph, gens: Sequence, pair: groups.VertexSetPair,
 def _relation_scenario(sc: Scenario, index: int) -> Scenario:
     """One relation of a constructed scenario as a single-pair scenario."""
     rel = sc.relations[index]
-    return replace(sc, relations=(
+    return sc._replace(relations=(
         Relation("", "", rel.v_plus, rel.v_minus, rel.generators),))
 
 
@@ -1132,7 +1132,7 @@ def _builtin(name: str) -> Scenario:
         raise ScenarioFormatError(
             f"unknown builtin scenario {name!r}; available: "
             + ", ".join(sorted(BUILTINS)))
-    return replace(BUILTINS[name](), name=name, report="scenario")
+    return BUILTINS[name]()._replace(name=name, report="scenario")
 
 
 def builtin_scenarios() -> dict[str, dict]:

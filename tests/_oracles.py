@@ -67,7 +67,7 @@ use.
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -123,7 +123,7 @@ def relabel_graph(g, perm):
         labels[perm[v]] = lab
     relabeled = explicit_graph(g.n_vertices,
                                [(perm[u], perm[v]) for u, v in g.edges])
-    return replace(relabeled, labels=tuple(labels))
+    return relabeled._replace(labels=tuple(labels))
 
 
 class DSU:

@@ -5,7 +5,6 @@ import inspect
 import io
 import json
 import tempfile
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -87,7 +86,7 @@ def _shape_reports() -> dict:
     return {
         "exact": scenarios.run_scenario(bunkbed),
         **{f"mc-n{n}": scenarios.run_scenario(
-            replace(bunkbed, mode="mc", mc_n=n)) for n in (1, 300)},
+            bunkbed._replace(mode="mc", mc_n=n)) for n in (1, 300)},
         "z2": scenarios.run_scenario(scenarios.z2_scenario(3, ["1/2"]),
                                      require_conditions=True),
         "verify-identity": scenarios.verify_identity_report(bunkbed),
@@ -466,6 +465,10 @@ def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
     (["mc", "--scenario", {"graph": {"builder": "torus", "n": 600, "m": 600},
                            "v_plus": [0], "v_minus": [1], "origin": 0},
       "--n", "1"], 600 * 600, 2 * 600 * 600),
+    (["check-symmetry", "--scenario", {
+        "graph": {"builder": "torus", "n": 600, "m": 600}, "mode": "mc",
+        "v_plus": [0], "v_minus": [1], "origin": 0}],
+     600 * 600, 2 * 600 * 600),
 ])
 def test_mc_graph_size_checked_before_the_graph_is_built(
         argv, vertices, edges, tmp_path, monkeypatch, capsys):
@@ -484,6 +487,35 @@ def test_mc_graph_size_checked_before_the_graph_is_built(
         f"precondition failure: Monte Carlo graph has {vertices} vertices "
         f"and {edges} edges; the sampler takes at most 1048576 vertices + "
         "edges\n")
+
+
+@pytest.mark.parametrize("argv, events", [
+    (["bunkbed", "--base", "cycle:3", "--mode", "mc", "--n", "50"],
+     ["check", "build", "check", "build"]),
+    (["layered", "--base", "path:1", "--m", "6", "--choice", "a", "--k", "3",
+      "--mode", "mc", "--n", "50"], ["check", "build", "check", "build"]),
+    (["z2", "--size", "3", "--mode", "mc", "--n", "50"],
+     ["check", "check", "build"]),
+    (["hypercube", "--d", "2", "--mode", "mc", "--n", "50"],
+     ["check", "build"]),
+    (["mc", "--scenario", "builtin:bunkbed-path2", "--n", "50"],
+     ["check", "build", "check", "build"]),
+    (["check-symmetry", "--scenario", "builtin:mc-bunkbed-path2"],
+     ["check", "build", "check", "build"]),
+])
+def test_one_size_check_before_each_graph_build(argv, events, monkeypatch,
+                                                capsys):
+    # each constructor checks the size (before it builds a base graph) and
+    # each report before it builds the graph; a Scenario and its _replace
+    # copies check none
+    seen = []
+    check, build = scenarios._check_size, scenarios.build_graph
+    monkeypatch.setattr(scenarios, "_check_size",
+                        lambda sc: (seen.append("check"), check(sc))[1])
+    monkeypatch.setattr(scenarios, "build_graph",
+                        lambda spec: (seen.append("build"), build(spec))[1])
+    assert main(argv) in (0, 2)
+    assert seen == events
 
 
 @pytest.mark.parametrize("generator, code, err", [

@@ -3,7 +3,6 @@ remaining report paths."""
 
 import contextlib
 import io
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -140,7 +139,7 @@ def test_rc_polynomial_also_evaluates_as_bond():
     assert rc_poly.counts == bond_poly.counts
     # the q-weighting needs the cell counts a bond polynomial lacks
     with pytest.raises(ValueError):
-        joint_numerators(replace(bond_poly, law=exact.random_cluster_law(2)),
+        joint_numerators(bond_poly._replace(law=exact.random_cluster_law(2)),
                          HALF)
 
 
