@@ -191,12 +191,10 @@ def _human_lines(report: dict) -> list[str]:
              f"mode={report.get('mode', '?')}  verdict={report['verdict']}"]
     cond = report.get("conditions")
     if cond:
-        lines.append(
-            "  conditions: set-preserving={set_preserving} "
-            "transitive={transitive} "
-            "stabilizer-symmetric={stabilizer_symmetric} "
-            "swap-transitive={swap_transitive} "
-            "group-order={group_order}".format(**cond))
+        lines.append("  conditions: " + " ".join(
+            f"{key.replace('_', '-')}={cond[key]}" for key in (
+                "set_preserving", "transitive", "stabilizer_symmetric",
+                "swap_transitive", "group_order") if key in cond))
         for note in cond.get("notes", []):
             lines.append(f"    note: {note}")
     if "config_count" in report:

@@ -4,24 +4,23 @@ A permutation is a plain tuple ``p`` of length n with ``p[i]`` the image of
 vertex i.  Composition follows ``(g o h)(x) = g(h(x))``: ``compose(g, h)``
 applies h first.
 
-A group is held in one form: a :class:`StabilizerChain`, a base and strong
-generating set built by deterministic Schreier–Sims.  It never lists the
-elements, and its order is the product of the basic orbit lengths.
-
-The module also houses the verification side, decided from generators and
-stabilizer chains: the three symmetry conditions a group must satisfy for
-the cluster-domination pipeline (set preservation, transitivity on the
-union, and symmetry of cross stabilizer-orbit sizes), and the counting
-lemmas behind them (:func:`lemma_failures`): the orbit product identity,
-swap symmetry, stabilizer symmetry across the two sets, and the
-double-counting identity on orbits of set pairs.
+A group is given by its generators, whose images and orbits decide the
+three symmetry conditions of the cluster-domination pipeline (set
+preservation, transitivity on the union, and symmetry of cross
+stabilizer-orbit sizes).  Where its order or stabilizers are needed it is
+held as a :class:`StabilizerChain`, a base and strong generating set built
+by deterministic Schreier–Sims that never lists the elements.  Chains give
+swap transitivity and the counting lemmas behind the conditions
+(:func:`lemma_failures`): the orbit product identity, swap symmetry,
+stabilizer symmetry across the two sets, and the double-counting identity
+on orbits of set pairs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .graphs import Graph, GraphError, as_vertex_set
 
@@ -242,17 +241,6 @@ class StabilizerChain(namedtuple("StabilizerChain",
         return math.prod(len(lvl.inverses) for lvl in self.levels)
 
 
-def _checked_generators(gens: Sequence[Sequence[int]],
-                        n_points: int | None) -> tuple[int, list[Perm]]:
-    if gens:
-        n = len(gens[0])
-    elif n_points is not None:
-        n = n_points
-    else:
-        raise GroupError("empty generator list needs an explicit n_points")
-    return n, [_check_perm(p, n) for p in gens]
-
-
 def stabilizer_chain(gens: Sequence[Sequence[int]],
                      n_points: int | None = None) -> StabilizerChain:
     """Base and strong generating set of the group the generators generate.
@@ -261,7 +249,13 @@ def stabilizer_chain(gens: Sequence[Sequence[int]],
     nonidentity generator moves.  ``n_points`` is only needed when ``gens``
     is empty.
     """
-    n, checked = _checked_generators(gens, n_points)
+    if gens:
+        n = len(gens[0])
+    elif n_points is not None:
+        n = n_points
+    else:
+        raise GroupError("empty generator list needs an explicit n_points")
+    checked = [_check_perm(p, n) for p in gens]
     return StabilizerChain(n_points=n, generators=tuple(checked),
                            levels=tuple(_schreier_sims(checked, n)))
 
@@ -305,12 +299,12 @@ def _rooted(chain: StabilizerChain, v: int, reps: Sequence[int],
 
 
 def _orbitals(chain: StabilizerChain, reps: Sequence[int],
-              points: Iterable[int]) -> tuple[dict[int, tuple], Counter[int]]:
-    """Each point v maps to (u_v^-1, ids), read off a chain rooted in v's
-    orbit: the Stab(v)-orbit of w has the id ``ids[u_v^-1(w)]``, that of the
-    Stab(root)-orbit of u_v^-1(w), made unique across roots, and its size
-    is ``sizes`` of that id.  ``reps`` are the group's orbit
-    representatives."""
+              points: Iterable[int]) -> tuple[Callable, Counter[int]]:
+    """``orbital(v, w)``, for v among ``points``, is an id of the
+    Stab(v)-orbit of w, read off a chain rooted in v's orbit with
+    u_v(root) = v: the id of the Stab(root)-orbit of u_v^-1(w), made unique
+    across roots.  The orbit's size is ``sizes`` of its id.  ``reps`` are
+    the group's orbit representatives."""
     roots: dict[int, tuple] = {}
     view = {}
     sizes: Counter[int] = Counter()
@@ -323,7 +317,12 @@ def _orbitals(chain: StabilizerChain, reps: Sequence[int],
             roots[reps[v]] = (inverses, ids)
         inverses, ids = roots[reps[v]]
         view[v] = (inverses[v], ids)
-    return view, sizes
+
+    def orbital(v, w):
+        inv_v, ids = view[v]
+        return ids[inv_v[w]]
+
+    return orbital, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +362,15 @@ def make_pair(g: Graph, v_plus: Iterable[int], v_minus: Iterable[int],
 
 
 class SymmetryReport(namedtuple("SymmetryReport", (
-        "set_preserving", "transitive", "stabilizer_symmetric",
-        "swap_transitive", "sets_finite", "group_order", "notes"),
+        "set_preserving", "transitive", "stabilizer_symmetric", "notes"),
         defaults=((),))):
     """Outcome of the symmetry check, decided without listing the elements.
 
     ``set_preserving``: every element maps each of the two sets onto one of
     the two sets.  ``transitive``: every element maps the union onto itself
     and one orbit covers the union.  ``stabilizer_symmetric``: for every
-    cross pair (v, w) the two stabilizer orbits have equal size.
-    ``swap_transitive`` reports the stronger sufficient condition that some
-    element exchanges v and w for every cross pair; ``sets_finite`` is
-    trivially true here and recorded for completeness.  ``group_order`` is
-    the product of the basic orbit lengths of a stabilizer chain.
-    ``notes`` is a tuple of strings, one per failed condition.
+    cross pair (v, w) the two stabilizer orbits have equal size.  ``notes``
+    is a tuple of strings, one per failed condition.
     """
 
     __slots__ = ()
@@ -385,38 +379,35 @@ class SymmetryReport(namedtuple("SymmetryReport", (
     def ok(self) -> bool:
         return self.set_preserving and self.transitive and self.stabilizer_symmetric
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, **group_fields) -> dict:
+        """The report's fields, with ``group_fields`` before ``ok``."""
         return {
             "set_preserving": self.set_preserving,
             "transitive": self.transitive,
             "stabilizer_symmetric": self.stabilizer_symmetric,
-            "swap_transitive": self.swap_transitive,
-            "sets_finite": self.sets_finite,
-            "group_order": self.group_order,
+            **group_fields,
             "ok": self.ok,
             "notes": list(self.notes),
         }
 
 
-def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
+def check_symmetry_conditions(g: Graph, gens: Sequence[Perm],
                               pair: VertexSetPair) -> SymmetryReport:
-    """Decide the three symmetry conditions for a pair of sets.
+    """Decide the three symmetry conditions for a pair of sets, for the
+    group the checked generators ``gens`` generate.
 
     Set preservation, invariance of the union and being an automorphism
     hold for the group iff they hold for each generator, and transitivity
-    is one orbit of the generators.  Each cross pair (v, w) is read off a
-    stabilizer chain rooted in v's orbit, with u_v(root) = v: |Stab(v).w|
-    is |Stab(root).u_v^-1(w)|, and some element swaps v and w iff
-    u_w^-1(v) lies in Stab(root).u_v^-1(w).
+    is one orbit of the generators.  A cross pair (v, w) has
+    |Stab(v)·w| = |Stab(v)|/|Stab(v) ∩ Stab(w)| and
+    |Stab(v)| = |Γ|/|Γv|, so its two stabilizer orbits have equal size iff
+    |Γv| = |Γw|: the generator orbits decide it too.
 
     Raises :class:`NonAutomorphismElement` unless every generator is an
     automorphism of ``g``; the first bad generator is also the first bad
     element in the breadth-first element order of the closure oracle in
     ``tests/_oracles.py``.
     """
-    if chain.n_points != g.n_vertices:
-        raise GroupError("group acts on a different number of points")
-    gens = chain.generators
     for e in gens:
         if not is_automorphism(g, e):
             raise NonAutomorphismElement(f"element {e} is not an automorphism")
@@ -442,31 +433,43 @@ def check_symmetry_conditions(g: Graph, chain: StabilizerChain,
             transitive = False
             notes.append(f"vertices {missing} unreachable from vertex {seed}")
 
-    view, sizes = _orbitals(chain, reps, pair.v_plus + pair.v_minus)
-    stabilizer_symmetric = swap_transitive = True
-    for v in pair.v_plus:
-        inv_v, ids_v = view[v]
-        for w in pair.v_minus:
-            inv_w, ids_w = view[w]
-            forward, backward = ids_v[inv_v[w]], ids_w[inv_w[v]]
-            if stabilizer_symmetric and sizes[forward] != sizes[backward]:
-                stabilizer_symmetric = False
-                notes.append(f"stabilizer orbit sizes differ for pair ({v},{w})")
-            swap_transitive = swap_transitive and forward == backward
-            if not (stabilizer_symmetric or swap_transitive):
-                break
-        if not (stabilizer_symmetric or swap_transitive):
-            break
+    sizes = Counter(reps)
+    size = [sizes[r] for r in reps]
+    minus_sizes = {size[w] for w in pair.v_minus}
+    v = next((v for v in pair.v_plus if minus_sizes - {size[v]}), None)
+    if v is not None:  # the first cross pair with unequal orbit sizes
+        w = next(w for w in pair.v_minus if size[w] != size[v])
+        notes.append(f"stabilizer orbit sizes differ for pair ({v},{w})")
 
     return SymmetryReport(
         set_preserving=set_preserving,
         transitive=transitive,
-        stabilizer_symmetric=stabilizer_symmetric,
-        swap_transitive=swap_transitive,
-        sets_finite=True,
-        group_order=chain.order,
+        stabilizer_symmetric=v is None,
         notes=tuple(notes),
     )
+
+
+def chain_conditions(g: Graph, gens: Sequence[Perm], pair: VertexSetPair,
+                     ) -> tuple[dict, StabilizerChain]:
+    """The conditions block of a report whose subject is the group itself,
+    and the stabilizer chain it reads.  The block is
+    :func:`check_symmetry_conditions`, decided (or refused) before the
+    chain is built, plus what the chain tells.  ``swap_transitive`` is the
+    stronger sufficient condition that some element exchanges v and w for
+    every cross pair: with u_v(root) = v in a chain rooted in v's orbit,
+    that is u_w^-1(v) ∈ Stab(root)·u_v^-1(w).  ``sets_finite`` is
+    trivially true, and ``group_order`` is the product of the basic orbit
+    lengths.
+    """
+    conditions = check_symmetry_conditions(g, gens, pair)
+    chain = stabilizer_chain(gens, n_points=g.n_vertices)
+    reps = _orbit_reps(chain.generators, chain.n_points)
+    orbital, _ = _orbitals(chain, reps, pair.v_plus + pair.v_minus)
+    swap_transitive = all(orbital(v, w) == orbital(w, v)
+                          for v in pair.v_plus for w in pair.v_minus)
+    return conditions.to_json_dict(
+        swap_transitive=swap_transitive, sets_finite=True,
+        group_order=chain.order), chain
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +544,11 @@ def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
          for s in gens], n * n)
     orbit_sizes, pair_orbit_sizes = Counter(reps), Counter(pair_reps)
 
-    view, sizes = _orbitals(chain, reps, range(n))
+    orbital, sizes = _orbitals(chain, reps, range(n))
 
     def stab_size(v, w):
         """|Stab(v)·w|."""
-        inv_v, ids = view[v]
-        return sizes[ids[inv_v[w]]]
+        return sizes[orbital(v, w)]
 
     product = swap = 0
     for x in range(n):

@@ -55,7 +55,7 @@ def _lazy_module(name: str):
 # reports, would otherwise pay for it (and for ``statistics``) at start-up.
 mc = _lazy_module(f"{__package__}.mc")
 
-SCHEMA = "symperc-report/4"
+SCHEMA = "symperc-report/5"
 
 PRECONDITION_FAILED = "precondition_failed"
 
@@ -166,11 +166,12 @@ def _check_digits(sc: Scenario) -> None:
     q = sc.law.q or 1
     q_bits = max(q.numerator, q.denominator).bit_length()
     bits = max(p_bits, q_bits)
-    vertices, edges = graphs.spec_size(sc.graph_spec)
-    units = vertices if sc.law.kind == "site" else edges
-    if sc.mode == "exact" and units <= sc.cap_bits:  # else the cap refuses
-        bits = max(bits, units * (p_bits + 1) + vertices * (q_bits + 3)
-                   + 3 * vertices.bit_length())
+    if sc.mode == "exact":
+        vertices, edges = graphs.spec_size(sc.graph_spec)
+        units = vertices if sc.law.kind == "site" else edges
+        if units <= sc.cap_bits:  # else the cap refuses
+            bits = max(bits, units * (p_bits + 1) + vertices * (q_bits + 3)
+                       + 3 * vertices.bit_length())
     if (digits := int(bits * log10(2)) + 1) > limit:
         raise ScenarioFormatError(
             f"p or q too long to report exactly: its values need up to "
@@ -293,14 +294,10 @@ def _parsed_pairs(sc: Scenario, g: Graph, relations=None):
 
 
 def _compared_pairs(sc: Scenario, g: Graph, relations=None):
-    """(relation, pair, symmetry report) for each pair of _parsed_pairs.
-
-    Every pair and generator is parsed before any stabilizer chain is
-    built.
-    """
+    """(relation, pair, symmetry report) for each pair of _parsed_pairs:
+    every pair and generator is parsed before any condition is checked."""
     parsed = _parsed_pairs(sc, g, relations)
-    return [(rel, pair, groups.check_symmetry_conditions(
-                g, groups.stabilizer_chain(gens, n_points=g.n_vertices), pair))
+    return [(rel, pair, groups.check_symmetry_conditions(g, gens, pair))
             for rel, pair, gens in parsed]
 
 
@@ -536,10 +533,11 @@ def check_symmetry_report(sc: Scenario) -> dict:
         _check_size(sc)
     _check_flat(sc, "check-symmetry")
     g = _parsed("graph", build_graph, sc.graph_spec)
-    conditions = _compared_pairs(sc, g)[0][2]
-    verdict = PASS if conditions.ok else PRECONDITION_FAILED
+    _, pair, gens = _parsed_pairs(sc, g)[0]
+    conditions, _ = groups.chain_conditions(g, gens, pair)
+    verdict = PASS if conditions["ok"] else PRECONDITION_FAILED
     return _envelope("check-symmetry", scenario_echo(sc), sc.mode, verdict,
-                     started, conditions=conditions.to_json_dict())
+                     started, conditions=conditions)
 
 
 _IDENTITY_FIELDS = ("p", "identity_residuals", "identity_zero", "ratio_lhs",
@@ -1054,12 +1052,11 @@ def _group_battery(g: Graph, gens: Sequence, pair: groups.VertexSetPair,
     """The battery's report fields: the symmetry conditions, the group
     order, the failures of each counting lemma and whether there were
     none."""
-    chain = groups.stabilizer_chain(gens, n_points=g.n_vertices)
-    conditions = groups.check_symmetry_conditions(g, chain, pair)
+    conditions, chain = groups.chain_conditions(g, gens, pair)
     product, stab, swap, double = groups.lemma_failures(chain, pair, trials,
                                                         seed)
     return {
-        "conditions": conditions.to_json_dict(),
+        "conditions": conditions,
         "group_order": chain.order,
         "orbit_product_pairs": g.n_vertices ** 2,
         "orbit_product_failures": product,

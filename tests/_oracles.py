@@ -98,15 +98,12 @@ from symperc.groups import (
     GroupError,
     NonAutomorphismElement,
     NoSwapper,
-    SymmetryReport,
-    _checked_generators,
-    check_symmetry_conditions,
+    _check_perm,
     compose,
     identity_perm,
     is_automorphism,
     make_pair,
     random_family_pairs,
-    stabilizer_chain,
 )
 
 
@@ -872,7 +869,10 @@ def generate_group(gens, cap=DEFAULT_CLOSURE_CAP, n_points=None):
     """
     if cap < 1:
         raise GroupError(f"closure cap must be >= 1, got {cap}")
-    n, checked = _checked_generators(gens, n_points)
+    n = len(gens[0]) if gens else n_points
+    if n is None:
+        raise GroupError("empty generator list needs an explicit n_points")
+    checked = [_check_perm(p, n) for p in gens]
 
     ident = identity_perm(n)
     elements = [ident]
@@ -980,8 +980,7 @@ def element_battery(g, gens, pair, trials, seed):
     """``scenarios._group_battery`` by sums over the closed group's
     elements: the same report fields."""
     grp = generate_group(gens, n_points=g.n_vertices)
-    conditions = check_symmetry_conditions(
-        g, stabilizer_chain(gens, n_points=g.n_vertices), pair)
+    conditions = exhaustive_symmetry_report(g, grp, pair)
 
     orbit_product_failures = []
     for x in range(g.n_vertices):
@@ -1018,7 +1017,7 @@ def element_battery(g, gens, pair, trials, seed):
             double_failures += 1
 
     return {
-        "conditions": conditions.to_json_dict(),
+        "conditions": conditions,
         "group_order": grp.order,
         "orbit_product_pairs": g.n_vertices ** 2,
         "orbit_product_failures": len(orbit_product_failures),
@@ -1032,8 +1031,10 @@ def element_battery(g, gens, pair, trials, seed):
 
 
 def exhaustive_symmetry_report(g, grp, pair):
-    """``groups.check_symmetry_conditions`` by a sweep over the elements of
-    the closed group ``grp``, each cross pair rescanning the element list."""
+    """The conditions block of ``check-symmetry`` by a sweep over the
+    elements of the closed group ``grp``, each cross pair rescanning the
+    element list: ``groups.check_symmetry_conditions`` decides the fields
+    but ``swap_transitive``, ``sets_finite`` and ``group_order``."""
     for e in grp.elements:
         if not is_automorphism(g, e):
             raise NonAutomorphismElement(f"element {e} is not an automorphism")
@@ -1085,15 +1086,16 @@ def exhaustive_symmetry_report(g, grp, pair):
         if not swap_transitive:
             break
 
-    return SymmetryReport(
-        set_preserving=set_preserving,
-        transitive=transitive,
-        stabilizer_symmetric=stabilizer_symmetric,
-        swap_transitive=swap_transitive,
-        sets_finite=True,
-        group_order=grp.order,
-        notes=tuple(notes),
-    )
+    return {
+        "set_preserving": set_preserving,
+        "transitive": transitive,
+        "stabilizer_symmetric": stabilizer_symmetric,
+        "swap_transitive": swap_transitive,
+        "sets_finite": True,
+        "group_order": grp.order,
+        "ok": set_preserving and transitive and stabilizer_symmetric,
+        "notes": notes,
+    }
 
 
 @st.composite

@@ -26,7 +26,7 @@ def test_hypercube_exact_exit_zero(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["verdict"] == "pass"
-    assert report["schema"] == "symperc-report/4"
+    assert report["schema"] == "symperc-report/5"
 
 
 def test_json_reports_round_trip_byte_identically(tmp_path):
@@ -451,6 +451,71 @@ def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
     assert capsys.readouterr().err == (
         f"precondition failure: enumeration needs 2^{units} "
         "configurations, cap is 2^26\n")
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """Record the arguments of every call to ``module.name``, which still
+    runs."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["enumerate", "--scenario", "builtin:bunkbed-cycle3"], 0),
+    (["enumerate", "--scenario", "builtin:asym-path4"], 1),
+    (["mc", "--scenario", "builtin:bunkbed-path2", "--n", "2000"], 0),
+    (["mc", "--scenario", "builtin:asym-path4", "--n", "500"], 1),
+    (["verify-identity", "--scenario", "builtin:bunkbed-cycle3"], 0),
+    (["verify-identity", "--scenario", "builtin:bunkbed-path3"], 3),
+    (["bunkbed", "--base", "cycle:5"], 0),
+    (["bunkbed", "--base", "cycle:5", "--mode", "mc", "--n", "500"], 0),
+    (["layered", "--base", "path:1", "--m", "8", "--choice", "c", "--k", "3",
+      "--period", "2"], 0),
+    (["layered", "--base", "cycle:3", "--m", "8", "--choice", "b", "--k", "1",
+      "--period", "4", "--mode", "mc", "--n", "500"], 0),
+    (["z2", "--size", "3"], 0),
+    (["z2", "--size", "5", "--mode", "mc", "--n", "500"], 0),
+    (["hypercube", "--d", "3"], 0),
+])
+def test_report_pipeline_builds_no_stabilizer_chain(argv, code, monkeypatch,
+                                                    capsys):
+    # the conditions come from generator images and orbits alone
+    chains = _spy(monkeypatch, groups, "stabilizer_chain")
+    assert main(argv) == code
+    assert chains == []
+
+
+@pytest.mark.parametrize("argv, code, built", [
+    (["check-symmetry", "--scenario", "builtin:bunkbed-cycle3"], 0, 1),
+    (["check-symmetry", "--scenario", "builtin:bunkbed-path3"], 3, 1),
+    (["verify-group-theorem", "--group", "bunkbed-c3"], 0, 1),
+    # a generator that is no automorphism is refused before the chain
+    (["check-symmetry", "--scenario", {"generators": [[1, 0, 2, 3]]}], 3, 0),
+])
+def test_group_reports_build_one_stabilizer_chain(argv, code, built, tmp_path,
+                                                  monkeypatch, capsys):
+    # swap transitivity, the group order and the lemmas need the chain
+    chains = _spy(monkeypatch, groups, "stabilizer_chain")
+    argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
+            for a in argv]
+    assert main(argv) == code
+    assert len(chains) == built
+
+
+def test_monte_carlo_report_sizes_its_graph_spec_only_to_check_it(
+        monkeypatch, capsys):
+    # the constructor and the run check the size; the digit check needs it
+    # in exact mode only.  A bunkbed spec's size recurses into its base.
+    calls = _spy(monkeypatch, graphs, "spec_size")
+    assert main(["bunkbed", "--base", "cycle:5", "--mode", "mc", "--n",
+                 "100"]) == 0
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("argv, vertices, edges", [

@@ -139,19 +139,19 @@ def test_symmetry_conditions_bunkbed_c3():
     g, grp = bunkbed_c3_group()
     assert grp.order == 12
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
-    chain = stabilizer_chain(grp.generators)
-    report = check_symmetry_conditions(g, chain, pair)
-    assert report.ok and report.group_order == 12
+    report = check_symmetry_conditions(g, grp.generators, pair)
+    assert report.ok
     assert report.set_preserving and report.transitive
-    assert report.stabilizer_symmetric and report.swap_transitive
-    assert report.sets_finite
+    assert report.stabilizer_symmetric
+    block, _ = groups.chain_conditions(g, grp.generators, pair)
+    assert block == {**report.to_json_dict(), "swap_transitive": True,
+                     "sets_finite": True, "group_order": 12}
 
 
 def test_symmetry_conditions_trivial_group():
     g, _ = bunkbed_c3_group()
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
-    trivial = stabilizer_chain([], n_points=g.n_vertices)
-    report = check_symmetry_conditions(g, trivial, pair)
+    report = check_symmetry_conditions(g, [], pair)
     assert report.set_preserving
     assert not report.transitive
     assert not report.ok
@@ -163,7 +163,7 @@ def test_symmetry_conditions_four_cycle_as_bunkbed():
     gens = [groups.lift_first_factor((1, 0), 2), groups.layer_swap(g)]
     grp = generate_group(gens)
     pair = make_pair(g, [0, 2], [1, 3], origin=0)
-    report = check_symmetry_conditions(g, stabilizer_chain(gens), pair)
+    report = check_symmetry_conditions(g, gens, pair)
     assert report.ok
     for v in pair.v_plus:
         for w in pair.v_minus:
@@ -173,10 +173,11 @@ def test_symmetry_conditions_four_cycle_as_bunkbed():
 
 def test_symmetry_rejects_non_automorphism():
     g = path_graph(3)
-    chain = stabilizer_chain([(1, 0, 2)])
     pair = make_pair(g, [0], [2], origin=0)
     with pytest.raises(NonAutomorphismElement):
-        check_symmetry_conditions(g, chain, pair)
+        check_symmetry_conditions(g, [(1, 0, 2)], pair)
+    with pytest.raises(NonAutomorphismElement):
+        groups.chain_conditions(g, [(1, 0, 2)], pair)
 
 
 def test_split_group():
@@ -315,16 +316,42 @@ def _report_or_error(check, *args):
         return type(exc), str(exc)
 
 
+# The fields of check-symmetry's conditions block that only a stabilizer
+# chain gives; the pipeline's block leaves them out.
+_CHAIN_FIELDS = ("swap_transitive", "sets_finite", "group_order")
+
+
+def _assert_blocks_equal_the_oracle(g, gens, pair):
+    """The pipeline's report and check-symmetry's block both equal the
+    exhaustive oracle: every field, notes included, or the oracle's error
+    with the oracle's text."""
+    grp = generate_group(gens, n_points=g.n_vertices)
+    want = _report_or_error(exhaustive_symmetry_report, g, grp, pair)
+    assert _report_or_error(lambda *args: groups.chain_conditions(*args)[0],
+                            g, gens, pair) == want
+    if isinstance(want, dict):
+        want = {key: value for key, value in want.items()
+                if key not in _CHAIN_FIELDS}
+    assert _report_or_error(lambda *args: check_symmetry_conditions(
+        *args).to_json_dict(), g, gens, pair) == want
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(symmetry_cases())
 def test_symmetry_report_equals_the_exhaustive_oracle(case):
-    # every field, group_order and notes included; a non-automorphism
-    # generator must raise the oracle's error with the oracle's text
+    # a non-automorphism generator must raise the oracle's error
+    _assert_blocks_equal_the_oracle(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(split_cases())
+def test_transitivity_implies_stabilizer_symmetry_in_the_oracle(case):
+    # condition 3 follows from condition 2: when one orbit covers the
+    # union, |Stab(v)·w| = |Stab(v)|/|Stab(v) ∩ Stab(w)| = |Stab(w)·v|
     g, gens, pair = case
-    grp = generate_group(gens, n_points=g.n_vertices)
-    want = _report_or_error(exhaustive_symmetry_report, g, grp, pair)
-    chain = stabilizer_chain(gens, n_points=g.n_vertices)
-    assert _report_or_error(check_symmetry_conditions, g, chain, pair) == want
+    block = exhaustive_symmetry_report(
+        g, generate_group(gens, n_points=g.n_vertices), pair)
+    assert block["stabilizer_symmetric"] or not block["transitive"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -380,11 +407,7 @@ def _constructor_cases():
 
 @pytest.mark.parametrize("g, gens, pair", _constructor_cases())
 def test_symmetry_report_equals_the_oracle_on_every_report(g, gens, pair):
-    grp = generate_group(gens, n_points=g.n_vertices)
-    chain = stabilizer_chain(gens, n_points=g.n_vertices)
-    assert chain.order == grp.order
-    assert check_symmetry_conditions(g, chain, pair) == (
-        exhaustive_symmetry_report(g, grp, pair))
+    _assert_blocks_equal_the_oracle(g, gens, pair)
 
 
 @pytest.mark.parametrize("g, gens, pair", _constructor_cases())
@@ -402,11 +425,12 @@ def test_group_past_the_closure_cap_is_checked_without_closing_it():
     assert 3_628_800 > DEFAULT_CLOSURE_CAP
     chain = stabilizer_chain(gens)
     assert chain.order == 3_628_800
-    report = check_symmetry_conditions(
-        g, chain, make_pair(g, [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], origin=0))
+    pair = make_pair(g, [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], origin=0)
+    report = check_symmetry_conditions(g, gens, pair)
     # a transposition across the sets splits them; every cross pair swaps
     assert report == groups.SymmetryReport(
         set_preserving=False, transitive=True, stabilizer_symmetric=True,
-        swap_transitive=True, sets_finite=True, group_order=3_628_800,
         notes=("an element maps a set off the pair {v_plus, v_minus}",))
+    assert groups.chain_conditions(g, gens, pair)[0] == report.to_json_dict(
+        swap_transitive=True, sets_finite=True, group_order=3_628_800)
 

@@ -95,10 +95,10 @@ def test_bunkbed_over_swap_transitive_bases():
     rep = scenarios.run_scenario(scenarios.bunkbed_scenario(
         {"builder": "complete", "n": 4}, ["1/2"]), require_conditions=True)
     assert rep["verdict"] == "pass"
-    rep = scenarios.run_scenario(scenarios.bunkbed_scenario(
-        {"builder": "hypercube", "d": 2}, ["1/2"]), require_conditions=True)
+    sc = scenarios.bunkbed_scenario({"builder": "hypercube", "d": 2}, ["1/2"])
+    rep = scenarios.run_scenario(sc, require_conditions=True)
     assert rep["verdict"] == "pass"
-    assert rep["conditions"]["swap_transitive"]
+    assert scenarios.check_symmetry_report(sc)["conditions"]["swap_transitive"]
 
 
 def test_layered_choice_c_with_k_above_period():
@@ -164,9 +164,9 @@ def test_complete_graph_bunkbed_group_is_large_enough():
     grp = generate_group(gens)
     assert grp.order == 48  # S4 lifted times the layer swap
     pair = make_pair(g, [0, 2, 4, 6], [1, 3, 5, 7], origin=0)
-    report = groups.check_symmetry_conditions(
-        g, groups.stabilizer_chain(gens), pair)
-    assert report.ok and report.swap_transitive and report.group_order == 48
+    assert groups.check_symmetry_conditions(g, gens, pair).ok
+    block, _ = groups.chain_conditions(g, gens, pair)
+    assert block["swap_transitive"] and block["group_order"] == 48
 
 
 def test_readme_library_example_runs():

@@ -40,7 +40,7 @@ def _records() -> dict:
         "Graph": g,
         "StabilizerChain": chain,
         "VertexSetPair": pair,
-        "SymmetryReport": check_symmetry_conditions(g, chain, pair),
+        "SymmetryReport": check_symmetry_conditions(g, chain.generators, pair),
         "FamilyPair": FamilyPair(frozenset({0}), frozenset({1})),
         "EmpiricalJoint": sampled.joint(pair),
         "EmpiricalSweep": sampled,
