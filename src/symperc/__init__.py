@@ -32,12 +32,10 @@ from .graphs import (
 )
 from .groups import (
     FamilyPair,
-    StabilizerChain,
     SymmetryReport,
     VertexSetPair,
     check_symmetry_conditions,
     is_automorphism,
-    stabilizer_chain,
 )
 from .scenarios import (
     Scenario,

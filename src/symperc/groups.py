@@ -4,13 +4,14 @@ A permutation is a plain tuple ``p`` of length n with ``p[i]`` the image of
 vertex i.  Composition follows ``(g o h)(x) = g(h(x))``: ``compose(g, h)``
 applies h first.
 
-A group is given by its generators, whose images and orbits decide the
-three symmetry conditions of the cluster-domination pipeline (set
-preservation, transitivity on the union, and symmetry of cross
-stabilizer-orbit sizes).  Where its order or stabilizers are needed it is
-held as a :class:`StabilizerChain`, a base and strong generating set built
-by deterministic Schreier–Sims that never lists the elements.  Chains give
-swap transitivity and the counting lemmas behind the conditions
+A group is given by its checked generators, whose images and orbits
+decide the three symmetry conditions of the cluster-domination pipeline
+(set preservation, transitivity on the union, and symmetry of cross
+stabilizer-orbit sizes).  Where a report reads the group's order or its
+stabilizers, the function that reads them builds a base and strong
+generating set by deterministic Schreier–Sims, based at the least point of
+each orbit it reads, and never lists the elements.  These chains give swap
+transitivity and the counting lemmas behind the conditions
 (:func:`lemma_failures`): the orbit product identity, swap symmetry,
 stabilizer symmetry across the two sets, and the double-counting identity
 on orbits of set pairs.
@@ -77,15 +78,18 @@ def _check_perm(p: Sequence[int], n: int) -> Perm:
     return p
 
 
-def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
-    """True iff p maps the edge set onto itself (adjacency both ways)."""
-    perm = _check_perm(p, g.n_vertices)
-    edge_set = set(g.edges)
+def _edge_off(g: Graph, edge_set: set, perm: Perm) -> tuple[int, int] | None:
+    """The first edge of ``g`` that ``perm`` maps off ``edge_set``, or None."""
     for u, v in g.edges:
         pu, pv = perm[u], perm[v]
         if (pu, pv) not in edge_set and (pv, pu) not in edge_set:
-            return False
-    return True
+            return u, v
+    return None
+
+
+def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
+    """True iff p maps the edge set onto itself (adjacency both ways)."""
+    return _edge_off(g, set(g.edges), _check_perm(p, g.n_vertices)) is None
 
 
 def perm_from_label_map(g: Graph, fn) -> Perm:
@@ -224,42 +228,6 @@ def _schreier_sims(gens: Sequence[Perm], n: int, base: Sequence[int] = (),
     return levels
 
 
-class StabilizerChain(namedtuple("StabilizerChain",
-                                  "n_points generators levels")):
-    """A base and strong generating set of the group ``generators`` generate.
-
-    ``levels`` is a tuple of :class:`_Level`: level i holds the i-th base
-    point, the strong generators fixing the base points before it, and the
-    inverse transversal of its basic orbit.  The group order is the product
-    of the basic orbit lengths; no element list is ever built.
-    """
-
-    __slots__ = ()
-
-    @property
-    def order(self) -> int:
-        return math.prod(len(lvl.inverses) for lvl in self.levels)
-
-
-def stabilizer_chain(gens: Sequence[Sequence[int]],
-                     n_points: int | None = None) -> StabilizerChain:
-    """Base and strong generating set of the group the generators generate.
-
-    Deterministic: the base starts at the first point the first
-    nonidentity generator moves.  ``n_points`` is only needed when ``gens``
-    is empty.
-    """
-    if gens:
-        n = len(gens[0])
-    elif n_points is not None:
-        n = n_points
-    else:
-        raise GroupError("empty generator list needs an explicit n_points")
-    checked = [_check_perm(p, n) for p in gens]
-    return StabilizerChain(n_points=n, generators=tuple(checked),
-                           levels=tuple(_schreier_sims(checked, n)))
-
-
 def _orbit_reps(gens: Sequence[Perm], n: int) -> list[int]:
     """The least point of each point's orbit under the generated group."""
     rep = [-1] * n
@@ -277,52 +245,50 @@ def _orbit_reps(gens: Sequence[Perm], n: int) -> list[int]:
     return rep
 
 
-def _rooted(chain: StabilizerChain, v: int, reps: Sequence[int],
-            ) -> tuple[Mapping[int, Perm], Sequence[int]]:
-    """For the orbit of v, with a root r in it: u_x^-1 for each x in the
-    orbit (u_x(r) = x), and the least point of each point's Stab(r)-orbit.
-
-    The root is the chain's first base point when that lies in the orbit;
-    otherwise it is v, with a chain of its own that puts v first and stops
-    at the known order.  A fixed point's stabilizer is the whole group,
-    whose orbits are ``reps``.
-    """
-    n = chain.n_points
-    if reps.count(reps[v]) == 1:
-        return {v: identity_perm(n)}, reps
-    levels = chain.levels
-    if reps[levels[0].point] != reps[v]:
-        strong = dict.fromkeys(s for lvl in levels for s in lvl.gens)
-        levels = _schreier_sims(list(strong), n, base=(v,), order=chain.order)
-    stab_gens = levels[1].gens if len(levels) > 1 else ()
-    return levels[0].inverses, _orbit_reps(stab_gens, n)
-
-
-def _orbitals(chain: StabilizerChain, reps: Sequence[int],
-              points: Iterable[int]) -> tuple[Callable, Counter[int]]:
+def _orbitals(gens: Sequence[Perm], n: int, reps: Sequence[int],
+              points: Iterable[int]) -> tuple[Callable, Counter[int], int]:
     """``orbital(v, w)``, for v among ``points``, is an id of the
-    Stab(v)-orbit of w, read off a chain rooted in v's orbit with
-    u_v(root) = v: the id of the Stab(root)-orbit of u_v^-1(w), made unique
-    across roots.  The orbit's size is ``sizes`` of its id.  ``reps`` are
-    the group's orbit representatives."""
-    roots: dict[int, tuple] = {}
+    Stab(v)-orbit of w, whose size is ``sizes`` of that id; and the group
+    order.  ``reps`` are the group's orbit representatives.
+
+    Each orbit met gets one Schreier–Sims chain based at its least point r:
+    its first level gives u_v^-1 with u_v(r) = v, and its second level
+    generates Stab(r), so the id is that of the Stab(r)-orbit of
+    u_v^-1(w), made unique across orbits.  The first chain gives the group
+    order, at which the later ones stop early.  A fixed point's stabilizer
+    is the whole group, whose orbits are ``reps``: the fixed points share
+    one id table.
+    """
+    ident = identity_perm(n)
+    orbit_sizes = Counter(reps)
+    tables: dict[int | None, tuple] = {}
     view = {}
     sizes: Counter[int] = Counter()
+    order = None
     for v in points:
-        if reps[v] not in roots:
-            inverses, stab_reps = _rooted(chain, v, reps)
-            offset = len(roots) * chain.n_points
-            ids = [offset + x for x in stab_reps]
+        key = reps[v] if orbit_sizes[reps[v]] > 1 else None
+        if key not in tables:
+            if key is None:
+                inverses, stab_reps = None, reps
+            else:
+                levels = _schreier_sims(gens, n, base=(key,), order=order)
+                order = math.prod(len(lvl.inverses) for lvl in levels)
+                inverses = levels[0].inverses
+                stab_reps = _orbit_reps(
+                    levels[1].gens if len(levels) > 1 else (), n)
+            ids = [len(tables) * n + x for x in stab_reps]
             sizes.update(ids)
-            roots[reps[v]] = (inverses, ids)
-        inverses, ids = roots[reps[v]]
-        view[v] = (inverses[v], ids)
+            tables[key] = (inverses, ids)
+        inverses, ids = tables[key]
+        view[v] = (ident if inverses is None else inverses[v], ids)
+    if order is None:  # every point read is fixed
+        order = math.prod(len(lvl.inverses) for lvl in _schreier_sims(gens, n))
 
     def orbital(v, w):
         inv_v, ids = view[v]
         return ids[inv_v[w]]
 
-    return orbital, sizes
+    return orbital, sizes, order
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +370,19 @@ def check_symmetry_conditions(g: Graph, gens: Sequence[Perm],
     |Γv| = |Γw|: the generator orbits decide it too.
 
     Raises :class:`NonAutomorphismElement` unless every generator is an
-    automorphism of ``g``; the first bad generator is also the first bad
-    element in the breadth-first element order of the closure oracle in
-    ``tests/_oracles.py``.
+    automorphism of ``g``, naming the first bad generator's position (from
+    0) and the first edge it maps off the edge set; that generator is also
+    the first bad element in the breadth-first element order of the
+    closure oracle in ``tests/_oracles.py``.
     """
-    for e in gens:
-        if not is_automorphism(g, e):
-            raise NonAutomorphismElement(f"element {e} is not an automorphism")
+    edge_set = set(g.edges)
+    for i, e in enumerate(gens):
+        edge = _edge_off(g, edge_set, _check_perm(e, g.n_vertices))
+        if edge is not None:
+            u, v = edge
+            raise NonAutomorphismElement(
+                f"generator {i} is not an automorphism: it maps the edge "
+                f"({u}, {v}) to ({e[u]}, {e[v]}), which is no edge")
 
     plus, minus = set(pair.v_plus), set(pair.v_minus)
     union = plus | minus
@@ -449,27 +421,36 @@ def check_symmetry_conditions(g: Graph, gens: Sequence[Perm],
     )
 
 
-def chain_conditions(g: Graph, gens: Sequence[Perm], pair: VertexSetPair,
-                     ) -> tuple[dict, StabilizerChain]:
+def _chain_block(conditions: SymmetryReport, gens: Sequence[Perm],
+                 pair: VertexSetPair, reps: Sequence[int],
+                 points: Iterable[int]) -> tuple[dict, Callable, Counter[int]]:
     """The conditions block of a report whose subject is the group itself,
-    and the stabilizer chain it reads.  The block is
-    :func:`check_symmetry_conditions`, decided (or refused) before the
-    chain is built, plus what the chain tells.  ``swap_transitive`` is the
-    stronger sufficient condition that some element exchanges v and w for
-    every cross pair: with u_v(root) = v in a chain rooted in v's orbit,
-    that is u_w^-1(v) ∈ Stab(root)·u_v^-1(w).  ``sets_finite`` is
-    trivially true, and ``group_order`` is the product of the basic orbit
-    lengths.
+    with the ``orbital`` and ``sizes`` of :func:`_orbitals` over ``points``.
+    The block is ``conditions`` plus what the chains tell.
+    ``swap_transitive`` is the stronger sufficient condition that some
+    element exchanges v and w for every cross pair: with u_v(r) = v for the
+    least point r of v's orbit, that is u_w^-1(v) ∈ Stab(r)·u_v^-1(w).
+    ``sets_finite`` is trivially true, and ``group_order`` is the order
+    that :func:`_orbitals` gives.
     """
-    conditions = check_symmetry_conditions(g, gens, pair)
-    chain = stabilizer_chain(gens, n_points=g.n_vertices)
-    reps = _orbit_reps(chain.generators, chain.n_points)
-    orbital, _ = _orbitals(chain, reps, pair.v_plus + pair.v_minus)
+    orbital, sizes, order = _orbitals(gens, len(reps), reps, points)
     swap_transitive = all(orbital(v, w) == orbital(w, v)
                           for v in pair.v_plus for w in pair.v_minus)
     return conditions.to_json_dict(
         swap_transitive=swap_transitive, sets_finite=True,
-        group_order=chain.order), chain
+        group_order=order), orbital, sizes
+
+
+def chain_conditions(g: Graph, gens: Sequence[Perm],
+                     pair: VertexSetPair) -> dict:
+    """The conditions block of ``check-symmetry``:
+    :func:`check_symmetry_conditions`, decided (or refused) before any
+    chain is built, plus what one chain per orbit of the union tells."""
+    conditions = check_symmetry_conditions(g, gens, pair)
+    block, _, _ = _chain_block(conditions, gens, pair,
+                               _orbit_reps(gens, g.n_vertices),
+                               pair.v_plus + pair.v_minus)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +487,16 @@ def random_family_pairs(v_plus: Sequence[int], v_minus: Sequence[int],
     return out
 
 
-def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
-                   seed: int) -> tuple[int, int, int, int]:
-    """Failures of the four counting lemmas, each found from generators and
-    stabilizer chains, never by listing the elements.
+def lemma_failures(g: Graph, gens: Sequence[Perm], pair: VertexSetPair,
+                   trials: int, seed: int,
+                   ) -> tuple[dict, tuple[int, int, int, int]]:
+    """The conditions block, as :func:`chain_conditions` gives it, and the
+    failures of the four counting lemmas, all read off one chain per orbit
+    (:func:`_orbitals` over every point), never by listing the elements.
 
     Over all n² pairs (x, y): the orbit product identity, the size of the
     orbit of (x, y) on V × V (a generator search on the points x·n + y)
-    against |Γx|·|Stab(x)·y| (generator orbits and the chain); and swap
+    against |Γx|·|Stab(x)·y| (generator orbits and the chains); and swap
     symmetry, |Stab(x)·y| = |Stab(y)·x| wherever (y, x) lies in the orbit
     of (x, y).  Over the cross pairs: stabilizer symmetry,
     |Stab(v)·w| = |Stab(w)·v|.  Over ``trials`` sampled set pairs
@@ -526,25 +509,26 @@ def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
     pair counts on neither side of the identity.
 
     Raises :class:`GroupError` when a generator neither preserves nor swaps
-    the sets, and :class:`NoSwapper` when none swaps them.
+    the sets, and :class:`NoSwapper` when none swaps them: then no element
+    maps the origin into ``v_minus``.
     """
-    n, gens = chain.n_points, chain.generators
-    plus, minus = set(pair.v_plus), set(pair.v_minus)
-    images = [({e[v] for v in plus}, {e[v] for v in minus}) for e in gens]
-    if any(image not in ((plus, minus), (minus, plus)) for image in images):
+    conditions = check_symmetry_conditions(g, gens, pair)
+    if not conditions.set_preserving:
         raise GroupError(
             "split requires every element to preserve or swap the sets")
-    if (minus, plus) not in images:
+    n = g.n_vertices
+    reps = _orbit_reps(gens, n)
+    if all(reps[w] != reps[pair.origin] for w in pair.v_minus):
         raise NoSwapper(
             "no element swaps the sets (transitivity fails or v_minus is empty)"
         )
-    reps = _orbit_reps(gens, n)
     pair_reps = _orbit_reps(
         [tuple(s[x] * n + s[y] for x in range(n) for y in range(n))
          for s in gens], n * n)
     orbit_sizes, pair_orbit_sizes = Counter(reps), Counter(pair_reps)
 
-    orbital, sizes = _orbitals(chain, reps, range(n))
+    block, orbital, sizes = _chain_block(conditions, gens, pair, reps,
+                                         range(n))
 
     def stab_size(v, w):
         """|Stab(v)·w|."""
@@ -559,7 +543,8 @@ def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
             swap += (pair_reps[x * n + y] == pair_reps[y * n + x]
                      and size != stab_size(y, x))
 
-    stab = sum(stab_size(v, w) != stab_size(w, v) for v in plus for w in minus)
+    stab = sum(stab_size(v, w) != stab_size(w, v)
+               for v in pair.v_plus for w in pair.v_minus)
 
     o, o_prime = pair.origin, pair.v_minus[0]
     counted: dict[tuple, tuple[int, int]] = {}
@@ -582,7 +567,7 @@ def lemma_failures(chain: StabilizerChain, pair: VertexSetPair, trials: int,
                 sum(o_prime in b for _, b in members) * len(fp.a_plus))))
         lhs, rhs = counted[key]
         double += lhs != rhs
-    return product, stab, swap, double
+    return block, (product, stab, swap, double)
 
 
 # ---------------------------------------------------------------------------

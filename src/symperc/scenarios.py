@@ -534,7 +534,7 @@ def check_symmetry_report(sc: Scenario) -> dict:
     _check_flat(sc, "check-symmetry")
     g = _parsed("graph", build_graph, sc.graph_spec)
     _, pair, gens = _parsed_pairs(sc, g)[0]
-    conditions, _ = groups.chain_conditions(g, gens, pair)
+    conditions = groups.chain_conditions(g, gens, pair)
     verdict = PASS if conditions["ok"] else PRECONDITION_FAILED
     return _envelope("check-symmetry", scenario_echo(sc), sc.mode, verdict,
                      started, conditions=conditions)
@@ -1010,26 +1010,27 @@ def _mc_hypercube_entry(d, p, sweep, reps, level) -> dict:
 # group identity battery
 
 
+# The named groups of the battery, as the scenarios whose pair and
+# generators it reads.
+_NAMED_GROUPS = {
+    "d4-on-c4": lambda: parse_scenario({
+        "graph": {"builder": "cycle", "n": 4},
+        "v_plus": [0, 2], "v_minus": [1, 3], "origin": 0,
+        "generators": [[1, 2, 3, 0], [0, 3, 2, 1]],
+    }),
+    "bunkbed-c3": lambda: bunkbed_scenario(_CYCLE3),
+}
+
+
 def _named_group(name: str):
-    if name == "d4-on-c4":
-        g = graphs.cycle_graph(4)
-        gens = [(1, 2, 3, 0), (0, 3, 2, 1)]
-        pair = groups.make_pair(g, [0, 2], [1, 3], origin=0)
-        return g, gens, pair
-    if name == "bunkbed-c3":
-        base = graphs.cycle_graph(3)
-        g = graphs.bunkbed_graph(base)
-        gens = [
-            groups.lift_first_factor((1, 2, 0), 2),
-            groups.lift_first_factor((0, 2, 1), 2),
-            groups.layer_swap(g),
-        ]
-        v_plus = [0, 2, 4]
-        v_minus = [1, 3, 5]
-        pair = groups.make_pair(g, v_plus, v_minus, origin=0)
-        return g, gens, pair
-    raise ScenarioFormatError(f"unknown named group {name!r}; "
-                              "available: d4-on-c4, bunkbed-c3")
+    """(graph, generators, pair) of a named group's scenario."""
+    if name not in _NAMED_GROUPS:
+        raise ScenarioFormatError(f"unknown named group {name!r}; available: "
+                                  + ", ".join(_NAMED_GROUPS))
+    sc = _NAMED_GROUPS[name]()
+    g = build_graph(sc.graph_spec)
+    _, pair, gens = _parsed_pairs(sc, g)[0]
+    return g, gens, pair
 
 
 def group_theorem_battery(name: str, trials: int = 100, seed: int = 0) -> dict:
@@ -1052,12 +1053,11 @@ def _group_battery(g: Graph, gens: Sequence, pair: groups.VertexSetPair,
     """The battery's report fields: the symmetry conditions, the group
     order, the failures of each counting lemma and whether there were
     none."""
-    conditions, chain = groups.chain_conditions(g, gens, pair)
-    product, stab, swap, double = groups.lemma_failures(chain, pair, trials,
-                                                        seed)
+    conditions, (product, stab, swap, double) = groups.lemma_failures(
+        g, gens, pair, trials, seed)
     return {
         "conditions": conditions,
-        "group_order": chain.order,
+        "group_order": conditions["group_order"],
         "orbit_product_pairs": g.n_vertices ** 2,
         "orbit_product_failures": product,
         "stabilizer_symmetry_failures": stab,

@@ -101,7 +101,6 @@ from symperc.groups import (
     _check_perm,
     compose,
     identity_perm,
-    is_automorphism,
     make_pair,
     random_family_pairs,
 )
@@ -1035,9 +1034,17 @@ def exhaustive_symmetry_report(g, grp, pair):
     elements of the closed group ``grp``, each cross pair rescanning the
     element list: ``groups.check_symmetry_conditions`` decides the fields
     but ``swap_transitive``, ``sets_finite`` and ``group_order``."""
+    edges = set(g.edges)
     for e in grp.elements:
-        if not is_automorphism(g, e):
-            raise NonAutomorphismElement(f"element {e} is not an automorphism")
+        off = [(u, v) for u, v in g.edges
+               if (e[u], e[v]) not in edges and (e[v], e[u]) not in edges]
+        if off:
+            # the first bad element of the breadth-first order is a generator
+            u, v = off[0]
+            raise NonAutomorphismElement(
+                f"generator {grp.generators.index(e)} is not an automorphism: "
+                f"it maps the edge ({u}, {v}) to ({e[u]}, {e[v]}), which is "
+                "no edge")
 
     plus, minus = set(pair.v_plus), set(pair.v_minus)
     union = plus | minus

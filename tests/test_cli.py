@@ -441,7 +441,7 @@ def test_cap_checked_before_the_groups_are_closed(argv, units, tmp_path,
                                                   monkeypatch, capsys):
     # neither a stabilizer chain nor a symmetry check before the cap check
     closed = []
-    for name in ("stabilizer_chain", "check_symmetry_conditions"):
+    for name in ("_schreier_sims", "check_symmetry_conditions"):
         monkeypatch.setattr(groups, name, lambda *args, name=name, **kwargs:
                             closed.append(name))
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
@@ -486,22 +486,24 @@ def _spy(monkeypatch, module, name) -> list:
 def test_report_pipeline_builds_no_stabilizer_chain(argv, code, monkeypatch,
                                                     capsys):
     # the conditions come from generator images and orbits alone
-    chains = _spy(monkeypatch, groups, "stabilizer_chain")
+    chains = _spy(monkeypatch, groups, "_schreier_sims")
     assert main(argv) == code
     assert chains == []
 
 
 @pytest.mark.parametrize("argv, code, built", [
     (["check-symmetry", "--scenario", "builtin:bunkbed-cycle3"], 0, 1),
-    (["check-symmetry", "--scenario", "builtin:bunkbed-path3"], 3, 1),
+    # one chain per orbit of the union: the ends and the middle of the path
+    (["check-symmetry", "--scenario", "builtin:bunkbed-path3"], 3, 2),
     (["verify-group-theorem", "--group", "bunkbed-c3"], 0, 1),
     # a generator that is no automorphism is refused before the chain
     (["check-symmetry", "--scenario", {"generators": [[1, 0, 2, 3]]}], 3, 0),
 ])
 def test_group_reports_build_one_stabilizer_chain(argv, code, built, tmp_path,
                                                   monkeypatch, capsys):
-    # swap transitivity, the group order and the lemmas need the chain
-    chains = _spy(monkeypatch, groups, "stabilizer_chain")
+    # swap transitivity, the group order and the lemmas need one stabilizer
+    # chain for each orbit they read
+    chains = _spy(monkeypatch, groups, "_schreier_sims")
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
             for a in argv]
     assert main(argv) == code
@@ -773,6 +775,12 @@ def test_long_parameters_that_fit_are_written(argv, zeros, tmp_path):
         "1/1" + "0" * zeros]
 
 
+_PATH20000_ROTATION = {
+    "graph": {"builder": "path", "n": 20_000}, "origin": 0,
+    "v_plus": [0], "v_minus": [19_999],
+    "generators": [{"name": "axis_rotation", "axis": 0}]}
+
+
 @pytest.mark.parametrize("argv, err", [
     (["enumerate", "--scenario", {"graph": {"builder": "cycle", "n": 2}}],
      "cycle needs n >= 3"),
@@ -787,13 +795,18 @@ def test_long_parameters_that_fit_are_written(argv, zeros, tmp_path):
                                   "origin": 0,
                                   "generators": [{"name": "layer_swap"}]}],
      "layer swap needs a binary last coordinate"),
+    # a large generator is named by its position and one edge
+    (["check-symmetry", "--scenario", _PATH20000_ROTATION],
+     "generator 0 is not an automorphism: it maps the edge (19998, 19999)"),
+    (["mc", "--scenario", _PATH20000_ROTATION],
+     "generator 0 is not an automorphism: it maps the edge (19998, 19999)"),
 ])
 def test_well_formed_spec_faults_exit_three(argv, err, tmp_path, capsys):
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
             for a in argv]
     assert main(argv) == 3
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
+    assert len(lines) == 1 and len(lines[0].encode()) < 300
     assert lines[0].startswith("precondition failure: ") and err in lines[0]
 
 

@@ -39,7 +39,6 @@ from symperc.groups import (
     invert,
     is_automorphism,
     make_pair,
-    stabilizer_chain,
 )
 
 ROT4 = (1, 2, 3, 0)        # i -> i+1 mod 4
@@ -143,7 +142,7 @@ def test_symmetry_conditions_bunkbed_c3():
     assert report.ok
     assert report.set_preserving and report.transitive
     assert report.stabilizer_symmetric
-    block, _ = groups.chain_conditions(g, grp.generators, pair)
+    block = groups.chain_conditions(g, grp.generators, pair)
     assert block == {**report.to_json_dict(), "swap_transitive": True,
                      "sets_finite": True, "group_order": 12}
 
@@ -178,6 +177,11 @@ def test_symmetry_rejects_non_automorphism():
         check_symmetry_conditions(g, [(1, 0, 2)], pair)
     with pytest.raises(NonAutomorphismElement):
         groups.chain_conditions(g, [(1, 0, 2)], pair)
+    # the message names the generator's position and one edge it breaks
+    with pytest.raises(NonAutomorphismElement, match=(
+            r"^generator 1 is not an automorphism: it maps the edge \(1, 2\) "
+            r"to \(0, 2\), which is no edge$")):
+        check_symmetry_conditions(g, [(2, 1, 0), (1, 0, 2)], pair)
 
 
 def test_split_group():
@@ -327,8 +331,7 @@ def _assert_blocks_equal_the_oracle(g, gens, pair):
     with the oracle's text."""
     grp = generate_group(gens, n_points=g.n_vertices)
     want = _report_or_error(exhaustive_symmetry_report, g, grp, pair)
-    assert _report_or_error(lambda *args: groups.chain_conditions(*args)[0],
-                            g, gens, pair) == want
+    assert _report_or_error(groups.chain_conditions, g, gens, pair) == want
     if isinstance(want, dict):
         want = {key: value for key, value in want.items()
                 if key not in _CHAIN_FIELDS}
@@ -423,14 +426,57 @@ def test_group_past_the_closure_cap_is_checked_without_closing_it():
     g = complete_graph(10)
     gens = [(1, 0) + tuple(range(2, 10)), tuple(range(1, 10)) + (0,)]
     assert 3_628_800 > DEFAULT_CLOSURE_CAP
-    chain = stabilizer_chain(gens)
-    assert chain.order == 3_628_800
     pair = make_pair(g, [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], origin=0)
     report = check_symmetry_conditions(g, gens, pair)
     # a transposition across the sets splits them; every cross pair swaps
     assert report == groups.SymmetryReport(
         set_preserving=False, transitive=True, stabilizer_symmetric=True,
         notes=("an element maps a set off the pair {v_plus, v_minus}",))
-    assert groups.chain_conditions(g, gens, pair)[0] == report.to_json_dict(
+    assert groups.chain_conditions(g, gens, pair) == report.to_json_dict(
         swap_transitive=True, sets_finite=True, group_order=3_628_800)
 
+
+@pytest.mark.parametrize("n, v_plus, v_minus, bases", [
+    (5, [1], [3], [(1,)]),
+    (7, [1, 2], [5, 4], [(1,), (2,)]),
+])
+def test_chains_are_based_in_the_orbits_they_read(n, v_plus, v_minus, bases,
+                                                  monkeypatch):
+    # the path's reflection first moves 0, whose orbit the union misses:
+    # each orbit of the union gets a chain based at its least point
+    g = path_graph(n)
+    gens = [tuple(reversed(range(n)))]
+    pair = make_pair(g, v_plus, v_minus, origin=v_plus[0])
+    based, real = [], groups._schreier_sims
+
+    def spy(gens, n, base=(), order=None):
+        based.append(tuple(base))
+        return real(gens, n, base, order)
+
+    monkeypatch.setattr(groups, "_schreier_sims", spy)
+    _assert_blocks_equal_the_oracle(g, gens, pair)
+    assert based == bases
+    args = (g, gens, pair, 20, 1)
+    assert _report_or_error(scenarios._group_battery, *args) == (
+        _report_or_error(element_battery, *args))
+
+
+def test_named_groups_are_the_hand_built_actions():
+    g, grp = bunkbed_c3_group()
+    assert scenarios._named_group("bunkbed-c3") == (
+        g, list(grp.generators), make_pair(g, [0, 2, 4], [1, 3, 5], origin=0))
+    c4 = cycle_graph(4)
+    assert scenarios._named_group("d4-on-c4") == (
+        c4, [ROT4, REFL4], make_pair(c4, [0, 2], [1, 3], origin=0))
+
+
+def test_fixed_points_share_one_id_table():
+    # a fixed point's stabilizer is the whole group, so the points that
+    # (0 1) fixes read one table of n ids between them, not one each
+    n = 50
+    gens = [(1, 0) + tuple(range(2, n))]
+    reps = groups._orbit_reps(gens, n)
+    orbital, sizes, order = groups._orbitals(gens, n, reps, range(n))
+    assert order == 2 and sum(sizes.values()) == 2 * n
+    assert [sizes[orbital(2, w)] for w in range(4)] == [2, 2, 1, 1]
+    assert [sizes[orbital(0, w)] for w in range(4)] == [1, 1, 1, 1]

@@ -165,7 +165,7 @@ def test_complete_graph_bunkbed_group_is_large_enough():
     assert grp.order == 48  # S4 lifted times the layer swap
     pair = make_pair(g, [0, 2, 4, 6], [1, 3, 5, 7], origin=0)
     assert groups.check_symmetry_conditions(g, gens, pair).ok
-    block, _ = groups.chain_conditions(g, gens, pair)
+    block = groups.chain_conditions(g, gens, pair)
     assert block["swap_transitive"] and block["group_order"] == 48
 
 

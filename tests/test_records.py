@@ -15,8 +15,7 @@ from symperc.exact import (BOND, Observables, enumerate_joint,
                            joint_numerators, random_cluster_law)
 from symperc.graphs import GraphError, bunkbed_graph, path_graph
 from symperc.groups import (FamilyPair, VertexSetPair,
-                            check_symmetry_conditions, layer_swap, make_pair,
-                            stabilizer_chain)
+                            check_symmetry_conditions, layer_swap, make_pair)
 from symperc.mc import EmpiricalJoint
 from symperc.scenarios import ScenarioFormatError
 
@@ -25,7 +24,6 @@ def _records() -> dict:
     """One instance of every record, from one small bunkbed."""
     g = bunkbed_graph(path_graph(2))
     pair = make_pair(g, [0, 2], [1, 3], origin=0)
-    chain = stabilizer_chain([layer_swap(g)])
     observed = Observables(0, (pair,))
     sweep = enumerate_joint(g, observed, BOND)
     poly = sweep.joint(pair)
@@ -38,9 +36,8 @@ def _records() -> dict:
         "ClusterSweep": sweep,
         "IntegerPmf": joint_numerators(poly, F(1, 2)),
         "Graph": g,
-        "StabilizerChain": chain,
         "VertexSetPair": pair,
-        "SymmetryReport": check_symmetry_conditions(g, chain.generators, pair),
+        "SymmetryReport": check_symmetry_conditions(g, [layer_swap(g)], pair),
         "FamilyPair": FamilyPair(frozenset({0}), frozenset({1})),
         "EmpiricalJoint": sampled.joint(pair),
         "EmpiricalSweep": sampled,
