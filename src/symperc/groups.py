@@ -72,9 +72,18 @@ def _mul(g: Perm, h: Perm) -> Perm:
 
 
 def _check_perm(p: Sequence[int], n: int) -> Perm:
-    p = tuple(int(x) for x in p)
-    if len(p) != n or sorted(p) != list(range(n)):
-        raise GroupError(f"not a permutation of 0..{n - 1}: {p!r}")
+    """``p`` as ints, if it permutes 0..n-1; else its first fault."""
+    p = tuple(map(int, p))
+    if len(p) != n:
+        raise GroupError(f"not a permutation of 0..{n - 1}: {len(p)} entries")
+    if sorted(p) != list(range(n)):  # some entry is repeated or out of range
+        seen = set()
+        for i, x in enumerate(p):
+            if x in seen or not 0 <= x < n:
+                raise GroupError(
+                    f"not a permutation of 0..{n - 1}: entry {i} is {x}, "
+                    + ("repeated" if x in seen else "out of range"))
+            seen.add(x)
     return p
 
 
@@ -98,12 +107,12 @@ def perm_from_label_map(g: Graph, fn) -> Perm:
     ``fn`` maps a coordinate label to a coordinate label; the result must hit
     every vertex exactly once.
     """
-    image = [-1] * g.n_vertices
-    for v, lab in enumerate(g.labels):
-        try:
-            image[v] = g.index_of(tuple(fn(lab)))
-        except GraphError as exc:
-            raise GroupError(f"label map leaves the vertex set: {exc}") from None
+    index = g._label_index
+    try:
+        image = [index[tuple(fn(lab))] for lab in g.labels]
+    except KeyError as exc:
+        raise GroupError("label map leaves the vertex set: no vertex "
+                         f"labeled {exc.args[0]}") from None
     return _check_perm(image, g.n_vertices)
 
 
@@ -246,18 +255,18 @@ def _orbit_reps(gens: Sequence[Perm], n: int) -> list[int]:
 
 
 def _orbitals(gens: Sequence[Perm], n: int, reps: Sequence[int],
-              points: Iterable[int]) -> tuple[Callable, Counter[int], int]:
-    """``orbital(v, w)``, for v among ``points``, is an id of the
-    Stab(v)-orbit of w, whose size is ``sizes`` of that id; and the group
+              ) -> tuple[Callable, Counter[int], Callable[[], int]]:
+    """``orbital(v, w)`` is an id of the Stab(v)-orbit of w, whose size is
+    ``sizes`` of that id once it is read; and ``order()`` gives the group
     order.  ``reps`` are the group's orbit representatives.
 
-    Each orbit met gets one Schreier–Sims chain based at its least point r:
-    its first level gives u_v^-1 with u_v(r) = v, and its second level
-    generates Stab(r), so the id is that of the Stab(r)-orbit of
-    u_v^-1(w), made unique across orbits.  The first chain gives the group
-    order, at which the later ones stop early.  A fixed point's stabilizer
-    is the whole group, whose orbits are ``reps``: the fixed points share
-    one id table.
+    The first orbital read at a point of an orbit builds that orbit's
+    Schreier–Sims chain, based at its least point r: its first level gives
+    u_v^-1 with u_v(r) = v, and its second level generates Stab(r), so the
+    id is that of the Stab(r)-orbit of u_v^-1(w), made unique across
+    orbits.  The first chain gives the group order, at which the later
+    ones stop early.  A fixed point's stabilizer is the whole group, whose
+    orbits are ``reps``: the fixed points share one id table.
     """
     ident = identity_perm(n)
     orbit_sizes = Counter(reps)
@@ -265,7 +274,9 @@ def _orbitals(gens: Sequence[Perm], n: int, reps: Sequence[int],
     view = {}
     sizes: Counter[int] = Counter()
     order = None
-    for v in points:
+
+    def point_view(v):
+        nonlocal order
         key = reps[v] if orbit_sizes[reps[v]] > 1 else None
         if key not in tables:
             if key is None:
@@ -281,14 +292,17 @@ def _orbitals(gens: Sequence[Perm], n: int, reps: Sequence[int],
             tables[key] = (inverses, ids)
         inverses, ids = tables[key]
         view[v] = (ident if inverses is None else inverses[v], ids)
-    if order is None:  # every point read is fixed
-        order = math.prod(len(lvl.inverses) for lvl in _schreier_sims(gens, n))
+        return view[v]
 
     def orbital(v, w):
-        inv_v, ids = view[v]
+        inv_v, ids = view.get(v) or point_view(v)
         return ids[inv_v[w]]
 
-    return orbital, sizes, order
+    def group_order():  # from a chain with no base if none was built
+        return order or math.prod(
+            len(lvl.inverses) for lvl in _schreier_sims(gens, n))
+
+    return orbital, sizes, group_order
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +326,6 @@ class VertexSetPair(namedtuple("VertexSetPair", "v_plus v_minus origin")):
     def _replace(self, **changes):
         """A copy with ``changes``, checked as the constructor checks."""
         return type(self)(*super()._replace(**changes))
-
-    @property
-    def union(self) -> tuple[int, ...]:
-        return tuple(sorted(self.v_plus + self.v_minus))
 
 
 def make_pair(g: Graph, v_plus: Iterable[int], v_minus: Iterable[int],
@@ -403,7 +413,9 @@ def check_symmetry_conditions(g: Graph, gens: Sequence[Perm],
         missing = sorted(v for v in union if reps[v] != reps[seed])
         if missing:
             transitive = False
-            notes.append(f"vertices {missing} unreachable from vertex {seed}")
+            more = len(missing) - 10  # a note lists 10 vertices at most
+            listed = f"{missing[:10]} and {more} more" if more > 0 else missing
+            notes.append(f"vertices {listed} unreachable from vertex {seed}")
 
     sizes = Counter(reps)
     size = [sizes[r] for r in reps]
@@ -423,33 +435,33 @@ def check_symmetry_conditions(g: Graph, gens: Sequence[Perm],
 
 def _chain_block(conditions: SymmetryReport, gens: Sequence[Perm],
                  pair: VertexSetPair, reps: Sequence[int],
-                 points: Iterable[int]) -> tuple[dict, Callable, Counter[int]]:
+                 ) -> tuple[dict, Callable, Counter[int]]:
     """The conditions block of a report whose subject is the group itself,
-    with the ``orbital`` and ``sizes`` of :func:`_orbitals` over ``points``.
-    The block is ``conditions`` plus what the chains tell.
-    ``swap_transitive`` is the stronger sufficient condition that some
-    element exchanges v and w for every cross pair: with u_v(r) = v for the
-    least point r of v's orbit, that is u_w^-1(v) ∈ Stab(r)·u_v^-1(w).
+    with the ``orbital`` and ``sizes`` of :func:`_orbitals`.  The block is
+    ``conditions`` plus what the chains tell.  ``swap_transitive`` is the
+    stronger sufficient condition that some element exchanges v and w for
+    every cross pair: with u_v(r) = v for the least point r of v's orbit,
+    that is u_w^-1(v) ∈ Stab(r)·u_v^-1(w); it is read up to the first cross
+    pair that fails, so only the orbits read up to there get a chain.
     ``sets_finite`` is trivially true, and ``group_order`` is the order
     that :func:`_orbitals` gives.
     """
-    orbital, sizes, order = _orbitals(gens, len(reps), reps, points)
+    orbital, sizes, order = _orbitals(gens, len(reps), reps)
     swap_transitive = all(orbital(v, w) == orbital(w, v)
                           for v in pair.v_plus for w in pair.v_minus)
     return conditions.to_json_dict(
         swap_transitive=swap_transitive, sets_finite=True,
-        group_order=order), orbital, sizes
+        group_order=order()), orbital, sizes
 
 
 def chain_conditions(g: Graph, gens: Sequence[Perm],
                      pair: VertexSetPair) -> dict:
     """The conditions block of ``check-symmetry``:
     :func:`check_symmetry_conditions`, decided (or refused) before any
-    chain is built, plus what one chain per orbit of the union tells."""
+    chain is built, plus what the chains of the orbits it reads tell."""
     conditions = check_symmetry_conditions(g, gens, pair)
     block, _, _ = _chain_block(conditions, gens, pair,
-                               _orbit_reps(gens, g.n_vertices),
-                               pair.v_plus + pair.v_minus)
+                               _orbit_reps(gens, g.n_vertices))
     return block
 
 
@@ -527,8 +539,7 @@ def lemma_failures(g: Graph, gens: Sequence[Perm], pair: VertexSetPair,
          for s in gens], n * n)
     orbit_sizes, pair_orbit_sizes = Counter(reps), Counter(pair_reps)
 
-    block, orbital, sizes = _chain_block(conditions, gens, pair, reps,
-                                         range(n))
+    block, orbital, sizes = _chain_block(conditions, gens, pair, reps)
 
     def stab_size(v, w):
         """|Stab(v)·w|."""
@@ -669,10 +680,16 @@ def build_generator(g: Graph, spec) -> Perm:
         if name == "coord_permutation":
             return coord_permutation(g, spec["sigma"])
         if name == "base_perm":
-            n_second = _axis_size(g, len(g.labels[0]) - 1)
+            # lifted over the trailing axes (one at least) that its factor
+            # of len(base) vertices leaves
             base = spec["perm"]
-            if len(base) * n_second != g.n_vertices:
+            axis = len(g.labels[0]) - 1
+            n_rest = _axis_size(g, axis)
+            while len(base) * n_rest < g.n_vertices and axis > 0:
+                axis -= 1
+                n_rest *= _axis_size(g, axis)
+            if len(base) * n_rest != g.n_vertices:
                 raise GroupError("base_perm length does not match the product")
-            return lift_first_factor([int(x) for x in base], n_second)
+            return lift_first_factor([int(x) for x in base], n_rest)
         raise GeneratorSpecError(f"unknown generator name {name!r}")
     raise GeneratorSpecError(f"bad generator spec: {spec!r}")

@@ -33,7 +33,6 @@ from .exact import (
     parse_law,
 )
 from .graphs import Graph, GraphError, build_graph
-from .groups import Perm
 from .rationals import format_fraction, format_ratio, parse_probability
 
 
@@ -565,67 +564,50 @@ def verify_identity_report(sc: Scenario) -> dict:
 # built-in base symmetries
 
 
-def base_generator_perms(base_spec: Mapping, base: Graph) -> list[Perm]:
-    """Vertex-transitive generator sets for the named builders.
+def _base_symmetries(base_spec: Mapping) -> tuple[list[dict], int]:
+    """Vertex-transitive generator specs for the named builders, on a
+    product with the base as its leading factor, and the width of the
+    base's labels.  No graph is built: an axis spec names the base's own
+    coordinates, and ``base_perm`` lifts over the factors after it.
 
     For bases that are not vertex-transitive (paths beyond two vertices,
-    explicit graphs without supplied generators) the returned set is the
-    best available; the condition check downstream reports the failure.
+    explicit graphs without supplied generators) the specs are the best
+    available; the condition check downstream reports the failure.
     """
     builder = base_spec.get("builder")
-    n = base.n_vertices
-    if builder == "path":
-        if n == 1:
-            return []
-        if n == 2:
-            return [(1, 0)]
-        return [tuple(n - 1 - i for i in range(n))]
-    if builder == "cycle":
-        return [
-            tuple((i + 1) % n for i in range(n)),
-            tuple((n - i) % n for i in range(n)),
-        ]
-    if builder == "complete":
-        if n == 1:
-            return []
-        swap01 = tuple([1, 0] + list(range(2, n)))
-        cyc = tuple((i + 1) % n for i in range(n))
-        return [swap01, cyc]
+    if builder in ("bunkbed", "cylinder"):
+        specs, width = _base_symmetries(base_spec["base"])
+        if builder == "bunkbed":  # the layer swap
+            specs.append(
+                {"name": "axis_reflection", "axis": width, "center2": 1})
+        else:
+            specs += [{"name": "axis_rotation", "axis": width},
+                      {"name": "axis_reflection", "axis": width}]
+        return specs, width + 1
     if builder == "hypercube":
         d = int(base_spec["d"])
-        gens = [groups.axis_reflection(base, axis=i, center2=1)
-                for i in range(d)]
-        gens += [groups.swap_axes(base, i, i + 1) for i in range(d - 1)]
-        return gens
+        return ([{"name": "axis_reflection", "axis": i, "center2": 1}
+                 for i in range(d)]
+                + [{"name": "swap_axes", "a": i, "b": i + 1}
+                   for i in range(d - 1)]), d
     if builder == "torus":
-        gens = [
-            groups.axis_rotation(base, 0), groups.axis_rotation(base, 1),
-            groups.axis_reflection(base, 0), groups.axis_reflection(base, 1),
-        ]
+        specs = [{"name": "axis_rotation", "axis": 0},
+                 {"name": "axis_rotation", "axis": 1},
+                 {"name": "axis_reflection", "axis": 0},
+                 {"name": "axis_reflection", "axis": 1}]
         if int(base_spec["n"]) == int(base_spec["m"]):
-            gens.append(groups.swap_axes(base, 0, 1))
-        return gens
-    if builder == "bunkbed":
-        inner = build_graph(base_spec["base"])
-        lifted = [groups.lift_first_factor(p, 2)
-                  for p in base_generator_perms(base_spec["base"], inner)]
-        return lifted + [groups.layer_swap(base)]
-    if builder == "cylinder":
-        inner = build_graph(base_spec["base"])
-        m = int(base_spec["m"])
-        lifted = [groups.lift_first_factor(p, m)
-                  for p in base_generator_perms(base_spec["base"], inner)]
-        axis = len(base.labels[0]) - 1
-        return lifted + [groups.axis_rotation(base, axis),
-                         groups.axis_reflection(base, axis)]
-    return []
-
-
-def _lifted_base_perms(base_spec: Mapping, base: Graph) -> list[dict]:
-    """The base symmetries as generator specs of a product with the base as
-    its first factor."""
-    return [{"name": "base_perm", "perm": list(p)}
-            for p in base_generator_perms(base_spec, base)]
+            specs.append({"name": "swap_axes", "a": 0, "b": 1})
+        return specs, 2
+    if builder == "cycle":
+        return [{"name": "axis_rotation", "axis": 0},
+                {"name": "axis_reflection", "axis": 0}], 1
+    n = int(base_spec["n"]) if builder in ("path", "complete") else 1
+    if n == 1:  # a single vertex, or an explicit base
+        return [], 1
+    if builder == "path":
+        return [{"name": "axis_reflection", "axis": 0, "center2": n - 1}], 1
+    return [{"name": "base_perm", "perm": [1, 0, *range(2, n)]},
+            {"name": "axis_rotation", "axis": 0}], 1
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +634,8 @@ def bunkbed_scenario(base_spec: Mapping, p_grid: Sequence = ("1/2",),
     )
     _check_size(sc)
     base = _parsed("base graph", build_graph, base_spec)
-    gens = _lifted_base_perms(base_spec, base) + [{"name": "layer_swap"}]
+    gens, _ = _base_symmetries(base_spec)
+    gens.append({"name": "layer_swap"})
     return sc._replace(origin=[*base.labels[0], 0], relations=(Relation(
         "", "", _layer_labels(base, [0]), _layer_labels(base, [1]),
         tuple(gens)),))
@@ -715,8 +698,7 @@ def layered_scenario(base_spec: Mapping, m: int, choice: str, k: int,
     _check_size(sc)
     base = _parsed("base graph", build_graph, base_spec)
     plus_layers, minus_layers = _layer_classes(m, choice, k, period)
-    axis = len(base.labels[0])  # the cycle coordinate of the cylinder
-    gens = _lifted_base_perms(base_spec, base)
+    gens, axis = _base_symmetries(base_spec)  # the cylinder's cycle axis
     if choice in ("b", "c"):
         gens.append({"name": "axis_rotation", "axis": axis, "step": period})
     gens.append({"name": "axis_reflection", "axis": axis, "center2": k})
@@ -827,13 +809,15 @@ def _hypercube_relation(g: Graph, k: int, l: int,
         return tuple([v for v in vertices if sum(g.labels[v][:k]) % 2 == odd]
                      for odd in (0, 1))
 
+    def flip(axis):
+        return {"name": "axis_reflection", "axis": axis, "center2": 1}
+
     # the vertices that are 0 past coordinate k + l
     sub = [v for v, lab in enumerate(g.labels) if not any(lab[k + l:])]
     if construction == "double_sum":
         v_plus, v_minus = by_parity(sub)
-        return Relation(construction, "", tuple(v_plus), tuple(v_minus), tuple(
-            groups.axis_reflection(g, axis=i, center2=1)
-            for i in range(k + l)))
+        return Relation(construction, "", tuple(v_plus), tuple(v_minus),
+                        tuple(flip(i) for i in range(k + l)))
 
     even0, odd0 = by_parity([v for v in sub if not any(g.labels[v][k:])])
     even1, odd1 = by_parity([v for v in sub if all(g.labels[v][k:k + l])])
@@ -842,13 +826,10 @@ def _hypercube_relation(g: Graph, k: int, l: int,
     else:
         v_plus, v_minus = even0 + even1, odd0 + odd1
 
-    def block_flip(lab):
-        return tuple(1 - c if k <= i < k + l else c for i, c in enumerate(lab))
-
-    gens = [groups.axis_reflection(g, axis=i, center2=1) for i in range(k)]
-    gens.append(groups.perm_from_label_map(g, block_flip))
+    block_flip = {"name": "compose",
+                  "of": [flip(i) for i in range(k, k + l)]}
     return Relation(construction, "", tuple(v_plus), tuple(v_minus),
-                    tuple(gens))
+                    (*(flip(i) for i in range(k)), block_flip))
 
 
 def hypercube_inequality_report(sc: Scenario, threads: int = 1,

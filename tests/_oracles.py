@@ -60,6 +60,13 @@ graphs, generator sets and pairs for them, failing cases included, and
 ``split_cases`` draws groups that preserve or swap their two sets, so the
 lemmas are reached and can fail.
 
+``base_generator_perms`` builds the base symmetries of ``bunkbed`` and
+``layered`` as permutations of the built base, each nested factor's lifted
+onto the product with ``lift_first_factor``, and
+``hypercube_relation_perms`` builds the generators of the cube's instance
+pairs from label maps, where the package writes both as named generator
+specs that ``groups.build_generator`` resolves on the whole graph.
+
 ``distance`` and ``relabel_graph`` are graph helpers that only the tests
 use.
 """
@@ -93,16 +100,27 @@ from symperc.scenarios import (
     _hypercube_rows,
     discrete_derivative,
 )
-from symperc.graphs import complete_graph, distances_from, explicit_graph
+from symperc.graphs import (
+    build_graph,
+    complete_graph,
+    distances_from,
+    explicit_graph,
+)
 from symperc.groups import (
     GroupError,
     NonAutomorphismElement,
     NoSwapper,
     _check_perm,
+    axis_reflection,
+    axis_rotation,
     compose,
     identity_perm,
+    layer_swap,
+    lift_first_factor,
     make_pair,
+    perm_from_label_map,
     random_family_pairs,
+    swap_axes,
 )
 
 
@@ -1071,7 +1089,12 @@ def exhaustive_symmetry_report(g, grp, pair):
         if not union <= reach:
             transitive = False
             missing = sorted(union - reach)
-            notes.append(f"vertices {missing} unreachable from vertex {seed}")
+            listed = ", ".join(map(str, missing[:10]))
+            if len(missing) > 10:
+                listed += f"] and {len(missing) - 10} more"
+            else:
+                listed += "]"
+            notes.append(f"vertices [{listed} unreachable from vertex {seed}")
 
     stabilizer_symmetric = True
     for v in pair.v_plus:
@@ -1160,3 +1183,71 @@ def split_cases(draw):
     o = draw(st.integers(0, m - 1))
     return g, draw(st.permutations(gens)), make_pair(
         g, range(m), range(m, 2 * m), o)
+
+
+def base_generator_perms(base_spec, base):
+    """Vertex-transitive generator sets for the named builders, as
+    permutations of ``base``, the graph of ``base_spec``; the best available
+    for the bases that are not vertex-transitive."""
+    builder = base_spec.get("builder")
+    n = base.n_vertices
+    if builder == "path":
+        if n == 1:
+            return []
+        if n == 2:
+            return [(1, 0)]
+        return [tuple(n - 1 - i for i in range(n))]
+    if builder == "cycle":
+        return [
+            tuple((i + 1) % n for i in range(n)),
+            tuple((n - i) % n for i in range(n)),
+        ]
+    if builder == "complete":
+        if n == 1:
+            return []
+        swap01 = tuple([1, 0] + list(range(2, n)))
+        cyc = tuple((i + 1) % n for i in range(n))
+        return [swap01, cyc]
+    if builder == "hypercube":
+        d = int(base_spec["d"])
+        gens = [axis_reflection(base, axis=i, center2=1) for i in range(d)]
+        gens += [swap_axes(base, i, i + 1) for i in range(d - 1)]
+        return gens
+    if builder == "torus":
+        gens = [
+            axis_rotation(base, 0), axis_rotation(base, 1),
+            axis_reflection(base, 0), axis_reflection(base, 1),
+        ]
+        if int(base_spec["n"]) == int(base_spec["m"]):
+            gens.append(swap_axes(base, 0, 1))
+        return gens
+    if builder == "bunkbed":
+        inner = build_graph(base_spec["base"])
+        lifted = [lift_first_factor(p, 2)
+                  for p in base_generator_perms(base_spec["base"], inner)]
+        return lifted + [layer_swap(base)]
+    if builder == "cylinder":
+        inner = build_graph(base_spec["base"])
+        m = int(base_spec["m"])
+        lifted = [lift_first_factor(p, m)
+                  for p in base_generator_perms(base_spec["base"], inner)]
+        axis = len(base.labels[0]) - 1
+        return lifted + [axis_rotation(base, axis),
+                         axis_reflection(base, axis)]
+    return []
+
+
+def hypercube_relation_perms(g, k, l, construction):
+    """The generators of the d-cube ``g``'s instance pair at (k, l): the
+    flips of the first k + l coordinates for ``double_sum``; for the two
+    block constructions, the flips of the first k and the flip of the whole
+    block of coordinates k..k+l-1 as one label map."""
+    if construction == "double_sum":
+        return [axis_reflection(g, axis=i, center2=1) for i in range(k + l)]
+
+    def block_flip(lab):
+        return tuple(1 - c if k <= i < k + l else c for i, c in enumerate(lab))
+
+    gens = [axis_reflection(g, axis=i, center2=1) for i in range(k)]
+    gens.append(perm_from_label_map(g, block_flip))
+    return gens

@@ -498,6 +498,13 @@ def test_report_pipeline_builds_no_stabilizer_chain(argv, code, monkeypatch,
     (["verify-group-theorem", "--group", "bunkbed-c3"], 0, 1),
     # a generator that is no automorphism is refused before the chain
     (["check-symmetry", "--scenario", {"generators": [[1, 0, 2, 3]]}], 3, 0),
+    # 100 orbits in the union, but swap transitivity fails at the first
+    # cross pair, whose two orbits are the only ones read
+    (["check-symmetry", "--scenario", {
+        "graph": {"builder": "path", "n": 200}, "origin": 0,
+        "v_plus": [*range(100)], "v_minus": [*range(100, 200)],
+        "generators": [{"name": "axis_reflection", "axis": 0,
+                        "center2": 199}]}], 3, 2),
 ])
 def test_group_reports_build_one_stabilizer_chain(argv, code, built, tmp_path,
                                                   monkeypatch, capsys):
@@ -779,6 +786,8 @@ _PATH20000_ROTATION = {
     "graph": {"builder": "path", "n": 20_000}, "origin": 0,
     "v_plus": [0], "v_minus": [19_999],
     "generators": [{"name": "axis_rotation", "axis": 0}]}
+_PATH20000_REPEAT = {**_PATH20000_ROTATION,
+                     "generators": [[0, *range(19_999)]]}
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -800,6 +809,9 @@ _PATH20000_ROTATION = {
      "generator 0 is not an automorphism: it maps the edge (19998, 19999)"),
     (["mc", "--scenario", _PATH20000_ROTATION],
      "generator 0 is not an automorphism: it maps the edge (19998, 19999)"),
+    # a large non-permutation is named by its first fault
+    (["check-symmetry", "--scenario", _PATH20000_REPEAT],
+     "not a permutation of 0..19999: entry 1 is 0, repeated"),
 ])
 def test_well_formed_spec_faults_exit_three(argv, err, tmp_path, capsys):
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
@@ -808,6 +820,17 @@ def test_well_formed_spec_faults_exit_three(argv, err, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and len(lines[0].encode()) < 300
     assert lines[0].startswith("precondition failure: ") and err in lines[0]
+
+
+def test_unreachable_vertices_note_lists_ten(tmp_path, capsys):
+    doc = _scenario_file(tmp_path, graph={"builder": "path", "n": 20_000},
+                         origin=0, v_plus=[*range(0, 20_000, 2)],
+                         v_minus=[*range(1, 20_000, 2)], generators=[])
+    assert main(["check-symmetry", "--scenario", doc]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert max(len(line.encode()) for line in lines) < 300
+    assert "    note: vertices [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 19989 " \
+        "more unreachable from vertex 0" in lines
 
 
 def test_main_keeps_no_redirected_stream_alive():

@@ -520,6 +520,14 @@ def _builtin_cases():
         for law in LAWS:
             yield pytest.param(g, make_pair(g, [0], [], 0), law,
                                id=f"hypercube{d}-{law.kind}")
+    # triangles {0, 1, 2} and {4, 5, 6} joined through the origin 3: for
+    # the cluster {3}, T = V∖{3} has two components and no vertex with
+    # fewer than two neighbours in T, so Z_T is the product over them
+    g = explicit_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5),
+                           (4, 6), (5, 6)])
+    for q, tag in (("2", "rc2"), ("1/2", "rchalf")):
+        yield pytest.param(g, make_pair(g, [3], [0, 6], 3),
+                           random_cluster_law(q), id=f"two-triangles-{tag}")
 
 
 @pytest.mark.parametrize("g, pair, law", _builtin_cases())

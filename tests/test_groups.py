@@ -470,13 +470,44 @@ def test_named_groups_are_the_hand_built_actions():
         c4, [ROT4, REFL4], make_pair(c4, [0, 2], [1, 3], origin=0))
 
 
+@pytest.mark.parametrize("p, fault", [
+    ([0, 0, 1, 2], "entry 1 is 0, repeated"),
+    ([0, 1, 7, 0], "entry 2 is 7, out of range"),
+    ([-1, 1, 2, 3], "entry 0 is -1, out of range"),
+    ([0, 1, 2], "3 entries"),
+    ([0, 1, 2, 3, 4], "5 entries"),
+])
+def test_a_non_permutation_is_named_by_its_first_fault(p, fault):
+    with pytest.raises(GroupError) as exc:
+        groups._check_perm(p, 4)
+    assert str(exc.value) == f"not a permutation of 0..3: {fault}"
+
+
+def test_coord_permutation_and_base_perm_specs():
+    g = hypercube_graph(3)
+    # new[i] = old[sigma[i]]: (a, b, c) -> (c, a, b)
+    perm = groups.build_generator(
+        g, {"name": "coord_permutation", "sigma": [2, 0, 1]})
+    assert [g.labels[perm[v]] for v in range(g.n_vertices)] == [
+        (c, a, b) for a, b, c in g.labels]
+    # a base_perm of 2 vertices lifts over the two trailing axes
+    perm = groups.build_generator(g, {"name": "base_perm", "perm": [1, 0]})
+    assert perm == groups.axis_reflection(g, 0, center2=1)
+    for bad in ([0, 1, 2], [0, 2, 1, 3, 5, 4, 7, 6, 8]):
+        with pytest.raises(GroupError, match="base_perm length does not "
+                           "match the product"):
+            groups.build_generator(g, {"name": "base_perm", "perm": bad})
+
+
 def test_fixed_points_share_one_id_table():
     # a fixed point's stabilizer is the whole group, so the points that
     # (0 1) fixes read one table of n ids between them, not one each
     n = 50
     gens = [(1, 0) + tuple(range(2, n))]
     reps = groups._orbit_reps(gens, n)
-    orbital, sizes, order = groups._orbitals(gens, n, reps, range(n))
-    assert order == 2 and sum(sizes.values()) == 2 * n
+    orbital, sizes, order = groups._orbitals(gens, n, reps)
     assert [sizes[orbital(2, w)] for w in range(4)] == [2, 2, 1, 1]
     assert [sizes[orbital(0, w)] for w in range(4)] == [1, 1, 1, 1]
+    for v in range(n):
+        orbital(v, 0)
+    assert order() == 2 and sum(sizes.values()) == 2 * n

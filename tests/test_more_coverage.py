@@ -155,12 +155,10 @@ def test_mc_override_of_nonbond_scenario_is_usage_error():
 
 
 def test_complete_graph_bunkbed_group_is_large_enough():
-    base = complete_graph(4)
-    g = bunkbed_graph(base)
-    gens = [groups.lift_first_factor(p, 2)
-            for p in scenarios.base_generator_perms(
-                {"builder": "complete", "n": 4}, base)]
-    gens.append(groups.layer_swap(g))
+    g = bunkbed_graph(complete_graph(4))
+    sc = scenarios.bunkbed_scenario({"builder": "complete", "n": 4})
+    gens = [groups.build_generator(g, spec)
+            for spec in sc.relations[0].generators]
     grp = generate_group(gens)
     assert grp.order == 48  # S4 lifted times the layer swap
     pair = make_pair(g, [0, 2, 4, 6], [1, 3, 5, 7], origin=0)

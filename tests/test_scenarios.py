@@ -439,6 +439,53 @@ def test_layered_precondition_errors():
         layered_scenario(base, m=6, choice="c", k=1, period=2)  # 2n does not divide m
 
 
+def _symmetry_bases():
+    """Every builder as a base, each also under a bunkbed and a cylinder,
+    and a bunkbed of a bunkbed."""
+    simple = ([{"builder": "path", "n": n} for n in range(1, 5)]
+              + [{"builder": "cycle", "n": n} for n in range(3, 7)]
+              + [{"builder": "complete", "n": n} for n in range(1, 6)]
+              + [{"builder": "hypercube", "d": d} for d in range(1, 4)]
+              + [{"builder": "torus", "n": 3, "m": m} for m in (3, 4)]
+              + [{"builder": "explicit", "vertices": 4,
+                  "edges": [[0, 1], [1, 2], [0, 2], [2, 3]]}])
+    k4 = {"builder": "complete", "n": 4}
+    return (simple + [{"builder": "bunkbed", "base": b} for b in simple]
+            + [{"builder": "cylinder", "base": b, "m": 3} for b in simple]
+            + [{"builder": "bunkbed", "base": {"builder": "bunkbed",
+                                               "base": k4}}])
+
+
+@pytest.mark.parametrize("base_spec", _symmetry_bases(), ids=str)
+def test_constructor_generators_equal_the_lifted_base_perms(base_spec):
+    # the named specs resolve on the product to the base's permutations
+    # lifted over the factors after it, in the same order
+    base = graphs.build_graph(base_spec)
+    reference = oracle.base_generator_perms(base_spec, base)
+    width = len(base.labels[0])
+    for sc, n_rest, tail in [
+            (bunkbed_scenario(base_spec, mode="mc"), 2,
+             [{"name": "layer_swap"}]),
+            (layered_scenario(base_spec, 4, "b", 1, 2, mode="mc"), 4,
+             [{"name": "axis_rotation", "axis": width, "step": 2},
+              {"name": "axis_reflection", "axis": width, "center2": 1}])]:
+        g = graphs.build_graph(sc.graph_spec)
+        specs = sc.relations[0].generators
+        assert list(specs[len(reference):]) == tail
+        assert [groups.build_generator(g, spec)
+                for spec in specs[:len(reference)]] == [
+            groups.lift_first_factor(p, n_rest) for p in reference]
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_hypercube_relation_generators_equal_the_label_maps(d):
+    g = hypercube_graph(d)
+    for k, l, name in scenarios._hypercube_walk(d):
+        specs = scenarios._hypercube_relation(g, k, l, name).generators
+        assert [groups.build_generator(g, spec) for spec in specs] == (
+            oracle.hypercube_relation_perms(g, k, l, name))
+
+
 # ---------------------------------------------------------------------------
 # scenario documents and the builtin corpus
 
