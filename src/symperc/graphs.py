@@ -2,16 +2,21 @@
 
 Every graph used anywhere in this package comes out of :func:`build_graph`
 (or one of the named builders it dispatches to).  Two conventions are fixed
-here and relied on by the exact engine for bit-exact reproducibility:
+here:
 
 * edges are sorted lexicographically as (min endpoint, max endpoint) pairs,
-  and edge k corresponds to bit k of every configuration bitmask;
+  and edge k corresponds to bit k of every configuration bitmask, which the
+  exact engine relies on for bit-exact reproducibility;
 * a Cartesian product indexes its vertices row-major over the factor
-  indices, i.e. (i1, i2) -> i1 * n2 + i2, and concatenates factor labels.
+  indices, i.e. (i1, i2) -> i1 * n2 + i2, and concatenates factor labels,
+  so every built graph's labels are the row-major product of 0..k-1 on
+  each axis.  :mod:`groups` relies on this layout: a named generator spec
+  is computed from the vertex index, not looked up by label.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
@@ -38,7 +43,8 @@ class Graph(namedtuple("Graph", "n_vertices labels edges adjacency")):
 
     Unlike the other records, a graph declares no ``__slots__``: its
     instance dict holds the label index that :meth:`index_of` builds on
-    first use, outside the tuple and so outside equality, hash and repr.
+    first use, and the axis sizes that named generators read, outside the
+    tuple and so outside equality, hash and repr.
     """
 
     @property
@@ -48,6 +54,16 @@ class Graph(namedtuple("Graph", "n_vertices labels edges adjacency")):
     @cached_property
     def _label_index(self) -> dict[tuple[int, ...], int]:
         return {lab: v for v, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _axis_sizes(self) -> tuple[int, ...] | None:
+        """The sizes of the label axes, if the labels are the row-major
+        product of 0..size-1 on each axis, as every builder lays them out;
+        None for any other (hand-made) graph."""
+        sizes = tuple(x + 1 for x in self.labels[-1])
+        if self.labels != tuple(itertools.product(*map(range, sizes))):
+            return None
+        return sizes
 
     def index_of(self, label: Sequence[int]) -> int:
         """Vertex index carrying the given coordinate label."""

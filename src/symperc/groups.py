@@ -15,6 +15,10 @@ transitivity and the counting lemmas behind the conditions
 (:func:`lemma_failures`): the orbit product identity, swap symmetry,
 stabilizer symmetry across the two sets, and the double-counting identity
 on orbits of set pairs.
+
+Every named generator spec is a map on each label axis's values plus a
+permutation of the axes, whose image :func:`_axis_map` computes from the
+row-major vertex index that :mod:`graphs` lays out.
 """
 
 from __future__ import annotations
@@ -99,21 +103,6 @@ def _edge_off(g: Graph, edge_set: set, perm: Perm) -> tuple[int, int] | None:
 def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
     """True iff p maps the edge set onto itself (adjacency both ways)."""
     return _edge_off(g, set(g.edges), _check_perm(p, g.n_vertices)) is None
-
-
-def perm_from_label_map(g: Graph, fn) -> Perm:
-    """Build a permutation from a label-rewriting function.
-
-    ``fn`` maps a coordinate label to a coordinate label; the result must hit
-    every vertex exactly once.
-    """
-    index = g._label_index
-    try:
-        image = [index[tuple(fn(lab))] for lab in g.labels]
-    except KeyError as exc:
-        raise GroupError("label map leaves the vertex set: no vertex "
-                         f"labeled {exc.args[0]}") from None
-    return _check_perm(image, g.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -582,72 +571,73 @@ def lemma_failures(g: Graph, gens: Sequence[Perm], pair: VertexSetPair,
 
 
 # ---------------------------------------------------------------------------
-# generator builders for the standard symmetries
-
-def _axis_size(g: Graph, axis: int) -> int:
-    sizes = {lab[axis] for lab in g.labels}
-    if sizes != set(range(len(sizes))):
-        raise GroupError(f"axis {axis} coordinates are not dense 0..k-1")
-    return len(sizes)
+# generator specs: per-axis maps of the row-major layout
 
 
-def _replace(lab: tuple[int, ...], axis: int, value: int) -> tuple[int, ...]:
-    return lab[:axis] + (value,) + lab[axis + 1:]
-
-
-def layer_swap(g: Graph) -> Perm:
-    """Exchange the two layers of a product with a binary last coordinate."""
-    axis = len(g.labels[0]) - 1
-    if _axis_size(g, axis) != 2:
-        raise GroupError("layer swap needs a binary last coordinate")
-    return perm_from_label_map(g, lambda lab: _replace(lab, axis, 1 - lab[axis]))
-
-
-def axis_rotation(g: Graph, axis: int, step: int = 1) -> Perm:
-    """Rotate one cyclic coordinate by ``step`` (mod the axis size)."""
-    size = _axis_size(g, axis)
-    return perm_from_label_map(
-        g, lambda lab: _replace(lab, axis, (lab[axis] + step) % size))
-
-
-def axis_reflection(g: Graph, axis: int, center2: int = 0) -> Perm:
-    """Reflect one cyclic coordinate through center2 / 2, i.e.
-    i -> (center2 - i) mod size."""
-    size = _axis_size(g, axis)
-    return perm_from_label_map(
-        g, lambda lab: _replace(lab, axis, (center2 - lab[axis]) % size))
-
-
-def swap_axes(g: Graph, a: int, b: int) -> Perm:
-    """Transpose two coordinates (requires equal axis sizes)."""
-    if _axis_size(g, a) != _axis_size(g, b):
-        raise GroupError(f"axes {a} and {b} have different sizes")
-
-    def fn(lab):
-        out = list(lab)
-        out[a], out[b] = out[b], out[a]
-        return tuple(out)
-
-    return perm_from_label_map(g, fn)
-
-
-def coord_permutation(g: Graph, sigma: Sequence[int]) -> Perm:
-    """Permute all coordinates at once: new[i] = old[sigma[i]]."""
-    width = len(g.labels[0])
-    sigma = _check_perm(sigma, width)
-    return perm_from_label_map(
-        g, lambda lab: tuple(lab[sigma[i]] for i in range(width)))
-
-
-def lift_first_factor(base_perm: Sequence[int], n_second: int) -> Perm:
-    """Lift a base-factor permutation to a row-major product with a second
-    factor of ``n_second`` vertices."""
-    n1 = len(base_perm)
-    image = [0] * (n1 * n_second)
-    for i1 in range(n1):
-        for i2 in range(n_second):
-            image[i1 * n_second + i2] = base_perm[i1] * n_second + i2
+def _axis_map(sizes: Sequence[int], values: Sequence[Sequence[int]],
+              sigma: Sequence[int]) -> Perm:
+    """The permutation of the row-major product of axes of ``sizes`` that
+    maps coordinate x of axis j to ``values[j][x]`` and puts old axis
+    ``sigma[i]`` at position i (axes of equal size).  Old axis j adds
+    ``values[j][x]`` times its new position's stride to the image index,
+    so the image is built one axis at a time."""
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+    image = [0]
+    for j, i in enumerate(invert(sigma)):
+        share = [strides[i] * y for y in values[j]]
+        image = [a + b for a in image for b in share]
     return tuple(image)
+
+
+def _named_generator(g: Graph, name, spec: Mapping) -> Perm:
+    """A named spec as :func:`_axis_map` of the graph's axes: one axis's
+    values mapped, or the axes permuted; ``base_perm`` maps the leading
+    block of ``len(perm)`` vertices over the trailing run of axes (one at
+    least) whose sizes multiply to the rest.  An axis in -width..-1 counts
+    from the last axis.  The axis sizes come from the labels, which must be
+    laid out row-major, as every graph of :func:`graphs.build_graph` is."""
+    sizes = g._axis_sizes
+    if sizes is None:  # only a hand-made graph
+        raise GroupError("named generators need labels laid out row-major "
+                         "over 0..k-1 on each axis")
+    values = [range(size) for size in sizes]
+    sigma = list(range(len(sizes)))
+    if name == "layer_swap":
+        if sizes[-1] != 2:
+            raise GroupError("layer swap needs a binary last coordinate")
+        values[-1] = (1, 0)
+    elif name == "axis_rotation":
+        axis, step = int(spec["axis"]), int(spec.get("step", 1))
+        values[axis] = [(x + step) % sizes[axis] for x in range(sizes[axis])]
+    elif name == "axis_reflection":
+        axis, center2 = int(spec["axis"]), int(spec.get("center2", 0))
+        values[axis] = [(center2 - x) % sizes[axis]
+                        for x in range(sizes[axis])]
+    elif name == "swap_axes":
+        a, b = int(spec["a"]), int(spec["b"])
+        if sizes[a] != sizes[b]:
+            raise GroupError(f"axes {a} and {b} have different sizes")
+        sigma[a], sigma[b] = sigma[b], sigma[a]
+    elif name == "coord_permutation":
+        # new[i] = old[sigma[i]]
+        sigma = _check_perm(spec["sigma"], len(sizes))
+        for i, j in enumerate(sigma):
+            if sizes[i] != sizes[j]:
+                raise GroupError(f"axes {i} and {j} have different sizes")
+    elif name == "base_perm":
+        base = spec["perm"]
+        axis = len(sizes) - 1
+        n_rest = sizes[axis]
+        while len(base) * n_rest < g.n_vertices and axis > 0:
+            axis -= 1
+            n_rest *= sizes[axis]
+        if len(base) * n_rest != g.n_vertices:
+            raise GroupError("base_perm length does not match the product")
+        sizes = (len(base), n_rest)
+        values, sigma = (_check_perm(base, len(base)), range(n_rest)), (0, 1)
+    else:
+        raise GeneratorSpecError(f"unknown generator name {name!r}")
+    return _axis_map(sizes, values, sigma)
 
 
 def build_generator(g: Graph, spec) -> Perm:
@@ -669,27 +659,5 @@ def build_generator(g: Graph, spec) -> Perm:
             for part in reversed(parts[:-1]):
                 out = compose(part, out)
             return out
-        if name == "layer_swap":
-            return layer_swap(g)
-        if name == "axis_rotation":
-            return axis_rotation(g, int(spec["axis"]), int(spec.get("step", 1)))
-        if name == "axis_reflection":
-            return axis_reflection(g, int(spec["axis"]), int(spec.get("center2", 0)))
-        if name == "swap_axes":
-            return swap_axes(g, int(spec["a"]), int(spec["b"]))
-        if name == "coord_permutation":
-            return coord_permutation(g, spec["sigma"])
-        if name == "base_perm":
-            # lifted over the trailing axes (one at least) that its factor
-            # of len(base) vertices leaves
-            base = spec["perm"]
-            axis = len(g.labels[0]) - 1
-            n_rest = _axis_size(g, axis)
-            while len(base) * n_rest < g.n_vertices and axis > 0:
-                axis -= 1
-                n_rest *= _axis_size(g, axis)
-            if len(base) * n_rest != g.n_vertices:
-                raise GroupError("base_perm length does not match the product")
-            return lift_first_factor([int(x) for x in base], n_rest)
-        raise GeneratorSpecError(f"unknown generator name {name!r}")
+        return _named_generator(g, name, spec)
     raise GeneratorSpecError(f"bad generator spec: {spec!r}")

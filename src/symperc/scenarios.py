@@ -256,6 +256,13 @@ def _parsed_relations(doc: Mapping) -> tuple[Relation, ...]:
             and all(isinstance(entry, Mapping) for entry in entries)):
         raise ScenarioFormatError(
             f"relations must be a nonempty list of objects, got {entries!r}")
+    for entry in entries:
+        given = [key for key in ("c_far", "c_near")
+                 if entry.get(key) is not None]
+        if len(given) == 1:
+            raise ScenarioFormatError(
+                f"relation {entry.get('name', '')!r} gives {given[0]} "
+                "alone: c_far and c_near are both given or both null")
     return tuple(
         Relation(str(entry.get("name", "")), str(entry.get("statement", "")),
                  tuple(entry["v_plus"]), tuple(entry["v_minus"]),

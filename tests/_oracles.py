@@ -60,12 +60,18 @@ graphs, generator sets and pairs for them, failing cases included, and
 ``split_cases`` draws groups that preserve or swap their two sets, so the
 lemmas are reached and can fail.
 
-``base_generator_perms`` builds the base symmetries of ``bunkbed`` and
-``layered`` as permutations of the built base, each nested factor's lifted
-onto the product with ``lift_first_factor``, and
+The generator oracles rewrite every label: ``label_map_generator``
+resolves a generator spec through ``perm_from_label_map``, one dict lookup
+per rewritten label (``layer_swap``, ``axis_rotation``,
+``axis_reflection``, ``swap_axes`` and ``coord_permutation``), and lifts a
+``base_perm`` with ``lift_first_factor``, where ``groups.build_generator``
+maps the row-major index one axis at a time.  ``base_generator_perms``
+builds the base symmetries of ``bunkbed`` and ``layered`` as permutations
+of the built base, each nested factor's lifted onto the product, and
 ``hypercube_relation_perms`` builds the generators of the cube's instance
 pairs from label maps, where the package writes both as named generator
-specs that ``groups.build_generator`` resolves on the whole graph.
+specs.  ``product_graphs`` and ``generator_specs`` draw the cases on which
+the two resolvers are compared.
 
 ``distance`` and ``relabel_graph`` are graph helpers that only the tests
 use.
@@ -77,7 +83,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -102,25 +108,21 @@ from symperc.scenarios import (
 )
 from symperc.graphs import (
     build_graph,
+    cartesian_product,
     complete_graph,
     distances_from,
     explicit_graph,
 )
 from symperc.groups import (
+    GeneratorSpecError,
     GroupError,
     NonAutomorphismElement,
     NoSwapper,
     _check_perm,
-    axis_reflection,
-    axis_rotation,
     compose,
     identity_perm,
-    layer_swap,
-    lift_first_factor,
     make_pair,
-    perm_from_label_map,
     random_family_pairs,
-    swap_axes,
 )
 
 
@@ -1183,6 +1185,189 @@ def split_cases(draw):
     o = draw(st.integers(0, m - 1))
     return g, draw(st.permutations(gens)), make_pair(
         g, range(m), range(m, 2 * m), o)
+
+
+def perm_from_label_map(g, fn):
+    """The permutation that sends the vertex labeled ``lab`` to the vertex
+    labeled ``fn(lab)``; the images must hit every vertex once."""
+    index = {lab: v for v, lab in enumerate(g.labels)}
+    try:
+        image = [index[tuple(fn(lab))] for lab in g.labels]
+    except KeyError as exc:
+        raise GroupError("label map leaves the vertex set: no vertex "
+                         f"labeled {exc.args[0]}") from None
+    return _check_perm(image, g.n_vertices)
+
+
+def _axis_size(g, axis):
+    sizes = {lab[axis] for lab in g.labels}
+    if sizes != set(range(len(sizes))):
+        raise GroupError(f"axis {axis} coordinates are not dense 0..k-1")
+    return len(sizes)
+
+
+def _replace(lab, axis, value):
+    """``lab`` with coordinate ``axis`` (from the end if negative) set."""
+    out = list(lab)
+    out[axis] = value
+    return tuple(out)
+
+
+def layer_swap(g):
+    """Exchange the two layers of a product with a binary last coordinate."""
+    axis = len(g.labels[0]) - 1
+    if _axis_size(g, axis) != 2:
+        raise GroupError("layer swap needs a binary last coordinate")
+    return perm_from_label_map(
+        g, lambda lab: _replace(lab, axis, 1 - lab[axis]))
+
+
+def axis_rotation(g, axis, step=1):
+    """Rotate one cyclic coordinate by ``step`` (mod the axis size)."""
+    size = _axis_size(g, axis)
+    return perm_from_label_map(
+        g, lambda lab: _replace(lab, axis, (lab[axis] + step) % size))
+
+
+def axis_reflection(g, axis, center2=0):
+    """Reflect one coordinate through center2 / 2: i -> (center2 - i) mod
+    size."""
+    size = _axis_size(g, axis)
+    return perm_from_label_map(
+        g, lambda lab: _replace(lab, axis, (center2 - lab[axis]) % size))
+
+
+def swap_axes(g, a, b):
+    """Transpose two coordinates (requires equal axis sizes)."""
+    if _axis_size(g, a) != _axis_size(g, b):
+        raise GroupError(f"axes {a} and {b} have different sizes")
+
+    def fn(lab):
+        out = list(lab)
+        out[a], out[b] = out[b], out[a]
+        return tuple(out)
+
+    return perm_from_label_map(g, fn)
+
+
+def coord_permutation(g, sigma):
+    """Permute all coordinates at once: new[i] = old[sigma[i]]."""
+    width = len(g.labels[0])
+    sigma = _check_perm(sigma, width)
+    return perm_from_label_map(
+        g, lambda lab: tuple(lab[sigma[i]] for i in range(width)))
+
+
+def lift_first_factor(base_perm, n_second):
+    """Lift a base-factor permutation to a row-major product with a second
+    factor of ``n_second`` vertices."""
+    n1 = len(base_perm)
+    image = [0] * (n1 * n_second)
+    for i1 in range(n1):
+        for i2 in range(n_second):
+            image[i1 * n_second + i2] = base_perm[i1] * n_second + i2
+    return tuple(image)
+
+
+def label_map_generator(g, spec):
+    """The reference resolver of ``groups.build_generator``: each named
+    spec by its label map; a ``base_perm`` lifted over the trailing axes
+    (one at least) that its factor leaves, and the lift checked as a
+    permutation of the whole graph."""
+    if isinstance(spec, (list, tuple)):
+        return _check_perm(spec, g.n_vertices)
+    name = spec.get("name")
+    if name is None and "perm" in spec:
+        return _check_perm(spec["perm"], g.n_vertices)
+    if name == "compose":
+        parts = [label_map_generator(g, part) for part in spec["of"]]
+        if not parts:
+            raise GroupError("compose needs at least one part")
+        out = parts[-1]
+        for part in reversed(parts[:-1]):
+            out = compose(part, out)
+        return out
+    if name == "layer_swap":
+        return layer_swap(g)
+    if name == "axis_rotation":
+        return axis_rotation(g, int(spec["axis"]), int(spec.get("step", 1)))
+    if name == "axis_reflection":
+        return axis_reflection(g, int(spec["axis"]),
+                               int(spec.get("center2", 0)))
+    if name == "swap_axes":
+        return swap_axes(g, int(spec["a"]), int(spec["b"]))
+    if name == "coord_permutation":
+        return coord_permutation(g, spec["sigma"])
+    if name == "base_perm":
+        base = spec["perm"]
+        axis = len(g.labels[0]) - 1
+        n_rest = _axis_size(g, axis)
+        while len(base) * n_rest < g.n_vertices and axis > 0:
+            axis -= 1
+            n_rest *= _axis_size(g, axis)
+        if len(base) * n_rest != g.n_vertices:
+            raise GroupError("base_perm length does not match the product")
+        return _check_perm(lift_first_factor([int(x) for x in base], n_rest),
+                           g.n_vertices)
+    raise GeneratorSpecError(f"unknown generator name {name!r}")
+
+
+_FACTORS = ([{"builder": "path", "n": n} for n in range(1, 5)]
+            + [{"builder": "cycle", "n": n} for n in (3, 4, 5)]
+            + [{"builder": "complete", "n": n} for n in range(1, 5)]
+            + [{"builder": "torus", "n": 3, "m": 4},
+               {"builder": "torus", "n": 4, "m": 3}]
+            + [{"builder": "hypercube", "d": d} for d in (1, 2, 3)]
+            + [{"builder": "explicit", "vertices": 4,
+                "edges": [[0, 1], [1, 2], [0, 2], [2, 3]]}])
+
+
+@st.composite
+def product_graphs(draw, max_vertices=64):
+    """Row-major products of up to three drawn factors, each on either
+    side, of at most ``max_vertices`` vertices: with the path of 2 as a
+    factor a product is a bunkbed, with a cycle a cylinder, and a torus is
+    itself a product."""
+    g = build_graph(draw(st.sampled_from(_FACTORS)))
+    for _ in range(draw(st.integers(0, 2))):
+        h = build_graph(draw(st.sampled_from(_FACTORS)))
+        if g.n_vertices * h.n_vertices <= max_vertices:
+            g = cartesian_product(*((g, h) if draw(st.booleans()) else (h, g)))
+    return g
+
+
+@st.composite
+def generator_specs(draw, g, depth=1):
+    """A named generator spec for ``g``, or a ``compose`` of up to three:
+    axes from one past either end, shifts of either sign, coordinate
+    permutations that pair axes of other sizes, and ``base_perm`` arrays
+    of any leading block (or none), permutations or not."""
+    width = len(g.labels[0])
+    axis = st.integers(-width - 1, width)
+    shift = st.integers(-3, 6)
+    names = ["layer_swap", "axis_rotation", "axis_reflection", "swap_axes",
+             "coord_permutation", "base_perm"] + ["compose"] * (depth > 0)
+    name = draw(st.sampled_from(names))
+    if name == "compose":
+        return {"name": name, "of": draw(st.lists(
+            generator_specs(g, depth - 1), min_size=1, max_size=3))}
+    if name == "axis_rotation":
+        return {"name": name, "axis": draw(axis), "step": draw(shift)}
+    if name == "axis_reflection":
+        return {"name": name, "axis": draw(axis), "center2": draw(shift)}
+    if name == "swap_axes":
+        return {"name": name, "a": draw(axis), "b": draw(axis)}
+    if name == "coord_permutation":
+        return {"name": name, "sigma": draw(st.permutations(range(width)))}
+    if name == "base_perm":
+        sizes = [x + 1 for x in g.labels[-1]]
+        blocks = [prod(sizes[:k]) for k in range(width + 1)]
+        size = draw(st.sampled_from(blocks) | st.integers(0, 7))
+        perm = draw(st.permutations(range(size))
+                    | st.lists(st.integers(-1, size), min_size=size,
+                               max_size=size))
+        return {"name": name, "perm": list(perm)}
+    return {"name": name}
 
 
 def base_generator_perms(base_spec, base):

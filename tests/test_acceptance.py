@@ -211,7 +211,7 @@ def test_criterion_8_property_suites():
     # automorphism-permuted enumeration equality, all three laws
     g = bunkbed_graph(cycle_graph(3))
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
-    phi = groups.lift_first_factor((0, 2, 1), 2)
+    phi = groups.build_generator(g, {"name": "base_perm", "perm": [0, 2, 1]})
     g2 = relabel_graph(g, phi)
     pair2 = make_pair(g2, [phi[v] for v in pair.v_plus],
                       [phi[v] for v in pair.v_minus], phi[pair.origin])

@@ -788,6 +788,9 @@ _PATH20000_ROTATION = {
     "generators": [{"name": "axis_rotation", "axis": 0}]}
 _PATH20000_REPEAT = {**_PATH20000_ROTATION,
                      "generators": [[0, *range(19_999)]]}
+_BUNKBED_C3 = {"graph": {"builder": "bunkbed",
+                         "base": {"builder": "cycle", "n": 3}},
+               "origin": 0, "v_plus": [0, 2, 4], "v_minus": [1, 3, 5]}
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -812,6 +815,15 @@ _PATH20000_REPEAT = {**_PATH20000_ROTATION,
     # a large non-permutation is named by its first fault
     (["check-symmetry", "--scenario", _PATH20000_REPEAT],
      "not a permutation of 0..19999: entry 1 is 0, repeated"),
+    # a base_perm is named in its own terms, before it is lifted
+    (["check-symmetry", "--scenario", {**_BUNKBED_C3,
+                                       "generators": [{"name": "base_perm",
+                                                       "perm": [0, 0, 1]}]}],
+     "not a permutation of 0..2: entry 1 is 0, repeated"),
+    (["check-symmetry", "--scenario", {**_BUNKBED_C3,
+                                       "generators": [{"name": "base_perm",
+                                                       "perm": [0, 1, -1]}]}],
+     "not a permutation of 0..2: entry 2 is -1, out of range"),
 ])
 def test_well_formed_spec_faults_exit_three(argv, err, tmp_path, capsys):
     argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict) else a
@@ -820,6 +832,24 @@ def test_well_formed_spec_faults_exit_three(argv, err, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and len(lines[0].encode()) < 300
     assert lines[0].startswith("precondition failure: ") and err in lines[0]
+
+
+@pytest.mark.parametrize("target", ["c_far", "c_near"])
+def test_a_lone_connection_target_exits_four(target, tmp_path, capsys):
+    # c_far and c_near are both given or both null
+    relation = {"name": "diagonal", "v_plus": [[0, 0], [1, 1]],
+                "v_minus": [[1, 0], [0, 1]],
+                "generators": [{"name": "swap_axes", "a": 0, "b": 1}],
+                target: [1, 0]}
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({
+        "graph": {"builder": "torus", "n": 3, "m": 3}, "origin": [0, 0],
+        "relations": [relation]}))
+    assert main(["enumerate", "--scenario", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.endswith(
+        f"relation 'diagonal' gives {target} alone: c_far and c_near are "
+        "both given or both null\n")
 
 
 def test_unreachable_vertices_note_lists_ten(tmp_path, capsys):

@@ -260,7 +260,7 @@ def test_automorphism_invariance_of_enumeration(law):
     g = bunkbed_graph(cycle_graph(3))
     pair = make_pair(g, [0, 2, 4], [1, 3, 5], origin=0)
     # base reflection fixing the origin, lifted to the product
-    phi = groups.lift_first_factor((0, 2, 1), 2)
+    phi = groups.build_generator(g, {"name": "base_perm", "perm": [0, 2, 1]})
     assert groups.is_automorphism(g, phi)
     assert phi[pair.origin] == pair.origin
     g2 = relabel_graph(g, phi)

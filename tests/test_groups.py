@@ -5,11 +5,16 @@ from _oracles import (
     DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     PermGroup,
+    axis_reflection,
     element_battery,
     exhaustive_symmetry_report,
     generate_group,
+    generator_specs,
+    label_map_generator,
     orbit,
     pair_orbit,
+    product_graphs,
+    relabel_graph,
     split_cases,
     split_group,
     stabilizer_orbit,
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from symperc import groups, scenarios
 from symperc.graphs import (
+    build_graph,
     bunkbed_graph,
     complete_graph,
     cycle_graph,
@@ -51,12 +57,18 @@ def d4():
 
 def bunkbed_c3_group():
     g = bunkbed_graph(cycle_graph(3))
-    gens = [
-        groups.lift_first_factor((1, 2, 0), 2),
-        groups.lift_first_factor((0, 2, 1), 2),
-        groups.layer_swap(g),
-    ]
+    gens = [groups.build_generator(g, spec) for spec in (
+        {"name": "base_perm", "perm": [1, 2, 0]},
+        {"name": "base_perm", "perm": [0, 2, 1]},
+        {"name": "layer_swap"},
+    )]
     return g, generate_group(gens)
+
+
+def bunkbed_p2_gens(g):
+    """The base reflection and the layer swap of the bunkbed of P2."""
+    return [groups.build_generator(g, spec) for spec in (
+        {"name": "base_perm", "perm": [1, 0]}, {"name": "layer_swap"})]
 
 
 def test_compose_convention():
@@ -159,7 +171,7 @@ def test_symmetry_conditions_trivial_group():
 def test_symmetry_conditions_four_cycle_as_bunkbed():
     # bunkbed(path(2)): layers {0, 2} and {1, 3}, both of size 2
     g = bunkbed_graph(path_graph(2))
-    gens = [groups.lift_first_factor((1, 0), 2), groups.layer_swap(g)]
+    gens = bunkbed_p2_gens(g)
     grp = generate_group(gens)
     pair = make_pair(g, [0, 2], [1, 3], origin=0)
     report = check_symmetry_conditions(g, gens, pair)
@@ -265,7 +277,7 @@ def test_equal_size_transitive_sets_have_symmetric_stabilizers():
     # transitive action on two equal-size finite sets forces the equality
     cases = []
     g4 = bunkbed_graph(path_graph(2))
-    gens = [groups.lift_first_factor((1, 0), 2), groups.layer_swap(g4)]
+    gens = bunkbed_p2_gens(g4)
     cases.append((generate_group(gens), (0, 2), (1, 3)))
     g6, grp6 = bunkbed_c3_group()
     split = split_group(grp6, make_pair(g6, [0, 2, 4], [1, 3, 5], 0))
@@ -300,17 +312,18 @@ def test_generator_builders_are_automorphisms():
     from symperc.graphs import torus_graph
 
     t = torus_graph(4, 4)
-    for perm in (
-        groups.axis_rotation(t, 0),
-        groups.axis_rotation(t, 1, step=3),
-        groups.axis_reflection(t, 0, center2=1),
-        groups.swap_axes(t, 0, 1),
+    for spec in (
+        {"name": "axis_rotation", "axis": 0},
+        {"name": "axis_rotation", "axis": 1, "step": 3},
+        {"name": "axis_reflection", "axis": 0, "center2": 1},
+        {"name": "swap_axes", "a": 0, "b": 1},
     ):
-        assert is_automorphism(t, perm)
+        assert is_automorphism(t, groups.build_generator(t, spec))
     bb = bunkbed_graph(cycle_graph(5))
-    assert is_automorphism(bb, groups.layer_swap(bb))
-    assert is_automorphism(
-        bb, groups.lift_first_factor((1, 2, 3, 4, 0), 2))
+    assert is_automorphism(bb, groups.build_generator(
+        bb, {"name": "layer_swap"}))
+    assert is_automorphism(bb, groups.build_generator(
+        bb, {"name": "base_perm", "perm": [1, 2, 3, 4, 0]}))
 
 
 def _report_or_error(check, *args):
@@ -492,11 +505,79 @@ def test_coord_permutation_and_base_perm_specs():
         (c, a, b) for a, b, c in g.labels]
     # a base_perm of 2 vertices lifts over the two trailing axes
     perm = groups.build_generator(g, {"name": "base_perm", "perm": [1, 0]})
-    assert perm == groups.axis_reflection(g, 0, center2=1)
+    assert perm == axis_reflection(g, 0, center2=1)
     for bad in ([0, 1, 2], [0, 2, 1, 3, 5, 4, 7, 6, 8]):
         with pytest.raises(GroupError, match="base_perm length does not "
                            "match the product"):
             groups.build_generator(g, {"name": "base_perm", "perm": bad})
+
+
+def _resolved(resolve, g, spec):
+    """The permutation of ``spec`` on ``g``, or the class of its refusal."""
+    try:
+        return resolve(g, spec)
+    except (GroupError, IndexError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_named_specs_resolve_as_their_label_maps(data):
+    # a per-axis map of the row-major index gives the label map's
+    # permutation, or refuses the spec as the label map does
+    g = data.draw(product_graphs())
+    spec = data.draw(generator_specs(g))
+    assert _resolved(groups.build_generator, g, spec) == _resolved(
+        label_map_generator, g, spec)
+
+
+_TORUS34 = {"builder": "torus", "n": 3, "m": 4}
+_K4_NESTED = {"builder": "bunkbed", "base": {
+    "builder": "bunkbed", "base": {"builder": "complete", "n": 4}}}
+
+
+@pytest.mark.parametrize("graph_spec, spec, outcome", [
+    # the K4 block lifts over the two trailing layer axes
+    (_K4_NESTED, {"name": "base_perm", "perm": [1, 2, 3, 0]}, tuple),
+    (_K4_NESTED, {"name": "base_perm", "perm": [1, 0, 3, 2, 5, 4, 7, 6]},
+     tuple),
+    # sizes 3 and 4 cannot trade places
+    (_TORUS34, {"name": "coord_permutation", "sigma": [1, 0]}, GroupError),
+    (_TORUS34, {"name": "swap_axes", "a": 0, "b": -1}, GroupError),
+    # an axis in -width..-1 counts from the last axis
+    (_TORUS34, {"name": "axis_rotation", "axis": -1, "step": 2}, tuple),
+    (_TORUS34, {"name": "axis_reflection", "axis": -2, "center2": 1}, tuple),
+    ({"builder": "path", "n": 5},
+     {"name": "axis_reflection", "axis": -1, "center2": 4}, tuple),
+    # one past either end
+    (_TORUS34, {"name": "axis_rotation", "axis": -3}, IndexError),
+    (_TORUS34, {"name": "axis_reflection", "axis": 2}, IndexError),
+    (_TORUS34, {"name": "swap_axes", "a": 0, "b": 2}, IndexError),
+])
+def test_named_spec_cases_resolve_as_their_label_maps(graph_spec, spec,
+                                                      outcome):
+    g = build_graph(graph_spec)
+    got = _resolved(groups.build_generator, g, spec)
+    assert got == _resolved(label_map_generator, g, spec)
+    assert (type(got) if isinstance(got, tuple) else got) is outcome
+    if outcome is tuple and spec.get("axis", 0) < 0:
+        width = len(g.labels[0])
+        assert got == groups.build_generator(
+            g, {**spec, "axis": spec["axis"] + width})
+
+
+def test_named_specs_need_the_row_major_layout():
+    # a relabeled graph keeps its labels but not their row-major order: a
+    # named spec is refused, an explicit array still resolves
+    g = bunkbed_graph(cycle_graph(3))
+    h = relabel_graph(g, groups.build_generator(
+        g, {"name": "base_perm", "perm": [0, 2, 1]}))
+    assert sorted(h.labels) == sorted(g.labels) and h.labels != g.labels
+    for spec in ({"name": "layer_swap"}, {"name": "axis_rotation", "axis": 0},
+                 {"name": "base_perm", "perm": [0, 1, 2]}):
+        with pytest.raises(GroupError, match="row-major"):
+            groups.build_generator(h, spec)
+    assert groups.build_generator(h, [1, 0, 2, 3, 4, 5]) == (1, 0, 2, 3, 4, 5)
 
 
 def test_fixed_points_share_one_id_table():

@@ -35,8 +35,10 @@ HALF = F(1, 2)
 
 def hypercube_symmetry_group(d):
     g = hypercube_graph(d)
-    gens = [groups.axis_reflection(g, axis=i, center2=1) for i in range(d)]
-    gens += [groups.swap_axes(g, i, i + 1) for i in range(d - 1)]
+    specs = [{"name": "axis_reflection", "axis": i, "center2": 1}
+             for i in range(d)]
+    specs += [{"name": "swap_axes", "a": i, "b": i + 1} for i in range(d - 1)]
+    gens = [groups.build_generator(g, spec) for spec in specs]
     return g, generate_group(gens)
 
 
@@ -49,8 +51,11 @@ def test_orbit_product_identity_on_larger_groups():
             assert lhs == rhs
 
     t = torus_graph(4, 4)
-    tgens = [groups.axis_rotation(t, 0), groups.axis_rotation(t, 1),
-             groups.axis_reflection(t, 0), groups.swap_axes(t, 0, 1)]
+    tgens = [groups.build_generator(t, spec) for spec in (
+        {"name": "axis_rotation", "axis": 0},
+        {"name": "axis_rotation", "axis": 1},
+        {"name": "axis_reflection", "axis": 0},
+        {"name": "swap_axes", "a": 0, "b": 1})]
     tgrp = generate_group(tgens)
     assert tgrp.order == 128
     for x in (0, 5):

@@ -14,8 +14,8 @@ from symperc.cli import to_stable_json
 from symperc.exact import (BOND, Observables, enumerate_joint,
                            joint_numerators, random_cluster_law)
 from symperc.graphs import GraphError, bunkbed_graph, path_graph
-from symperc.groups import (FamilyPair, VertexSetPair,
-                            check_symmetry_conditions, layer_swap, make_pair)
+from symperc.groups import (FamilyPair, VertexSetPair, build_generator,
+                            check_symmetry_conditions, make_pair)
 from symperc.mc import EmpiricalJoint
 from symperc.scenarios import ScenarioFormatError
 
@@ -37,7 +37,8 @@ def _records() -> dict:
         "IntegerPmf": joint_numerators(poly, F(1, 2)),
         "Graph": g,
         "VertexSetPair": pair,
-        "SymmetryReport": check_symmetry_conditions(g, [layer_swap(g)], pair),
+        "SymmetryReport": check_symmetry_conditions(
+            g, [build_generator(g, {"name": "layer_swap"})], pair),
         "FamilyPair": FamilyPair(frozenset({0}), frozenset({1})),
         "EmpiricalJoint": sampled.joint(pair),
         "EmpiricalSweep": sampled,
@@ -59,9 +60,10 @@ def test_fields_cannot_be_assigned(name):
 
 def test_graph_label_index_stays_out_of_equality_hash_and_repr():
     g, fresh = bunkbed_graph(path_graph(2)), bunkbed_graph(path_graph(2))
-    assert g.index_of((1, 1)) == 3
+    assert g.index_of((1, 1)) == 3 and g._axis_sizes == (2, 2)
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
     assert g._replace(labels=g.labels[::-1]).index_of((1, 1)) == 0
+    assert g._replace(labels=g.labels[::-1])._axis_sizes is None
 
 
 _PAIR = VertexSetPair((0, 2), (1, 3), 0)

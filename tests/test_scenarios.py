@@ -474,7 +474,7 @@ def test_constructor_generators_equal_the_lifted_base_perms(base_spec):
         assert list(specs[len(reference):]) == tail
         assert [groups.build_generator(g, spec)
                 for spec in specs[:len(reference)]] == [
-            groups.lift_first_factor(p, n_rest) for p in reference]
+            oracle.lift_first_factor(p, n_rest) for p in reference]
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -541,6 +541,9 @@ _REL = {"name": "r", "statement": "", "v_plus": [0], "v_minus": [1],
     ({"relations": [5]}, "nonempty list of objects"),
     ({"relations": {"r": _REL}}, "nonempty list of objects"),
     ({"relations": [{**_REL, "v_plus": 0}]}, "bad or missing scenario field"),
+    # the two connection targets come together or not at all
+    ({"relations": [{**_REL, "c_near": 1}]}, "'r' gives c_near alone"),
+    ({"relations": [{**_REL, "c_far": 0}]}, "'r' gives c_far alone"),
     ({"report": "hypercube"}, "lists no relations"),
     ({"report": "hypercube", "graph": {"builder": "hypercube", "d": 2},
       "origin": 1}, "origin 0"),
