@@ -47,19 +47,21 @@ one common denominator.  At p = n/d a configuration with k of its units
 open has probability n^k·(d−n)^(units−k) / d^units, so each outcome's
 probability is one integer dot product over d^units; under the random-
 cluster law, q = qn/qd enters as qn^c·qd^(top−c), and the weights are
-integers over their own sum.  :func:`joint_numerators` makes this one
-:class:`IntegerPmf` per (pair, p), and each check is one integer pass over
-it that returns numerators over one denominator: the expected sizes, suffix
-sums over t for the tail margins, a difference array over t for the
+integers over their own sum.  Either way every projection of one sweep
+shares its denominator at each p.  :func:`joint_numerators` makes this one
+:class:`IntegerPmf` per (projection, p), and each check is one integer pass
+over it that returns numerators over one denominator: the expected sizes,
+suffix sums over t for the tail margins, a difference array over t for the
 ``ind_ge_t`` residuals, and both sides of the ratio identity.  Reports
 format these numerators as they are (:func:`symperc.rationals.format_ratio`
 reduces each with one gcd), so no Fraction is built on the report path.
 The tests keep the term-by-term Fraction sums as their oracle.
 
-:func:`enumerate_joint` is the only way to these counts.  A pair's law is
-``joint_numerators(sweep.joint(pair), p)``; a connection probability is
-``count_numerator(sweep.connection(v), sweep.units, p)`` over d^units for
-a sweep that observes the target,
+:func:`enumerate_joint` is the only way to these counts, and
+:func:`joint_numerators` the only way from counts to probabilities.  A
+pair's law is ``joint_numerators(sweep.joint(pair), p)``; a target's is
+``joint_numerators(sweep.connection(v), p)``, whose outcome (1, 0) is the
+connection, for a sweep that observes the target,
 ``enumerate_joint(g, Observables(o, targets=(v,)))``.
 
 Polynomials are Python integers with one coefficient per field of
@@ -79,8 +81,7 @@ denominator, and identity checks mean exact zero.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Iterable, Mapping
 from math import comb, lcm
 from operator import mul
 
@@ -274,7 +275,7 @@ class ClusterSweep(namedtuple("ClusterSweep",
     ``rows[sizes]`` packs the counts of the clusters C with |C ∩ masks[i]|
     in the ``width``-bit field i of ``sizes``: k open units (and c random-
     cluster cells) at field k + (units+1)·c of units+2 bits.  Every pair's
-    joint polynomial and every target's connection counts are marginals.
+    joint polynomial and every target's connection law are marginals.
     """
 
     __slots__ = ()
@@ -313,23 +314,22 @@ class ClusterSweep(namedtuple("ClusterSweep",
 
     def joint(self, pair: VertexSetPair) -> JointOutcomePolynomial:
         """The outcome polynomial of an observed pair."""
-        i = self.masks.index(_vertex_mask(pair.v_plus))
-        j = self.masks.index(_vertex_mask(pair.v_minus))
-        counts, components = self._marginal((i, j))
-        return JointOutcomePolynomial(
-            units=self.units,
-            n_plus=len(pair.v_plus),
-            n_minus=len(pair.v_minus),
-            law=self.law,
-            counts=counts,
-            component_counts=components,
-        )
+        return self._pair(self.masks.index(_vertex_mask(pair.v_plus)),
+                          self.masks.index(_vertex_mask(pair.v_minus)),
+                          len(pair.v_plus), len(pair.v_minus))
 
-    def connection(self, v: int) -> tuple[int, ...]:
-        """Counts, by open-unit number, of the configurations whose origin
-        cluster contains the observed target v."""
-        counts, _ = self._marginal((self.masks.index(1 << v),))
-        return counts.get((1,), (0,) * (self.units + 1))
+    def connection(self, v: int) -> JointOutcomePolynomial:
+        """The outcome polynomial of the pair ({v}, ∅) for an observed
+        target v: outcome (1, 0) when the origin's cluster holds v, (0, 0)
+        when not.  Field ``len(masks)`` lies past every row's sizes, so it
+        reads the empty set's 0."""
+        return self._pair(self.masks.index(1 << v), len(self.masks), 1, 0)
+
+    def _pair(self, i: int, j: int, n_plus: int, n_minus: int
+              ) -> JointOutcomePolynomial:
+        """The outcome polynomial of fields i and j, sets of the given sizes."""
+        return JointOutcomePolynomial(self.units, n_plus, n_minus, self.law,
+                                      *self._marginal((i, j)))
 
 
 def _vertex_mask(vertices) -> int:
@@ -634,25 +634,17 @@ class IntegerPmf(namedtuple("IntegerPmf", "den nums")):
     __slots__ = ()
 
 
-def _unit_weights(p: Fraction, units: int) -> list[int]:
-    """n^k·(d−n)^(units−k) for k = 0..units, at p = n/d: the probability
-    of one configuration with k open units, times d^units."""
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    n, d = p.numerator, p.denominator
-    up, down = [1], [1]
-    for _ in range(units):
-        up.append(up[-1] * n)
-        down.append(down[-1] * (d - n))
-    return [u * v for u, v in zip(up, reversed(down))]
-
-
 def joint_numerators(poly: JointOutcomePolynomial, p) -> IntegerPmf:
     """Each outcome's probability at p under the polynomial's own law, as
-    one integer pmf: over d^units at p = n/d, and over the sum of the
-    weights under the random-cluster law."""
+    one integer pmf, for a pair or a connection target alike: over
+    d^units at p = n/d, and over the sum of the weights under the random-
+    cluster law.  Every projection of one sweep gets the same denominator."""
     p = parse_fraction(p)
-    weights = _unit_weights(p, poly.units)
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+    # the probability of one configuration with k open units, times d^units
+    n, d, units = p.numerator, p.denominator, poly.units
+    weights = [n**k * (d - n)**(units - k) for k in range(units + 1)]
     if poly.law.kind == "random_cluster":
         if poly.component_counts is None:
             raise ValueError("polynomial lacks component counts for this law")
@@ -671,18 +663,10 @@ def joint_numerators(poly: JointOutcomePolynomial, p) -> IntegerPmf:
     else:
         nums = {key: sum(map(mul, vec, weights))
                 for key, vec in poly.counts.items()}
-        den = p.denominator ** poly.units
+        den = d**units
         if sum(nums.values()) != den:
             raise RuntimeError("pmf does not sum to exactly 1")
     return IntegerPmf(den, nums)
-
-
-def count_numerator(vec: Sequence[int], units: int, p) -> int:
-    """A count vector's probability at p = n/d, times d^units."""
-    p = parse_fraction(p)
-    if len(vec) > units + 1:
-        raise ValueError(f"{len(vec)} counts for {units} units")
-    return sum(map(mul, vec, _unit_weights(p, units)))
 
 
 def expected_numerators(pmf: IntegerPmf) -> tuple[int, int]:

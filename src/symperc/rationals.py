@@ -2,9 +2,9 @@
 
 Parameters are parsed into :class:`fractions.Fraction`.  The public
 functions of :mod:`symperc.exact` hand back integer numerators over a
-positive denominator (an ``IntegerPmf``, or a count's numerator over
-``d^units`` at p = n/d), and :func:`format_ratio` reduces each with one gcd
-as it is written; floats only appear in Monte Carlo summaries.  On the wire
+positive denominator (an ``IntegerPmf`` and the checks read off it), and
+:func:`format_ratio` reduces each with one gcd as it is written; floats
+only appear in Monte Carlo summaries.  On the wire
 (JSON reports, CSV, CLI flags) rationals are "num/den" strings.
 """
 

@@ -218,6 +218,8 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         graph_spec = dict(doc["graph"])
         relations = _parsed_relations(doc)
         origin = doc["origin"]
+    except ScenarioFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad or missing scenario field: {exc}") from None
     mc_doc = doc.get("mc", {})
@@ -407,7 +409,7 @@ def run_scenario(sc: Scenario, threads: int = 1, level: float = 0.95,
     A ``hypercube`` scenario goes to :func:`hypercube_inequality_report`.
     Otherwise exact mode makes one exact run that observes every compared
     pair and every connection target; each pair's joint law and each
-    target's connection counts are projections of it; Monte Carlo mode
+    target's connection law are projections of it; Monte Carlo mode
     makes one sampler pass per p that observes the same sets.  Every report
     but ``scenario``, and any one ``require_conditions``, claims theorem
     instances: it skips a pair whose symmetry check fails.  Otherwise the
@@ -491,15 +493,21 @@ def _observe(sc: Scenario, g: Graph, pairs, targets, threads: int):
             for p in sc.p_grid]
 
 
+def _connected(marginal, p) -> tuple[int, int]:
+    """A target's connection probability at p as (numerator, denominator),
+    read off its marginal; every projection of one sweep at one p has the
+    same denominator."""
+    pmf = exact.joint_numerators(marginal, p)
+    return pmf.nums.get((1, 0), 0), pmf.den
+
+
 def _add_relation_slack(results, p_grid, sweep, g, rel) -> None:
-    """c_far, c_near and 1 + c_far − 2·c_near, each over d^units at
-    p = n/d."""
-    c_far_vec = sweep.connection(resolve_vertex(g, rel.c_far))
-    c_near_vec = sweep.connection(resolve_vertex(g, rel.c_near))
+    """c_far, c_near and 1 + c_far − 2·c_near, under the sweep's law."""
+    far = sweep.connection(resolve_vertex(g, rel.c_far))
+    near = sweep.connection(resolve_vertex(g, rel.c_near))
     for row, p in zip(results, p_grid):
-        den = p.denominator ** sweep.units
-        c_far = exact.count_numerator(c_far_vec, sweep.units, p)
-        c_near = exact.count_numerator(c_near_vec, sweep.units, p)
+        c_far, den = _connected(far, p)
+        c_near, _ = _connected(near, p)
         row["c_far"] = format_ratio(c_far, den)
         row["c_near"] = format_ratio(c_near, den)
         row["relation_slack"] = format_ratio(den + c_far - 2 * c_near, den)
@@ -862,7 +870,7 @@ def hypercube_inequality_report(sc: Scenario, threads: int = 1,
         sweep = _observe(sc, g, [pair for _, pair, _ in compared],
                          range(g.n_vertices), threads)
         # coordinate permutations fix the origin, so every vertex at one
-        # distance must have the same connection counts
+        # distance must have the same connection marginal
         by_distance: dict[int, list] = {}
         for v, dist in enumerate(graphs.distances_from(g, 0)):
             by_distance.setdefault(dist, []).append(sweep.connection(v))
@@ -874,10 +882,11 @@ def hypercube_inequality_report(sc: Scenario, threads: int = 1,
         polys = [(k, l, name, conditions, sweep.joint(pair))
                  for (k, l, name), (_, pair, conditions)
                  in zip(_hypercube_walk(d), compared, strict=True)]
-        results = [_exact_hypercube_entry(
-            d, p, [exact.count_numerator(by_distance[i][0], g.n_edges, p)
-                   for i in range(d + 1)],
-            p.denominator ** g.n_edges, polys) for p in sc.p_grid]
+        results = []
+        for p in sc.p_grid:
+            c, dens = zip(*(_connected(by_distance[i][0], p)
+                            for i in range(d + 1)))
+            results.append(_exact_hypercube_entry(d, p, c, dens[0], polys))
     else:
         extra["mc"] = {"n": sc.mc_n, "seed": sc.mc_seed, "level": level}
         reps = tuple(g.index_of((1,) * i + (0,) * (d - i))
@@ -948,9 +957,10 @@ def _exact_hypercube_entry(d, p, c, den, polys) -> dict:
 
 
 def _check_hypercube_instances(p, c, den, polys) -> list[dict]:
-    """Check each inequality as a genuine symmetric-set expectation gap;
-    the gap, over its pmf's denominator, is compared with the c-value
-    combination over ``den`` by cross-multiplication."""
+    """Check each inequality as a genuine symmetric-set expectation gap.
+    The instances and the c-values are projections of one sweep, so the
+    gap's pmf and the c-values share the denominator ``den`` and the
+    numerators compare directly."""
     instances = []
     for k, l, name, conditions, poly in polys:
         pmf = exact.joint_numerators(poly, p)
@@ -958,8 +968,7 @@ def _check_hypercube_instances(p, c, den, polys) -> list[dict]:
         gap = e_plus - e_minus
         passes = all(m >= 0 for m in exact.margin_numerators(pmf))
         predicted = _c_value_gap(name, k, l, c)
-        inst_ok = (conditions.ok and gap * den == predicted * pmf.den
-                   and gap >= 0 and passes)
+        inst_ok = conditions.ok and gap == predicted and gap >= 0 and passes
         instances.append({
             "k": k, "l": l, "construction": name,
             "conditions_ok": conditions.ok,

@@ -23,18 +23,20 @@ term per sub-cluster, and Z_T with no pendant rule.  The package builds
 every C_S in one pass ordered by size, cuts a vertex with one neighbour
 wherever it sits, and walks from a vertex with the fewest neighbours.
 
-The evaluation oracles (``eval_joint``, ``eval_counts``, ``expectations``
-and the three checks) chain Fraction sums term by term, where the package's
-integer cores (``joint_numerators``, ``count_numerator`` and the four
-``*_numerators`` checks) work in integers over one common denominator.
-``hypercube_entry`` builds one p's exact hypercube result from Fraction
-c-values and these oracles, where the package combines integer numerators
-over d^units.
+The evaluation oracles (``eval_joint``, ``expectations`` and the three
+checks) chain Fraction sums term by term, where the package's integer cores
+(``joint_numerators`` and the four ``*_numerators`` checks) work in integers
+over one common denominator; ``eval_joint`` reads a target's marginal as it
+reads a pair's.  ``bins_pmf`` weighs the configurations of
+``brute_force_bins`` one by one under any of the three laws, without the
+package's marginals.  ``hypercube_entry`` builds one p's exact hypercube
+result from Fraction c-values and these oracles, where the package combines
+integer numerators over one denominator.
 
 ``pair_joint`` runs either engine on one pair and projects the pair out of
-its sweep.  ``probabilities``, ``count_probability``, ``expected``,
-``margins``, ``residuals`` and ``ratio`` read the integer cores' numerators
-as Fractions, and ``integer_pmf`` feeds a Fraction pmf to them, so the tests
+its sweep.  ``probabilities``, ``connected``, ``expected``, ``margins``,
+``residuals`` and ``ratio`` read the integer cores' numerators as
+Fractions, and ``integer_pmf`` feeds a Fraction pmf to them, so the tests
 compare the cores with the oracles and with frozen values.
 
 ``stable_json`` is the stdlib's indenting JSON encoder, the oracle of the
@@ -93,8 +95,8 @@ from symperc.exact import (
     Observables,
     _component,
     _connected_sets,
-    count_numerator,
     expected_numerators,
+    joint_numerators,
     margin_numerators,
     ratio_numerators,
     residual_numerators,
@@ -473,6 +475,20 @@ def brute_force_bins(g, observed, law, chunks=1, threads=1):
              *kc): cnt for (packed, *kc), cnt in raw.items()}
 
 
+def bins_pmf(bins, units, law, p):
+    """The law at p of the sizes that keyed :func:`brute_force_bins`, as
+    Fractions: each configuration weighs p^k (1−p)^(units−k), times q^cells
+    under the random-cluster law, over the total weight."""
+    p = Fraction(p)
+    q = law.q if law.kind == "random_cluster" else 1
+    weights = {}
+    for (sizes, k, *cells), cnt in bins.items():
+        w = cnt * p**k * (1 - p) ** (units - k) * q ** sum(cells)
+        weights[sizes] = weights.get(sizes, Fraction(0)) + w
+    total = sum(weights.values())
+    return {sizes: w / total for sizes, w in weights.items()}
+
+
 def per_set_site_rows(g, origin, masks):
     """The packed site-law rows of ``exact._origin_cluster_rows``, keyed as
     there with ``width = n.bit_length()`` and fields of n+2 bits, by the
@@ -630,16 +646,6 @@ def eval_joint(poly, p):
     return pmf
 
 
-def eval_counts(vec, units, p):
-    """``exact.count_numerator`` over d^units: a count vector's probability
-    at p = n/d."""
-    p = Fraction(p)
-    pk = _powers(p, units)
-    qk = _powers(1 - p, units)
-    return sum((cnt * pk[k] * qk[units - k] for k, cnt in enumerate(vec) if cnt),
-               Fraction(0))
-
-
 def expectations(pmf):
     """``exact.expected_numerators`` over the pmf's denominator."""
     e_plus = sum((w * a for (a, _), w in pmf.items()), Fraction(0))
@@ -754,10 +760,10 @@ def probabilities(pmf):
     return {key: Fraction(num, pmf.den) for key, num in pmf.nums.items()}
 
 
-def count_probability(vec, units, p):
-    """``exact.count_numerator`` over d^units, at p = n/d."""
-    return Fraction(count_numerator(vec, units, p),
-                    Fraction(p).denominator ** units)
+def connected(marginal, p):
+    """A target's connection probability at p: its marginal's outcome
+    (1, 0) through ``exact.joint_numerators``."""
+    return probabilities(joint_numerators(marginal, p)).get((1, 0), Fraction(0))
 
 
 def expected(pmf):

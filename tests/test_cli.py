@@ -29,6 +29,22 @@ def test_hypercube_exact_exit_zero(tmp_path):
     assert report["schema"] == "symperc-report/5"
 
 
+@pytest.mark.parametrize("law", ["site", "rc:2", "rc:1/2"])
+def test_hypercube_document_exits_zero_under_every_law(law, tmp_path):
+    # c_0 is 1 and every instance gap is its c-value prediction
+    doc, out = tmp_path / "hc.json", tmp_path / "report.json"
+    doc.write_text(json.dumps({
+        "report": "hypercube", "graph": {"builder": "hypercube", "d": 3},
+        "origin": 0, "law": law, "p_grid": ["1/2", "30/83", "2/89", "88/89"]}))
+    assert main(["enumerate", "--scenario", str(doc), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "pass" and report["invariance"] is True
+    for entry in report["results"]:
+        assert entry["c_values"][0] == "1"
+        assert all(inst["expectation_gap"] == inst["predicted_gap"]
+                   for inst in entry["instances"])
+
+
 def test_json_reports_round_trip_byte_identically(tmp_path):
     out = tmp_path / "report.json"
     main(["bunkbed", "--base", "cycle:3", "--p", "1/2,2/3",
@@ -846,10 +862,10 @@ def test_a_lone_connection_target_exits_four(target, tmp_path, capsys):
         "graph": {"builder": "torus", "n": 3, "m": 3}, "origin": [0, 0],
         "relations": [relation]}))
     assert main(["enumerate", "--scenario", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("scenario error: ") and err.endswith(
-        f"relation 'diagonal' gives {target} alone: c_far and c_near are "
-        "both given or both null\n")
+    # the relation's own message, with no "bad or missing field" prefix
+    assert capsys.readouterr().err == (
+        f"scenario error: relation 'diagonal' gives {target} alone: c_far "
+        "and c_near are both given or both null\n")
 
 
 def test_unreachable_vertices_note_lists_ten(tmp_path, capsys):

@@ -11,7 +11,6 @@ from symperc.exact import (
     SITE,
     CapExceeded,
     Observables,
-    count_numerator,
     enumerate_joint,
     joint_numerators,
     random_cluster_law,
@@ -33,7 +32,7 @@ from _oracles import (
     bond_connection,
     brute_force_bins,
     bond_joint_pmf,
-    count_probability,
+    connected,
     cyclic_site_cases,
     expected,
     integer_pmf,
@@ -124,7 +123,7 @@ def test_ratio_identity():
 def connection_probability(g, o, v, p, cap_bits=exact.DEFAULT_CAP_BITS):
     """Exact P(o <-> v), read off one run that observes the target."""
     sweep = enumerate_joint(g, Observables(o, targets=(v,)), cap_bits=cap_bits)
-    return count_probability(sweep.connection(v), sweep.units, p)
+    return connected(sweep.connection(v), p)
 
 
 def test_connection_probability_closed_forms():
@@ -306,26 +305,13 @@ def test_cap_exceeded():
 
 
 def test_eval_rejects_bad_p():
+    # a pair's law and a target's go through the one evaluation
     g, pair = c4_bunkbed()
-    poly = pair_joint(enumerate_joint, g, pair)
-    for bad in (F(0), F(1), F(-1, 2), F(3, 2)):
-        with pytest.raises(ValueError):
-            joint_numerators(poly, bad)
-
-
-def test_count_numerator_rejects_bad_p():
-    # (1, 2, 1) sums to 2^2, so an unchecked p would give probability 1
-    g, pair = c4_bunkbed()
-    poly = pair_joint(enumerate_joint, g, pair)
-    for bad in (2, 0, 1, F(-1, 2), "3/2"):
-        with pytest.raises(ValueError) as counts_error:
-            count_numerator((1, 2, 1), 2, bad)
-        with pytest.raises(ValueError) as joint_error:
-            joint_numerators(poly, bad)
-        assert str(counts_error.value) == str(joint_error.value)
-    with pytest.raises(ValueError):
-        count_numerator((1, 2, 1, 0), 2, HALF)  # more counts than units allow
-    assert count_numerator((1, 2, 1), 2, F(1, 3)) == 3**2
+    sweep = enumerate_joint(g, Observables(0, (pair,), (3,)))
+    for poly in (sweep.joint(pair), sweep.connection(3)):
+        for bad in (F(0), F(1), F(-1, 2), F(3, 2), 2, 0, 1, "3/2"):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                joint_numerators(poly, bad)
 
 
 def test_negative_margin_is_surfaced_not_masked():
@@ -386,17 +372,9 @@ def test_one_sweep_projects_every_pair_and_target(case, p):
             assert probabilities(joint_numerators(sweep.joint(pair), p)) == (
                 oracle(pair.v_plus, pair.v_minus))
         for t in targets:
-            # configuration counts: bond and random-cluster share the edge
-            # product measure, the site law weighs open vertices
-            got = count_probability(sweep.connection(t), sweep.units, p)
-            if t == o:
-                want = 1
-            elif law == SITE:
-                want = sum(w for (_, b), w in site_joint_pmf(
-                    n, edges, [o], [t], o, p).items() if b)
-            else:
-                want = bond_connection(n, edges, o, t, p)
-            assert got == want
+            # a target's law is that of the pair ({t}, ∅) under the law
+            assert probabilities(joint_numerators(sweep.connection(t), p)) == (
+                oracle([t], []))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +413,16 @@ def test_integer_evaluation_equals_the_fraction_oracle(case, p, q):
             assert list(probabilities(ipmf).items()) == list(
                 oracle.eval_joint(poly, p).items())
             _checks_equal_oracle(ipmf)
+        dens = set()
         for t in targets:
-            vec = sweep.connection(t)
-            assert (count_probability(vec, sweep.units, p)
-                    == oracle.eval_counts(vec, sweep.units, p))
+            marginal = sweep.connection(t)
+            ipmf = joint_numerators(marginal, p)
+            assert probabilities(ipmf) == oracle.eval_joint(marginal, p)
+            dens.add(ipmf.den)
+        # every projection of one sweep at one p shares its denominator
+        dens.update(joint_numerators(sweep.joint(pair), p).den
+                    for pair in pairs)
+        assert len(dens) <= 1
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

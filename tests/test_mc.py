@@ -29,7 +29,7 @@ from symperc.mc import (
 from symperc.scenarios import worst_verdict
 
 from _oracles import (
-    count_probability,
+    connected,
     eager_cluster_mask,
     lazy_incidence,
     observed_graphs,
@@ -546,7 +546,7 @@ def test_calibration_coverage():
     # nominal miss rate leaves ample slack at 200 runs)
     g, pair = c4_bunkbed()
     sweep = enumerate_joint(g, Observables(0, targets=(3,)))
-    exact_value = count_probability(sweep.connection(3), sweep.units, HALF)
+    exact_value = connected(sweep.connection(3), HALF)
     assert exact_value == F(7, 16)
     covered = 0
     runs = 200

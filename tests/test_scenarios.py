@@ -36,7 +36,6 @@ import _oracles as oracle
 from test_groups import constructor_scenarios
 from _oracles import (
     bond_connection,
-    count_probability,
     expected,
     observed_graphs,
     pair_joint,
@@ -206,24 +205,36 @@ def test_hypercube_refuses_an_unknown_mode_before_building(monkeypatch):
 
 
 def test_hypercube_report_equals_the_fraction_oracle():
-    d, grid = 3, (HALF, F(61, 89), F(2, 97), F(88, 89))
-    sc = hypercube_scenario(d, grid)
-    report = hypercube_inequality_report(sc)
-    g = hypercube_graph(d)
-    polys = []
+    # under every law the c-values are the brute-force sweep's, weighed one
+    # configuration at a time, and every instance gap is its prediction
+    d, g = 3, hypercube_graph(3)
     walk = scenarios._hypercube_walk(d)
     relations = [scenarios._hypercube_relation(g, *entry) for entry in walk]
-    for (k, l, name), (_, pair, gens) in zip(
-            walk, scenarios._parsed_pairs(sc, g, relations), strict=True):
-        polys.append((k, l, name,
-                      groups.check_symmetry_conditions(g, gens, pair),
-                      pair_joint(exact.enumerate_joint, g, pair)))
     reps = [g.index_of((1,) * i + (0,) * (d - i)) for i in range(d + 1)]
-    sweep = exact.enumerate_joint(g, exact.Observables(0, targets=tuple(reps)))
-    for p, entry in zip(grid, report["results"], strict=True):
-        c = [oracle.eval_counts(sweep.connection(v), g.n_edges, p)
-             for v in reps]
-        assert entry == oracle.hypercube_entry(d, p, c, polys)
+    tails = (F(30, 83), F(2, 89), F(88, 89))
+    for law, grid in ((BOND, (HALF, F(61, 89), F(2, 97), F(88, 89))),
+                      (SITE, (HALF, *tails)),
+                      (parse_law("rc:2"), (HALF, *tails)),
+                      (parse_law("rc:1/2"), (HALF, *tails))):
+        sc = hypercube_scenario(d, grid, law=law)
+        report = hypercube_inequality_report(sc)
+        assert report["verdict"] == PASS
+        polys = []
+        for (k, l, name), (_, pair, gens) in zip(
+                walk, scenarios._parsed_pairs(sc, g, relations), strict=True):
+            polys.append((k, l, name,
+                          groups.check_symmetry_conditions(g, gens, pair),
+                          pair_joint(exact.enumerate_joint, g, pair, law)))
+        bins = oracle.brute_force_bins(
+            g, exact.Observables(0, targets=tuple(reps)), law)
+        for p, entry in zip(grid, report["results"], strict=True):
+            pmf = oracle.bins_pmf(bins, law.units(g), law, p)
+            c = [sum(w for sizes, w in pmf.items() if sizes[i])
+                 for i in range(d + 1)]
+            assert c[0] == 1
+            assert entry == oracle.hypercube_entry(d, p, c, polys)
+            assert all(inst["expectation_gap"] == inst["predicted_gap"]
+                       for inst in entry["instances"])
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +258,26 @@ def test_z2_relations_exact_n3():
 
 def test_z2_relation_slack_equals_the_fraction_api():
     grid = (F(1, 3), F(61, 89), F(2, 97))
-    report = instance_report(z2_scenario(3, grid))
     g = torus_graph(3, 3)
-    for rel, block in zip(z2_scenario(3).relations, report["relations"],
-                          strict=True):
-        far, near = g.index_of(rel.c_far), g.index_of(rel.c_near)
-        sweep = exact.enumerate_joint(
-            g, exact.Observables(g.index_of((0, 0)), targets=(far, near)))
-        for p, row in zip(grid, block["results"], strict=True):
-            c_far = count_probability(sweep.connection(far), sweep.units, p)
-            c_near = count_probability(sweep.connection(near), sweep.units,
-                                       p)
-            assert row["c_far"] == format_fraction(c_far)
-            assert row["c_near"] == format_fraction(c_near)
-            assert row["relation_slack"] == format_fraction(
-                1 + c_far - 2 * c_near)
+    for law in (BOND, SITE, parse_law("rc:2")):
+        report = instance_report(z2_scenario(3, grid, law=law))
+        for rel, block in zip(z2_scenario(3).relations, report["relations"],
+                              strict=True):
+            far, near = g.index_of(rel.c_far), g.index_of(rel.c_near)
+            sweep = exact.enumerate_joint(g, exact.Observables(
+                g.index_of((0, 0)), targets=(far, near)), law)
+            for p, row in zip(grid, block["results"], strict=True):
+                c_far = oracle.eval_joint(sweep.connection(far), p)[(1, 0)]
+                c_near = oracle.eval_joint(sweep.connection(near), p)[(1, 0)]
+                assert row["c_far"] == format_fraction(c_far)
+                assert row["c_near"] == format_fraction(c_near)
+                assert row["relation_slack"] == format_fraction(
+                    1 + c_far - 2 * c_near)
+                # v_plus holds the origin and c_far's target, and a torus
+                # symmetry fixing the origin swaps v_minus: so under any
+                # invariant law
+                assert c_far == F(row["expected_plus"]) - 1
+                assert c_near == F(row["expected_minus"]) / 2
 
 
 def test_mc_size_limit_is_inclusive(monkeypatch):
@@ -547,14 +563,20 @@ _REL = {"name": "r", "statement": "", "v_plus": [0], "v_minus": [1],
     ({"report": "hypercube"}, "lists no relations"),
     ({"report": "hypercube", "graph": {"builder": "hypercube", "d": 2},
       "origin": 1}, "origin 0"),
+    ({"relations": [{key: value for key, value in _REL.items()
+                     if key != "v_minus"}]},
+     "^bad or missing scenario field: 'v_minus'$"),
 ])
 def test_bad_relations_and_reports_are_format_errors(changes, message):
     doc = {**_DOC, **changes}
     if "relations" in changes and changes["relations"] != [_REL]:
         for key in ("v_plus", "v_minus"):
             del doc[key]
-    with pytest.raises(ScenarioFormatError, match=message):
+    with pytest.raises(ScenarioFormatError, match=message) as caught:
         parse_scenario(doc)
+    # a relation's own error keeps its text, with no field prefix
+    assert str(caught.value).startswith("bad or missing") == (
+        message.lstrip("^").startswith("bad or missing"))
 
 
 def test_scenario_names_are_text():
