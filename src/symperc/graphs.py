@@ -41,7 +41,7 @@ class Graph(namedtuple("Graph", "n_vertices labels edges adjacency")):
     (u, v) pairs with u < v in sorted order.  ``adjacency[v]`` lists
     neighbors in increasing order.
 
-    Unlike the other records, a graph declares no ``__slots__``: its
+    Unlike most records, a graph declares no ``__slots__``: its
     instance dict holds the label index that :meth:`index_of` builds on
     first use, and the axis sizes that named generators read, outside the
     tuple and so outside equality, hash and repr.

@@ -602,19 +602,27 @@ def _named_generator(g: Graph, name, spec: Mapping) -> Perm:
                          "over 0..k-1 on each axis")
     values = [range(size) for size in sizes]
     sigma = list(range(len(sizes)))
+
+    def axis_of(key: str) -> int:
+        a = int(spec[key])
+        if not -len(sizes) <= a < len(sizes):
+            raise GeneratorSpecError(
+                f"{name} axis {a} is outside the {len(sizes)} label axes")
+        return a
+
     if name == "layer_swap":
         if sizes[-1] != 2:
             raise GroupError("layer swap needs a binary last coordinate")
         values[-1] = (1, 0)
     elif name == "axis_rotation":
-        axis, step = int(spec["axis"]), int(spec.get("step", 1))
+        axis, step = axis_of("axis"), int(spec.get("step", 1))
         values[axis] = [(x + step) % sizes[axis] for x in range(sizes[axis])]
     elif name == "axis_reflection":
-        axis, center2 = int(spec["axis"]), int(spec.get("center2", 0))
+        axis, center2 = axis_of("axis"), int(spec.get("center2", 0))
         values[axis] = [(center2 - x) % sizes[axis]
                         for x in range(sizes[axis])]
     elif name == "swap_axes":
-        a, b = int(spec["a"]), int(spec["b"])
+        a, b = axis_of("a"), axis_of("b")
         if sizes[a] != sizes[b]:
             raise GroupError(f"axes {a} and {b} have different sizes")
         sigma[a], sigma[b] = sigma[b], sigma[a]

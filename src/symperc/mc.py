@@ -10,28 +10,21 @@ oracles draw from it.
 
 The sampler grows every sample of a chunk at once, one bit per sample
 (multi-spin coding; Jacobs & Rebbi, J. Comput. Phys. 41, 1981): the set of
-samples whose cluster holds a vertex is one integer, and a FIFO of
-vertices carries across each edge only the samples that newly reached it.
-An edge's state is decided only for the samples that still need it, and
-one word at a time only when the growth stalls.  Words come from each
-sample's first round, hashed once per chunk.  Once an edge is known or
-needed for 1/16 of the chunk's samples, it is decided instead for the
-whole chunk in one pass over 128-bit lanes of a big integer, bought at
-the contact that gets it there.  Below that share the edge waits: once
-the FIFO runs dry, each waiting edge is decided for the samples that
-reached exactly one of its endpoints, and the growth resumes.  The words
-keep small clusters cheap, where most edges are never reached, and the
-lanes make large ones cheap, where every edge is.  Waiting lets the
-growth reach an edge's far endpoint by other paths first, and lets small
-waves add up to a lane pass: on 2,000 samples of the 20x20 torus at
-p = 1/2, deciding on first contact paid 47,852 words for edges that a
-lane pass then decided again, and waiting pays no word at all.  Every
-reached vertex and decided edge holds one chunk-wide set, so large graphs
-get smaller chunks.  On a 2-core x86-64 box with Python 3.11, at p = 1/2,
-the chunk growth raised the sampling rate from about 3,700 to 11,900
-samples/s on the 20x20 torus, from 153,000 to 765,000 on the bunkbed of
-C5, and from 12,600 to 72,000 on Q6, as
-``perfbench/run.py --workload mc-sample --trace 1`` counts them.
+samples whose cluster holds a vertex is one integer, and a FIFO of vertices
+carries across each edge only the samples that newly reached it.  An edge's
+state is decided only for the samples that still need it, one word at a
+time from each sample's first round (hashed once per chunk) and only when
+the growth stalls.  Once an edge is known or needed for 1/16 of the chunk,
+it is decided instead for the whole chunk in one pass over the 64-bit lanes
+of a big integer, bought at the contact that gets it there.  Waiting lets
+small waves add up to a lane pass: on 2,000 samples of the 20x20 torus at
+p = 1/2, deciding on first contact paid 47,852 words for edges that a lane
+pass then decided again, and waiting pays none.  Every reached vertex and
+decided edge holds one chunk-wide set, so large graphs get smaller chunks.
+At p = 1/2 (2-core x86-64, Python 3.11) the 64-bit lanes raised the
+samples/s that ``perfbench/run.py --workload mc-sample --trace 1`` counts
+from 858,000 to 1,087,000 on the bunkbed of C5, from 79,600 to 103,500 on
+Q6 and from 16,300 to 20,900 on the 20x20 torus (once per relation).
 
 There is one sampling loop, :func:`estimate_joint`, and like the exact
 engine it makes one pass per (graph, origin, p) for every observed pair and
@@ -78,10 +71,9 @@ _ALLOWED_LEVELS = (0.95, 0.99)
 
 # Samples per scheduled chunk, grown together.  The layout only affects
 # batching; results are a function of the seed and the sample count alone.
-# Every reached vertex and edge holds one bit per sample of the chunk and a
-# lane pass 16 bytes per sample: at 1 << 14, perfbench's mc-sample workload
-# peaked at 30.6 MB against 29.0 MB here, and ran no faster (2-core x86-64,
-# Python 3.11).
+# Every reached vertex and edge holds one bit per sample: at 1 << 14, with
+# 16-byte lanes, perfbench's mc-sample workload peaked at 30.6 MB against
+# 29.0 MB here, and ran no faster (2-core x86-64, Python 3.11).
 DEFAULT_CHUNK_SIZE = 1 << 12
 # On a large graph the chunk shrinks so that (vertices + edges) x chunk
 # stays under this many bits, about 8 MB of per-chunk state, but not below
@@ -186,15 +178,6 @@ def wilson_interval(hits: int, n: int, level: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # cluster sampling
 
-# A lane is 16 bytes: a 64-bit word with room above it for the full
-# 128-bit product of a multiply, so no carry reaches the next lane.
-_LANE_BYTES = 16
-_LANE_ONE = b"\x01" + b"\x00" * (_LANE_BYTES - 1)
-# Byte 7 of a big-endian lane holds bit 64, the carry of word + 2^64 - t,
-# which is 0 exactly when the word is below the threshold t.
-_CARRY_TO_OPEN = bytes.maketrans(b"\x00\x01", b"10")
-
-
 def _incidence_indexed(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Per vertex x, one (w, e) entry for each edge e = xw: the neighbour
     and the edge's index, the key of its words in :func:`unit_word`."""
@@ -205,71 +188,88 @@ def _incidence_indexed(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(x) for x in inc]
 
 
-def _mix_lanes(z: int, low: int) -> int:
-    """:func:`_mix64` in every 128-bit lane of z at once; ``low`` masks
-    each lane to its low 64 bits.  The mask goes on before every multiply,
-    because each xor-shift pulls the next lane's low bits into the top of
-    this one.  The last xor-shift is left unmasked: each lane holds its
-    word in bits 0-63, zeros in bits 64-96 and the next lane's low bits
-    above.  A caller that needs clean lanes masks with ``low``; the
-    carry that :meth:`_ChunkStream.open_lanes` reads in bit 64 needs
-    only the zeros."""
-    z &= low
-    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
-    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-    return z ^ (z >> 31)
-
-
 @lru_cache(maxsize=2)
-def _lane_constants(size: int) -> tuple[int, int, int, int, struct.Struct]:
+def _lane_constants(size: int) -> tuple:
     """What the lanes of a ``size``-sample chunk share whatever the seed
-    and threshold: 1, 2^64 - 1, GOLDEN and j * GOLDEN in lane j, and the
-    ``Struct`` that unpacks the low word of every lane.  A run has at most
-    two chunk sizes, the full one and the tail."""
-    ones = int.from_bytes(_LANE_ONE * size, "little")
-    lanes = struct.Struct("<" + "Q8x" * size)
-    ramp = int.from_bytes(lanes.pack(*range(size)), "little")
-    return ones, ones * _MASK64, ones * _GOLDEN, ramp * _GOLDEN, lanes
+    and threshold: 1 in every lane, what the xor-shifts by 30, 27 and 31
+    keep of each lane, the even and the odd lanes, each lane's low 63 bits,
+    j * GOLDEN mod 2^64 in lane j as :meth:`_ChunkStream._hashed` takes it
+    and the ``Struct`` of the lanes.  A run has a full size and a tail."""
+    lanes = struct.Struct(f"<{size}Q")
+    ones = int.from_bytes(lanes.pack(*[1] * size), "little")
+    even = int.from_bytes(lanes.pack(*([_MASK64, 0] * size)[:size]), "little")
+    ramp = int.from_bytes(lanes.pack(*[j * _GOLDEN & _MASK64
+                                       for j in range(size)]), "little")
+    low63 = ones * (_MASK64 >> 1)
+    high = ramp & low63 ^ ramp
+    return (ones, *(ones * (_MASK64 >> k) for k in (30, 27, 31)), even,
+            ones * _MASK64 ^ even, low63, ramp & low63,
+            (high, high ^ ones << 63), lanes)
 
 
 class _ChunkStream:
     """The stream of one seed for the samples lo..hi-1, sample lo + j in
-    lane j: :meth:`open_lanes` decides edge e for every sample with a few
-    big-integer operations, and :meth:`open_each` decides it for a few
-    samples with :func:`_mix64` written out inline.  Both take the edge's
-    index e.  A lane's second-round input is its first-round word plus
-    (e + 1) * GOLDEN, built with one multiply by the small int e + 1: at
-    4,096 lanes that multiply takes about 32 µs, against 80 µs for one by
-    the 64-bit (e + 1) * GOLDEN mod 2^64, and a whole lane pass about
-    310 µs.  With the lane constants cached per size, a 4,096-sample
-    stream is set up in about 0.3 ms instead of 1.1 ms (2-core x86-64,
-    Python 3.11)."""
+    bits 64j..64j+63 of one big integer: :meth:`open_lanes` decides edge e
+    for every sample with a few big-integer operations, and
+    :meth:`open_each` for a few with :func:`_mix64` written out inline.
+    As :func:`unit_word` ends in z ^ (z >> 31), a lane pass reads only each
+    lane's top byte after the second multiply.  It decides every lane but
+    those whose byte is the threshold's, about 1 in 256, and those one
+    word at a time, unless the threshold's low 56 bits are 0 (p = 1/2).
+    At 4,096 lanes (2-core x86-64, Python 3.11) a pass takes about 180 µs
+    and set-up 160 µs, against 245 and 235 µs over 128-bit lanes."""
 
     def __init__(self, seed: int, threshold: int, lo: int, hi: int):
         self.size = size = hi - lo
         self.threshold = threshold
-        ones, self.low, self.goldens, ramp_golden, self._lanes = (
-            _lane_constants(size))
-        self.firsts = _mix_lanes(
-            ((seed + (lo + 1) * _GOLDEN) & _MASK64) * ones + ramp_golden,
-            self.low) & self.low
-        self.carry = ones * ((1 << 64) - threshold)
+        (self.ones, self.m30, self.m27, m31, self.even, self.odd, low63,
+         ramp63, ramp_tops, self._lanes) = _lane_constants(size)
+        z = self._hashed(ramp63, ramp_tops,
+                         (seed + (lo + 1) * _GOLDEN) & _MASK64)
+        firsts = z ^ (z >> 31) & m31
+        self.low63 = firsts & low63
+        self.tops = (high := firsts ^ self.low63), high ^ self.ones << 63
+        top = threshold >> 56
+        self._decide = b"1" * top + b"0" * (256 - top)  # by a lane's top byte
+        self._tie = top if threshold & _MASK64 >> 8 else None
         self._words: tuple[int, ...] | None = None
+
+    def _hashed(self, low63: int, tops: tuple[int, int], s: int) -> int:
+        """:func:`_mix64` but its last xor-shift in every lane of
+        (x + s) mod 2^64, given the lanes x as their low 63 bits and
+        ``tops``, their top bits as they are and flipped.  An xor-shift
+        masks off what it pulls in from the next lane, and a multiply runs
+        on the even and the odd lanes apart: no product spills further."""
+        even, odd = self.even, self.odd
+        z = low63 + self.ones * (s & _MASK64 >> 1) ^ tops[s >> 63]
+        for k, mask, c in ((30, self.m30, 0xBF58476D1CE4E5B9),
+                           (27, self.m27, 0x94D049BB133111EB)):
+            z ^= (z >> k) & mask
+            ev = z & even
+            z = ev * c & even | (z ^ ev) * c & odd
+        return z
 
     def open_lanes(self, e: int) -> int:
         """The samples in which edge e is open."""
-        z = _mix_lanes(self.firsts + (e + 1) * self.goldens,
-                       self.low) + self.carry
-        flags = z.to_bytes(_LANE_BYTES * self.size, "big")[7::_LANE_BYTES]
-        return int(flags.translate(_CARRY_TO_OPEN), 2)
+        z = self._hashed(self.low63, self.tops, (e + 1) * _GOLDEN & _MASK64)
+        tops = z.to_bytes(8 * self.size, "big")[::8]  # the last lane first
+        opened = int(tops.translate(self._decide), 2)
+        ties, k, tie = 0, -1, self._tie
+        while tie is not None and (k := tops.find(tie, k + 1)) >= 0:
+            ties |= 1 << self.size - 1 - k
+        return opened | self._open_words(e, ties) if ties else opened
 
     def open_each(self, e: int, samples: int) -> int:
-        """The members of ``samples`` in which edge e is open, highest
-        sample first, so that no step builds a negative chunk-wide int."""
+        """The members of ``samples`` in which edge e is open."""
+        return self._open_words(e, samples)
+
+    def _open_words(self, e: int, samples: int) -> int:
+        """:meth:`open_each` one word at a time, highest sample first, so
+        that no step builds a negative chunk-wide int."""
         words = self._words
         if words is None:
             words = self._words = self._lanes.unpack(
-                self.firsts.to_bytes(_LANE_BYTES * self.size, "little"))
+                (self.low63 | self.tops[0]).to_bytes(8 * self.size, "little"))
         mask, threshold = _MASK64, self.threshold
         step = ((e + 1) * _GOLDEN) & mask
         opened = 0

@@ -22,6 +22,7 @@ import time
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import comb, log10
 
 from . import exact, graphs, groups
@@ -110,12 +111,17 @@ class Scenario(namedtuple("Scenario", (
     ``p_grid`` a tuple of Fractions and ``relations`` a tuple of
     :class:`Relation`.  The graph's size is not checked here: the
     constructors and the reports check it once, before they build a graph.
+
+    Like a graph, a scenario declares no ``__slots__``: its
+    instance dict holds the size of the spec's graph, sized on first use
+    and kept by each :meth:`_replace` copy with the same spec, so that a
+    command sizes its graph once.
     """
 
-    __slots__ = ()
-
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    def _checked(self) -> Scenario:
         if self.report not in ("scenario", "bunkbed", "layered", "z2",
                                "hypercube"):
             raise ScenarioFormatError(
@@ -142,7 +148,15 @@ class Scenario(namedtuple("Scenario", (
 
     def _replace(self, **changes):
         """A copy with ``changes``, checked as the constructor checks."""
-        return type(self)(*super()._replace(**changes))
+        new = super()._replace(**changes)
+        if new.graph_spec is self.graph_spec and "_graph_size" in vars(self):
+            vars(new)["_graph_size"] = self._graph_size
+        return new._checked()
+
+    @cached_property
+    def _graph_size(self) -> tuple[int, int]:
+        """(vertices, edges) of the spec's graph, from the spec."""
+        return graphs.spec_size(self.graph_spec)
 
 
 def _check_digits(sc: Scenario) -> None:
@@ -166,7 +180,7 @@ def _check_digits(sc: Scenario) -> None:
     q_bits = max(q.numerator, q.denominator).bit_length()
     bits = max(p_bits, q_bits)
     if sc.mode == "exact":
-        vertices, edges = graphs.spec_size(sc.graph_spec)
+        vertices, edges = sc._graph_size
         units = vertices if sc.law.kind == "site" else edges
         if units <= sc.cap_bits:  # else the cap refuses
             bits = max(bits, units * (p_bits + 1) + vertices * (q_bits + 3)
@@ -182,7 +196,7 @@ def _check_size(sc: Scenario) -> None:
     sampler's limit in Monte Carlo mode, past the enumeration cap in exact
     mode, where the units are the vertices under the site law and the
     edges otherwise."""
-    vertices, edges = graphs.spec_size(sc.graph_spec)
+    vertices, edges = sc._graph_size
     if sc.mode != "mc":
         exact.check_cap(vertices if sc.law.kind == "site" else edges,
                         sc.cap_bits)

@@ -1275,6 +1275,15 @@ def lift_first_factor(base_perm, n_second):
     return tuple(image)
 
 
+def _label_axis(g, spec, key):
+    """``spec[key]`` as an axis of g's labels, refused past either end."""
+    axis, width = int(spec[key]), len(g.labels[0])
+    if not -width <= axis < width:
+        raise GeneratorSpecError(f"{spec['name']} axis {axis} is outside "
+                                 f"the {width} label axes")
+    return axis
+
+
 def label_map_generator(g, spec):
     """The reference resolver of ``groups.build_generator``: each named
     spec by its label map; a ``base_perm`` lifted over the trailing axes
@@ -1296,12 +1305,14 @@ def label_map_generator(g, spec):
     if name == "layer_swap":
         return layer_swap(g)
     if name == "axis_rotation":
-        return axis_rotation(g, int(spec["axis"]), int(spec.get("step", 1)))
+        return axis_rotation(g, _label_axis(g, spec, "axis"),
+                             int(spec.get("step", 1)))
     if name == "axis_reflection":
-        return axis_reflection(g, int(spec["axis"]),
+        return axis_reflection(g, _label_axis(g, spec, "axis"),
                                int(spec.get("center2", 0)))
     if name == "swap_axes":
-        return swap_axes(g, int(spec["a"]), int(spec["b"]))
+        return swap_axes(g, _label_axis(g, spec, "a"),
+                         _label_axis(g, spec, "b"))
     if name == "coord_permutation":
         return coord_permutation(g, spec["sigma"])
     if name == "base_perm":

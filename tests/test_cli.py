@@ -535,12 +535,31 @@ def test_group_reports_build_one_stabilizer_chain(argv, code, built, tmp_path,
 
 def test_monte_carlo_report_sizes_its_graph_spec_only_to_check_it(
         monkeypatch, capsys):
-    # the constructor and the run check the size; the digit check needs it
-    # in exact mode only.  A bunkbed spec's size recurses into its base.
+    # the constructor and the run check the size from one sizing, which a
+    # bunkbed spec recurses into its base for
     calls = _spy(monkeypatch, graphs, "spec_size")
     assert main(["bunkbed", "--base", "cycle:5", "--mode", "mc", "--n",
                  "100"]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv, sizings", [
+    (["enumerate", "--scenario", "builtin:bunkbed-cycle5"], 2),
+    (["bunkbed", "--base", "cycle:6", "--law", "rc:2"], 2),
+    (["verify-identity", "--scenario", "builtin:bunkbed-path2"], 2),
+    (["layered", "--base", "path:1", "--m", "6", "--choice", "a", "--k", "3"],
+     2),
+    (["z2", "--size", "3"], 1),
+])
+def test_an_exact_command_sizes_its_graph_once(argv, sizings, monkeypatch,
+                                               capsys):
+    # the digit check of every Scenario copy, the constructor's size check
+    # and the report's share one sizing (and a product spec's recursion
+    # into its base): each copy sized the spec again, 12 calls for the
+    # first command here
+    calls = _spy(monkeypatch, graphs, "spec_size")
+    assert main(argv) == 0
+    assert len(calls) == sizings
 
 
 @pytest.mark.parametrize("argv, vertices, edges", [
@@ -620,6 +639,21 @@ def test_generator_errors_exit_four_under_the_cap(generator, code, err,
                           generators=[generator])
     assert main(["enumerate", "--scenario", path]) == code
     assert capsys.readouterr().err.startswith(err)
+
+
+@pytest.mark.parametrize("generator, axis", [
+    ({"name": "axis_reflection", "axis": 5}, 5),
+    ({"name": "axis_reflection", "axis": 2}, 2),
+    ({"name": "axis_rotation", "axis": -3}, -3),
+    ({"name": "swap_axes", "a": 0, "b": 7}, 7)])
+def test_an_axis_past_the_labels_is_named(generator, axis, tmp_path, capsys):
+    path = _scenario_file(tmp_path, graph={"builder": "torus", "n": 3, "m": 3},
+                          v_plus=[[0, 0], [1, 1]], v_minus=[[1, 0], [0, 1]],
+                          origin=[0, 0], generators=[generator])
+    assert main(["enumerate", "--scenario", path]) == 4
+    assert capsys.readouterr().err == (
+        f"scenario error: {generator['name']} axis {axis} is outside the 2 "
+        "label axes\n")
 
 
 @pytest.mark.parametrize("generator", [

@@ -205,31 +205,46 @@ def test_keys_wider_than_a_word_equal_the_oracle(p):
         assert max(sweep.bins) == (1 << 81) - 1
 
 
-def test_both_hashing_paths_decide_one_edge_alike():
-    seed, lo, hi = -1, 5, 5 + 300
-    threshold = open_threshold(F(3, 7))
-    stream = mc._ChunkStream(seed, threshold, lo, hi)
+_LANE_PS = (HALF, F(1, 4), F(3, 7), F(61, 89))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 63, 65, 300])
+@pytest.mark.parametrize("seed", [-1, 2**70])
+def test_both_hashing_paths_decide_one_edge_alike(seed, size):
+    # the last lane is even or odd; at p = 1/2 and 1/4 the threshold's low
+    # 56 bits are 0, at 3/7 and 61/89 a lane whose top byte is the
+    # threshold's is decided by its word, and the last threshold puts the
+    # last lane's word just below it
+    lo, hi = 5, 5 + size
+    everyone, some = (1 << size) - 1, sum(1 << j for j in range(0, size, 7))
     # from 2**30 on, e + 1 is more than one digit of a Python int
     for e in (0, 7, 10**6, 2**30, 2**40):
-        want = sum(1 << j for j in range(hi - lo)
-                   if unit_word(seed, lo + j, e) < threshold)
-        assert stream.open_lanes(e) == want
-        assert stream.open_each(e, (1 << (hi - lo)) - 1) == want
-        some = sum(1 << j for j in range(0, hi - lo, 7))
-        assert stream.open_each(e, some) == want & some
+        w = unit_word(seed, hi - 1, e)
+        tie = (w >> 56 << 56) + (w & (1 << 56) - 1) + 1
+        assert tie >> 56 == w >> 56
+        for threshold in (*map(open_threshold, _LANE_PS), tie):
+            stream = mc._ChunkStream(seed, threshold, lo, hi)
+            want = sum(1 << j for j in range(size)
+                       if unit_word(seed, lo + j, e) < threshold)
+            assert stream.open_lanes(e) == want
+            assert stream.open_each(e, everyone) == want
+            assert stream.open_each(e, some) == want & some
+        assert want >> size - 1 == 1
 
 
 @pytest.mark.parametrize("order", [1, -1])
 def test_streams_share_only_their_lane_constants(order):
-    # a full and a tail chunk of two seeds and thresholds, built in either
-    # order and used after one another, each still draws unit_word
-    cases = [(-1, F(3, 7), 0, 64), (2**70, F(1, 5), 64, 64 + 37),
-             (9, F(3, 7), 128, 128 + 37), (9, F(1, 5), 0, 64)][::order]
+    # full and tail chunks of two seeds and four thresholds, with an even
+    # and an odd lane last, built in either order and used after one
+    # another, each still draws unit_word
+    cases = [(-1, F(3, 7), 0, 64), (2**70, F(1, 4), 64, 64 + 37),
+             (9, F(61, 89), 128, 128 + 37), (9, HALF, 0, 64),
+             (-1, F(61, 89), 0, 65), (2**70, HALF, 65, 65 + 2)][::order]
     streams = [mc._ChunkStream(seed, open_threshold(p), lo, hi)
                for seed, p, lo, hi in cases]
     for (seed, p, lo, hi), stream in zip(cases, streams):
         threshold = open_threshold(p)
-        for e in (0, 3, 2**40):
+        for e in (0, 3, 7, 2**30, 2**40):
             want = sum(1 << j for j in range(hi - lo)
                        if unit_word(seed, lo + j, e) < threshold)
             assert stream.open_lanes(e) == want
@@ -357,10 +372,12 @@ def test_waits_end_in_words_and_in_lane_passes(chunk_size, monkeypatch,
     assert max(Counter(words).values()) > 1
 
 
-def test_no_word_is_paid_for_an_edge_that_gets_a_lane_pass(monkeypatch):
-    # one 2,000-sample chunk of the critical 20x20 torus: a sampler that
-    # decided each edge on first contact paid 47,852 single words here for
-    # edges that a lane pass decided again later
+@pytest.mark.parametrize("p", [HALF, F(61, 89)])
+def test_no_word_is_paid_for_an_edge_that_gets_a_lane_pass(p, monkeypatch):
+    # one 2,000-sample chunk of the 20x20 torus: at the critical p = 1/2, a
+    # sampler that decided each edge on first contact paid 47,852 single
+    # words here for edges that a lane pass decided again later; at 61/89 a
+    # lane pass decides its ties by word, which no open_each call pays
     words, laned = Counter(), set()
     each, lanes = mc._ChunkStream.open_each, mc._ChunkStream.open_lanes
 
@@ -375,7 +392,7 @@ def test_no_word_is_paid_for_an_edge_that_gets_a_lane_pass(monkeypatch):
     monkeypatch.setattr(mc._ChunkStream, "open_each", counted_each)
     monkeypatch.setattr(mc._ChunkStream, "open_lanes", counted_lanes)
     g = torus_graph(20, 20)
-    estimate_joint(g, Observables(0, targets=(1,)), HALF, 2000, 78289)
+    estimate_joint(g, Observables(0, targets=(1,)), p, 2000, 78289)
     assert laned
     assert sum(words[e] for e in laned) == 0
 
