@@ -181,10 +181,6 @@ def csv_rows(report: dict) -> list[list]:
     return rows
 
 
-def print_human(report: dict) -> None:
-    print("\n".join(_human_lines(report)), flush=True)
-
-
 def _human_lines(report: dict) -> list[str]:
     name = report["scenario"]["name"]
     lines = [f"{report.get('kind', 'report')}: {name}  "
@@ -241,7 +237,9 @@ def _result_line(res: dict, indent: str) -> str:
 
 
 def finish(report: dict, json_path: str | None, csv_path: str | None) -> int:
-    print_human(report)
+    """Print the summary, write the outputs asked for and return the exit
+    code of the verdict."""
+    print("\n".join(_human_lines(report)), flush=True)
     write_outputs(report, json_path, csv_path)
     return EXIT_CODES[report["verdict"]]
 
@@ -275,88 +273,67 @@ def _parse_base(text: str):
         f"bad base spec {text!r}; use e.g. 'cycle:5' or a JSON object")
 
 
-def cmd_check_symmetry(scenario_ref, json_path):
+def cmd_check_symmetry(scenario_ref):
     """Run only the symmetry-condition check for a scenario."""
-    sc = scenarios.load_scenario(scenario_ref)
-    report = scenarios.check_symmetry_report(sc)
-    return finish(report, json_path, None)
+    return scenarios.check_symmetry_report(_override(scenario_ref))
 
 
-def cmd_enumerate(scenario_ref, p_list, cap_bits, threads, json_path,
-                  csv_path):
+def cmd_enumerate(scenario_ref, p_list, cap_bits, threads):
     """Exact pipeline: count the origin's clusters by a subset DP over
     connected sets and run every check."""
-    sc = scenarios.load_scenario(scenario_ref)
-    sc = _override(sc, p_list=p_list, cap_bits=cap_bits, mode="exact")
-    report = scenarios.run_scenario(sc, threads=threads)
-    return finish(report, json_path, csv_path)
+    sc = _override(scenario_ref, p_list, cap_bits=cap_bits, mode="exact")
+    return scenarios.run_scenario(sc, threads=threads)
 
 
-def cmd_mc(scenario_ref, p_list, mc_n, seed, level, threads, json_path,
-           csv_path):
+def cmd_mc(scenario_ref, p_list, mc_n, seed, level, threads):
     """Monte Carlo pipeline with reproducible seeding."""
-    sc = scenarios.load_scenario(scenario_ref)
-    sc = _override(sc, p_list=p_list, mode="mc", mc_n=mc_n, mc_seed=seed)
-    report = scenarios.run_scenario(sc, threads=threads, level=float(level))
-    return finish(report, json_path, csv_path)
+    sc = _override(scenario_ref, p_list, mode="mc", mc_n=mc_n, mc_seed=seed)
+    return scenarios.run_scenario(sc, threads=threads, level=float(level))
 
 
-def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads, json_path,
-                        csv_path):
+def cmd_verify_identity(scenario_ref, p_list, cap_bits, threads):
     """Check the reweighting identity and the ratio identity exactly."""
-    sc = scenarios.load_scenario(scenario_ref)
-    sc = _override(sc, p_list=p_list, cap_bits=cap_bits, mode="exact")
-    report = scenarios.verify_identity_report(sc)
-    return finish(report, json_path, csv_path)
+    sc = _override(scenario_ref, p_list, cap_bits=cap_bits, mode="exact")
+    return scenarios.verify_identity_report(sc)
 
 
-def cmd_verify_group_theorem(group_name, trials, seed, json_path, csv_path):
+def cmd_verify_group_theorem(group_name, trials, seed):
     """Exhaustive orbit/stabilizer identities plus sampled set-pair
     double counting."""
     if trials < 0:
         raise UsageError(f"need --trials >= 0, got {trials}")
-    report = scenarios.group_theorem_battery(group_name, trials, seed)
-    return finish(report, json_path, csv_path)
+    return scenarios.group_theorem_battery(group_name, trials, seed)
 
 
-def cmd_hypercube(d, p_list, mode, cap_bits, mc_n, seed, level, threads,
-                  json_path, csv_path):
+def cmd_hypercube(d, **flags):
     """Connection-probability inequalities on the d-dimensional hypercube."""
-    sc = scenarios.hypercube_scenario(
-        d, _parse_p_list(p_list), mode=mode,
-        **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    report = scenarios.run_scenario(sc, threads, float(level))
-    return finish(report, json_path, csv_path)
+    return _constructed(scenarios.hypercube_scenario, (d,), **flags)
 
 
-def cmd_z2(size, p_list, mode, cap_bits, mc_n, seed, level, threads,
-           json_path, csv_path):
+def cmd_z2(size, **flags):
     """Square-lattice connection relations realized on a torus."""
-    sc = scenarios.z2_scenario(
-        size, _parse_p_list(p_list), mode=mode,
-        **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    report = scenarios.run_scenario(sc, threads, float(level))
-    return finish(report, json_path, csv_path)
+    return _constructed(scenarios.z2_scenario, (size,), **flags)
 
 
-def cmd_bunkbed(base, p_list, mode, law_text, cap_bits, mc_n, seed, level,
-                threads, json_path, csv_path):
+def cmd_bunkbed(base, law_text, **flags):
     """Compare the two layers of base x edge."""
-    sc = scenarios.bunkbed_scenario(
-        _parse_base(base), _parse_p_list(p_list), law_text, mode=mode,
-        **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    report = scenarios.run_scenario(sc, threads, float(level))
-    return finish(report, json_path, csv_path)
+    return _constructed(scenarios.bunkbed_scenario, (_parse_base(base),),
+                        law=law_text, **flags)
 
 
-def cmd_layered(base, m, choice, k, period, p_list, mode, cap_bits, mc_n,
-                seed, level, threads, json_path, csv_path):
+def cmd_layered(base, m, choice, k, period, **flags):
     """Residue-class layer comparison on the cylinder base x cycle(m)."""
-    sc = scenarios.layered_scenario(
-        _parse_base(base), m, choice, k, period, _parse_p_list(p_list),
-        mode=mode, **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
-    report = scenarios.run_scenario(sc, threads, float(level))
-    return finish(report, json_path, csv_path)
+    return _constructed(scenarios.layered_scenario,
+                        (_parse_base(base), m, choice, k, period), **flags)
+
+
+def _constructed(build, args, p_list, mode, cap_bits, mc_n, seed, level,
+                 threads, **options) -> dict:
+    """The report of the scenario that ``build`` makes from ``args``, the
+    --p grid and the given flags."""
+    sc = build(*args, _parse_p_list(p_list), mode=mode, **options,
+               **_given(cap_bits=cap_bits, mc_n=mc_n, mc_seed=seed))
+    return scenarios.run_scenario(sc, threads, float(level))
 
 
 def _given(**flags) -> dict:
@@ -365,9 +342,10 @@ def _given(**flags) -> dict:
     return {key: value for key, value in flags.items() if value is not None}
 
 
-def _override(sc: scenarios.Scenario, p_list=None,
-              **flags) -> scenarios.Scenario:
-    """``sc`` with the given flags in place of its own fields."""
+def _override(scenario_ref: str, p_list=None, **flags) -> scenarios.Scenario:
+    """The scenario that ``scenario_ref`` names, loaded before any flag is
+    parsed, with the given flags in place of its own fields."""
+    sc = scenarios.load_scenario(scenario_ref)
     changes = _given(**flags)
     if p_list is not None:
         changes["p_grid"] = scenarios.parse_p_grid(_parse_p_list(p_list))
@@ -471,10 +449,11 @@ def main(argv=None) -> int:
     try:
         args = vars(_parser().parse_args(argv))
         run = args.pop("run")
+        json_path, csv_path = args.pop("json_path"), args.pop("csv_path", None)
         if args.get("threads", 1) < 1:
             raise ScenarioFormatError(
                 f"need --threads >= 1, got {args['threads']}")
-        return run(**args)
+        return finish(run(**args), json_path, csv_path)
     except SystemExit as exc:  # --help, once printed
         return exc.code
     except UsageError as exc:

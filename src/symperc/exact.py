@@ -22,11 +22,11 @@ configurations whose origin cluster is S, by the number k of open units:
 * random cluster: y·C_S(x)·Z_{V∖S}(x, y), with y counting partition
   cells and Z_T the edge sets of G[T] by open edges and cells.  One pass
   over every connected set, taken in order of size, builds C_S, split by
-  the component of any fixed vertex of S.  A connected T splits off the
-  cell of its lowest vertex, Z_T = Σ y·C_U·Z_{T∖U} over connected
-  U ∋ min T inside T (the vertex-exponential random-cluster evaluation of
-  Björklund, Husfeldt, Kaski and Koivisto), and any other T is the product
-  over its components; one memo keeps Z_T for every T met.
+  the component of any fixed vertex of S.  Every T, connected or not,
+  splits off the cell of its lowest vertex, Z_T = Σ y·C_U·Z_{T∖U} over
+  connected U ∋ min T inside T (the vertex-exponential random-cluster
+  evaluation of Björklund, Husfeldt, Kaski and Koivisto): T∖U keeps every
+  other component of G[T] whole.  One memo keeps Z_T for every T met.
 
 Two rules keep sparse graphs from costing more than a brute-force sweep.
 A vertex v with one neighbour in S forces its edge open, so
@@ -369,18 +369,6 @@ def _connected_sets(nbr, root: int, allowed: int) -> list[int]:
     return found
 
 
-def _component(nbr, start: int, within: int) -> int:
-    """The component of G[within] holding the vertex bit ``start``."""
-    comp = frontier = start
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = nbr[low.bit_length() - 1] & within & ~comp
-        comp |= new
-        frontier |= new
-    return comp
-
-
 def _spanning_polys(nbr, sets: Iterable[int], root: int | None, bits: int,
                     powers: list[int], census: list[int]
                     ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
@@ -539,9 +527,8 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
             """Z_T(x, y): the edge sets of G[T] by open edges and cells;
             memoized for every T.  A vertex v with one neighbour in T gives
             Z_T = (x+y)·Z_{T∖v}, its edge open or v a cell of its own, and
-            an isolated one y·Z_{T∖v}.  Otherwise a connected T splits off
-            the cell U of its lowest vertex, and any other T is the product
-            over its components."""
+            an isolated one y·Z_{T∖v}.  Otherwise T, connected or not,
+            splits off the cell U of its lowest vertex."""
             z = memo.get(t)
             if z is None:
                 rest = t
@@ -554,16 +541,11 @@ def _origin_cluster_rows(g: Graph, law: PartitionLaw, origin: int,
                         z = (z << ystride) + (z << bits if d else 0)
                         break
                 else:
-                    low = t & -t
-                    comp = _component(nbr, low, t)
-                    if comp != t:
-                        z = partition_poly(comp) * partition_poly(t ^ comp)
-                    else:
-                        z = 0
-                        for u in _connected_sets(nbr, low.bit_length() - 1,
-                                                 t):
-                            z += polys[u] * partition_poly(t ^ u)
-                        z <<= ystride
+                    z = 0
+                    for u in _connected_sets(nbr, (t & -t).bit_length() - 1,
+                                             t):
+                        z += polys[u] * partition_poly(t ^ u)
+                    z <<= ystride
                 memo[t] = z
             return z
 

@@ -217,6 +217,14 @@ def _parsed(what: str, parse, value):
         raise ScenarioFormatError(f"bad {what} {value!r}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a bool: JSON's true and false are no
+    integers, though Python counts a bool as one."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not an integer")
+    return int(value)
+
+
 def parse_p_grid(values) -> tuple[Fraction, ...]:
     """Parse percolation parameters; each must lie strictly inside (0, 1)."""
     if not isinstance(values, (list, tuple)):
@@ -246,9 +254,9 @@ def parse_scenario(doc: Mapping, name: str = "scenario") -> Scenario:
         law=_parsed("law", parse_law, doc.get("law", "bond")),
         p_grid=parse_p_grid(doc.get("p_grid", ["1/2"])),
         mode=doc.get("mode", "exact"),
-        mc_n=_parsed("mc n", int, mc_doc.get("n", 100_000)),
-        mc_seed=_parsed("mc seed", int, mc_doc.get("seed", 0)),
-        cap_bits=_parsed("cap_bits", int,
+        mc_n=_parsed("mc n", _integer, mc_doc.get("n", 100_000)),
+        mc_seed=_parsed("mc seed", _integer, mc_doc.get("seed", 0)),
+        cap_bits=_parsed("cap_bits", _integer,
                          doc.get("cap_bits", exact.DEFAULT_CAP_BITS)),
         report=doc.get("report", "scenario"),
         relations=relations,
@@ -290,11 +298,13 @@ def _parsed_relations(doc: Mapping) -> tuple[Relation, ...]:
 def resolve_vertex(g: Graph, item) -> int:
     """A scenario may reference vertices by index or by coordinate label."""
     if isinstance(item, int):
-        if not 0 <= item < g.n_vertices:
+        index = _parsed("vertex index", _integer, item)
+        if not 0 <= index < g.n_vertices:
             raise ScenarioFormatError(f"vertex index {item} out of range")
-        return item
+        return index
     if isinstance(item, (list, tuple)):
-        return g.index_of(tuple(_parsed("vertex label", int, x) for x in item))
+        return g.index_of(tuple(_parsed("vertex label", _integer, x)
+                                for x in item))
     raise ScenarioFormatError(f"bad vertex reference: {item!r}")
 
 

@@ -19,9 +19,11 @@ and up to 16 vertices, past the reach of the 2^units sweeps.
 ``per_root_rc_rows`` builds the random-cluster law's packed rows root by
 root: the C_S of the sets whose lowest vertex is r, for r = 0, 1, ...,
 cutting no set at that vertex and walking every sub-cluster from it, one
-term per sub-cluster, and Z_T with no pendant rule.  The package builds
-every C_S in one pass ordered by size, cuts a vertex with one neighbour
-wherever it sits, and walks from a vertex with the fewest neighbours.
+term per sub-cluster, and Z_T with no pendant rule, as the product over
+its components when T is disconnected.  The package builds every C_S in one
+pass ordered by size, cuts a vertex with one neighbour wherever it sits,
+walks from a vertex with the fewest neighbours, and splits every T, however
+many components it has, off the cell of its lowest vertex.
 
 The evaluation oracles (``eval_joint``, ``expectations`` and the three
 checks) chain Fraction sums term by term, where the package's integer cores
@@ -93,7 +95,6 @@ from hypothesis import strategies as st
 from symperc.exact import (
     IntegerPmf,
     Observables,
-    _component,
     _connected_sets,
     expected_numerators,
     joint_numerators,
@@ -553,6 +554,18 @@ def _rooted_spanning_polys(nbr, root, allowed, bits, powers, census):
         polys[s] = poly
         extent[s] = (inner, sum(census[v] for v in members))
     return polys, extent
+
+
+def _component(nbr, start, within):
+    """The component of G[within] holding the vertex bit ``start``."""
+    comp = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = nbr[low.bit_length() - 1] & within & ~comp
+        comp |= new
+        frontier |= new
+    return comp
 
 
 def per_root_rc_rows(g, origin, masks):

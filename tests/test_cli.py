@@ -702,8 +702,35 @@ def test_usage_errors_exit_four():
      "usage error: "),
     (["mc", "--scenario", "builtin:bunkbed-path2", "--threads", "-3"],
      "scenario error: "),
+    (["bunkbed", "--base", "{bad"], "scenario error: bad base spec JSON"),
+    (["bunkbed", "--base", "cycle:x"], "scenario error: bad base spec"),
+    (["enumerate", "--scenario", b"{bad"],
+     "scenario error: scenario file is not valid JSON"),
+    (["mc", "--scenario", {"mc": 5}],
+     "scenario error: mc must be an object, got 5"),
+    # JSON's true is no integer, though Python's bool is an int
+    (["enumerate", "--scenario", {
+        "graph": {"builder": "cycle", "n": 4}, "origin": 0,
+        "v_plus": [True], "v_minus": [2], "generators": []}],
+     "scenario error: bad vertex index True"),
+    (["enumerate", "--scenario", {
+        "graph": {"builder": "torus", "n": 3, "m": 3}, "origin": [0, 0],
+        "v_plus": [[0, 0]], "v_minus": [[True, 0]], "generators": []}],
+     "scenario error: bad vertex label True"),
+    (["enumerate", "--scenario", {"origin": True}],
+     "scenario error: bad vertex index True"),
+    (["mc", "--scenario", {"mc": {"n": True}}],
+     "scenario error: bad mc n True"),
+    (["mc", "--scenario", {"mc": {"seed": False}}],
+     "scenario error: bad mc seed False"),
+    (["enumerate", "--scenario", {"cap_bits": True}],
+     "scenario error: bad cap_bits True"),
 ])
-def test_command_line_refusals_are_one_line(argv, prefix, capsys):
+def test_command_line_refusals_are_one_line(argv, prefix, tmp_path, capsys):
+    # a dict is a document over bunkbed-path2's, bytes a file's whole text
+    argv = [_scenario_file(tmp_path, **a) if isinstance(a, dict)
+            else _raw_file(tmp_path, a) if isinstance(a, bytes) else a
+            for a in argv]
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -741,10 +768,44 @@ def test_csv_exact_columns(tmp_path):
     assert lookup["expected_minus"] == "1"
 
 
+def _csv_body(argv, tmp_path) -> list[list[str]]:
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--csv", str(out)]) == 0
+    with open(out) as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_csv_hypercube_and_battery_rows(tmp_path):
+    # the square Q2 at p = 1/2: a neighbour connects through its edge or
+    # the other three, 1/2 + 1/2·1/8 = 9/16, the opposite corner through
+    # either path of two edges, 1 − (3/4)^2 = 7/16
+    body = _csv_body(["hypercube", "--d", "2", "--p", "1/2"], tmp_path)
+    assert [row[2] for row in body] == [
+        "c_0", "c_1", "c_2", "double_sum_k0_l0", "double_sum_k0_l1",
+        "double_sum_k0_l2", "double_sum_k1_l0", "double_sum_k1_l1",
+        "double_sum_k2_l0", "derivative_k0", "derivative_k1",
+        "derivative_k2"]
+    rows = {row[2]: row for row in body}
+    assert [rows[f"c_{i}"][3] for i in range(3)] == ["1", "9/16", "7/16"]
+    assert rows["c_1"][-1] == ""
+    assert rows["double_sum_k0_l1"][3:] == ["25/16", "", "", "exact", "pass"]
+    assert rows["derivative_k1"][3] == "-7/16"
+    body = _csv_body(["verify-group-theorem", "--group", "d4-on-c4"],
+                     tmp_path)
+    assert body == [["d4-on-c4", "", "all_exact", "true", "", "", "exact",
+                     "pass"]]
+
+
 def _scenario_file(tmp_path, **changes):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**builtin_scenarios()["bunkbed-path2"],
                                 **changes}))
+    return str(path)
+
+
+def _raw_file(tmp_path, text: bytes):
+    path = tmp_path / "raw.json"
+    path.write_bytes(text)
     return str(path)
 
 

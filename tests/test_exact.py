@@ -571,7 +571,15 @@ def test_site_tally_fields_hold_clusters_of_more_than_255_vertices():
     # every connected set is a run of the path, cut at its lowest vertex,
     # which the per-root pass never cuts; no set is walked
     (path_graph(12), False),
-], ids=["bunkbed-c6", "bunkbed-c7", "torus3x3", "k5", "q3", "path12"])
+    # a cut vertex between cyclic blocks leaves Z_T a disconnected T with
+    # no pendant vertex, which the per-root pass takes as a product over
+    # its components and the package splits off the cell of min T
+    (explicit_graph(7, [(0, 1), (0, 4), (1, 2), (2, 3), (1, 3), (4, 5),
+                        (5, 6), (4, 6)]), False),
+    (explicit_graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1), (0, 5),
+                        (5, 6), (6, 7), (7, 8), (8, 5)]), False),
+], ids=["bunkbed-c6", "bunkbed-c7", "torus3x3", "k5", "q3", "path12",
+        "two-triangles-via-origin", "two-hung-4-cycles"])
 def test_rc_rows_equal_the_per_root_pass(g, bunkbed):
     # every vertex as a target, and a bunkbed's two layers as the pair
     layers = [[v for v, lab in enumerate(g.labels) if lab[-1] == layer]
